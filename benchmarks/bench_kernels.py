@@ -1,5 +1,8 @@
 """Benchmark the numba kernels against the numpy/python fallbacks.
 
+Covers the finite-field kernels; exact integer rank has one pure-python
+implementation and is timed end to end by ``perfbench/run.py``.
+
 Runs each hot kernel through both backends on mid-size inputs and prints a
 timing table.  Invoke from the repo root:
 
@@ -15,8 +18,7 @@ import time
 import numpy as np
 
 from quiverstrata import _kernels
-from quiverstrata._kernels import (_bareiss_rank_loops, _bareiss_rank_numpy,
-                                   _enumerate_nilpotent_loops,
+from quiverstrata._kernels import (_enumerate_nilpotent_loops,
                                    _enumerate_nilpotent_numpy,
                                    _rank_mod_p_loops, _rank_mod_p_numpy,
                                    _tally_points_loops)
@@ -39,18 +41,6 @@ def timed(fn, repeat):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def bench_bareiss(repeat):
-    rng = np.random.default_rng(1)
-    a = rng.integers(-5, 6, size=(40, 120)).astype(np.int64)
-    rows = {}
-    if HAVE_NUMBA:
-        jit = njit(cache=True)(_bareiss_rank_loops)
-        jit(a.copy())  # compile
-        rows["numba"], r1 = timed(lambda: jit(a.copy()), repeat)
-    rows["numpy"], r2 = timed(lambda: _bareiss_rank_numpy(a.copy()), repeat)
-    return "exact rank (Bareiss, 40x120)", rows
 
 
 def bench_rank_mod_p(repeat):
@@ -105,7 +95,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    benches = [bench_bareiss, bench_rank_mod_p, bench_nilpotent, bench_oracle]
+    benches = [bench_rank_mod_p, bench_nilpotent, bench_oracle]
     print(f"numba available: {HAVE_NUMBA}")
     print(f"{'kernel':<42} {'backend':<8} {'best (ms)':>10}")
     for bench in benches:

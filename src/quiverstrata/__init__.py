@@ -13,7 +13,8 @@ from .quiver import (Arrow, BoundQuiverPresentation, CycleDiagnostic, Path,
                      serialize_presentation)
 from .partitions import (JordanAssignment, Partition, commutant_dim_oracle,
                          end_dim, hom_dim, jordan_matrix, maximal_partition,
-                         orbit_count_ff, orbit_dim, partitions_bounded)
+                         orbit_count, orbit_count_ff, orbit_dim,
+                         partitions_bounded)
 from .linsys import (BadPrimeError, ConstraintSystem, SymbolicArrowEntry,
                      UnsupportedDegreeError, assemble_system,
                      assemble_system_at, c_additivity_split, codim_c,

@@ -1,12 +1,14 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
-The heavy inner loops (exact integer elimination, rank over F_p, and the
-exhaustive finite-field enumerations) are compiled with numba's ``@njit``
-when available.  Setting the environment variable ``QUIVERSTRATA_NO_NUMBA``
-to a non-empty value (other than ``0``/``false``/``no``) selects the pure
-numpy/python fallback instead; the same happens automatically when numba
-is not importable.  Both backends compute identical results; the benchmark
-in ``benchmarks/bench_kernels.py`` compares them.
+Exact integer rank is pure python (big integers never overflow, and the
+components it sees are small).  The finite-field kernels (rank over F_p
+and the exhaustive enumerations) have two interchangeable backends: they
+are compiled with numba's ``@njit`` when available.  Setting the
+environment variable ``QUIVERSTRATA_NO_NUMBA`` to a non-empty value (other
+than ``0``/``false``/``no``) selects the pure numpy/python fallback
+instead; the same happens automatically when numba is not importable.
+Both backends compute identical results; the benchmark in
+``benchmarks/bench_kernels.py`` compares them.
 """
 from __future__ import annotations
 
@@ -32,92 +34,18 @@ def backend_name() -> str:
     return "numba" if NUMBA_ACTIVE else "numpy"
 
 
-# Bareiss steps stay exact in int64 as long as every entry is below this
-# bound: products of two entries then fit in 62 bits.
-_INT64_SAFE = 1 << 31
-
-
 # ---------------------------------------------------------------------------
 # exact integer rank (fraction-free elimination, full pivoting)
 # ---------------------------------------------------------------------------
 
-def _bareiss_rank_loops(a):
-    """Fraction-free elimination on an int64 matrix, loop form.
+def exact_rank_int(rows) -> int:
+    """Rank of an integer matrix given as a list of int rows.
 
-    Returns the rank, or -1 if entries grow past the int64 safety bound
-    (the caller then retries with python big integers).  Pivot choice is
-    the entry of maximal absolute value, first in row-major order on ties.
+    Fraction-free (Bareiss) elimination over python integers, so no entry
+    can overflow.  Pivot choice is the entry of maximal absolute value,
+    first in row-major order on ties.  The input rows are not modified.
     """
-    m, n = a.shape
-    prev = np.int64(1)
-    r = 0
-    while r < m and r < n:
-        best = np.int64(0)
-        bi = -1
-        bj = -1
-        for i in range(r, m):
-            for j in range(r, n):
-                v = a[i, j]
-                av = -v if v < 0 else v
-                if av > best:
-                    best = av
-                    bi = i
-                    bj = j
-        if bi < 0:
-            break
-        if best >= _INT64_SAFE:
-            return -1
-        if bi != r:
-            for j in range(n):
-                t = a[r, j]
-                a[r, j] = a[bi, j]
-                a[bi, j] = t
-        if bj != r:
-            for i in range(m):
-                t = a[i, r]
-                a[i, r] = a[i, bj]
-                a[i, bj] = t
-        piv = a[r, r]
-        for i in range(r + 1, m):
-            f = a[i, r]
-            for j in range(r + 1, n):
-                a[i, j] = (a[i, j] * piv - f * a[r, j]) // prev
-            a[i, r] = 0
-        prev = piv
-        r += 1
-    return r
-
-
-def _bareiss_rank_numpy(a):
-    """Vectorized variant of :func:`_bareiss_rank_loops`."""
-    m, n = a.shape
-    prev = np.int64(1)
-    r = 0
-    while r < m and r < n:
-        sub = a[r:, r:]
-        mx = np.abs(sub).max() if sub.size else 0
-        if mx == 0:
-            break
-        if mx >= _INT64_SAFE:
-            return -1
-        flat = int(np.abs(sub).argmax())
-        bi, bj = divmod(flat, n - r)
-        bi += r
-        bj += r
-        if bi != r:
-            a[[r, bi]] = a[[bi, r]]
-        if bj != r:
-            a[:, [r, bj]] = a[:, [bj, r]]
-        piv = a[r, r]
-        a[r + 1 :, r + 1 :] = (a[r + 1 :, r + 1 :] * piv - np.outer(a[r + 1 :, r], a[r, r + 1 :])) // prev
-        a[r + 1 :, r] = 0
-        prev = piv
-        r += 1
-    return r
-
-
-def _bareiss_rank_bigint(rows):
-    """Same elimination over python integers; never overflows."""
+    rows = [list(row) for row in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
     prev = 1
@@ -139,38 +67,16 @@ def _bareiss_rank_bigint(rows):
             for row in rows:
                 row[r], row[bj] = row[bj], row[r]
         piv = rows[r][r]
+        rr = rows[r]
         for i in range(r + 1, m):
-            f = rows[i][r]
             ri = rows[i]
-            rr = rows[r]
+            f = ri[r]
             for j in range(r + 1, n):
                 ri[j] = (ri[j] * piv - f * rr[j]) // prev
             ri[r] = 0
         prev = piv
         r += 1
     return r
-
-
-def exact_rank_int(rows) -> int:
-    """Rank of an integer matrix given as a list of int rows.
-
-    Fast path: int64 fraction-free elimination (numba or numpy backend).
-    If intermediate values would overflow int64 the computation restarts
-    with python big integers, so the result is always exact.
-    """
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    if n == 0:
-        return 0
-    mx = max((abs(v) for row in rows for v in row), default=0)
-    if mx < _INT64_SAFE:
-        a = np.array(rows, dtype=np.int64)
-        got = _bareiss_fast(a)
-        if got >= 0:
-            return int(got)
-    return _bareiss_rank_bigint([list(row) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +370,10 @@ def tally_points(cand_flat, cand_off, cand_cnt, slot_rows, slot_cols,
 # ---------------------------------------------------------------------------
 
 if NUMBA_ACTIVE:
-    _bareiss_fast = _njit(cache=True)(_bareiss_rank_loops)
     _rank_mod_p_fast = _njit(cache=True)(_rank_mod_p_loops)
     _enumerate_nilpotent_fast = _njit(cache=True)(_enumerate_nilpotent_loops)
     _tally_points_fast = _njit(cache=True)(_tally_points_loops)
 else:
-    _bareiss_fast = _bareiss_rank_numpy
     _rank_mod_p_fast = _rank_mod_p_numpy
     _enumerate_nilpotent_fast = _enumerate_nilpotent_numpy
     _tally_points_fast = _tally_points_loops

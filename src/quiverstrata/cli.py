@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -15,8 +16,8 @@ from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .families import build_family, parse_family_spec
-from .fforacle import (EnumerationCapExceeded, count_table_csv,
-                       enumerate_and_classify, verify_count_identity)
+from .fforacle import (EnumerationCapExceeded, enumerate_and_classify,
+                       identity_csv, verify_count_identity)
 from .formulas import (FormulaCase, SideConditionError, evaluate_case,
                        formula_cases)
 from .linsys import BadPrimeError, UnsupportedDegreeError
@@ -57,6 +58,14 @@ def _dims_for(args, n_vertices: int) -> list[tuple[int, ...]]:
     raise PresentationError("specify --dim or --max-total")
 
 
+def _workers(jobs: int, n_items: int) -> int:
+    """Worker processes for ``n_items`` work items: never more than asked,
+    than there are CPUs, or than there are items."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, n_items)
+
+
 def cmd_strata(args) -> int:
     pres = _read_presentation(args.algebra)
     dims = _parse_dim(args.dim)
@@ -78,8 +87,8 @@ def cmd_strata(args) -> int:
 def cmd_reduce_scan(args) -> int:
     pres = _read_presentation(args.algebra)
     dim_list = _dims_for(args, len(pres.quiver.vertices))
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(dim_list) > 1:
+    jobs = _workers(args.jobs, len(dim_list))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_one, [(pres, d, args.cap) for d in dim_list]))
     else:
@@ -125,8 +134,8 @@ def cmd_verify_formulas(args) -> int:
     else:
         items = [args.item] if args.item is not None else None
         cases = formula_cases(p_max=args.p_max, items=items)
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(cases) > 1:
+    jobs = _workers(args.jobs, len(cases))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(evaluate_case, cases))
     else:
@@ -156,8 +165,8 @@ def cmd_oracle_count(args) -> int:
     failures = 0
     for q in _parse_primes(args.q):
         table = enumerate_and_classify(pres, dims, q, max_points=args.cap)
-        sys.stdout.write(count_table_csv(table, pres))
         rows = verify_count_identity(table, pres)
+        sys.stdout.write(identity_csv(q, rows))
         bad = [r for r in rows if not r.ok]
         failures += len(bad)
         covered = sum(r.count for r in rows)
@@ -200,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stratification toolkit for bound quiver algebras with loops",
     )
     parser.add_argument("--timing", action="store_true",
-                        help="print an elapsed-time footer")
+                        help="print the elapsed time to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("strata", help="stratum table for one dimension vector")
@@ -258,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.timing:
-        print(f"elapsed: {time.monotonic() - start:.3f}s")
+        print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .linsys import BadPrimeError, codim_c
-from .partitions import (JordanAssignment, orbit_count_ff_cached,
+from .partitions import (JordanAssignment, _is_prime, orbit_count,
                          partition_from_ranks, partitions_bounded)
 from .quiver import BoundQuiverPresentation
 from .strata import ambient_arrow_dim, assignments_for
@@ -36,22 +36,12 @@ __all__ = [
     "verify_count_identity",
     "dimension_estimate",
     "count_table_csv",
+    "identity_csv",
 ]
 
 
 class EnumerationCapExceeded(ValueError):
     pass
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass
@@ -254,7 +244,7 @@ def verify_count_identity(table: StratumCountTable,
         c = codim_c(pres, ja)
         pred = q ** (n - c)
         for p in ja.partitions:
-            pred *= orbit_count_ff_cached(p, q)
+            pred *= orbit_count(p, q)
         rows.append(IdentityRow(ja, table.counts.get(ja, 0), pred))
     return rows
 
@@ -293,14 +283,18 @@ def dimension_estimate(tables: Sequence[StratumCountTable]) -> list[EstimateRow]
     return out
 
 
-def count_table_csv(table: StratumCountTable,
-                    pres: BoundQuiverPresentation) -> str:
-    """CSV export: assignment, count, q, predicted count, pass/fail."""
-    rows = verify_count_identity(table, pres)
+def identity_csv(q: int, rows: Sequence[IdentityRow]) -> str:
+    """CSV export of checked rows: assignment, count, q, predicted, pass/fail."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["assignment", "count", "q", "predicted", "pass"])
     for row in rows:
-        writer.writerow([row.assignment.serialize(), row.count, table.q,
+        writer.writerow([row.assignment.serialize(), row.count, q,
                          row.predicted, "pass" if row.ok else "fail"])
     return buf.getvalue()
+
+
+def count_table_csv(table: StratumCountTable,
+                    pres: BoundQuiverPresentation) -> str:
+    """CSV export of the identity check of one table."""
+    return identity_csv(table.q, verify_count_identity(table, pres))

@@ -1,8 +1,9 @@
 """Bounded partitions, nilpotent Jordan matrices, and orbit dimensions."""
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "end_dim",
     "orbit_dim",
     "commutant_dim_oracle",
+    "orbit_count",
     "orbit_count_ff",
     "partition_from_ranks",
     "rank_sequence",
@@ -176,12 +178,31 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def orbit_count(p: Partition, q: int) -> int:
+    """Number of matrices over F_q similar to the Jordan matrix of ``p``.
+
+    Closed form |GL_d(F_q)| / |C(J_p)|, where the centralizer has order
+    q^(end_dim(p) - sum_i m_i (m_i + 1) / 2) * prod_i prod_{k <= m_i} (q^k - 1)
+    and m_i is the number of parts equal to i (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, Ch. II).
+    """
+    if not _is_prime(q):
+        raise ValueError("q must be prime")
+    d = p.weight
+    gl = math.prod(q ** d - q ** k for k in range(d))
+    mults = Counter(p.parts).values()
+    centralizer = q ** (end_dim(p) - sum(m * (m + 1) // 2 for m in mults))
+    for m in mults:
+        centralizer *= math.prod(q ** k - 1 for k in range(1, m + 1))
+    return gl // centralizer
+
+
 def orbit_count_ff(p: Partition, q: int, max_points: int = 1 << 24) -> int:
     """Number of matrices over F_q similar to the Jordan matrix of ``p``.
 
     Exhaustive: enumerates every nilpotent candidate and classifies it by
-    rank sequence, so it can serve as ground truth for the counting
-    identities.  Capped at weight 4 and q <= 5.
+    rank sequence, an independent check of :func:`orbit_count`.  Capped at
+    weight 4 and q <= 5.
     """
     d = p.weight
     if d > 4 or q > 5:
@@ -244,12 +265,3 @@ class JordanAssignment:
 
     def __str__(self) -> str:
         return self.serialize()
-
-
-@lru_cache(maxsize=None)
-def _orbit_count_cached(parts: tuple[int, ...], bound: int, q: int) -> int:
-    return orbit_count_ff(Partition(parts, bound), q)
-
-
-def orbit_count_ff_cached(p: Partition, q: int) -> int:
-    return _orbit_count_cached(p.parts, p.bound, q)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from quiverstrata.cli import main
@@ -52,11 +55,32 @@ def test_output_deterministic(algebra_file, capsys):
 
 
 def test_timing_footer_is_optional(algebra_file, capsys):
-    _, out, _ = run_cli(["strata", "--algebra", algebra_file, "--dim", "1,1"], capsys)
-    assert "elapsed" not in out
-    _, out, _ = run_cli(["--timing", "strata", "--algebra", algebra_file,
-                         "--dim", "1,1"], capsys)
-    assert "elapsed" in out
+    _, _, err = run_cli(["strata", "--algebra", algebra_file, "--dim", "1,1"], capsys)
+    assert "elapsed" not in err
+    _, out, err = run_cli(["--timing", "strata", "--algebra", algebra_file,
+                           "--dim", "1,1"], capsys)
+    assert "elapsed" in err and "elapsed" not in out
+
+
+def test_timing_leaves_csv_stdout_unchanged(capsys):
+    args = ["verify-formulas", "--item", "1", "--p-max", "3", "--format", "csv"]
+    _, plain, _ = run_cli(args, capsys)
+    _, timed, err = run_cli(["--timing"] + args, capsys)
+    assert timed == plain
+    assert err.startswith("elapsed: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["reduce-scan", "verify-formulas"])
+def test_jobs_below_one_exits_2(algebra_file, capsys, command, jobs):
+    args = [command, "--jobs", jobs]
+    if command == "reduce-scan":
+        args += ["--algebra", algebra_file, "--max-total", "2"]
+    else:
+        args += ["--p-max", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--jobs" in err
 
 
 def test_malformed_file_exits_2(tmp_path, capsys):
@@ -149,6 +173,30 @@ def test_oracle_count_identity(algebra_file, capsys):
     assert code == 0
     assert out.count("assignment,count,q,predicted,pass") == 2
     assert "fail" not in out
+
+
+def test_oracle_count_beyond_exhaustive_orbit_cap(tmp_path, capsys):
+    # q = 7 is past the exhaustive orbit count's cap; the closed form covers it
+    path = str(tmp_path / "trunc3.bq")
+    run_cli(["family", "truncpoly(3)", "-o", path], capsys)
+    code, out, _ = run_cli(["oracle-count", "--algebra", path,
+                            "--dim", "2", "--q", "7"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["pass"] for r in rows] == ["pass", "pass"]
+    assert sum(int(r["count"]) for r in rows) == 7 ** 2  # nilpotent 2x2
+
+
+def test_oracle_count_checks_each_prime_once(algebra_file, capsys, monkeypatch):
+    from quiverstrata import cli
+
+    calls = []
+    original = cli.verify_count_identity
+    monkeypatch.setattr(cli, "verify_count_identity",
+                        lambda table, pres: calls.append(table.q) or original(table, pres))
+    code, _, _ = run_cli(["oracle-count", "--algebra", algebra_file,
+                          "--dim", "1,1", "--q", "2,3"], capsys)
+    assert code == 0 and calls == [2, 3]
 
 
 def test_oracle_count_rejects_nonprime(algebra_file, capsys):

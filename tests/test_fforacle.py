@@ -159,7 +159,7 @@ def test_random_presentations_match_same_field_prediction():
     import random
 
     from quiverstrata.linsys import assemble_system, rank_mod
-    from quiverstrata.partitions import orbit_count_ff_cached
+    from quiverstrata.partitions import orbit_count
     from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
                                      Relation)
     from quiverstrata.strata import ambient_arrow_dim, assignments_for
@@ -205,7 +205,7 @@ def test_random_presentations_match_same_field_prediction():
                 c_q = rank_mod(assemble_system(pres, ja), q)
                 pred = q ** (n - c_q)
                 for part in ja.partitions:
-                    pred *= orbit_count_ff_cached(part, q)
+                    pred *= orbit_count(part, q)
                 assert table.counts.get(ja, 0) == pred, (dims, q, ja.serialize())
                 checked += 1
     assert checked > 50

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quiverstrata.linsys import (BadPrimeError, SymbolicArrowEntry,
+import dense_reference
+
+from quiverstrata.linsys import (BadPrimeError, ConstraintSystem,
+                                 SymbolicArrowEntry,
                                  UnsupportedDegreeError, assemble_system,
                                  assemble_system_at, c_additivity_split,
                                  codim_c, evaluate_relation, rank_exact,
@@ -90,18 +93,22 @@ def test_assemble_empty_relation_list(a1221):
 
 
 def test_rank_exact_trivial_cases():
-    identity = ConstraintStub([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = integer_system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank_exact(identity) == 3
-    zero = ConstraintStub([[0, 0], [0, 0]])
+    zero = integer_system([[0, 0], [0, 0]])
     assert rank_exact(zero) == 0
+    assert zero.matrix == [[Fraction(0)] * 2] * 2
 
 
-class ConstraintStub:
-    """Minimal duck-typed system for the pure rank entry points."""
-
-    def __init__(self, rows):
-        self.matrix = [[Fraction(v) for v in row] for row in rows]
-        self.columns = list(range(len(rows[0]) if rows else 0))
+def integer_system(rows):
+    """A one-relation system whose rows are the given integer rows."""
+    n = len(rows[0]) if rows else 0
+    return ConstraintSystem(
+        [{j: v for j, v in enumerate(row) if v} for row in rows],
+        [1] * len(rows),
+        [(0, i, 0) for i in range(len(rows))],
+        [SymbolicArrowEntry("a1", 0, j) for j in range(n)],
+    )
 
 
 def test_rank_exact_matches_known_formula_instance():
@@ -240,7 +247,9 @@ def _mat_mul_frac(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def test_conjugation_invariance():
+def _conjugated_systems():
+    """(pres, ja, loop_mats, dims): the Jordan data of ``ja`` conjugated by
+    a random unipotent matrix at each vertex."""
     from quiverstrata.partitions import jordan_matrix, partitions_bounded
 
     rng = random.Random(7)
@@ -250,7 +259,6 @@ def test_conjugation_invariance():
         for p in partitions_bounded(d0, 2):
             for q in partitions_bounded(d1, 2):
                 ja = JordanAssignment.for_presentation(pres, [p, q])
-                base = codim_c(pres, ja)
                 loop_mats = {}
                 for v, part in zip(("0", "1"), (p, q)):
                     d = part.weight
@@ -262,9 +270,13 @@ def test_conjugation_invariance():
                          for row in jordan_matrix(part)]
                     conj = _mat_mul_frac(_mat_mul_frac(g, J), _frac_inverse(g))
                     loop_mats[v] = conj
-                cs = assemble_system_at(pres, pres.relations, loop_mats,
-                                        {"0": d0, "1": d1})
-                assert rank_exact(cs) == base
+                yield pres, ja, loop_mats, {"0": d0, "1": d1}
+
+
+def test_conjugation_invariance():
+    for pres, ja, loop_mats, dims in _conjugated_systems():
+        cs = assemble_system_at(pres, pres.relations, loop_mats, dims)
+        assert rank_exact(cs) == codim_c(pres, ja)
 
 
 def test_cross_field_rank_stability_sample():
@@ -303,3 +315,65 @@ def test_export_text_format(a1221):
             int(num), int(den)
     parsed = [[Fraction(x) for x in line.split()] for line in lines[1:]]
     assert parsed == cs.matrix
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the sparse integer engine against the dense Fraction path
+# ---------------------------------------------------------------------------
+
+DIFF_PRIMES = (2, 3, 101)
+
+
+def _rank_mod_outcome(fn, system, p):
+    try:
+        return fn(system, p)
+    except BadPrimeError:
+        return "bad prime"
+
+
+def _assert_same_system(cs, ref) -> int:
+    """Compare one system with its reference; the number of primes at which
+    both raise BadPrimeError."""
+    matrix, row_labels, columns = ref
+    assert cs.columns == columns
+    assert cs.row_labels == row_labels
+    assert cs.matrix == matrix
+    assert rank_exact(cs) == dense_reference.rank(matrix)
+    bad = 0
+    for p in DIFF_PRIMES:
+        want = _rank_mod_outcome(dense_reference.rank_mod, matrix, p)
+        assert _rank_mod_outcome(rank_mod, cs, p) == want
+        bad += want == "bad prime"
+    return bad
+
+
+def test_engine_matches_dense_reference_on_formula_cases():
+    from quiverstrata.formulas import build_case, formula_cases
+
+    cases = formula_cases(p_max=8)
+    assert len(cases) == 1205
+    bad = 0
+    for case in cases:
+        pres, ja, _ = build_case(case)
+        bad += _assert_same_system(assemble_system(pres, ja),
+                                   dense_reference.assemble(pres, ja))
+    assert bad > 0  # lambda = 1/2 cases cannot reduce mod 2
+
+
+@pytest.mark.parametrize("spec", ["A(1,4,4,2)", "A(2,3,3,1)", "Aprime(1,2,2)"])
+def test_engine_matches_dense_reference_on_families(spec):
+    from quiverstrata.families import build_family, parse_family_spec
+    from quiverstrata.strata import assignments_for, dim_vectors_up_to
+
+    pres = build_family(parse_family_spec(spec))
+    for dims in dim_vectors_up_to(2, 6):
+        for ja in assignments_for(pres, dims):
+            _assert_same_system(assemble_system(pres, ja),
+                                dense_reference.assemble(pres, ja))
+
+
+def test_engine_matches_dense_reference_on_conjugated_loops():
+    for pres, _, loop_mats, dims in _conjugated_systems():
+        _assert_same_system(
+            assemble_system_at(pres, pres.relations, loop_mats, dims),
+            dense_reference.assemble_at(pres, pres.relations, loop_mats, dims))

@@ -6,7 +6,7 @@ import pytest
 from quiverstrata.partitions import (JordanAssignment, Partition,
                                      commutant_dim_oracle, end_dim, hom_dim,
                                      jordan_matrix, maximal_partition,
-                                     orbit_count_ff, orbit_dim,
+                                     orbit_count, orbit_count_ff, orbit_dim,
                                      partition_from_ranks, partitions_bounded,
                                      rank_sequence)
 
@@ -133,6 +133,34 @@ def test_orbit_count_ff_examples():
         orbit_count_ff(Partition((2,), 2), 7)
     with pytest.raises(ValueError):
         orbit_count_ff(Partition((2,), 2), 4)
+
+
+def test_orbit_count_closed_form_matches_exhaustive():
+    # every bounded partition of weight <= 4 and q in {2, 3, 5} that the
+    # exhaustive count can enumerate within its point cap
+    exhaustive = {}
+    checked = 0
+    for q in (2, 3, 5):
+        for d in range(0, 5):
+            if q ** (d * d) > 1 << 24:
+                continue
+            for m in range(1, max(d, 1) + 1):
+                for p in partitions_bounded(d, m):
+                    if (p.parts, q) not in exhaustive:
+                        exhaustive[p.parts, q] = orbit_count_ff(p, q)
+                    assert orbit_count(p, q) == exhaustive[p.parts, q], (p, q)
+                    checked += 1
+    assert checked == 46
+    with pytest.raises(ValueError):
+        orbit_count(Partition((2,), 2), 4)
+
+
+def test_orbit_counts_sum_to_nilpotent_count():
+    # Fine-Herstein: there are q^(d^2 - d) nilpotent d x d matrices over F_q
+    for q in (2, 3, 5, 7, 11):
+        for d in range(0, 7):
+            total = sum(orbit_count(p, q) for p in partitions_bounded(d, max(d, 1)))
+            assert total == q ** (d * d - d), (d, q)
 
 
 def test_orbit_counts_cover_all_nilpotents():
