@@ -1,37 +1,18 @@
 """Hot numeric kernels.
 
-Exact integer rank is pure python (big integers never overflow, and the
-components it sees are small).  The finite-field kernels (rank over F_p
-and the exhaustive enumerations) have two interchangeable backends: they
-are compiled with numba's ``@njit`` when available.  Setting the
-environment variable ``QUIVERSTRATA_NO_NUMBA`` to a non-empty value (other
-than ``0``/``false``/``no``) selects the pure numpy/python fallback
-instead; the same happens automatically when numba is not importable.
-Both backends compute identical results; the benchmark in
-``benchmarks/bench_kernels.py`` compares them.
+Exact integer rank is pure python: big integers never overflow, and the
+components it sees are small.  The finite-field kernels (rank over F_p and
+the exhaustive enumerations) are numpy: they batch the per-matrix and
+per-point work in chunks of ``CHUNK`` codes, so memory stays bounded while
+every matrix or point is still visited.
 """
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-_flag = os.environ.get("QUIVERSTRATA_NO_NUMBA", "").strip().lower()
-_numba_wanted = _flag in ("", "0", "false", "no")
-
-if _numba_wanted:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ACTIVE = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ACTIVE = False
-else:
-    NUMBA_ACTIVE = False
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ACTIVE else "numpy"
+CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -83,297 +64,121 @@ def exact_rank_int(rows) -> int:
 # rank over a prime field
 # ---------------------------------------------------------------------------
 
-def _rank_mod_p_loops(a, p):
-    """Row reduction over F_p; `a` must already be reduced mod p."""
-    m, n = a.shape
-    r = 0
-    for col in range(n):
-        piv = -1
-        for i in range(r, m):
-            if a[i, col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(n):
-                t = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = t
-        # normalize pivot row via Fermat inverse
-        inv = np.int64(1)
-        base = a[r, col] % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                inv = (inv * base) % p
-            base = (base * base) % p
-            e >>= 1
-        for j in range(col, n):
-            a[r, j] = (a[r, j] * inv) % p
-        for i in range(r + 1, m):
-            f = a[i, col]
-            if f != 0:
-                for j in range(col, n):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _rank_mod_p_numpy(a, p):
-    m, n = a.shape
-    r = 0
-    for col in range(n):
-        piv = -1
-        for i in range(r, m):
-            if a[i, col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r, col:] = (a[r, col:] * inv) % p
-        f = a[r + 1 :, col].copy()
-        a[r + 1 :, col:] = (a[r + 1 :, col:] - np.outer(f, a[r, col:])) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def rank_mod_p(mat, p: int) -> int:
     """Rank of an integer matrix over F_p (p an odd or even prime)."""
     a = np.asarray(mat, dtype=np.int64) % p
     if a.size == 0:
         return 0
-    return int(_rank_mod_p_fast(np.ascontiguousarray(a), p))
+    return int(ranks_mod_p(a[None], p)[0])
+
+
+def ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of matrices of shape (count, m, n) with
+    entries in [0, p), by row reduction run on the whole stack at once.
+
+    Entries stay below p, so products stay below p^2 and fit int64 for
+    any prime below 3 * 10^9.  The input is not modified.
+    """
+    a = stack.astype(np.int64)
+    count, m, n = a.shape
+    rank = np.zeros(count, np.int64)
+    row = np.arange(m)
+    for col in range(n):
+        free = (a[:, :, col] != 0) & (row >= rank[:, None])
+        b = np.flatnonzero(free.any(axis=1))
+        if b.size == 0:
+            continue
+        r = rank[b]
+        piv = free[b].argmax(axis=1)
+        top = a[b, piv]
+        a[b, piv] = a[b, r]
+        # scale the pivot row to a leading 1 (Fermat inverse), clear below
+        inv = np.ones(b.size, np.int64)
+        base, e = top[:, col], p - 2
+        while e:
+            if e & 1:
+                inv = inv * base % p
+            base = base * base % p
+            e >>= 1
+        top = top * inv[:, None] % p
+        a[b, r] = top
+        f = np.where(row > r[:, None], a[b, :, col], 0)
+        a[b] = (a[b] - f[:, :, None] * top[:, None, :]) % p
+        rank[b] += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration of bounded nilpotent matrices over F_q
 # ---------------------------------------------------------------------------
 
-def _enumerate_nilpotent_loops(d, m, q, out_mats, out_sigs):
-    """Fill ``out_mats``/``out_sigs`` with all X over F_q satisfying X^m = 0.
-
-    The signature packs the rank sequence rank(X^k), k = 1..m-1, in base
-    d + 1; it determines the Jordan type.  Returns the number found.
-    """
-    total = 1
-    for _ in range(d * d):
-        total *= q
-    X = np.zeros((d, d), np.int64)
-    P = np.zeros((d, d), np.int64)
-    T = np.zeros((d, d), np.int64)
-    W = np.zeros((d, d), np.int64)
-    digits = np.zeros(d * d, np.int64)
-    count = 0
-    for _ in range(total):
-        for i in range(d):
-            for j in range(d):
-                P[i, j] = X[i, j]
-        sig = np.int64(0)
-        base = np.int64(1)
-        nil = False
-        k = 1
-        while k <= m:
-            for i in range(d):
-                for j in range(d):
-                    W[i, j] = P[i, j]
-            rk = _rank_mod_p_fast(W, q)
-            if k <= m - 1:
-                sig += rk * base
-                base *= d + 1
-            if rk == 0:
-                nil = True
-                break
-            if k == m:
-                break
-            for i in range(d):
-                for j in range(d):
-                    v = 0
-                    for t in range(d):
-                        v += P[i, t] * X[t, j]
-                    T[i, j] = v % q
-            for i in range(d):
-                for j in range(d):
-                    P[i, j] = T[i, j]
-            k += 1
-        if nil:
-            for i in range(d):
-                for j in range(d):
-                    out_mats[count, i, j] = X[i, j]
-            out_sigs[count] = sig
-            count += 1
-        pos = d * d - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < q:
-                X[pos // d, pos % d] = digits[pos]
-                break
-            digits[pos] = 0
-            X[pos // d, pos % d] = 0
-            pos -= 1
-    return count
-
-
-def _enumerate_nilpotent_numpy(d, m, q, out_mats, out_sigs):
-    """Chunked numpy variant: batch the power test, loop only survivors."""
-    total = q ** (d * d)
-    count = 0
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        mats = np.zeros((stop - start, d * d), np.int64)
-        rem = codes.copy()
-        for pos in range(d * d - 1, -1, -1):
-            mats[:, pos] = rem % q
-            rem //= q
-        mats = mats.reshape(-1, d, d)
-        P = mats
-        for _ in range(m - 1):
-            P = np.matmul(P, mats) % q
-        nil = ~(P != 0).any(axis=(1, 2))
-        for X in mats[nil]:
-            sig = 0
-            base = 1
-            Pk = X
-            for k in range(1, m):
-                rk = _rank_mod_p_numpy(Pk.copy(), q)
-                sig += rk * base
-                base *= d + 1
-                if rk == 0:
-                    break
-                Pk = (Pk @ X) % q
-            out_mats[count] = X
-            out_sigs[count] = sig
-            count += 1
-    return count
+def matrices_from_codes(codes: np.ndarray, rows: int, cols: int, q: int) -> np.ndarray:
+    """The rows x cols matrices over F_q whose row-major base-q digits are
+    ``codes``; rows * cols must be positive."""
+    digits = np.unravel_index(codes, (q,) * (rows * cols))
+    return np.stack(digits, axis=-1).astype(np.int64).reshape(-1, rows, cols)
 
 
 def enumerate_nilpotent(d: int, m: int, q: int):
     """All d x d matrices X over F_q with X^m = 0, plus rank signatures.
 
-    Returns ``(mats, sigs)`` where ``mats`` has shape (count, d, d).  The
-    caller is responsible for keeping q**(d*d) within enumerable range.
+    Returns ``(mats, sigs)`` where ``mats`` has shape (count, d, d), in
+    the order of their row-major base-q codes.  The signature packs the
+    rank sequence rank(X^k), k = 1..m-1, in base d + 1; it determines the
+    Jordan type.  Matrices are tested in chunks of ``CHUNK`` and only the
+    survivors are kept.  The caller is responsible for keeping q**(d*d)
+    within enumerable range.
     """
     if d == 0:
         return np.zeros((1, 0, 0), np.int64), np.zeros(1, np.int64)
-    cap = q ** (d * d)
-    out_mats = np.zeros((cap, d, d), np.int64)
-    out_sigs = np.zeros(cap, np.int64)
-    count = int(_enumerate_nilpotent_fast(d, m, q, out_mats, out_sigs))
-    return out_mats[:count], out_sigs[:count]
+    total = q ** (d * d)
+    kept_mats: list[np.ndarray] = []
+    kept_sigs: list[np.ndarray] = []
+    for start in range(0, total, CHUNK):
+        powers = [matrices_from_codes(np.arange(start, min(start + CHUNK, total)),
+                                      d, d, q)]
+        for _ in range(m - 1):
+            powers.append(np.matmul(powers[-1], powers[0]) % q)
+        nil = ~powers[-1].any(axis=(1, 2))
+        sigs = np.zeros(np.count_nonzero(nil), np.int64)
+        for k in range(1, m):
+            sigs += ranks_mod_p(powers[k - 1][nil], q) * (d + 1) ** (k - 1)
+        kept_mats.append(powers[0][nil])
+        kept_sigs.append(sigs)
+    return np.concatenate(kept_mats), np.concatenate(kept_sigs)
 
 
 # ---------------------------------------------------------------------------
-# odometer enumeration of representation points
+# exhaustive enumeration of representation points
 # ---------------------------------------------------------------------------
 
-def _tally_points_loops(cand_flat, cand_off, cand_cnt, slot_rows, slot_cols,
-                        slot_weight, cand_type, rel_rows, rel_cols,
-                        rel_term_start, term_coeff, term_path_start,
-                        path_slots, q, tally):
-    """Walk every candidate combination, keep points killing all relations.
+def tally_points(mats, keys, shape, relations, q: int, n_keys: int) -> np.ndarray:
+    """Count the points that kill every relation, per tally key.
 
-    Slots hold candidate matrices (pre-filtered nilpotents for loops, all
-    matrices for the remaining arrows).  A surviving point is tallied under
-    the mixed-radix key of its loop Jordan types.
+    Slot ``s`` holds the candidate matrices ``mats[s]`` (``shape[s]`` of
+    them) and their tally keys ``keys[s]``.  A point picks one candidate
+    per slot; points are the mixed-radix codes over ``shape``, visited in
+    chunks of ``CHUNK``.  Each relation is a list of terms ``(coeff,
+    path)``, a coefficient mod q and the slots of its arrow word (leftmost
+    applied last).  A kept point adds one to the sum of its slots' keys.
     """
-    n_slots = cand_cnt.shape[0]
-    n_rel = rel_rows.shape[0]
-    dmax = cand_flat.shape[1]
-    idx = np.zeros(n_slots, np.int64)
-    acc = np.zeros((dmax, dmax), np.int64)
-    prod = np.zeros((dmax, dmax), np.int64)
-    tmp = np.zeros((dmax, dmax), np.int64)
-    while True:
-        ok = True
-        for r in range(n_rel):
-            rr = rel_rows[r]
-            rc = rel_cols[r]
-            for i in range(rr):
-                for j in range(rc):
-                    acc[i, j] = 0
-            for t in range(rel_term_start[r], rel_term_start[r + 1]):
-                p0 = term_path_start[t]
-                p1 = term_path_start[t + 1]
-                s = path_slots[p0]
-                ci = cand_off[s] + idx[s]
-                cr = slot_rows[s]
-                cc = slot_cols[s]
-                for i in range(cr):
-                    for j in range(cc):
-                        prod[i, j] = cand_flat[ci, i, j]
-                for pos in range(p0 + 1, p1):
-                    s2 = path_slots[pos]
-                    c2 = cand_off[s2] + idx[s2]
-                    nc = slot_cols[s2]
-                    for i in range(cr):
-                        for j in range(nc):
-                            v = 0
-                            for k in range(cc):
-                                v += prod[i, k] * cand_flat[c2, k, j]
-                            tmp[i, j] = v % q
-                    cc = nc
-                    for i in range(cr):
-                        for j in range(cc):
-                            prod[i, j] = tmp[i, j]
-                co = term_coeff[t]
-                for i in range(rr):
-                    for j in range(rc):
-                        acc[i, j] = (acc[i, j] + co * prod[i, j]) % q
-            for i in range(rr):
-                for j in range(rc):
-                    if acc[i, j] != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            key = np.int64(0)
-            for s in range(n_slots):
-                if slot_weight[s] > 0:
-                    key += slot_weight[s] * cand_type[cand_off[s] + idx[s]]
-            tally[key] += 1
-        pos = n_slots - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < cand_cnt[pos]:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-
-
-def tally_points(cand_flat, cand_off, cand_cnt, slot_rows, slot_cols,
-                 slot_weight, cand_type, rel_rows, rel_cols, rel_term_start,
-                 term_coeff, term_path_start, path_slots, q, n_keys) -> np.ndarray:
     tally = np.zeros(n_keys, np.int64)
-    _tally_points_fast(cand_flat, cand_off, cand_cnt, slot_rows, slot_cols,
-                       slot_weight, cand_type, rel_rows, rel_cols,
-                       rel_term_start, term_coeff, term_path_start,
-                       path_slots, q, tally)
+    total = math.prod(shape)
+    for start in range(0, total, CHUNK):
+        codes = np.arange(start, min(start + CHUNK, total))
+        idx = np.unravel_index(codes, shape) if shape else ()
+        key = np.zeros(codes.size, np.int64)
+        for k, i in zip(keys, idx):
+            key += k[i]
+        for terms in relations:
+            acc = 0
+            for coeff, path in terms:
+                prod = mats[path[0]][idx[path[0]]]
+                for s in path[1:]:
+                    prod = np.matmul(prod, mats[s][idx[s]]) % q
+                acc = (acc + coeff * prod) % q
+            alive = ~acc.any(axis=(1, 2))
+            idx = tuple(i[alive] for i in idx)
+            key = key[alive]
+        tally += np.bincount(key, minlength=n_keys)
     return tally
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if NUMBA_ACTIVE:
-    _rank_mod_p_fast = _njit(cache=True)(_rank_mod_p_loops)
-    _enumerate_nilpotent_fast = _njit(cache=True)(_enumerate_nilpotent_loops)
-    _tally_points_fast = _njit(cache=True)(_tally_points_loops)
-else:
-    _rank_mod_p_fast = _rank_mod_p_numpy
-    _enumerate_nilpotent_fast = _enumerate_nilpotent_numpy
-    _tally_points_fast = _tally_points_loops

@@ -76,26 +76,24 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     order_of = pres.order_map
 
     # mixed-radix layout of the tally keys, one digit per vertex
-    radices = [len(partitions_bounded(d, order_of[v]))
-               for v, d in zip(quiver.vertices, dims)]
-    weights = [0] * len(radices)
+    per_vertex = [partitions_bounded(d, order_of[v])
+                  for v, d in zip(quiver.vertices, dims)]
+    weights = [0] * len(per_vertex)
     w = 1
-    for i in range(len(radices) - 1, -1, -1):
+    for i in range(len(per_vertex) - 1, -1, -1):
         weights[i] = w
-        w *= radices[i]
+        w *= len(per_vertex[i])
     n_keys = w
 
     slot_of: dict[str, int] = {}
     cand_mats: list[np.ndarray] = []
-    cand_types: list[np.ndarray] = []
-    slot_rows: list[int] = []
-    slot_cols: list[int] = []
-    slot_weight: list[int] = []
+    cand_keys: list[np.ndarray] = []
 
     for a in quiver.arrows:
         d_t, d_s = dim_of[a.target], dim_of[a.source]
         if a.is_loop:
             v = a.source
+            vi = quiver.vertices.index(v)
             d = d_t
             if d == 0:
                 mats = np.zeros((1, 0, 0), np.int64)
@@ -107,105 +105,55 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
                         f"cap is {max_points}"
                     )
                 mats, sigs = _kernels.enumerate_nilpotent(d, order_of[v], q)
-                plist = partitions_bounded(d, order_of[v])
-                index = {p.parts: k for k, p in enumerate(plist)}
-                types = np.empty(mats.shape[0], np.int64)
-                for k, sig in enumerate(sigs):
-                    parts = _unpack_signature(int(sig), d, order_of[v])
-                    types[k] = index[parts]
-            vi = quiver.vertices.index(v)
-            slot_weight.append(weights[vi])
-            cand_types.append(types)
-            cand_mats.append(mats)
-            slot_rows.append(d)
-            slot_cols.append(d)
+                index = {p.parts: k for k, p in enumerate(per_vertex[vi])}
+                uniq, inverse = np.unique(sigs, return_inverse=True)
+                types = np.array([index[_unpack_signature(int(sig), d, order_of[v])]
+                                  for sig in uniq], np.int64)[inverse]
+            cand_keys.append(weights[vi] * types)
         else:
             n_entries = d_t * d_s
             if n_entries == 0:
                 mats = np.zeros((1, d_t, d_s), np.int64)
             else:
                 count = q ** n_entries
-                codes = np.arange(count, dtype=np.int64)
-                mats = np.zeros((count, n_entries), np.int64)
-                rem = codes.copy()
-                for pos in range(n_entries - 1, -1, -1):
-                    mats[:, pos] = rem % q
-                    rem //= q
-                mats = mats.reshape(count, d_t, d_s)
-            cand_mats.append(mats)
-            cand_types.append(np.zeros(mats.shape[0], np.int64))
-            slot_rows.append(d_t)
-            slot_cols.append(d_s)
-            slot_weight.append(0)
+                if count > max_points:
+                    raise EnumerationCapExceeded(
+                        f"arrow {a.name!r} needs {count} points, cap is {max_points}"
+                    )
+                mats = _kernels.matrices_from_codes(np.arange(count), d_t, d_s, q)
+            cand_keys.append(np.zeros(mats.shape[0], np.int64))
+        cand_mats.append(mats)
         slot_of[a.name] = len(cand_mats) - 1
 
-    work = 1
-    for m in cand_mats:
-        work *= m.shape[0]
+    shape = tuple(m.shape[0] for m in cand_mats)
+    work = math.prod(shape)
     if work > max_points:
         raise EnumerationCapExceeded(f"{work} points exceed the cap {max_points}")
 
-    # flatten candidates into one padded buffer
-    dmax = max([max(r, c) for r, c in zip(slot_rows, slot_cols)], default=0)
-    total_cands = sum(m.shape[0] for m in cand_mats)
-    cand_flat = np.zeros((max(total_cands, 1), dmax, dmax), np.int64)
-    cand_off = np.zeros(len(cand_mats), np.int64)
-    cand_cnt = np.zeros(len(cand_mats), np.int64)
-    cand_type = np.zeros(max(total_cands, 1), np.int64)
-    pos = 0
-    for k, (mats, types) in enumerate(zip(cand_mats, cand_types)):
-        cand_off[k] = pos
-        cand_cnt[k] = mats.shape[0]
-        r, c = slot_rows[k], slot_cols[k]
-        if r and c:
-            cand_flat[pos:pos + mats.shape[0], :r, :c] = mats
-        cand_type[pos:pos + mats.shape[0]] = types
-        pos += mats.shape[0]
-
-    # relations in flat arrays (only those with a nonzero equation grid)
-    rel_rows: list[int] = []
-    rel_cols: list[int] = []
-    rel_term_start = [0]
-    term_coeff: list[int] = []
-    term_path_start = [0]
-    path_slots: list[int] = []
+    # relations as (coeff mod q, slot path) terms; those with an empty
+    # equation grid hold trivially and are dropped
+    relations = []
     for rel in pres.relations:
-        d_t, d_s = dim_of[rel.target], dim_of[rel.source]
-        if d_t == 0 or d_s == 0:
+        if dim_of[rel.target] == 0 or dim_of[rel.source] == 0:
             continue
-        rel_rows.append(d_t)
-        rel_cols.append(d_s)
+        terms = []
         for coeff, path in rel.terms:
             den = coeff.denominator % q
             if den == 0:
                 raise BadPrimeError(f"coefficient {coeff} cannot reduce mod {q}")
-            term_coeff.append((coeff.numerator % q) * pow(den, q - 2, q) % q)
-            path_slots.extend(slot_of[name] for name in path.arrows)
-            term_path_start.append(len(path_slots))
-        rel_term_start.append(len(term_coeff))
+            terms.append(((coeff.numerator % q) * pow(den, q - 2, q) % q,
+                          [slot_of[name] for name in path.arrows]))
+        relations.append(terms)
 
-    tally = _kernels.tally_points(
-        cand_flat, cand_off, cand_cnt,
-        np.array(slot_rows, np.int64) if slot_rows else np.zeros(0, np.int64),
-        np.array(slot_cols, np.int64) if slot_cols else np.zeros(0, np.int64),
-        np.array(slot_weight, np.int64) if slot_weight else np.zeros(0, np.int64),
-        cand_type,
-        np.array(rel_rows, np.int64), np.array(rel_cols, np.int64),
-        np.array(rel_term_start, np.int64), np.array(term_coeff, np.int64),
-        np.array(term_path_start, np.int64),
-        np.array(path_slots, np.int64) if path_slots else np.zeros(0, np.int64),
-        q, n_keys,
-    )
+    tally = _kernels.tally_points(cand_mats, cand_keys, shape, relations, q, n_keys)
 
-    per_vertex = [partitions_bounded(d, order_of[v])
-                  for v, d in zip(quiver.vertices, dims)]
     counts: dict[JordanAssignment, int] = {}
     for key in np.nonzero(tally)[0]:
         rem = int(key)
         combo = []
-        for radix, weight in zip(radices, weights):
+        for plist, weight in zip(per_vertex, weights):
             digit, rem = divmod(rem, weight)
-            combo.append(per_vertex[len(combo)][digit])
+            combo.append(plist[digit])
         ja = JordanAssignment.for_presentation(pres, combo)
         counts[ja] = int(tally[key])
     return StratumCountTable(q, dims, counts)

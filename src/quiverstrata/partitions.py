@@ -110,8 +110,15 @@ def hom_dim(p: int, q: int) -> int:
 
 
 def end_dim(p: Partition) -> int:
-    """Endomorphism algebra dimension: sum of min(p_i, p_j) over all pairs."""
-    return sum(hom_dim(a, b) for a in p.parts for b in p.parts)
+    """Endomorphism algebra dimension: sum of min(p_i, p_j) over all pairs.
+
+    Computed as the sum of the squared conjugate parts: the pair (i, j)
+    counts once for each k <= min(p_i, p_j), and the number of parts
+    >= k is the conjugate part p'_k.
+    """
+    top = p.parts[0] if p.parts else 0
+    return sum(sum(1 for part in p.parts if part >= k) ** 2
+               for k in range(1, top + 1))
 
 
 def orbit_dim(p: Partition) -> int:

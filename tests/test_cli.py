@@ -187,6 +187,16 @@ def test_oracle_count_beyond_exhaustive_orbit_cap(tmp_path, capsys):
     assert sum(int(r["count"]) for r in rows) == 7 ** 2  # nilpotent 2x2
 
 
+def test_oracle_count_without_arrows(tmp_path, capsys):
+    path = tmp_path / "point.bq"
+    path.write_text("vertex 0\n")
+    code, out, _ = run_cli(["oracle-count", "--algebra", str(path),
+                            "--dim", "2", "--q", "2"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["count"], r["pass"]) for r in rows] == [("1", "pass")]
+
+
 def test_oracle_count_checks_each_prime_once(algebra_file, capsys, monkeypatch):
     from quiverstrata import cli
 

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from oracle_reference import reference_enumerate_and_classify
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, StratumCountTable,
                                    count_table_csv, dimension_estimate,
@@ -219,3 +222,86 @@ def test_csv_export(a1221):
     assert len(lines) == 5
     assert all(line.endswith("pass") for line in lines[1:])
     assert any(line.startswith("2|2,36,2,36") for line in lines[1:])
+
+
+THREE_VERTEX = """
+vertex 0
+vertex 1
+vertex 2
+loop e0 0 order 2
+loop e2 2 order 2
+arrow a 1 -> 0
+arrow c 1 -> 0
+arrow b 2 -> 1
+relation 1/2*a*b + 2/3*c*b*e2 - e0*a*b
+"""
+
+# rescaling the arrows cannot absorb these coefficients: at dimension
+# (1, 1, 1) the count depends on whether (1/2)(2/3) - 2 vanishes mod q
+FOUR_TERM = """
+vertex 0
+vertex 1
+vertex 2
+arrow a 1 -> 0
+arrow c 1 -> 0
+arrow b 2 -> 1
+arrow d 2 -> 1
+relation 1/2*a*b + 2/3*c*d + a*d + 2*c*b
+"""
+
+
+def _dim_vectors(n, total):
+    return [d for d in itertools.product(range(total + 1), repeat=n)
+            if sum(d) <= total]
+
+
+def _differential_cases():
+    # the reference tallies each point in Python and would spend about 20 s
+    # on each of these three, so they are left out
+    slow = {("A(2,3,3,1)", dims, 3) for dims in ((1, 3), (2, 2), (3, 1))}
+    for spec in ("A(1,2,2,1)", "Aprime(1,2,2)", "A(2,3,3,1)"):
+        pres = build_family(parse_family_spec(spec))
+        for dims in _dim_vectors(2, 4):
+            for q in (2, 3):
+                if (spec, dims, q) not in slow:
+                    yield spec, pres, dims, q
+    pres = build_family(parse_family_spec("truncpoly(3)"))
+    for d in range(4):
+        for q in (2, 3):
+            yield "truncpoly(3)", pres, (d,), q
+    pres = parse_presentation(THREE_VERTEX)
+    for dims in itertools.product(range(3), repeat=3):
+        for q in (2, 3):
+            if sum(dims) <= 4:
+                yield "three-vertex", pres, dims, q
+    for dims in ((1, 1, 1), (1, 1, 2), (1, 0, 1), (0, 1, 1)):
+        yield "three-vertex", pres, dims, 5
+    pres = parse_presentation(FOUR_TERM)
+    for q in (2, 3, 5, 7):
+        for dims in ((1, 1, 1), (1, 0, 1), (0, 1, 1)):
+            yield "four-term", pres, dims, q
+    pres = parse_presentation("vertex 0\n")
+    for d in range(4):
+        for q in (2, 3):
+            yield "arrow-free", pres, (d,), q
+
+
+def _outcome(fn, pres, dims, q):
+    try:
+        table = fn(pres, dims, q)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return table.q, table.dims, table.counts
+
+
+def test_tally_matches_reference_odometer():
+    """The chunked numpy tally against the per-point loop it replaced."""
+    bad_prime = set()
+    for name, pres, dims, q in _differential_cases():
+        want = _outcome(reference_enumerate_and_classify, pres, dims, q)
+        got = _outcome(enumerate_and_classify, pres, dims, q)
+        assert got == want, (name, dims, q)
+        if want[0] is BadPrimeError:
+            bad_prime.add((name, q))
+    assert bad_prime == {(name, q) for name in ("three-vertex", "four-term")
+                         for q in (2, 3)}

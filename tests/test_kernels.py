@@ -1,6 +1,7 @@
 """Kernel checks: exact integer rank against an independent fraction-based
-elimination, and backend parity of the finite-field kernels (the njit
-kernels and the numpy fallbacks must agree)."""
+elimination, and the finite-field kernels against plain-python mod-p
+elimination and a brute-force nilpotency filter."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverstrata import _kernels
-from quiverstrata._kernels import (_enumerate_nilpotent_loops,
-                                   _enumerate_nilpotent_numpy, _rank_mod_p_loops,
-                                   _rank_mod_p_numpy, enumerate_nilpotent,
-                                   exact_rank_int, rank_mod_p)
+from quiverstrata._kernels import (enumerate_nilpotent, exact_rank_int, rank_mod_p,
+                                   ranks_mod_p)
 
 
 def fraction_rank(rows):
@@ -35,6 +33,31 @@ def fraction_rank(rows):
         if rank == m:
             break
     return rank
+
+
+def python_rank_mod_p(rows, p):
+    """Plain Gaussian elimination over F_p on python lists."""
+    rows = [[v % p for v in row] for row in rows]
+    n = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        pivot_row = [v * inv % p for v in rows[rank]]
+        rows[rank] = pivot_row
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pivot_row)]
+        rank += 1
+    return rank
+
+
+def python_mat_mul(x, y, q):
+    return [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*y)] for row in x]
 
 
 matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -62,10 +85,11 @@ def test_bigint_path_handles_huge_entries():
 @settings(max_examples=100, deadline=None)
 @given(matrices, st.sampled_from([2, 3, 101, 997]))
 def test_rank_mod_p_variants_agree(rows, p):
-    a = np.array(rows, dtype=np.int64) % p
-    got_loops = _rank_mod_p_loops(a.copy(), p)
-    got_numpy = _rank_mod_p_numpy(a.copy(), p)
-    assert got_loops == got_numpy == rank_mod_p(rows, p)
+    want = python_rank_mod_p(rows, p)
+    assert rank_mod_p(rows, p) == want
+    # a stack whose members pivot on different rows
+    stack = np.array([rows, rows[::-1], [[0] * len(rows[0])] * len(rows)]) % p
+    assert ranks_mod_p(stack, p).tolist() == [want, want, 0]
 
 
 def test_rank_mod_p_known_values():
@@ -77,16 +101,22 @@ def test_rank_mod_p_known_values():
 
 @pytest.mark.parametrize("d,m,q", [(1, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2)])
 def test_nilpotent_enumeration_variants_agree(d, m, q):
-    cap = q ** (d * d)
-    out1 = np.zeros((cap, d, d), np.int64)
-    sig1 = np.zeros(cap, np.int64)
-    n1 = _enumerate_nilpotent_loops(d, m, q, out1, sig1)
-    out2 = np.zeros((cap, d, d), np.int64)
-    sig2 = np.zeros(cap, np.int64)
-    n2 = _enumerate_nilpotent_numpy(d, m, q, out2, sig2)
-    assert n1 == n2
-    assert np.array_equal(out1[:n1], out2[:n2])
-    assert np.array_equal(sig1[:n1], sig2[:n2])
+    """Same matrices, in row-major code order, as a brute-force filter of
+    all q^(d^2) matrices; each signature packs rank(X^k), k < m, base d + 1."""
+    want_mats, want_sigs = [], []
+    for entries in itertools.product(range(q), repeat=d * d):
+        x = [list(entries[i * d:(i + 1) * d]) for i in range(d)]
+        powers = [x]
+        for _ in range(m - 1):
+            powers.append(python_mat_mul(powers[-1], x, q))
+        if any(any(row) for row in powers[-1]):
+            continue
+        want_mats.append(x)
+        want_sigs.append(sum(python_rank_mod_p(powers[k - 1], q) * (d + 1) ** (k - 1)
+                             for k in range(1, m)))
+    mats, sigs = enumerate_nilpotent(d, m, q)
+    assert mats.tolist() == want_mats
+    assert sigs.tolist() == want_sigs
 
 
 def test_nilpotent_counts_match_theory():
@@ -99,7 +129,3 @@ def test_nilpotent_counts_match_theory():
     ranks = [int(np.linalg.matrix_rank(x)) for x in mats]
     assert all((x @ x % 2 == 0).all() for x in mats)
     assert sorted(set(ranks)) == [0, 1]
-
-
-def test_backend_reports_name():
-    assert _kernels.backend_name() in ("numba", "numpy")
