@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
@@ -58,12 +59,17 @@ def _dims_for(args, n_vertices: int) -> list[tuple[int, ...]]:
     raise PresentationError("specify --dim or --max-total")
 
 
-def _workers(jobs: int, n_items: int) -> int:
-    """Worker processes for ``n_items`` work items: never more than asked,
-    than there are CPUs, or than there are items."""
+def _map(fn, items: Sequence, jobs: int) -> list:
+    """``fn`` over ``items`` in order, in worker processes when more than one
+    would run: never more than asked, than there are CPUs, or than there
+    are items."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1, n_items)
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def cmd_strata(args) -> int:
@@ -87,12 +93,7 @@ def cmd_strata(args) -> int:
 def cmd_reduce_scan(args) -> int:
     pres = _read_presentation(args.algebra)
     dim_list = _dims_for(args, len(pres.quiver.vertices))
-    jobs = _workers(args.jobs, len(dim_list))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one, [(pres, d, args.cap) for d in dim_list]))
-    else:
-        results = [_scan_one((pres, d, args.cap)) for d in dim_list]
+    results = _map(_scan_one, [(pres, d, args.cap) for d in dim_list], args.jobs)
     for dims, outcome, text in results:
         label = f"d=({', '.join(str(x) for x in dims)})"
         if outcome == "cert":
@@ -134,12 +135,7 @@ def cmd_verify_formulas(args) -> int:
     else:
         items = [args.item] if args.item is not None else None
         cases = formula_cases(p_max=args.p_max, items=items)
-    jobs = _workers(args.jobs, len(cases))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(evaluate_case, cases))
-    else:
-        outcomes = [evaluate_case(c) for c in cases]
+    outcomes = _map(evaluate_case, cases, args.jobs)
     header = ["item", "p", "q", "l", "lambda", "h", "closed_form", "computed", "match"]
     rows = []
     mismatches = 0
@@ -203,6 +199,7 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> None:
         writer.writerow(row)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverstrata",
@@ -257,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from . import _kernels
 from .quiver import (Arrow, BoundQuiverPresentation, Quiver, Relation,
-                     relation_mod_orders, _runs)
+                     relation_mod_orders)
 
 __all__ = [
     "FamilyTag",
@@ -167,30 +167,17 @@ def recognize_family(pres: BoundQuiverPresentation) -> FamilyTag:
 def _match_standard_relation(pres: BoundQuiverPresentation, rel: Relation,
                              tgt: str, src: str, arrow_names: list[str]
                              ) -> Optional[int]:
-    """Total loop degree n if the relation has the standard shape, else None."""
-    loop_t = pres.quiver.loop_at(tgt)
-    loop_s = pres.quiver.loop_at(src)
+    """Total loop degree n if the relation has the standard shape, else None.
+
+    Every arrow runs src -> tgt with src != tgt, so each term is one arrow
+    between a loop power at tgt and a loop power at src.
+    """
     index = {name: k for k, name in enumerate(arrow_names)}
     h = len(arrow_names)
     by_i: dict[int, list[Fraction]] = {}
     n: Optional[int] = None
     for coeff, path in rel.terms:
-        runs = _runs(path.arrows)
-        a = b = 0
-        mid: Optional[str] = None
-        for name, k in runs:
-            if loop_t is not None and name == loop_t.name and mid is None:
-                a += k
-            elif loop_s is not None and name == loop_s.name and mid is not None:
-                b += k
-            elif name in index and mid is None:
-                if k != 1:
-                    return None
-                mid = name
-            else:
-                return None
-        if mid is None:
-            return None
+        a, mid, b = path.split
         if n is None:
             n = a + b
         elif n != a + b:

@@ -23,9 +23,9 @@ import numpy as np
 from . import _kernels
 from .linsys import BadPrimeError, codim_c
 from .partitions import (JordanAssignment, _is_prime, orbit_count,
-                         partition_from_ranks, partitions_bounded)
+                         partition_from_ranks)
 from .quiver import BoundQuiverPresentation
-from .strata import ambient_arrow_dim, assignments_for
+from .strata import ambient_arrow_dim, assignments_for, jordan_types
 
 __all__ = [
     "StratumCountTable",
@@ -35,7 +35,6 @@ __all__ = [
     "enumerate_and_classify",
     "verify_count_identity",
     "dimension_estimate",
-    "count_table_csv",
     "identity_csv",
 ]
 
@@ -68,16 +67,13 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     """
     if not _is_prime(q):
         raise ValueError("q must be prime")
-    dims = tuple(int(d) for d in dims)
+    dims, per_vertex = jordan_types(pres, dims)
     quiver = pres.quiver
-    if len(dims) != len(quiver.vertices):
-        raise ValueError("dimension vector length must match the vertex count")
     dim_of = dict(zip(quiver.vertices, dims))
     order_of = pres.order_map
 
-    # mixed-radix layout of the tally keys, one digit per vertex
-    per_vertex = [partitions_bounded(d, order_of[v])
-                  for v, d in zip(quiver.vertices, dims)]
+    # mixed-radix layout of the tally keys, one digit per vertex, so a key
+    # is the index of its assignment in the order of ``assignments_for``
     weights = [0] * len(per_vertex)
     w = 1
     for i in range(len(per_vertex) - 1, -1, -1):
@@ -147,15 +143,8 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
 
     tally = _kernels.tally_points(cand_mats, cand_keys, shape, relations, q, n_keys)
 
-    counts: dict[JordanAssignment, int] = {}
-    for key in np.nonzero(tally)[0]:
-        rem = int(key)
-        combo = []
-        for plist, weight in zip(per_vertex, weights):
-            digit, rem = divmod(rem, weight)
-            combo.append(plist[digit])
-        ja = JordanAssignment.for_presentation(pres, combo)
-        counts[ja] = int(tally[key])
+    assignments = assignments_for(pres, dims)
+    counts = {assignments[key]: int(tally[key]) for key in np.nonzero(tally)[0]}
     return StratumCountTable(q, dims, counts)
 
 
@@ -240,9 +229,3 @@ def identity_csv(q: int, rows: Sequence[IdentityRow]) -> str:
         writer.writerow([row.assignment.serialize(), row.count, q,
                          row.predicted, "pass" if row.ok else "fail"])
     return buf.getvalue()
-
-
-def count_table_csv(table: StratumCountTable,
-                    pres: BoundQuiverPresentation) -> str:
-    """CSV export of the identity check of one table."""
-    return identity_csv(table.q, verify_count_identity(table, pres))

@@ -93,31 +93,6 @@ class ConstraintSystem:
 PowerNonzeros = tuple[int, list[tuple[int, int, int]]]
 
 
-def _decompose_term(pres: BoundQuiverPresentation, path) -> tuple[int, str, int]:
-    """Split a degree-1 path into loop-power prefix, arrow, loop-power suffix."""
-    quiver = pres.quiver
-    pre = 0
-    arrow_name: Optional[str] = None
-    post = 0
-    for name in path.arrows:
-        a = quiver.arrow(name)
-        if a.is_loop:
-            if arrow_name is None:
-                pre += 1
-            else:
-                post += 1
-        else:
-            if arrow_name is not None:
-                raise UnsupportedDegreeError(
-                    f"path {path} has degree {path.degree}; the linear engine "
-                    "supports exactly one non-loop arrow per term"
-                )
-            arrow_name = name
-    if arrow_name is None:
-        raise UnsupportedDegreeError(f"path {path} contains no non-loop arrow")
-    return pre, arrow_name, post
-
-
 def _assemble(pres: BoundQuiverPresentation, relations: Sequence[Relation],
               dims: Mapping[str, int],
               power: Callable[[str, int], PowerNonzeros]) -> ConstraintSystem:
@@ -141,7 +116,12 @@ def _assemble(pres: BoundQuiverPresentation, relations: Sequence[Relation],
         dt, ds = dims[rel.target], dims[rel.source]
         terms = []
         for coeff, path in rel.terms:
-            pre, name, post = _decompose_term(pres, path)
+            if path.split is None:
+                raise UnsupportedDegreeError(
+                    f"path {path} has degree {path.degree}; the linear engine "
+                    "supports exactly one non-loop arrow per term"
+                )
+            pre, name, post = path.split
             left_den, left = power(rel.target, pre)
             right_den, right = power(rel.source, post)
             terms.append((coeff.numerator, coeff.denominator * left_den * right_den,
@@ -230,8 +210,10 @@ def assemble_system(pres: BoundQuiverPresentation, ja: JordanAssignment,
                      lambda v, k: _jordan_power(parts[v], k))
 
 
-def _components(cs: ConstraintSystem) -> list[tuple[list[list[int]], list[int]]]:
-    """Dense integer blocks of the nonzero rows, with the scale of each row.
+def _components(cs: ConstraintSystem
+                ) -> list[tuple[list[int], list[list[int]], list[int]]]:
+    """Dense integer blocks of the nonzero rows: (the block's columns as
+    indices into ``cs.columns``, its dense rows, the scale of each row).
 
     Rows that share no column, directly or through other rows, are
     independent, so the blocks are the connected components of the rows
@@ -270,7 +252,7 @@ def _components(cs: ConstraintSystem) -> list[tuple[list[list[int]], list[int]]]
             for c, v in cs.rows[k].items():
                 out[index[c]] = v
             dense.append(out)
-        blocks.append((dense, [cs.scales[k] for k in ks]))
+        blocks.append((list(index), dense, [cs.scales[k] for k in ks]))
     return blocks
 
 
@@ -282,7 +264,7 @@ def rank_exact(cs: ConstraintSystem) -> int:
     """
     return sum(1 if len(dense) == 1 or len(dense[0]) == 1
                else _kernels.exact_rank_int(dense)
-               for dense, _ in _components(cs))
+               for _, dense, _ in _components(cs))
 
 
 def rank_mod(cs: ConstraintSystem, p: int) -> int:
@@ -292,7 +274,7 @@ def rank_mod(cs: ConstraintSystem, p: int) -> int:
     entry of :attr:`ConstraintSystem.matrix` vanishes mod ``p``.
     """
     rank = 0
-    for dense, scales in _components(cs):
+    for _, dense, scales in _components(cs):
         reduced = []
         for row, scale in zip(dense, scales):
             out = []

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "Arrow",
@@ -79,13 +79,6 @@ class Quiver:
         except KeyError:
             raise PresentationError(f"unknown arrow {name!r}") from None
 
-    def has_arrow(self, name: str) -> bool:
-        return name in self._by_name
-
-    @property
-    def loops(self) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.is_loop)
-
     @property
     def non_loop_arrows(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if not a.is_loop)
@@ -107,8 +100,13 @@ class Quiver:
                 raise PresentationError(
                     f"arrows {left.name!r} and {right.name!r} do not compose"
                 )
-        degree = sum(1 for a in arrows if not a.is_loop)
-        return Path(tuple(arrow_names), arrows[-1].source, arrows[0].target, degree)
+        moves = [k for k, a in enumerate(arrows) if not a.is_loop]
+        split = None
+        if len(moves) == 1:
+            k = moves[0]
+            split = (k, arrows[k].name, len(arrows) - 1 - k)
+        return Path(tuple(arrow_names), arrows[-1].source, arrows[0].target,
+                    len(moves), split)
 
     def trivial_path(self, vertex: str) -> "Path":
         if vertex not in self.vertices:
@@ -124,6 +122,8 @@ class Path:
     source: str
     target: str
     degree: int
+    # (loops before, arrow, loops after) when exactly one arrow is not a loop
+    split: Optional[tuple[int, str, int]] = field(default=None, compare=False)
 
     @property
     def length(self) -> int:
@@ -154,6 +154,19 @@ def _term_key(p: Path):
     return (p.length, p.arrows)
 
 
+Combo = list[tuple[Fraction, Path]]
+
+
+def _normalize_combo(terms: Iterable[tuple[Fraction | int, Path]]) -> Combo:
+    """Combine equal paths, drop zero coefficients, sort by length then word."""
+    combined: dict[Path, Fraction] = {}
+    for coeff, p in terms:
+        combined[p] = combined.get(p, Fraction(0)) + Fraction(coeff)
+    out = [(c, p) for p, c in combined.items() if c != 0]
+    out.sort(key=lambda t: _term_key(t[1]))
+    return out
+
+
 @dataclass(frozen=True)
 class Relation:
     """Normalized linear combination of length >= 2 paths with common endpoints."""
@@ -165,11 +178,7 @@ class Relation:
     @classmethod
     def make(cls, terms: Iterable[tuple[Fraction | int, Path]],
              source: Optional[str] = None, target: Optional[str] = None) -> "Relation":
-        combined: dict[Path, Fraction] = {}
-        for coeff, p in terms:
-            combined[p] = combined.get(p, Fraction(0)) + Fraction(coeff)
-        kept = [(c, p) for p, c in combined.items() if c != 0]
-        kept.sort(key=lambda t: _term_key(t[1]))
+        kept = _normalize_combo(terms)
         if kept:
             src = kept[0][1].source
             tgt = kept[0][1].target
@@ -219,20 +228,29 @@ def relation_degree(r: Relation) -> int:
     return r.degree
 
 
+def _forbidden_power(quiver: Quiver, orders: Mapping[str, int], p: Path) -> Optional[str]:
+    """The first loop power ``name^k`` of the path at or above its order."""
+    for name, k in _runs(p.arrows):
+        a = quiver.arrow(name)
+        if a.is_loop and k >= orders[a.source]:
+            return f"{name}^{k}"
+    return None
+
+
+def _check_powers(quiver: Quiver, orders: Mapping[str, int], rel: Relation,
+                  line: Optional[int] = None) -> None:
+    """Reject a relation whose paths leave the monomial basis."""
+    for _, p in rel.terms:
+        power = _forbidden_power(quiver, orders, p)
+        if power is not None:
+            raise PresentationError(f"path {p} contains the forbidden power {power}", line)
+
+
 def truncate_terms(quiver: Quiver, orders: dict[str, int],
                    terms: Iterable[tuple[Fraction | int, Path]]):
     """Drop terms containing a loop power at or above its nilpotency order."""
-    kept = []
-    for coeff, p in terms:
-        dead = False
-        for name, k in _runs(p.arrows):
-            a = quiver.arrow(name)
-            if a.is_loop and k >= orders[a.source]:
-                dead = True
-                break
-        if not dead:
-            kept.append((Fraction(coeff), p))
-    return kept
+    return [(Fraction(coeff), p) for coeff, p in terms
+            if _forbidden_power(quiver, orders, p) is None]
 
 
 def relation_mod_orders(quiver: Quiver, orders: dict[str, int],
@@ -280,13 +298,7 @@ class BoundQuiverPresentation:
                 raise PresentationError(
                     "degree-0 relations are expressed through nilpotency orders"
                 )
-            for _, p in rel.terms:
-                for name, k in _runs(p.arrows):
-                    a = q.arrow(name)
-                    if a.is_loop and k >= order_of[a.source]:
-                        raise PresentationError(
-                            f"path {p} contains the forbidden power {name}^{k}"
-                        )
+            _check_powers(q, order_of, rel)
 
     def order(self, vertex: str) -> int:
         return self.orders[self.quiver.vertices.index(vertex)]
@@ -391,20 +403,12 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
             raise PresentationError(
                 "degree-0 relation; use a loop order instead", lineno
             )
-        relations.append((lineno, rel))
+        _check_powers(quiver, order_map, rel, lineno)
+        relations.append(rel)
 
-    try:
-        return BoundQuiverPresentation(
-            quiver, tuple(order_map[v] for v in vertices), tuple(r for _, r in relations)
-        )
-    except PresentationError as exc:
-        # re-raise forbidden-subword errors with the offending line
-        msg = str(exc)
-        for lineno, rel in relations:
-            for _, p in rel.terms:
-                if str(p) in msg:
-                    raise PresentationError(msg, lineno) from None
-        raise
+    return BoundQuiverPresentation(
+        quiver, tuple(order_map[v] for v in vertices), tuple(relations)
+    )
 
 
 def _parse_relation_terms(rest: str, lineno: int):
@@ -430,6 +434,9 @@ def _parse_relation_terms(rest: str, lineno: int):
         pieces = [piece.strip() for piece in chunk.split("*")]
         coeff = Fraction(1)
         if _RATIONAL_RE.match(pieces[0]):
+            den = pieces[0].partition("/")[2]
+            if den and int(den) == 0:
+                raise PresentationError("zero denominator", lineno)
             coeff = Fraction(pieces[0])
             pieces = pieces[1:]
         if not pieces:
@@ -464,20 +471,8 @@ def serialize_presentation(pres: BoundQuiverPresentation) -> str:
         if not a.is_loop:
             lines.append(f"arrow {a.name} {a.source} -> {a.target}")
     for rel in pres.relations:
-        lines.append("relation " + _format_relation(rel))
+        lines.append(f"relation {rel}")
     return "\n".join(lines) + "\n"
-
-
-def _format_relation(rel: Relation) -> str:
-    parts = []
-    for i, (c, p) in enumerate(rel.terms):
-        mag = abs(c)
-        body = str(p) if mag == 1 else f"{mag}*{p}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +565,6 @@ def _find_loop_free_cycle(quiver: Quiver) -> Optional[list[str]]:
 # ---------------------------------------------------------------------------
 # arrow substitutions
 # ---------------------------------------------------------------------------
-
-Combo = list[tuple[Fraction, Path]]
-
-
-def _normalize_combo(terms: Iterable[tuple[Fraction | int, Path]]) -> Combo:
-    combined: dict[Path, Fraction] = {}
-    for coeff, p in terms:
-        combined[p] = combined.get(p, Fraction(0)) + Fraction(coeff)
-    out = [(c, p) for p, c in combined.items() if c != 0]
-    out.sort(key=lambda t: _term_key(t[1]))
-    return out
-
 
 def _concat(quiver: Quiver, left: Path, right: Path) -> Path:
     if left.length == 0:

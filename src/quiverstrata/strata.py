@@ -13,6 +13,7 @@ that the representation scheme is reducible; the scan searches for one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "stratum_dim",
     "max_assignment",
     "max_stratum",
+    "jordan_types",
     "assignments_for",
     "reducibility_scan",
     "split_gap_test",
@@ -140,12 +142,22 @@ def max_stratum(pres: BoundQuiverPresentation, dims: Sequence[int]) -> StratumRe
     return stratum_dim(pres, max_assignment(pres, dims))
 
 
+def jordan_types(pres: BoundQuiverPresentation, dims: Sequence[int]
+                 ) -> tuple[tuple[int, ...], list[list[Partition]]]:
+    """The checked dimension vector and the Jordan types at each vertex.
+
+    Their ``itertools.product``, last vertex fastest, is the canonical
+    order of the Jordan assignments; the maximal one is first.
+    """
+    dims = _check_dims(pres, dims)
+    return dims, [partitions_bounded(d, pres.order(v))
+                  for v, d in zip(pres.quiver.vertices, dims)]
+
+
 def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int]
                     ) -> list[JordanAssignment]:
     """All Jordan assignments in canonical order; the maximal pair is first."""
-    dims = _check_dims(pres, dims)
-    per_vertex = [partitions_bounded(d, pres.order(v))
-                  for v, d in zip(pres.quiver.vertices, dims)]
+    _, per_vertex = jordan_types(pres, dims)
     return [JordanAssignment.for_presentation(pres, combo)
             for combo in itertools.product(*per_vertex)]
 
@@ -157,12 +169,8 @@ def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
     A returned certificate proves the representation scheme of this
     dimension vector is reducible; an empty result proves nothing.
     """
-    dims = _check_dims(pres, dims)
-    per_vertex = [partitions_bounded(d, pres.order(v))
-                  for v, d in zip(pres.quiver.vertices, dims)]
-    count = 1
-    for lst in per_vertex:
-        count *= len(lst)
+    dims, per_vertex = jordan_types(pres, dims)
+    count = math.prod(len(lst) for lst in per_vertex)
     if count > cap:
         raise ScanCapExceeded(count, cap)
     it = itertools.product(*per_vertex)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from quiverstrata.linsys import BadPrimeError, SymbolicArrowEntry, _decompose_term
+from quiverstrata.linsys import BadPrimeError, SymbolicArrowEntry, UnsupportedDegreeError
 from quiverstrata.partitions import jordan_matrix
 
 # Bareiss steps stay exact in int64 as long as every entry is below this
@@ -45,6 +45,31 @@ def _mat_pow(mat, k, d):
 def _as_rows(mat):
     return [[Fraction(int(v)) if not isinstance(v, Fraction) else v for v in row]
             for row in mat]
+
+
+def _decompose_term(pres, path):
+    """Split a degree-1 path into loop-power prefix, arrow, loop-power suffix."""
+    quiver = pres.quiver
+    pre = 0
+    arrow_name = None
+    post = 0
+    for name in path.arrows:
+        a = quiver.arrow(name)
+        if a.is_loop:
+            if arrow_name is None:
+                pre += 1
+            else:
+                post += 1
+        else:
+            if arrow_name is not None:
+                raise UnsupportedDegreeError(
+                    f"path {path} has degree {path.degree}; the linear engine "
+                    "supports exactly one non-loop arrow per term"
+                )
+            arrow_name = name
+    if arrow_name is None:
+        raise UnsupportedDegreeError(f"path {path} contains no non-loop arrow")
+    return pre, arrow_name, post
 
 
 def _evaluate_at(pres, rel, loop_mats, dims):

@@ -91,6 +91,17 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "1/00"])
+def test_zero_denominator_exits_2(tmp_path, capsys, coeff):
+    bad = tmp_path / "bad.bq"
+    bad.write_text("vertex 0\nvertex 1\nloop e 0 order 2\narrow a 1 -> 0\n"
+                   f"relation {coeff}*e*a\n")
+    code, _, err = run_cli(["strata", "--algebra", str(bad), "--dim", "1,1"], capsys)
+    assert code == 2
+    assert err.startswith("error: line 5:")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(["strata", "--algebra", "/nonexistent.bq",
                             "--dim", "1,1"], capsys)

@@ -6,8 +6,8 @@ import pytest
 from oracle_reference import reference_enumerate_and_classify
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, StratumCountTable,
-                                   count_table_csv, dimension_estimate,
-                                   enumerate_and_classify, verify_count_identity)
+                                   dimension_estimate, enumerate_and_classify,
+                                   identity_csv, verify_count_identity)
 from quiverstrata.linsys import BadPrimeError
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import parse_presentation
@@ -216,7 +216,7 @@ def test_random_presentations_match_same_field_prediction():
 
 def test_csv_export(a1221):
     table = enumerate_and_classify(a1221, (2, 2), 2)
-    text = count_table_csv(table, a1221)
+    text = identity_csv(table.q, verify_count_identity(table, a1221))
     lines = text.strip().splitlines()
     assert lines[0] == "assignment,count,q,predicted,pass"
     assert len(lines) == 5

@@ -7,7 +7,7 @@ import dense_reference
 
 from quiverstrata.linsys import (BadPrimeError, ConstraintSystem,
                                  SymbolicArrowEntry,
-                                 UnsupportedDegreeError, assemble_system,
+                                 UnsupportedDegreeError, _components, assemble_system,
                                  assemble_system_at, c_additivity_split,
                                  codim_c, evaluate_relation, rank_exact,
                                  rank_mod)
@@ -181,6 +181,33 @@ def test_additivity_over_parts_weight_bounded():
                         ja = JordanAssignment.for_presentation(pres, [pp, qq])
                         table = c_additivity_split(pres, ja)
                         assert sum(table.values()) == codim_c(pres, ja), (item, pp, qq)
+
+
+def _block_of(partition):
+    """Jordan block index of each basis position of the partition."""
+    return [b for b, part in enumerate(partition.parts) for _ in range(part)]
+
+
+@pytest.mark.parametrize("spec", ["A(1,4,4,2)", "A(2,3,3,1)"])
+def test_components_follow_part_pairs(spec):
+    from quiverstrata.families import build_family, parse_family_spec
+    from quiverstrata.strata import assignments_for, dim_vectors_up_to
+
+    pres = build_family(parse_family_spec(spec))
+    checked = 0
+    for dims in dim_vectors_up_to(2, 6):
+        for ja in assignments_for(pres, dims):
+            tgt_block = _block_of(ja.partition("0"))
+            src_block = _block_of(ja.partition("1"))
+            cs = assemble_system(pres, ja)
+            for cols, _, _ in _components(cs):
+                pairs = {(tgt_block[cs.columns[c].row], src_block[cs.columns[c].col])
+                         for c in cols}
+                assert len(pairs) == 1, (spec, ja.serialize(), pairs)
+                checked += 1
+            table = c_additivity_split(pres, ja)
+            assert sum(table.values()) == codim_c(pres, ja), (spec, ja.serialize())
+    assert checked >= 50  # the blocks are not vacuous
 
 
 def test_disjoint_arrow_relations_add_up():

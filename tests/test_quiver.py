@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverstrata.quiver import (Arrow, PresentationError,
+from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
                                  Quiver, Relation, SubstitutionError,
                                  apply_arrow_substitution, check_cycle_conditions,
                                  detect_shortcuts, invert_substitution,
@@ -56,6 +56,17 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(PresentationError) as exc:
         parse_presentation("vertex 0\nloop e 0 order 1\n")
     assert exc.value.line == 2
+    # the forbidden f^2 is on line 8, though "a*f" of line 7 is in its text
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation("vertex 0\nvertex 1\nloop e 0 order 2\n"
+                           "loop f 1 order 2\narrow a 1 -> 0\narrow xa 1 -> 0\n"
+                           "relation e*a + a*f\nrelation xa*f^2 + e*xa\n")
+    assert exc.value.line == 8
+    for coeff in ("1/0", "1/00", "-3/0"):
+        with pytest.raises(PresentationError) as exc:
+            parse_presentation(f"vertex 0\nvertex 1\nloop e 0 order 2\n"
+                               f"arrow a 1 -> 0\nrelation {coeff}*e*a\n")
+        assert exc.value.line == 5
 
 
 def test_parse_rejects_forbidden_subword():
@@ -292,3 +303,80 @@ def test_substitution_requires_invertible_lead():
         apply_arrow_substitution(pres, "a1", [(1, q.path(["a2"]))])
     with pytest.raises(SubstitutionError):
         apply_arrow_substitution(pres, "a1", [(1, q.path(["e0", "a1"]))])
+
+
+@st.composite
+def presentations(draw):
+    """Random loops and orders, arrows between distinct vertices, and
+    degree-1 relations with rational coefficients."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    vertices = tuple(f"v{i}" for i in range(n))
+    orders = tuple(draw(st.integers(min_value=1, max_value=4)) for _ in vertices)
+    arrows = [Arrow(f"e{i}", v, v) for i, v in enumerate(vertices) if orders[i] >= 2]
+    moves = []
+    for k in range(draw(st.integers(min_value=0, max_value=4)) if n > 1 else 0):
+        s = draw(st.integers(min_value=0, max_value=n - 1))
+        t = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x: x != s))
+        moves.append(Arrow(f"a{k}", vertices[s], vertices[t]))
+    quiver = Quiver(vertices, tuple(arrows + moves))
+    order_of = dict(zip(vertices, orders))
+    relations = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if moves else 0):
+        first = draw(st.sampled_from(moves))
+        parallel = [a for a in moves
+                    if (a.source, a.target) == (first.source, first.target)]
+        # loop powers below the orders, at least one loop factor per term
+        shapes = [(i, j) for i in range(order_of[first.target])
+                  for j in range(order_of[first.source]) if i + j]
+        if not shapes:
+            continue
+        loop_t = [a.name for a in arrows if a.source == first.target]
+        loop_s = [a.name for a in arrows if a.source == first.source]
+        terms = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            pre, post = draw(st.sampled_from(shapes))
+            mid = draw(st.sampled_from(parallel)).name
+            coeff = Fraction(draw(st.integers(min_value=-5, max_value=5).filter(bool)),
+                             draw(st.integers(min_value=1, max_value=6)))
+            terms.append((coeff, quiver.path(loop_t * pre + [mid] + loop_s * post)))
+        rel = Relation.make(terms, source=first.source, target=first.target)
+        if not rel.is_zero:
+            relations.append(rel)
+    return BoundQuiverPresentation(quiver, orders, tuple(relations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_serialize_parse_round_trip(pres):
+    text = serialize_presentation(pres)
+    again = parse_presentation(text)
+    assert again.quiver == pres.quiver
+    assert again.orders == pres.orders
+    assert again.relations == pres.relations
+    assert serialize_presentation(again) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations(), st.randoms(use_true_random=False))
+def test_edited_files_parse_or_raise_presentation_error(pres, rng):
+    text = serialize_presentation(pres)
+    alphabet = sorted(set(text) | set("0123456789/*^+-#> \n"))
+    for _ in range(rng.randint(1, 4)):
+        # half the edits land on a digit or an operator
+        marks = [i for i, c in enumerate(text) if c in "0123456789/*^+-"]
+        if marks and rng.random() < 0.5:
+            k = rng.choice(marks)
+        else:
+            k = rng.randint(0, len(text))
+        op = rng.choice(["insert", "delete", "replace"])
+        ch = rng.choice(alphabet)
+        if op == "insert":
+            text = text[:k] + ch + text[k:]
+        elif op == "delete":
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text[:k] + ch + text[k + 1:]
+    try:
+        parse_presentation(text)
+    except PresentationError:
+        pass
