@@ -9,16 +9,13 @@ from .quiver import (Arrow, BoundQuiverPresentation, CycleDiagnostic, Path,
                      PresentationError, Quiver, Relation, SubstitutionError,
                      apply_arrow_substitution, check_cycle_conditions,
                      detect_shortcuts, invert_substitution, parse_presentation,
-                     path_degree, relation_degree, relation_mod_orders,
-                     serialize_presentation)
-from .partitions import (JordanAssignment, Partition, commutant_dim_oracle,
-                         end_dim, hom_dim, jordan_matrix, maximal_partition,
-                         orbit_count, orbit_count_ff, orbit_dim,
-                         partitions_bounded)
-from .linsys import (BadPrimeError, ConstraintSystem, SymbolicArrowEntry,
-                     UnsupportedDegreeError, assemble_system,
-                     assemble_system_at, c_additivity_split, codim_c,
-                     evaluate_relation, rank_exact, rank_mod)
+                     relation_mod_orders, serialize_presentation)
+from .partitions import (JordanAssignment, Partition, end_dim, maximal_partition,
+                         orbit_count, orbit_count_ff, orbit_dim, partitions_bounded)
+from .linsys import (BadPrimeError, ConstraintSystem, PartPairTable,
+                     SymbolicArrowEntry, UnsupportedDegreeError,
+                     assemble_system, assemble_system_at, codim_c,
+                     codim_table, rank_exact, rank_mod)
 from .formulas import (FormulaCase, SideConditionError, c_closed_form,
                        evaluate_case, formula_cases)
 from .strata import (ReducibilityCertificate, ScanCapExceeded, StratumReport,

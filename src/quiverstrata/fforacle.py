@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .linsys import BadPrimeError, codim_c
+from .linsys import BadPrimeError, codim_table
 from .partitions import (JordanAssignment, _is_prime, orbit_count,
                          partition_from_ranks)
 from .quiver import BoundQuiverPresentation
@@ -176,9 +176,10 @@ def verify_count_identity(table: StratumCountTable,
     """
     q = table.q
     n = ambient_arrow_dim(pres, table.dims)
+    codims = codim_table(pres)
     rows = []
     for ja in assignments_for(pres, table.dims):
-        c = codim_c(pres, ja)
+        c = codims.codim(ja)
         pred = q ** (n - c)
         for p in ja.partitions:
             pred *= orbit_count(p, q)

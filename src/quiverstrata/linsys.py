@@ -10,6 +10,7 @@ free of floats.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,13 +25,13 @@ __all__ = [
     "ConstraintSystem",
     "UnsupportedDegreeError",
     "BadPrimeError",
-    "evaluate_relation",
     "assemble_system",
     "assemble_system_at",
     "rank_exact",
     "rank_mod",
     "codim_c",
-    "c_additivity_split",
+    "PartPairTable",
+    "codim_table",
 ]
 
 
@@ -171,22 +172,6 @@ def _matrix_power(mat, k: int) -> PowerNonzeros:
     return den, [(i, j, int(v * den)) for (i, j), v in power.items()]
 
 
-def evaluate_relation(pres: BoundQuiverPresentation, rel: Relation,
-                      ja: JordanAssignment):
-    """Evaluate a degree-1 relation on the Jordan matrices of ``ja``.
-
-    Returns a d_target x d_source grid of linear forms, each a mapping
-    from :class:`SymbolicArrowEntry` to its rational coefficient.  The
-    forms have no constant part.
-    """
-    cs = assemble_system(pres, ja, (rel,))
-    dims = dict(zip(ja.vertices, ja.dims))
-    grid = [[{} for _ in range(dims[rel.source])] for _ in range(dims[rel.target])]
-    for (_, i, j), row, scale in zip(cs.row_labels, cs.rows, cs.scales):
-        grid[i][j] = {cs.columns[col]: Fraction(v, scale) for col, v in row.items()}
-    return grid
-
-
 def assemble_system_at(pres: BoundQuiverPresentation,
                        relations: Sequence[Relation],
                        loop_mats: Mapping[str, Sequence[Sequence]],
@@ -295,35 +280,62 @@ def codim_c(pres: BoundQuiverPresentation, ja: JordanAssignment,
     return rank_exact(assemble_system(pres, ja, relations))
 
 
-def c_additivity_split(pres: BoundQuiverPresentation, ja: JordanAssignment,
-                       relations: Optional[Sequence[Relation]] = None
-                       ) -> dict[tuple[int, int], int]:
-    """Codimension table over single parts of the two endpoint partitions.
+class PartPairTable:
+    """Codimensions from the ranks r_ts(a, b) of single block pairs.
 
-    All relations must share one target and one source vertex; the table
-    entry (i, j) is the codimension computed with part i alone at the
-    target and part j alone at the source.  The values sum to the full
-    codimension.
+    A Jordan block only shifts indices within itself, so each relation
+    system splits into one part per (target block, source block) pair, and
+
+        codim_c(ja) = sum over (t, s), a, b of m_t(a) * m_s(b) * r_ts(a, b)
+
+    over the vertex pairs (t, s) carrying relations, with m_v(a) the number
+    of parts a at vertex v and r_ts(a, b) the codimension of the (t, s)
+    relations on the single parts (a) at t and (b) at s, ranked on first use.
     """
-    if relations is None:
-        relations = pres.relations
-    if not relations:
-        raise ValueError("no relations to split")
-    tgt = relations[0].target
-    src = relations[0].source
-    if tgt == src:
-        raise ValueError("relations must join two distinct vertices")
-    for rel in relations:
-        if rel.target != tgt or rel.source != src:
-            raise ValueError("relations must share endpoints for the split")
-    p_parts = ja.partition(tgt).parts
-    q_parts = ja.partition(src).parts
-    table: dict[tuple[int, int], int] = {}
-    for i, pi in enumerate(p_parts):
-        for j, qj in enumerate(q_parts):
-            sub = {v: part for v, part in zip(ja.vertices, ja.partitions)}
-            sub[tgt] = Partition((pi,), pres.order(tgt))
-            sub[src] = Partition((qj,), pres.order(src))
-            sub_ja = JordanAssignment.for_presentation(pres, sub)
-            table[(i, j)] = codim_c(pres, sub_ja, relations)
-    return table
+
+    def __init__(self, pres: BoundQuiverPresentation):
+        vertices = pres.quiver.vertices
+        self._empty = tuple(Partition((), m) for m in pres.orders)
+        # raises UnsupportedDegreeError wherever any assembly would
+        assemble_system(pres, JordanAssignment(vertices, self._empty))
+        self.pres = pres
+        position = {v: k for k, v in enumerate(vertices)}
+        pairs: dict[tuple[int, int], list[Relation]] = {}
+        for rel in pres.relations:
+            pairs.setdefault((position[rel.target], position[rel.source]), []).append(rel)
+        self._relations = {pair: tuple(rels) for pair, rels in pairs.items()}
+        self._ranks: dict[tuple[int, int, int, int], int] = {}
+
+    def entry(self, t: int, s: int, a: int, b: int) -> int:
+        """r_ts(a, b), with t and s vertex positions."""
+        rank = self._ranks.get((t, s, a, b))
+        if rank is None:
+            parts = list(self._empty)
+            parts[t] = Partition((a,), parts[t].bound)
+            parts[s] = Partition((b,), parts[s].bound)
+            ja = JordanAssignment(self.pres.quiver.vertices, tuple(parts))
+            rank = rank_exact(assemble_system(self.pres, ja,
+                                              self._relations.get((t, s), ())))
+            self._ranks[t, s, a, b] = rank
+        return rank
+
+    def codim_of_types(self, multiplicities: Sequence[Sequence[tuple[int, int]]]) -> int:
+        """Codimension of the Jordan types whose (part, count) pairs at
+        vertex position k are ``multiplicities[k]``."""
+        total = 0
+        for t, s in self._relations:
+            for a, ma in multiplicities[t]:
+                for b, mb in multiplicities[s]:
+                    total += ma * mb * self.entry(t, s, a, b)
+        return total
+
+    def codim(self, ja: JordanAssignment) -> int:
+        """Equal to ``codim_c(pres, ja)``."""
+        return self.codim_of_types([ja.partition(v).multiplicities
+                                    for v in self.pres.quiver.vertices])
+
+
+@functools.lru_cache(maxsize=64)
+def codim_table(pres: BoundQuiverPresentation) -> PartPairTable:
+    """The part-pair table of ``pres``, built once per presentation."""
+    return PartPairTable(pres)

@@ -1,6 +1,7 @@
 """Bounded partitions, nilpotent Jordan matrices, and orbit dimensions."""
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -16,11 +17,8 @@ __all__ = [
     "JordanAssignment",
     "partitions_bounded",
     "maximal_partition",
-    "jordan_matrix",
-    "hom_dim",
     "end_dim",
     "orbit_dim",
-    "commutant_dim_oracle",
     "orbit_count",
     "orbit_count_ff",
     "partition_from_ranks",
@@ -49,6 +47,11 @@ class Partition:
         return sum(self.parts)
 
     @property
+    def multiplicities(self) -> tuple[tuple[int, int], ...]:
+        """(part, number of parts of that size), largest part first."""
+        return tuple(Counter(self.parts).items())
+
+    @property
     def is_maximal(self) -> bool:
         """True for (m, ..., m, r); the dense Jordan type of its weight."""
         if not self.parts:
@@ -63,7 +66,8 @@ class Partition:
         return self.serialize()
 
 
-def partitions_bounded(d: int, m: int) -> list[Partition]:
+@functools.cache
+def partitions_bounded(d: int, m: int) -> tuple[Partition, ...]:
     """All partitions of d with parts <= m, descending-lex (maximal first)."""
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -79,7 +83,7 @@ def partitions_bounded(d: int, m: int) -> list[Partition]:
             rec(remaining - first, first, acc + (first,))
 
     rec(d, m, ())
-    return out
+    return tuple(out)
 
 
 def maximal_partition(d: int, m: int) -> Partition:
@@ -88,25 +92,6 @@ def maximal_partition(d: int, m: int) -> Partition:
     full, r = divmod(d, m)
     parts = (m,) * full + ((r,) if r else ())
     return Partition(parts, m)
-
-
-def jordan_matrix(p: Partition) -> np.ndarray:
-    """Block diagonal nilpotent Jordan matrix, ones on each superdiagonal."""
-    d = p.weight
-    J = np.zeros((d, d), dtype=np.int64)
-    off = 0
-    for part in p.parts:
-        for i in range(part - 1):
-            J[off + i, off + i + 1] = 1
-        off += part
-    return J
-
-
-def hom_dim(p: int, q: int) -> int:
-    """dim Hom between indecomposables of socle lengths p and q: min(p, q)."""
-    if p < 1 or q < 1:
-        raise ValueError("parts must be positive")
-    return min(p, q)
 
 
 def end_dim(p: Partition) -> int:
@@ -149,29 +134,6 @@ def partition_from_ranks(d: int, ranks: Iterable[int], bound: int) -> Partition:
     if sum(parts) != d:
         raise ValueError("rank sequence is not that of a nilpotent matrix")
     return Partition(tuple(parts), bound)
-
-
-def commutant_dim_oracle(p: Partition, max_weight: int = 12) -> int:
-    """Dimension of {X : X J = J X} by exact rank of the commutation system.
-
-    Independent check for :func:`end_dim`; desk scale only.
-    """
-    d = p.weight
-    if d > max_weight:
-        raise ValueError(f"weight {d} exceeds the oracle cap {max_weight}")
-    if d == 0:
-        return 0
-    J = jordan_matrix(p)
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [0] * (d * d)
-            for l in range(d):
-                row[i * d + l] += int(J[l, j])
-            for k in range(d):
-                row[k * d + j] -= int(J[i, k])
-            rows.append(row)
-    return d * d - _kernels.exact_rank_int(rows)
 
 
 def _is_prime(q: int) -> bool:

@@ -17,8 +17,6 @@ __all__ = [
     "CycleDiagnostic",
     "parse_presentation",
     "serialize_presentation",
-    "path_degree",
-    "relation_degree",
     "detect_shortcuts",
     "check_cycle_conditions",
     "apply_arrow_substitution",
@@ -86,10 +84,6 @@ class Quiver:
     def loops_at(self, vertex: str) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.is_loop and a.source == vertex)
 
-    def loop_at(self, vertex: str) -> Optional[Arrow]:
-        loops = self.loops_at(vertex)
-        return loops[0] if loops else None
-
     def path(self, arrow_names: Sequence[str]) -> "Path":
         """Path from a composition-ordered arrow word (leftmost applied last)."""
         if not arrow_names:
@@ -132,7 +126,7 @@ class Path:
     def __str__(self) -> str:
         if not self.arrows:
             return f"e({self.source})"
-        return "*".join(name if k == 1 else f"{name}^{k}" for name, k in _runs(self.arrows))
+        return _format_runs(_runs(self.arrows))
 
 
 def _runs(word: Sequence[str]) -> list[tuple[str, int]]:
@@ -143,11 +137,6 @@ def _runs(word: Sequence[str]) -> list[tuple[str, int]]:
         else:
             out.append((name, 1))
     return out
-
-
-def path_degree(p: Path) -> int:
-    """Number of non-loop arrows in the path."""
-    return p.degree
 
 
 def _term_key(p: Path):
@@ -221,36 +210,25 @@ class Relation:
         return "".join(parts)
 
 
-def relation_degree(r: Relation) -> int:
-    """Minimum path degree over the terms of a nonzero relation."""
-    if r.is_zero:
-        raise ValueError("the zero relation has no degree")
-    return r.degree
+def _format_runs(runs: Sequence[tuple[str, int]]) -> str:
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in runs)
 
 
-def _forbidden_power(quiver: Quiver, orders: Mapping[str, int], p: Path) -> Optional[str]:
-    """The first loop power ``name^k`` of the path at or above its order."""
-    for name, k in _runs(p.arrows):
+def _forbidden_power(quiver: Quiver, orders: Mapping[str, int],
+                     runs: Sequence[tuple[str, int]]) -> Optional[str]:
+    """The first loop power ``name^k`` of the runs at or above its order."""
+    for name, k in runs:
         a = quiver.arrow(name)
         if a.is_loop and k >= orders[a.source]:
             return f"{name}^{k}"
     return None
 
 
-def _check_powers(quiver: Quiver, orders: Mapping[str, int], rel: Relation,
-                  line: Optional[int] = None) -> None:
-    """Reject a relation whose paths leave the monomial basis."""
-    for _, p in rel.terms:
-        power = _forbidden_power(quiver, orders, p)
-        if power is not None:
-            raise PresentationError(f"path {p} contains the forbidden power {power}", line)
-
-
 def truncate_terms(quiver: Quiver, orders: dict[str, int],
                    terms: Iterable[tuple[Fraction | int, Path]]):
     """Drop terms containing a loop power at or above its nilpotency order."""
     return [(Fraction(coeff), p) for coeff, p in terms
-            if _forbidden_power(quiver, orders, p) is None]
+            if _forbidden_power(quiver, orders, _runs(p.arrows)) is None]
 
 
 def relation_mod_orders(quiver: Quiver, orders: dict[str, int],
@@ -298,7 +276,10 @@ class BoundQuiverPresentation:
                 raise PresentationError(
                     "degree-0 relations are expressed through nilpotency orders"
                 )
-            _check_powers(q, order_of, rel)
+            for _, p in rel.terms:  # paths stay in the monomial basis
+                power = _forbidden_power(q, order_of, _runs(p.arrows))
+                if power is not None:
+                    raise PresentationError(f"path {p} contains the forbidden power {power}")
 
     def order(self, vertex: str) -> int:
         return self.orders[self.quiver.vertices.index(vertex)]
@@ -387,9 +368,9 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
     relations = []
     for lineno, term_words in relation_specs:
         terms = []
-        for coeff, word in term_words:
+        for coeff, factors in term_words:
             try:
-                path = quiver.path(word)
+                path = quiver.path(_expand_factors(quiver, order_map, factors))
             except PresentationError as exc:
                 raise PresentationError(str(exc), lineno) from None
             terms.append((coeff, path))
@@ -403,7 +384,6 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
             raise PresentationError(
                 "degree-0 relation; use a loop order instead", lineno
             )
-        _check_powers(quiver, order_map, rel, lineno)
         relations.append(rel)
 
     return BoundQuiverPresentation(
@@ -441,7 +421,7 @@ def _parse_relation_terms(rest: str, lineno: int):
             pieces = pieces[1:]
         if not pieces:
             raise PresentationError("term has no factors", lineno)
-        word: list[str] = []
+        factors: list[tuple[str, int]] = []
         for piece in pieces:
             m = _FACTOR_RE.match(piece)
             if not m:
@@ -450,13 +430,30 @@ def _parse_relation_terms(rest: str, lineno: int):
             k = int(power) if power is not None else 1
             if k < 1:
                 raise PresentationError("factor power must be >= 1", lineno)
-            word.extend([name] * k)
+            if factors and factors[-1][0] == name:
+                factors[-1] = (name, factors[-1][1] + k)
+            else:
+                factors.append((name, k))
         if coeff == 0:
             raise PresentationError("zero coefficient", lineno)
         if sign == "-":
             coeff = -coeff
-        out.append((coeff, word))
+        out.append((coeff, factors))
     return out
+
+
+def _expand_factors(quiver: Quiver, orders: Mapping[str, int],
+                    factors: Sequence[tuple[str, int]]) -> list[str]:
+    """The arrow word of a term's factors, refusing a power the arrow
+    cannot carry before the word is written out."""
+    power = _forbidden_power(quiver, orders, factors)
+    if power is not None:
+        raise PresentationError(
+            f"path {_format_runs(factors)} contains the forbidden power {power}")
+    for name, k in factors:
+        if k > 1 and not quiver.arrow(name).is_loop:
+            raise PresentationError(f"arrows {name!r} and {name!r} do not compose")
+    return [name for name, k in factors for _ in range(k)]
 
 
 def serialize_presentation(pres: BoundQuiverPresentation) -> str:

@@ -12,13 +12,14 @@ that the representation scheme is reducible; the scan searches for one.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linsys import codim_c
+from .linsys import codim_c, codim_table
 from .partitions import (JordanAssignment, Partition, maximal_partition,
                          orbit_dim, partitions_bounded)
 from .quiver import Arrow, BoundQuiverPresentation, Quiver, relation_mod_orders
@@ -125,7 +126,7 @@ def stratum_dim(pres: BoundQuiverPresentation, ja: JordanAssignment) -> StratumR
     """Report for one stratum; requires degree-1 relations."""
     dims = ja.dims
     n = ambient_arrow_dim(pres, dims)
-    c = codim_c(pres, ja)
+    c = codim_table(pres).codim(ja)
     orbits = tuple(orbit_dim(p) for p in ja.partitions)
     is_max = all(p.is_maximal for p in ja.partitions)
     return StratumReport(ja, orbits, n, c, is_max)
@@ -143,7 +144,7 @@ def max_stratum(pres: BoundQuiverPresentation, dims: Sequence[int]) -> StratumRe
 
 
 def jordan_types(pres: BoundQuiverPresentation, dims: Sequence[int]
-                 ) -> tuple[tuple[int, ...], list[list[Partition]]]:
+                 ) -> tuple[tuple[int, ...], list[tuple[Partition, ...]]]:
     """The checked dimension vector and the Jordan types at each vertex.
 
     Their ``itertools.product``, last vertex fastest, is the canonical
@@ -162,26 +163,46 @@ def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int]
             for combo in itertools.product(*per_vertex)]
 
 
+@functools.cache
+def _type_data(d: int, m: int) -> tuple[tuple[Partition, int, tuple], ...]:
+    """(Jordan type, orbit dim, part multiplicities) for each type of
+    weight d with parts <= m, in canonical order."""
+    return tuple((p, orbit_dim(p), p.multiplicities) for p in partitions_bounded(d, m))
+
+
 def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
                       cap: int = 100_000, find_all: bool = False):
     """First (or all) non-maximal strata at least as large as the maximal one.
 
     A returned certificate proves the representation scheme of this
-    dimension vector is reducible; an empty result proves nothing.
+    dimension vector is reducible; an empty result proves nothing.  N is
+    fixed, so the scan compares orbit dims - codimension (from the table).
     """
-    dims, per_vertex = jordan_types(pres, dims)
-    count = math.prod(len(lst) for lst in per_vertex)
+    dims = _check_dims(pres, dims)
+    data = [_type_data(d, pres.order(v)) for v, d in zip(pres.quiver.vertices, dims)]
+    count = math.prod(len(types) for types in data)
     if count > cap:
         raise ScanCapExceeded(count, cap)
-    it = itertools.product(*per_vertex)
-    max_ja = JordanAssignment.for_presentation(pres, next(it))
-    max_report = stratum_dim(pres, max_ja)
+    table = codim_table(pres)
+
+    def size(combo) -> int:
+        return (sum(o for _, o, _ in combo)
+                - table.codim_of_types([m for _, _, m in combo]))
+
+    def report(combo) -> StratumReport:
+        return stratum_dim(pres, JordanAssignment.for_presentation(
+            pres, [p for p, _, _ in combo]))
+
+    it = itertools.product(*data)
+    first = next(it)
+    target = size(first)
+    max_report = None
     found: list[ReducibilityCertificate] = []
     for combo in it:
-        ja = JordanAssignment.for_presentation(pres, combo)
-        report = stratum_dim(pres, ja)
-        if report.dim >= max_report.dim:
-            cert = ReducibilityCertificate(dims, max_report, report)
+        if size(combo) >= target:
+            if max_report is None:
+                max_report = report(first)
+            cert = ReducibilityCertificate(dims, max_report, report(combo))
             if not find_all:
                 return cert
             found.append(cert)

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from jordan_reference import jordan_matrix
 from quiverstrata.linsys import BadPrimeError, SymbolicArrowEntry, UnsupportedDegreeError
-from quiverstrata.partitions import jordan_matrix
 
 # Bareiss steps stay exact in int64 as long as every entry is below this
 # bound: products of two entries then fit in 62 bits.

@@ -5,12 +5,12 @@ checklist; every numeric comparison is exact integer equality.
 """
 import time
 
+from jordan_reference import commutant_dim_oracle
 from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
 from quiverstrata.formulas import build_case, formula_cases
 from quiverstrata.linsys import assemble_system, rank_exact, rank_mod
-from quiverstrata.partitions import (Partition, commutant_dim_oracle, end_dim,
-                                     orbit_dim, partitions_bounded)
+from quiverstrata.partitions import Partition, end_dim, orbit_dim, partitions_bounded
 from quiverstrata.quiver import parse_presentation
 from quiverstrata.strata import dim_vectors_up_to, nooverlap_dims, reducibility_scan
 

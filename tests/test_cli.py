@@ -1,5 +1,6 @@
 import csv
 import io
+import time
 
 import pytest
 
@@ -100,6 +101,42 @@ def test_zero_denominator_exits_2(tmp_path, capsys, coeff):
     assert code == 2
     assert err.startswith("error: line 5:")
     assert "Traceback" not in err
+
+
+DEGREE_TWO = """vertex 0
+vertex 1
+vertex 2
+arrow a 1 -> 0
+arrow b 2 -> 1
+relation a*b
+"""
+
+
+@pytest.mark.parametrize("argv", [["strata", "--dim", "1,1,1"],
+                                  ["strata", "--dim", "0,1,0"],
+                                  ["reduce-scan", "--dim", "1,1,1"],
+                                  ["reduce-scan", "--dim", "0,1,0"],
+                                  ["reduce-scan", "--max-total", "2"]])
+def test_degree_two_relation_exits_2(tmp_path, capsys, argv):
+    # at (0, 1, 0) the relation has no rows, and it still exits 2
+    path = tmp_path / "deg2.bq"
+    path.write_text(DEGREE_TWO)
+    code, _, err = run_cli([argv[0], "--algebra", str(path), *argv[1:]], capsys)
+    assert code == 2
+    assert err == ("error: path a*b has degree 2; the linear engine supports "
+                   "exactly one non-loop arrow per term\n")
+
+
+def test_huge_loop_exponent_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "big.bq"
+    path.write_text("vertex 0\nvertex 1\nloop e 0 order 2\narrow a 1 -> 0\n"
+                    "relation e^1000000000*a\n")
+    start = time.monotonic()
+    code, _, err = run_cli(["strata", "--algebra", str(path), "--dim", "1,1"], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert err == ("error: line 5: path e^1000000000*a contains the forbidden "
+                   "power e^1000000000\n")
 
 
 def test_missing_file_exits_2(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from quiverstrata.families import (FamilyTag, build_family, parse_family_spec,
                                    product_decomposition_check, recognize_family)
-from quiverstrata.quiver import apply_arrow_substitution, parse_presentation, relation_degree
+from quiverstrata.quiver import apply_arrow_substitution, parse_presentation
 
 
 def test_build_standard_relation():
@@ -35,7 +35,7 @@ def test_degree_one_members_survive():
         for n in (1, m - 1):
             pres = build_family(FamilyTag("A", h=1, m0=m, m1=m, n=n))
             assert len(pres.relations) == 1
-            assert relation_degree(pres.relations[0]) == 1
+            assert pres.relations[0].degree == 1
             assert len(pres.relations[0].terms) == n + 1
 
 

@@ -250,15 +250,18 @@ relation 1/2*a*b + 2/3*c*d + a*d + 2*c*b
 """
 
 
+SLOW_DIMS = ((1, 3), (2, 2), (3, 1))  # A(2,3,3,1) at q = 3, 531,441 points each
+
+
 def _dim_vectors(n, total):
     return [d for d in itertools.product(range(total + 1), repeat=n)
             if sum(d) <= total]
 
 
 def _differential_cases():
-    # the reference tallies each point in Python and would spend about 20 s
-    # on each of these three, so they are left out
-    slow = {("A(2,3,3,1)", dims, 3) for dims in ((1, 3), (2, 2), (3, 1))}
+    # the reference tallies each point in Python and spends about 20 s on
+    # each of these three; they run in the slow test below
+    slow = {("A(2,3,3,1)", dims, 3) for dims in SLOW_DIMS}
     for spec in ("A(1,2,2,1)", "Aprime(1,2,2)", "A(2,3,3,1)"):
         pres = build_family(parse_family_spec(spec))
         for dims in _dim_vectors(2, 4):
@@ -305,3 +308,11 @@ def test_tally_matches_reference_odometer():
             bad_prime.add((name, q))
     assert bad_prime == {(name, q) for name in ("three-vertex", "four-term")
                          for q in (2, 3)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dims", SLOW_DIMS)
+def test_tally_matches_reference_odometer_slow(dims):
+    pres = build_family(parse_family_spec("A(2,3,3,1)"))
+    want = _outcome(reference_enumerate_and_classify, pres, dims, 3)
+    assert _outcome(enumerate_and_classify, pres, dims, 3) == want

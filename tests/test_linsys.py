@@ -2,18 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dense_reference
+from strategies import presentations
 
+from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.linsys import (BadPrimeError, ConstraintSystem,
                                  SymbolicArrowEntry,
                                  UnsupportedDegreeError, _components, assemble_system,
-                                 assemble_system_at, c_additivity_split,
-                                 codim_c, evaluate_relation, rank_exact,
-                                 rank_mod)
-from quiverstrata.partitions import JordanAssignment, Partition
+                                 assemble_system_at, codim_c, codim_table,
+                                 rank_exact, rank_mod)
+from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
-                                 Relation)
+                                 Relation, parse_presentation)
+from quiverstrata.strata import (ReducibilityCertificate, StratumReport,
+                                 ambient_arrow_dim, assignments_for,
+                                 dim_vectors_up_to, reducibility_scan)
 
 
 def _two_vertex(m0, m1, h, relation_words):
@@ -40,12 +46,23 @@ def _ja(pres, p_parts, q_parts):
     )
 
 
+def _grid(pres, rel, ja):
+    """The relation on the Jordan matrices of ``ja`` as a d_target x d_source
+    grid of linear forms {arrow entry: rational coefficient}."""
+    cs = assemble_system(pres, ja, (rel,))
+    dims = dict(zip(ja.vertices, ja.dims))
+    grid = [[{} for _ in range(dims[rel.source])] for _ in range(dims[rel.target])]
+    for (_, i, j), row, scale in zip(cs.row_labels, cs.rows, cs.scales):
+        grid[i][j] = {cs.columns[col]: Fraction(v, scale) for col, v in row.items()}
+    return grid
+
+
 def test_evaluate_shifted_copies():
     # e0^l * a on types (p), (1): row i is the entry (i + l) of a
     p, l = 4, 2
     pres = _two_vertex(p, 1, 1, [[(1, ["e0"] * l + ["a1"])]])
     ja = _ja(pres, (p,), (1,))
-    grid = evaluate_relation(pres, pres.relations[0], ja)
+    grid = _grid(pres, pres.relations[0], ja)
     assert len(grid) == p and len(grid[0]) == 1
     nonzero_rows = [i for i in range(p) if grid[i][0]]
     assert nonzero_rows == list(range(p - l))
@@ -58,11 +75,11 @@ def test_evaluate_zero_relation_and_truncation():
     q = pres.quiver
     zero = Relation.make([], source="1", target="0")
     ja = _ja(pres, (2,), (1,))
-    grid = evaluate_relation(pres, zero, ja)
+    grid = _grid(pres, zero, ja)
     assert all(form == {} for row in grid for form in row)
     # e0^2 * a evaluates to zero once the Jordan type is (2): J^2 = 0
     rel = Relation.make([(1, q.path(["e0", "e0", "a1"]))])
-    grid = evaluate_relation(pres, rel, ja)
+    grid = _grid(pres, rel, ja)
     assert all(form == {} for row in grid for form in row)
 
 
@@ -138,17 +155,25 @@ def test_codim_examples():
     assert codim_c(pres, _ja(pres, (p,), (q,))) == 2
 
 
+def _part_pair_split(pres, ja):
+    """{(i, j): table entry for part i at vertex 0 and part j at vertex 1}."""
+    table = codim_table(pres)
+    return {(i, j): table.entry(0, 1, a, b)
+            for i, a in enumerate(ja.partitions[0].parts)
+            for j, b in enumerate(ja.partitions[1].parts)}
+
+
 def test_additivity_split_example():
     pres = _two_vertex(2, 1, 1, [[(1, ["e0", "a1"])]])
     ja = _ja(pres, (2, 1), (1,))
-    table = c_additivity_split(pres, ja)
+    table = _part_pair_split(pres, ja)
     assert table == {(0, 0): 1, (1, 0): 0}
     assert sum(table.values()) == codim_c(pres, ja)
 
 
 def test_additivity_split_single_part_matches_codim(a1221):
     ja = _ja(a1221, (2,), (2,))
-    table = c_additivity_split(a1221, ja)
+    table = _part_pair_split(a1221, ja)
     assert table == {(0, 0): codim_c(a1221, ja)}
 
 
@@ -157,7 +182,7 @@ def test_additivity_split_step_value():
     for m in (2, 3, 4):
         pres = _two_vertex(m, 2, 2, [[(1, ["e0", "a1"]), (1, ["a2", "e1"])]])
         ja = _ja(pres, (m, m), (2,))
-        table = c_additivity_split(pres, ja)
+        table = _part_pair_split(pres, ja)
         assert sum(table.values()) == codim_c(pres, ja) == 2 * (2 * m - 1)
 
 
@@ -179,7 +204,7 @@ def test_additivity_over_parts_weight_bounded():
                 for pp in partitions_bounded(wp, 3):
                     for qq in partitions_bounded(wq, 3):
                         ja = JordanAssignment.for_presentation(pres, [pp, qq])
-                        table = c_additivity_split(pres, ja)
+                        table = _part_pair_split(pres, ja)
                         assert sum(table.values()) == codim_c(pres, ja), (item, pp, qq)
 
 
@@ -190,9 +215,6 @@ def _block_of(partition):
 
 @pytest.mark.parametrize("spec", ["A(1,4,4,2)", "A(2,3,3,1)"])
 def test_components_follow_part_pairs(spec):
-    from quiverstrata.families import build_family, parse_family_spec
-    from quiverstrata.strata import assignments_for, dim_vectors_up_to
-
     pres = build_family(parse_family_spec(spec))
     checked = 0
     for dims in dim_vectors_up_to(2, 6):
@@ -205,7 +227,7 @@ def test_components_follow_part_pairs(spec):
                          for c in cols}
                 assert len(pairs) == 1, (spec, ja.serialize(), pairs)
                 checked += 1
-            table = c_additivity_split(pres, ja)
+            table = _part_pair_split(pres, ja)
             assert sum(table.values()) == codim_c(pres, ja), (spec, ja.serialize())
     assert checked >= 50  # the blocks are not vacuous
 
@@ -277,7 +299,8 @@ def _mat_mul_frac(a, b):
 def _conjugated_systems():
     """(pres, ja, loop_mats, dims): the Jordan data of ``ja`` conjugated by
     a random unipotent matrix at each vertex."""
-    from quiverstrata.partitions import jordan_matrix, partitions_bounded
+    from jordan_reference import jordan_matrix
+    from quiverstrata.partitions import partitions_bounded
 
     rng = random.Random(7)
     pres = _two_vertex(2, 2, 1, [[(1, ["e0", "a1"]), (1, ["a1", "e1"])]])
@@ -389,9 +412,6 @@ def test_engine_matches_dense_reference_on_formula_cases():
 
 @pytest.mark.parametrize("spec", ["A(1,4,4,2)", "A(2,3,3,1)", "Aprime(1,2,2)"])
 def test_engine_matches_dense_reference_on_families(spec):
-    from quiverstrata.families import build_family, parse_family_spec
-    from quiverstrata.strata import assignments_for, dim_vectors_up_to
-
     pres = build_family(parse_family_spec(spec))
     for dims in dim_vectors_up_to(2, 6):
         for ja in assignments_for(pres, dims):
@@ -404,3 +424,95 @@ def test_engine_matches_dense_reference_on_conjugated_loops():
         _assert_same_system(
             assemble_system_at(pres, pres.relations, loop_mats, dims),
             dense_reference.assemble_at(pres, pres.relations, loop_mats, dims))
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the part-pair table against assembly and rank
+# ---------------------------------------------------------------------------
+
+TABLE_SPECS = [
+    "A(1,3,3,2)", "A(1,4,4,1)", "A(1,4,4,3)", "A(1,5,5,4)",
+    "A(1,4,4,2)", "A(1,5,5,3)", "A(1,6,6,4)",
+    "A(2,3,3,1)", "Aprime(1,2,2)",
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_table_matches_codim_c_on_families(spec):
+    pres = build_family(parse_family_spec(spec))
+    table = codim_table(pres)
+    for dims in dim_vectors_up_to(2, 9):
+        for ja in assignments_for(pres, dims):
+            assert table.codim(ja) == codim_c(pres, ja), (spec, ja.serialize())
+
+
+# parallel arrows, relations in both directions, rational coefficients
+BOTH_WAYS = """
+vertex 0
+vertex 1
+loop e0 0 order 3
+loop e1 1 order 2
+arrow a 1 -> 0
+arrow b 1 -> 0
+arrow c 0 -> 1
+relation e0*a + 2/3*a*e1 - e0^2*b
+relation 1/2*e0*b*e1 + a*e1
+relation e1*c - 5/4*c*e0^2
+"""
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(presentations(), st.lists(st.integers(0, 3), min_size=3, max_size=3))
+@example(parse_presentation(BOTH_WAYS), [3, 2, 0])
+@example(parse_presentation(BOTH_WAYS), [2, 2, 0])
+def test_table_and_rank_mod_on_random_presentations(pres, dims):
+    dims = dims[:len(pres.quiver.vertices)]
+    table = codim_table(pres)
+    for ja in assignments_for(pres, dims):
+        cs = assemble_system(pres, ja)
+        rank = rank_exact(cs)
+        assert table.codim(ja) == rank == codim_c(pres, ja)
+        for p in (2, 3, 5, 7):
+            assert _rank_mod_outcome(rank_mod, cs, p) in ("bad prime", *range(rank + 1))
+        # 101 is prime to every coefficient of the strategy, and no drawn
+        # system has a minor divisible by it
+        assert rank_mod(cs, 101) == rank
+
+
+def _brute_force_scan(pres, dims):
+    """Every certificate of ``dims``, from codim_c on each assignment."""
+    n = ambient_arrow_dim(pres, dims)
+    reports = [StratumReport(ja, tuple(orbit_dim(p) for p in ja.partitions), n,
+                             codim_c(pres, ja), all(p.is_maximal for p in ja.partitions))
+               for ja in assignments_for(pres, dims)]
+    return [ReducibilityCertificate(tuple(dims), reports[0], r)
+            for r in reports[1:] if r.dim >= reports[0].dim]
+
+
+@pytest.mark.parametrize("spec", ["A(1,4,4,2)", "A(1,5,5,3)", "A(1,6,6,4)",
+                                  "A(2,3,3,1)", "A(1,3,3,2)", "Aprime(1,2,2)"])
+def test_scan_matches_brute_force(spec):
+    pres = build_family(parse_family_spec(spec))
+    certified = 0
+    for dims in dim_vectors_up_to(2, 8):
+        want = _brute_force_scan(pres, dims)
+        assert reducibility_scan(pres, dims, find_all=True) == want, (spec, dims)
+        assert reducibility_scan(pres, dims) == (want[0] if want else None)
+        certified += bool(want)
+    if spec in ("A(1,4,4,2)", "A(1,5,5,3)"):
+        assert certified > 0  # the reducible families are not vacuous
+
+
+def test_table_raises_where_assembly_raises():
+    q = Quiver(("0", "1", "2"), (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
+    pres = BoundQuiverPresentation(q, (1, 1, 1),
+                                   (Relation.make([(1, q.path(["a", "b"]))]),))
+    empty = JordanAssignment.for_presentation(pres, [Partition((), 1)] * 3)
+    with pytest.raises(UnsupportedDegreeError) as want:
+        assemble_system(pres, empty)
+    with pytest.raises(UnsupportedDegreeError) as got:
+        codim_table(pres)
+    assert str(got.value) == str(want.value)
+    # a dimension vector with a zero entry reads no entry, and still raises
+    with pytest.raises(UnsupportedDegreeError):
+        reducibility_scan(pres, (1, 0, 1))

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from quiverstrata.partitions import (JordanAssignment, Partition,
-                                     commutant_dim_oracle, end_dim, hom_dim,
-                                     jordan_matrix, maximal_partition,
-                                     orbit_count, orbit_count_ff, orbit_dim,
+from jordan_reference import commutant_dim_oracle, hom_dim, jordan_matrix
+from quiverstrata.partitions import (JordanAssignment, Partition, end_dim,
+                                     maximal_partition, orbit_count,
+                                     orbit_count_ff, orbit_dim,
                                      partition_from_ranks, partitions_bounded,
                                      rank_sequence)
 

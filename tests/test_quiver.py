@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
-                                 Quiver, Relation, SubstitutionError,
-                                 apply_arrow_substitution, check_cycle_conditions,
-                                 detect_shortcuts, invert_substitution,
-                                 parse_presentation, path_degree, relation_degree,
+from strategies import presentations
+
+from quiverstrata.quiver import (Arrow, PresentationError, Quiver, Relation,
+                                 SubstitutionError, apply_arrow_substitution,
+                                 check_cycle_conditions, detect_shortcuts,
+                                 invert_substitution, parse_presentation,
                                  serialize_presentation)
 
 A1221_TEXT = """
@@ -102,18 +103,18 @@ def test_path_degree():
     q = Quiver(("0", "1", "2"),
                (Arrow("e0", "0", "0"), Arrow("e1", "1", "1"),
                 Arrow("a1", "1", "0"), Arrow("b1", "2", "1")))
-    assert path_degree(q.path(["e0", "e0", "a1", "e1"])) == 1
-    assert path_degree(q.path(["e0", "e0", "e0"])) == 0
-    assert path_degree(q.path(["a1", "e1", "b1"])) == 2
+    assert q.path(["e0", "e0", "a1", "e1"]).degree == 1
+    assert q.path(["e0", "e0", "e0"]).degree == 0
+    assert q.path(["a1", "e1", "b1"]).degree == 2
 
 
 def test_relation_degree():
     q = Quiver(("0", "1"),
                (Arrow("e0", "0", "0"), Arrow("a1", "1", "0")))
     mixed = Relation.make([(1, q.path(["e0", "a1"])), (1, q.path(["e0", "e0", "a1"]))])
-    assert relation_degree(mixed) == 1
+    assert mixed.degree == 1
     loops = Relation.make([(1, q.path(["e0", "e0", "e0"]))])
-    assert relation_degree(loops) == 0
+    assert loops.degree == 0
 
 
 def test_relation_rejects_incompatible_paths():
@@ -218,7 +219,7 @@ def test_relation_degree_matches_min_over_terms(quiver):
     for ps in groups.values():
         rel = Relation.make([(1, p) for p in ps])
         if not rel.is_zero:
-            assert relation_degree(rel) == min(p.degree for _, p in rel.terms)
+            assert rel.degree == min(p.degree for _, p in rel.terms)
 
 
 SUBST_BASE = """
@@ -303,46 +304,6 @@ def test_substitution_requires_invertible_lead():
         apply_arrow_substitution(pres, "a1", [(1, q.path(["a2"]))])
     with pytest.raises(SubstitutionError):
         apply_arrow_substitution(pres, "a1", [(1, q.path(["e0", "a1"]))])
-
-
-@st.composite
-def presentations(draw):
-    """Random loops and orders, arrows between distinct vertices, and
-    degree-1 relations with rational coefficients."""
-    n = draw(st.integers(min_value=1, max_value=3))
-    vertices = tuple(f"v{i}" for i in range(n))
-    orders = tuple(draw(st.integers(min_value=1, max_value=4)) for _ in vertices)
-    arrows = [Arrow(f"e{i}", v, v) for i, v in enumerate(vertices) if orders[i] >= 2]
-    moves = []
-    for k in range(draw(st.integers(min_value=0, max_value=4)) if n > 1 else 0):
-        s = draw(st.integers(min_value=0, max_value=n - 1))
-        t = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x: x != s))
-        moves.append(Arrow(f"a{k}", vertices[s], vertices[t]))
-    quiver = Quiver(vertices, tuple(arrows + moves))
-    order_of = dict(zip(vertices, orders))
-    relations = []
-    for _ in range(draw(st.integers(min_value=0, max_value=3)) if moves else 0):
-        first = draw(st.sampled_from(moves))
-        parallel = [a for a in moves
-                    if (a.source, a.target) == (first.source, first.target)]
-        # loop powers below the orders, at least one loop factor per term
-        shapes = [(i, j) for i in range(order_of[first.target])
-                  for j in range(order_of[first.source]) if i + j]
-        if not shapes:
-            continue
-        loop_t = [a.name for a in arrows if a.source == first.target]
-        loop_s = [a.name for a in arrows if a.source == first.source]
-        terms = []
-        for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            pre, post = draw(st.sampled_from(shapes))
-            mid = draw(st.sampled_from(parallel)).name
-            coeff = Fraction(draw(st.integers(min_value=-5, max_value=5).filter(bool)),
-                             draw(st.integers(min_value=1, max_value=6)))
-            terms.append((coeff, quiver.path(loop_t * pre + [mid] + loop_s * post)))
-        rel = Relation.make(terms, source=first.source, target=first.target)
-        if not rel.is_zero:
-            relations.append(rel)
-    return BoundQuiverPresentation(quiver, orders, tuple(relations))
 
 
 @settings(max_examples=200, deadline=None)
