@@ -254,13 +254,7 @@ def product_decomposition_check(pres: BoundQuiverPresentation,
     h = len(pres.quiver.non_loop_arrows)
     table = enumerate_and_classify(pres, dims, q, max_points=max_points)
 
-    def loop_factor(d: int, m: int) -> int:
-        if d == 0:
-            return 1
-        mats, _ = _kernels.enumerate_nilpotent(d, m, q)
-        return mats.shape[0]
-
-    f0 = loop_factor(d0, pres.order(v0))
-    f1 = loop_factor(d1, pres.order(v1))
+    f0 = _kernels.enumerate_nilpotent(d0, pres.order(v0), q)[0].shape[0]
+    f1 = _kernels.enumerate_nilpotent(d1, pres.order(v1), q)[0].shape[0]
     arrow = q ** (h * d0 * d1)
     return ProductCheck(table.total == f0 * arrow * f1, table.total, f0, arrow, f1)

@@ -16,12 +16,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .linsys import BadPrimeError, codim_table
+from .linsys import _fraction_mod, codim_table
 from .partitions import (JordanAssignment, _is_prime, orbit_count,
                          partition_from_ranks)
 from .quiver import BoundQuiverPresentation
@@ -31,10 +31,8 @@ __all__ = [
     "StratumCountTable",
     "EnumerationCapExceeded",
     "IdentityRow",
-    "EstimateRow",
     "enumerate_and_classify",
     "verify_count_identity",
-    "dimension_estimate",
     "identity_csv",
 ]
 
@@ -65,6 +63,8 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     the relations.  ``max_points`` caps both each per-vertex enumeration
     and the final product of candidate counts.
     """
+    if q > max_points:  # before the primality test, whose cost grows with q
+        raise EnumerationCapExceeded(f"q = {q} exceeds the cap {max_points}")
     if not _is_prime(q):
         raise ValueError("q must be prime")
     dims, per_vertex = jordan_types(pres, dims)
@@ -90,21 +90,19 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
         if a.is_loop:
             v = a.source
             vi = quiver.vertices.index(v)
-            d = d_t
-            if d == 0:
-                mats = np.zeros((1, 0, 0), np.int64)
-                types = np.zeros(1, np.int64)
-            else:
-                if q ** (d * d) > max_points:
-                    raise EnumerationCapExceeded(
-                        f"loop enumeration at {v!r} needs {q ** (d * d)} points, "
-                        f"cap is {max_points}"
-                    )
-                mats, sigs = _kernels.enumerate_nilpotent(d, order_of[v], q)
-                index = {p.parts: k for k, p in enumerate(per_vertex[vi])}
-                uniq, inverse = np.unique(sigs, return_inverse=True)
-                types = np.array([index[_unpack_signature(int(sig), d, order_of[v])]
-                                  for sig in uniq], np.int64)[inverse]
+            d, m = d_t, order_of[v]
+            if q ** (d * d) > max_points:
+                raise EnumerationCapExceeded(
+                    f"loop enumeration at {v!r} needs {q ** (d * d)} points, "
+                    f"cap is {max_points}"
+                )
+            mats, ranks = _kernels.enumerate_nilpotent(d, m, q)
+            # rank rows packed in base d + 1: equal rows, and only they, share a key
+            keys = ranks @ (d + 1) ** np.arange(ranks.shape[1])
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            index = {p.parts: k for k, p in enumerate(per_vertex[vi])}
+            types = np.array([index[partition_from_ranks(d, ranks[k].tolist(), m).parts]
+                              for k in first], np.int64)[inverse]
             cand_keys.append(weights[vi] * types)
         else:
             n_entries = d_t * d_s
@@ -132,28 +130,14 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     for rel in pres.relations:
         if dim_of[rel.target] == 0 or dim_of[rel.source] == 0:
             continue
-        terms = []
-        for coeff, path in rel.terms:
-            den = coeff.denominator % q
-            if den == 0:
-                raise BadPrimeError(f"coefficient {coeff} cannot reduce mod {q}")
-            terms.append(((coeff.numerator % q) * pow(den, q - 2, q) % q,
-                          [slot_of[name] for name in path.arrows]))
-        relations.append(terms)
+        relations.append([(_fraction_mod(coeff, q), [slot_of[n] for n in path.arrows])
+                          for coeff, path in rel.terms])
 
     tally = _kernels.tally_points(cand_mats, cand_keys, shape, relations, q, n_keys)
 
     assignments = assignments_for(pres, dims)
     counts = {assignments[key]: int(tally[key]) for key in np.nonzero(tally)[0]}
     return StratumCountTable(q, dims, counts)
-
-
-def _unpack_signature(sig: int, d: int, m: int) -> tuple[int, ...]:
-    ranks = []
-    for _ in range(1, m):
-        sig, digit = divmod(sig, d + 1)
-        ranks.append(digit)
-    return partition_from_ranks(d, ranks, m).parts
 
 
 @dataclass(frozen=True)
@@ -185,40 +169,6 @@ def verify_count_identity(table: StratumCountTable,
             pred *= orbit_count(p, q)
         rows.append(IdentityRow(ja, table.counts.get(ja, 0), pred))
     return rows
-
-
-@dataclass(frozen=True)
-class EstimateRow:
-    assignment: JordanAssignment
-    estimate: Optional[int]
-    consistent: bool
-
-
-def dimension_estimate(tables: Sequence[StratumCountTable]) -> list[EstimateRow]:
-    """Integer growth exponent of each stratum count across field sizes.
-
-    Rounds log_q(count) at each q; the estimates must agree across fields,
-    otherwise the row is flagged inconsistent (largest field wins).  Strata
-    absent from some table give no estimate.
-    """
-    if len({t.q for t in tables}) < 2:
-        raise ValueError("need counts at two or more field sizes")
-    ordered = sorted(tables, key=lambda t: t.q)
-    keys: list[JordanAssignment] = []
-    for t in ordered:
-        for ja in t.counts:
-            if ja not in keys:
-                keys.append(ja)
-    out = []
-    for ja in keys:
-        counts = [t.counts.get(ja, 0) for t in ordered]
-        if any(c == 0 for c in counts):
-            out.append(EstimateRow(ja, None, all(c == 0 for c in counts)))
-            continue
-        ests = [round(math.log(c) / math.log(t.q)) if c > 1 else 0
-                for c, t in zip(counts, ordered)]
-        out.append(EstimateRow(ja, ests[-1], len(set(ests)) == 1))
-    return out
 
 
 def identity_csv(q: int, rows: Sequence[IdentityRow]) -> str:

@@ -1,12 +1,12 @@
 """Exact linear systems cut out by degree-1 relations on fixed Jordan data.
 
-Fixing the loop matrices turns every degree-1 relation into a linear
-condition on the entries of the non-loop arrow matrices.  The rank of the
-stacked system is the codimension of its solution space inside the ambient
-arrow space.  Rows are sparse integer vectors, each with the positive
-scale that turns it back into the rational row, and the rank is taken per
-connected component with fraction-free integer elimination: exact, and
-free of floats.
+Fixing the loop matrices in Jordan form turns every degree-1 relation into
+a linear condition on the entries of the non-loop arrow matrices.  The rank
+of the stacked system is the codimension of its solution space inside the
+ambient arrow space.  Rows are sparse integer vectors, each with the
+positive scale that turns it back into the rational row, and the rank is
+taken per connected component with fraction-free integer elimination:
+exact, and free of floats.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels
 from .partitions import JordanAssignment, Partition
@@ -26,7 +26,6 @@ __all__ = [
     "UnsupportedDegreeError",
     "BadPrimeError",
     "assemble_system",
-    "assemble_system_at",
     "rank_exact",
     "rank_mod",
     "codim_c",
@@ -82,31 +81,36 @@ class ConstraintSystem:
             out.append(dense)
         return out
 
-    def export_text(self) -> str:
-        """Plain text dump: `rows cols` header, entries as num/den."""
-        lines = [f"{self.n_rows} {self.ambient_dim}"]
-        for row in self.matrix:
-            lines.append(" ".join(f"{x.numerator}/{x.denominator}" for x in row))
-        return "\n".join(lines) + "\n"
+
+def _shifts(p: Partition, k: int) -> list[tuple[int, int]]:
+    """The pairs (i, i + k) with both indices in one Jordan block of ``p``:
+    the nonzeros of J^k, all equal to 1."""
+    out = []
+    start = 0
+    for part in p.parts:
+        out += [(i, i + k) for i in range(start, start + part - k)]
+        start += part
+    return out
 
 
-# Nonzeros of a loop power L^k as (den, [(i, j, n), ...]) with L^k[i][j] = n / den.
-PowerNonzeros = tuple[int, list[tuple[int, int, int]]]
+def assemble_system(pres: BoundQuiverPresentation, ja: JordanAssignment,
+                    relations: Optional[Sequence[Relation]] = None) -> ConstraintSystem:
+    """The system of ``relations`` (default: all) on the Jordan data ``ja``.
 
-
-def _assemble(pres: BoundQuiverPresentation, relations: Sequence[Relation],
-              dims: Mapping[str, int],
-              power: Callable[[str, int], PowerNonzeros]) -> ConstraintSystem:
-    """Stack the relations, evaluated on the loop powers ``power(v, k)``.
-
-    A term coeff * L_t^a x L_s^b puts coeff * L_t^a[i][k] * L_s^b[l][j] into
-    row (i, j) at the column of x[k][l].  Each relation is scaled once, to
-    the lcm of its term denominators, so every row holds integers.
+    J^a only shifts indices within a block, so a term c * J_t^a x J_s^b
+    puts c into row (i, j) at the column of x[i + a][j - b], wherever both
+    shifts stay inside their blocks.  Each relation is scaled once, to the
+    lcm of its coefficient denominators, so every row holds integers.
+    Columns run over all non-loop arrows in declaration order, entries
+    row-major, so the column count is the ambient arrow dimension.
     """
-    quiver = pres.quiver
+    if relations is None:
+        relations = pres.relations
+    parts = dict(zip(ja.vertices, ja.partitions))
+    dims = dict(zip(ja.vertices, ja.dims))
     columns: list[SymbolicArrowEntry] = []
     offset: dict[str, int] = {}
-    for a in quiver.non_loop_arrows:
+    for a in pres.quiver.non_loop_arrows:
         offset[a.name] = len(columns)
         columns.extend(SymbolicArrowEntry(a.name, k, l)
                        for k in range(dims[a.target]) for l in range(dims[a.source]))
@@ -115,7 +119,8 @@ def _assemble(pres: BoundQuiverPresentation, relations: Sequence[Relation],
     row_labels: list[tuple[int, int, int]] = []
     for ridx, rel in enumerate(relations):
         dt, ds = dims[rel.target], dims[rel.source]
-        terms = []
+        scale = math.lcm(*(coeff.denominator for coeff, _ in rel.terms))
+        block: list[dict[int, int]] = [{} for _ in range(dt * ds)]
         for coeff, path in rel.terms:
             if path.split is None:
                 raise UnsupportedDegreeError(
@@ -123,76 +128,19 @@ def _assemble(pres: BoundQuiverPresentation, relations: Sequence[Relation],
                     "supports exactly one non-loop arrow per term"
                 )
             pre, name, post = path.split
-            left_den, left = power(rel.target, pre)
-            right_den, right = power(rel.source, post)
-            terms.append((coeff.numerator, coeff.denominator * left_den * right_den,
-                          name, left, right))
-        scale = math.lcm(*(den for _, den, _, _, _ in terms))
-        block: list[dict[int, int]] = [{} for _ in range(dt * ds)]
-        for num, den, name, left, right in terms:
-            c = num * (scale // den)
-            base, width = offset[name], dims[rel.source]
-            for i, k, a in left:
-                ca = c * a
-                col0 = base + k * width
-                for l, j, b in right:
+            c = coeff.numerator * (scale // coeff.denominator)
+            base = offset[name]
+            right = _shifts(parts[rel.source], post)
+            for i, k in _shifts(parts[rel.target], pre):
+                col0 = base + k * ds
+                for l, j in right:
                     row = block[i * ds + j]
                     col = col0 + l
-                    row[col] = row.get(col, 0) + ca * b
+                    row[col] = row.get(col, 0) + c
         rows += [{col: v for col, v in row.items() if v} for row in block]
         scales += [scale] * len(block)
         row_labels += [(ridx, i, j) for i in range(dt) for j in range(ds)]
     return ConstraintSystem(rows, scales, row_labels, columns)
-
-
-def _jordan_power(p: Partition, k: int) -> PowerNonzeros:
-    """J^k for the Jordan matrix of ``p``: the shift i -> i + k within a block."""
-    out = []
-    start = 0
-    for part in p.parts:
-        out += [(i, i + k, 1) for i in range(start, start + part - k)]
-        start += part
-    return 1, out
-
-
-def _matrix_power(mat, k: int) -> PowerNonzeros:
-    """Nonzeros of ``mat``^k for a square matrix of rationals."""
-    d = len(mat)
-    entries = [[v if isinstance(v, Fraction) else Fraction(int(v)) for v in row]
-               for row in mat]
-    power = {(i, i): Fraction(1) for i in range(d)}
-    for _ in range(k):
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (i, t), v in power.items():
-            for j, w in enumerate(entries[t]):
-                if w:
-                    nxt[i, j] = nxt.get((i, j), 0) + v * w
-        power = {key: v for key, v in nxt.items() if v}
-    den = math.lcm(*(v.denominator for v in power.values()))
-    return den, [(i, j, int(v * den)) for (i, j), v in power.items()]
-
-
-def assemble_system_at(pres: BoundQuiverPresentation,
-                       relations: Sequence[Relation],
-                       loop_mats: Mapping[str, Sequence[Sequence]],
-                       dims: Mapping[str, int]) -> ConstraintSystem:
-    """Stack the relations evaluated on arbitrary rational loop matrices.
-
-    Columns run over all non-loop arrows in declaration order, entries
-    row-major, so the column count is the ambient arrow dimension.
-    """
-    return _assemble(pres, relations, dims,
-                     lambda v, k: _matrix_power(loop_mats[v], k))
-
-
-def assemble_system(pres: BoundQuiverPresentation, ja: JordanAssignment,
-                    relations: Optional[Sequence[Relation]] = None) -> ConstraintSystem:
-    """The system of ``relations`` (default: all) on the Jordan data ``ja``."""
-    if relations is None:
-        relations = pres.relations
-    parts = dict(zip(ja.vertices, ja.partitions))
-    return _assemble(pres, relations, dict(zip(ja.vertices, ja.dims)),
-                     lambda v, k: _jordan_power(parts[v], k))
 
 
 def _components(cs: ConstraintSystem
@@ -252,6 +200,15 @@ def rank_exact(cs: ConstraintSystem) -> int:
                for _, dense, _ in _components(cs))
 
 
+def _fraction_mod(x: Fraction, p: int) -> int:
+    """``x`` reduced modulo the prime ``p``; raises :class:`BadPrimeError`
+    when its denominator vanishes mod ``p``."""
+    den = x.denominator % p
+    if den == 0:
+        raise BadPrimeError(f"coefficient {x} cannot reduce mod {p}")
+    return (x.numerator % p) * pow(den, p - 2, p) % p
+
+
 def rank_mod(cs: ConstraintSystem, p: int) -> int:
     """Rank of the same system with entries reduced modulo a prime.
 
@@ -260,16 +217,8 @@ def rank_mod(cs: ConstraintSystem, p: int) -> int:
     """
     rank = 0
     for _, dense, scales in _components(cs):
-        reduced = []
-        for row, scale in zip(dense, scales):
-            out = []
-            for v in row:
-                x = Fraction(v, scale)
-                den = x.denominator % p
-                if den == 0:
-                    raise BadPrimeError(f"denominator of {x} vanishes mod {p}")
-                out.append((x.numerator % p) * pow(den, p - 2, p) % p)
-            reduced.append(out)
+        reduced = [[_fraction_mod(Fraction(v, scale), p) for v in row]
+                   for row, scale in zip(dense, scales)]
         rank += _kernels.rank_mod_p(reduced, p)
     return rank
 

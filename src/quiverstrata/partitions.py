@@ -183,14 +183,8 @@ def orbit_count_ff(p: Partition, q: int, max_points: int = 1 << 24) -> int:
     if q ** (d * d) > max_points:
         raise ValueError("enumeration would exceed max_points")
     top = p.parts[0]
-    _, sigs = _kernels.enumerate_nilpotent(d, top, q)
-    target = 0
-    base = 1
-    ranks = rank_sequence(p)
-    for k in range(1, top):
-        target += ranks[k] * base
-        base *= d + 1
-    return int(np.count_nonzero(sigs == target))
+    _, ranks = _kernels.enumerate_nilpotent(d, top, q)
+    return int(np.count_nonzero((ranks == rank_sequence(p)[1:top]).all(axis=1)))
 
 
 @dataclass(frozen=True)

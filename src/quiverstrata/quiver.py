@@ -13,14 +13,11 @@ __all__ = [
     "Relation",
     "BoundQuiverPresentation",
     "PresentationError",
-    "SubstitutionError",
     "CycleDiagnostic",
     "parse_presentation",
     "serialize_presentation",
     "detect_shortcuts",
     "check_cycle_conditions",
-    "apply_arrow_substitution",
-    "invert_substitution",
     "relation_mod_orders",
     "truncate_terms",
 ]
@@ -34,10 +31,6 @@ class PresentationError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class SubstitutionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class Quiver:
     def path(self, arrow_names: Sequence[str]) -> "Path":
         """Path from a composition-ordered arrow word (leftmost applied last)."""
         if not arrow_names:
-            raise PresentationError("empty arrow word; use trivial_path")
+            raise PresentationError("empty arrow word")
         arrows = [self.arrow(n) for n in arrow_names]
         for left, right in zip(arrows, arrows[1:]):
             if left.source != right.target:
@@ -101,11 +94,6 @@ class Quiver:
             split = (k, arrows[k].name, len(arrows) - 1 - k)
         return Path(tuple(arrow_names), arrows[-1].source, arrows[0].target,
                     len(moves), split)
-
-    def trivial_path(self, vertex: str) -> "Path":
-        if vertex not in self.vertices:
-            raise PresentationError(f"unknown vertex {vertex!r}")
-        return Path((), vertex, vertex, 0)
 
 
 @dataclass(frozen=True)
@@ -124,8 +112,6 @@ class Path:
         return len(self.arrows)
 
     def __str__(self) -> str:
-        if not self.arrows:
-            return f"e({self.source})"
         return _format_runs(_runs(self.arrows))
 
 
@@ -251,7 +237,6 @@ class BoundQuiverPresentation:
     quiver: Quiver
     orders: tuple[int, ...]
     relations: tuple[Relation, ...] = ()
-    provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
         q = self.quiver
@@ -557,108 +542,3 @@ def _find_loop_free_cycle(quiver: Quiver) -> Optional[list[str]]:
             if found is not None:
                 return found
     return None
-
-
-# ---------------------------------------------------------------------------
-# arrow substitutions
-# ---------------------------------------------------------------------------
-
-def _concat(quiver: Quiver, left: Path, right: Path) -> Path:
-    if left.length == 0:
-        return right
-    if right.length == 0:
-        return left
-    return quiver.path(left.arrows + right.arrows)
-
-
-def _substitute_in_path(pres: BoundQuiverPresentation, word: Path,
-                        arrow_name: str, expansion: Combo) -> Combo:
-    """Replace each occurrence of the arrow in the word by the expansion."""
-    quiver = pres.quiver
-    orders = pres.order_map
-    acc: Combo = [(Fraction(1), quiver.trivial_path(word.target))]
-    for name in word.arrows:
-        pieces = expansion if name == arrow_name else [(Fraction(1), quiver.path([name]))]
-        nxt: Combo = []
-        for c1, p1 in acc:
-            for c2, p2 in pieces:
-                nxt.append((c1 * c2, _concat(quiver, p1, p2)))
-        acc = _normalize_combo(truncate_terms(quiver, orders, nxt))
-        if not acc:
-            return []
-    return acc
-
-
-def invert_substitution(pres: BoundQuiverPresentation, arrow_name: str,
-                        replacement: Iterable[tuple[Fraction | int, Path]]) -> Combo:
-    """Combo expressing the old arrow through the renamed generators.
-
-    The replacement must contain the substituted arrow itself as a bare
-    length-1 path with nonzero coefficient; the rest may be any paths with
-    the same endpoints.  The inverse is the truncated power-series inverse
-    and is found by fixed-point iteration.
-    """
-    quiver = pres.quiver
-    target = quiver.arrow(arrow_name)
-    combo = _normalize_combo(replacement)
-    if not combo:
-        raise SubstitutionError("empty replacement")
-    lead = Fraction(0)
-    rest: Combo = []
-    for c, p in combo:
-        if p.source != target.source or p.target != target.target:
-            raise SubstitutionError(
-                f"replacement term {p} does not share endpoints with {arrow_name!r}"
-            )
-        if p.arrows == (arrow_name,):
-            lead = c
-        else:
-            rest.append((c, p))
-    if lead == 0:
-        raise SubstitutionError(
-            f"replacement has no invertible coefficient on {arrow_name!r}"
-        )
-    bare = quiver.path([arrow_name])
-    expr: Combo = [(1 / lead, bare)]
-    max_rounds = sum(pres.orders) + len(quiver.vertices) + 2
-    for _ in range(max_rounds):
-        assembled: Combo = [(1 / lead, bare)]
-        for c, p in rest:
-            for c2, p2 in _substitute_in_path(pres, p, arrow_name, expr):
-                assembled.append((-c * c2 / lead, p2))
-        nxt = _normalize_combo(assembled)
-        if nxt == expr:
-            return expr
-        expr = nxt
-    raise SubstitutionError("substitution inverse did not stabilize")
-
-
-def apply_arrow_substitution(pres: BoundQuiverPresentation, arrow_name: str,
-                             replacement: Iterable[tuple[Fraction | int, Path]]
-                             ) -> BoundQuiverPresentation:
-    """Rewrite all relations after renaming the given linear combination.
-
-    ``arrow <- combo`` declares that the combination becomes the new arrow;
-    relations are rewritten through the inverse expression, truncating in
-    the monomial basis.  The underlying algebra is unchanged up to
-    isomorphism (recorded in the provenance log, not checked).
-    """
-    replacement = _normalize_combo(replacement)
-    inverse = invert_substitution(pres, arrow_name, replacement)
-    new_relations = []
-    for rel in pres.relations:
-        terms: Combo = []
-        for c, p in rel.terms:
-            for c2, p2 in _substitute_in_path(pres, p, arrow_name, inverse):
-                terms.append((c * c2, p2))
-        new_rel = Relation.make(terms, source=rel.source, target=rel.target)
-        if new_rel.is_zero:
-            raise SubstitutionError("substitution collapsed a relation to zero")
-        new_relations.append(new_rel)
-    note = f"{arrow_name} <- " + " + ".join(
-        (f"{c}*{p}" if c != 1 else str(p)) for c, p in replacement
-    )
-    return BoundQuiverPresentation(
-        pres.quiver, pres.orders, tuple(new_relations),
-        pres.provenance + (note,),
-    )

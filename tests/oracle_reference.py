@@ -11,11 +11,10 @@ from typing import Sequence
 import numpy as np
 
 from quiverstrata import _kernels
-from quiverstrata.fforacle import (EnumerationCapExceeded, StratumCountTable,
-                                   _unpack_signature)
+from quiverstrata.fforacle import EnumerationCapExceeded, StratumCountTable
 from quiverstrata.linsys import BadPrimeError
 from quiverstrata.partitions import (JordanAssignment, _is_prime,
-                                     partitions_bounded)
+                                     partition_from_ranks, partitions_bounded)
 from quiverstrata.quiver import BoundQuiverPresentation
 
 
@@ -71,12 +70,12 @@ def reference_enumerate_and_classify(pres: BoundQuiverPresentation,
                         f"loop enumeration at {v!r} needs {q ** (d * d)} points, "
                         f"cap is {max_points}"
                     )
-                mats, sigs = _kernels.enumerate_nilpotent(d, order_of[v], q)
+                mats, ranks = _kernels.enumerate_nilpotent(d, order_of[v], q)
                 plist = partitions_bounded(d, order_of[v])
                 index = {p.parts: k for k, p in enumerate(plist)}
                 types = np.empty(mats.shape[0], np.int64)
-                for k, sig in enumerate(sigs):
-                    parts = _unpack_signature(int(sig), d, order_of[v])
+                for k, row in enumerate(ranks):
+                    parts = partition_from_ranks(d, row.tolist(), order_of[v]).parts
                     types[k] = index[parts]
             vi = quiver.vertices.index(v)
             slot_weight.append(weights[vi])

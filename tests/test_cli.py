@@ -269,6 +269,34 @@ def test_oracle_count_cap(algebra_file, capsys):
     assert code == 2 and "cap" in err.lower()
 
 
+def test_oracle_count_high_loop_order_is_fast(tmp_path, capsys):
+    # a d x d nilpotent matrix has X^d = 0, so at d = 2 every order from 2
+    # up gives the same table, and an order far above d costs no more
+    outs = []
+    for order in (3, 1000000000):
+        path = tmp_path / f"loop{order}.bq"
+        path.write_text(f"vertex 0\nloop e 0 order {order}\n")
+        start = time.monotonic()
+        code, out, err = run_cli(["oracle-count", "--algebra", str(path),
+                                  "--dim", "2", "--q", "2"], capsys)
+        assert time.monotonic() - start < 2.0
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[1] == outs[0]
+
+
+def test_oracle_count_huge_field_exits_2_at_once(tmp_path, capsys):
+    path = str(tmp_path / "a1221.bq")
+    run_cli(["family", "A(1,2,2,1)", "-o", path], capsys)
+    start = time.monotonic()
+    code, out, err = run_cli(["oracle-count", "--algebra", path, "--dim", "1,1",
+                              "--q", "1000000000000000003"], capsys)
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap" in err
+    assert "Traceback" not in err
+
+
 def test_family_emits_parseable_presentation(capsys):
     code, out, _ = run_cli(["family", "Aprime(2,3,1)"], capsys)
     assert code == 0

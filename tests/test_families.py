@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from substitution import apply_arrow_substitution
 
 from quiverstrata.families import (FamilyTag, build_family, parse_family_spec,
                                    product_decomposition_check, recognize_family)
-from quiverstrata.quiver import apply_arrow_substitution, parse_presentation
+from quiverstrata.quiver import parse_presentation
 
 
 def test_build_standard_relation():

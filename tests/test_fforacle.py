@@ -5,11 +5,9 @@ import pytest
 
 from oracle_reference import reference_enumerate_and_classify
 from quiverstrata.families import build_family, parse_family_spec
-from quiverstrata.fforacle import (EnumerationCapExceeded, StratumCountTable,
-                                   dimension_estimate, enumerate_and_classify,
+from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classify,
                                    identity_csv, verify_count_identity)
 from quiverstrata.linsys import BadPrimeError
-from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import parse_presentation
 
 
@@ -114,41 +112,6 @@ relation 1/2*e0*a1
         enumerate_and_classify(pres, (2, 1), 2)
     table = enumerate_and_classify(pres, (2, 1), 3)
     assert table.total > 0
-
-
-def test_dimension_estimate_examples(a1221):
-    pres = build_family(parse_family_spec("truncpoly(2)"))
-    ja2 = JordanAssignment(("0",), (Partition((2,), 2),))
-    ja11 = JordanAssignment(("0",), (Partition((1, 1), 2),))
-
-    # exact powers of an affine space of dimension 3
-    tables = [StratumCountTable(q, (3,), {ja2: q ** 3}) for q in (2, 3, 5)]
-    rows = dimension_estimate(tables)
-    assert rows[0].estimate == 3 and rows[0].consistent
-
-    # a single nilpotent orbit of type (2): counts q^2 - 1
-    tables = [StratumCountTable(q, (2,), {ja2: q * q - 1}) for q in (2, 3)]
-    rows = dimension_estimate(tables)
-    assert rows[0].estimate == 2 and rows[0].consistent
-
-    # zero-count stratum reports no estimate
-    tables = [StratumCountTable(q, (2,), {ja2: q * q - 1, ja11: 0}) for q in (2, 3)]
-    rows = dimension_estimate(tables)
-    by_key = {r.assignment.serialize(): r for r in rows}
-    assert by_key["1,1"].estimate is None
-
-    with pytest.raises(ValueError):
-        dimension_estimate([tables[0], tables[0]])
-
-
-def test_dimension_estimate_tracks_stratum_dim(a1221):
-    from quiverstrata.strata import stratum_dim
-
-    tables = [enumerate_and_classify(a1221, (2, 2), q) for q in (2, 3)]
-    rows = dimension_estimate(tables)
-    for row in rows:
-        want = stratum_dim(a1221, row.assignment).dim
-        assert row.estimate == want
 
 
 def test_random_presentations_match_same_field_prediction():

@@ -99,11 +99,12 @@ def test_rank_mod_p_known_values():
     assert rank_mod_p([[2, 4], [1, 3]], 3) == 2
 
 
-@pytest.mark.parametrize("d,m,q", [(1, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2)])
+@pytest.mark.parametrize("d,m,q", [(1, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2),
+                                   (2, 5, 2)])
 def test_nilpotent_enumeration_variants_agree(d, m, q):
     """Same matrices, in row-major code order, as a brute-force filter of
-    all q^(d^2) matrices; each signature packs rank(X^k), k < m, base d + 1."""
-    want_mats, want_sigs = [], []
+    all q^(d^2) matrices; each rank row holds rank(X^k), 0 < k < min(m, d)."""
+    want_mats, want_ranks = [], []
     for entries in itertools.product(range(q), repeat=d * d):
         x = [list(entries[i * d:(i + 1) * d]) for i in range(d)]
         powers = [x]
@@ -112,11 +113,11 @@ def test_nilpotent_enumeration_variants_agree(d, m, q):
         if any(any(row) for row in powers[-1]):
             continue
         want_mats.append(x)
-        want_sigs.append(sum(python_rank_mod_p(powers[k - 1], q) * (d + 1) ** (k - 1)
-                             for k in range(1, m)))
-    mats, sigs = enumerate_nilpotent(d, m, q)
+        want_ranks.append([python_rank_mod_p(powers[k - 1], q)
+                           for k in range(1, min(m, d))])
+    mats, ranks = enumerate_nilpotent(d, m, q)
     assert mats.tolist() == want_mats
-    assert sigs.tolist() == want_sigs
+    assert ranks.tolist() == want_ranks
 
 
 def test_nilpotent_counts_match_theory():
@@ -125,7 +126,7 @@ def test_nilpotent_counts_match_theory():
         mats, _ = enumerate_nilpotent(d, d, q)
         assert mats.shape[0] == q ** (d * d - d)
     # with the stricter bound X^2 = 0 on 3x3 over F_2: zero plus rank-1
-    mats, sigs = enumerate_nilpotent(3, 2, 2)
+    mats, _ = enumerate_nilpotent(3, 2, 2)
     ranks = [int(np.linalg.matrix_rank(x)) for x in mats]
     assert all((x @ x % 2 == 0).all() for x in mats)
     assert sorted(set(ranks)) == [0, 1]

@@ -12,8 +12,7 @@ from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.linsys import (BadPrimeError, ConstraintSystem,
                                  SymbolicArrowEntry,
                                  UnsupportedDegreeError, _components, assemble_system,
-                                 assemble_system_at, codim_c, codim_table,
-                                 rank_exact, rank_mod)
+                                 codim_c, codim_table, rank_exact, rank_mod)
 from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
                                  Relation, parse_presentation)
@@ -325,8 +324,8 @@ def _conjugated_systems():
 
 def test_conjugation_invariance():
     for pres, ja, loop_mats, dims in _conjugated_systems():
-        cs = assemble_system_at(pres, pres.relations, loop_mats, dims)
-        assert rank_exact(cs) == codim_c(pres, ja)
+        matrix, _, _ = dense_reference.assemble_at(pres, pres.relations, loop_mats, dims)
+        assert dense_reference.rank(matrix) == codim_c(pres, ja)
 
 
 def test_cross_field_rank_stability_sample():
@@ -349,22 +348,6 @@ def test_rank_mod_rejects_bad_prime():
     with pytest.raises(BadPrimeError):
         rank_mod(cs, 2)
     assert rank_mod(cs, 101) == rank_exact(cs)
-
-
-def test_export_text_format(a1221):
-    cs = assemble_system(a1221, _ja(a1221, (2,), (2,)))
-    text = cs.export_text()
-    lines = text.strip().splitlines()
-    assert lines[0] == "4 4"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        entries = line.split()
-        assert len(entries) == 4
-        for ent in entries:
-            num, den = ent.split("/")
-            int(num), int(den)
-    parsed = [[Fraction(x) for x in line.split()] for line in lines[1:]]
-    assert parsed == cs.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +400,6 @@ def test_engine_matches_dense_reference_on_families(spec):
         for ja in assignments_for(pres, dims):
             _assert_same_system(assemble_system(pres, ja),
                                 dense_reference.assemble(pres, ja))
-
-
-def test_engine_matches_dense_reference_on_conjugated_loops():
-    for pres, _, loop_mats, dims in _conjugated_systems():
-        _assert_same_system(
-            assemble_system_at(pres, pres.relations, loop_mats, dims),
-            dense_reference.assemble_at(pres, pres.relations, loop_mats, dims))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import presentations
+from substitution import (SubstitutionError, apply_arrow_substitution,
+                          invert_substitution)
 
 from quiverstrata.quiver import (Arrow, PresentationError, Quiver, Relation,
-                                 SubstitutionError, apply_arrow_substitution,
                                  check_cycle_conditions, detect_shortcuts,
-                                 invert_substitution, parse_presentation,
-                                 serialize_presentation)
+                                 parse_presentation, serialize_presentation)
 
 A1221_TEXT = """
 # two vertices, two loops, one arrow
@@ -248,7 +248,6 @@ def test_substitution_shear_expected_expansion():
     got = {(c, p.arrows) for c, p in out.relations[0].terms}
     assert got == {(Fraction(1), ("e0", "e0", "a1")),
                    (Fraction(-1), ("e0", "e0", "e0", "a2"))}
-    assert out.provenance and "a1 <-" in out.provenance[0]
 
 
 def test_substitution_loop_reparameterization_keeps_order():
