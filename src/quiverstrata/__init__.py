@@ -12,9 +12,8 @@ from .quiver import (Arrow, BoundQuiverPresentation, CycleDiagnostic, Path,
 from .partitions import (JordanAssignment, Partition, end_dim, maximal_partition,
                          orbit_count, orbit_count_ff, orbit_dim, partitions_bounded)
 from .linsys import (BadPrimeError, ConstraintSystem, PartPairTable,
-                     SymbolicArrowEntry, UnsupportedDegreeError,
-                     assemble_system, codim_c, codim_table, rank_exact,
-                     rank_mod)
+                     UnsupportedDegreeError, assemble_system, codim_table,
+                     rank_exact, rank_mod)
 from .formulas import (FormulaCase, SideConditionError, c_closed_form,
                        evaluate_case, formula_cases)
 from .strata import (ReducibilityCertificate, ScanCapExceeded, StratumReport,

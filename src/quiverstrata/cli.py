@@ -51,6 +51,13 @@ def _parse_primes(text: str) -> list[int]:
         raise PresentationError(f"bad field size list {text!r}") from None
 
 
+def _parse_lambda(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SideConditionError(f"bad lambda {text!r}") from None
+
+
 def _dims_for(args, n_vertices: int) -> list[tuple[int, ...]]:
     if args.dim is not None:
         return [_parse_dim(args.dim)]
@@ -123,14 +130,15 @@ def cmd_verify_formulas(args) -> int:
                                   or args.l is not None or args.lam is not None):
         lam: Optional[Fraction] = None
         if args.item in (7, 9, 11):
-            lam = Fraction(args.lam) if args.lam is not None else Fraction(2)
+            lam = _parse_lambda(args.lam) if args.lam is not None else Fraction(2)
         elif args.lam is not None:
             raise SideConditionError(f"item {args.item} takes no lambda")
         q_default = 1 if args.item == 1 else 2 if args.item == 2 else None
         q = args.q if args.q is not None else q_default
         if q is None:
             raise SideConditionError("this item needs an explicit --q")
-        case = FormulaCase(args.item, args.p or 1, q, args.l, lam, args.h or 3)
+        case = FormulaCase(args.item, 1 if args.p is None else args.p, q, args.l,
+                           lam, 3 if args.h is None else args.h)
         cases = [case]
     else:
         items = [args.item] if args.item is not None else None

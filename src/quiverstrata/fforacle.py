@@ -63,8 +63,13 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     the relations.  ``max_points`` caps both each per-vertex enumeration
     and the final product of candidate counts.
     """
-    if q > max_points:  # before the primality test, whose cost grows with q
+    # both checks come before the primality test, whose cost grows with q
+    if q > max_points:
         raise EnumerationCapExceeded(f"q = {q} exceeds the cap {max_points}")
+    # a matmul mod q sums up to max(dims) int64 products of entries below q
+    if max([1, *dims]) * (q - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"q = {q} is too large for int64 products at "
+                         f"dimension vector {tuple(dims)}")
     if not _is_prime(q):
         raise ValueError("q must be prime")
     dims, per_vertex = jordan_types(pres, dims)

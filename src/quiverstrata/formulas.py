@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from .partitions import JordanAssignment, Partition
 from .quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
-from .linsys import assemble_system, rank_exact
+from .linsys import PartPairTable
 
 __all__ = [
     "SideConditionError",
@@ -197,10 +197,11 @@ def build_case(case: FormulaCase):
 
 
 def evaluate_case(case: FormulaCase) -> tuple[int, int]:
-    """(expected closed form, computed exact rank) for one case."""
+    """(expected closed form, computed exact rank) for one case.
+
+    Every case is its own presentation, so its table is not cached."""
     pres, ja, expected = build_case(case)
-    computed = rank_exact(assemble_system(pres, ja))
-    return expected, computed
+    return expected, PartPairTable(pres).codim(ja)
 
 
 _DEFAULT_LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))

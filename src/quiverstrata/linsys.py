@@ -3,10 +3,12 @@
 Fixing the loop matrices in Jordan form turns every degree-1 relation into
 a linear condition on the entries of the non-loop arrow matrices.  The rank
 of the stacked system is the codimension of its solution space inside the
-ambient arrow space.  Rows are sparse integer vectors, each with the
-positive scale that turns it back into the rational row, and the rank is
-taken per connected component with fraction-free integer elimination:
-exact, and free of floats.
+ambient arrow space.  A Jordan block only shifts indices within itself, so
+the system splits into one part per (target block, source block) pair:
+``assemble_system`` builds one such part and ``PartPairTable`` sums their
+ranks.  Rows are sparse integer vectors, each with the positive scale that
+turns it back into the rational row, and the rank is taken per connected
+component with fraction-free integer elimination: exact, and free of floats.
 """
 from __future__ import annotations
 
@@ -14,21 +16,19 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from . import _kernels
-from .partitions import JordanAssignment, Partition
+from .partitions import JordanAssignment
 from .quiver import BoundQuiverPresentation, Relation
 
 __all__ = [
-    "SymbolicArrowEntry",
     "ConstraintSystem",
     "UnsupportedDegreeError",
     "BadPrimeError",
     "assemble_system",
     "rank_exact",
     "rank_mod",
-    "codim_c",
     "PartPairTable",
     "codim_table",
 ]
@@ -42,12 +42,6 @@ class BadPrimeError(ValueError):
     """A rational entry cannot be reduced modulo the requested prime."""
 
 
-class SymbolicArrowEntry(NamedTuple):
-    arrow: str
-    row: int
-    col: int
-
-
 @dataclass
 class ConstraintSystem:
     """Stacked exact system; columns are unknown arrow entries.
@@ -59,12 +53,7 @@ class ConstraintSystem:
 
     rows: list[dict[int, int]]
     scales: list[int]
-    row_labels: list[tuple[int, int, int]]  # (relation index, i, j)
-    columns: list[SymbolicArrowEntry]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.columns)
+    ambient_dim: int
 
     @property
     def n_rows(self) -> int:
@@ -75,78 +64,49 @@ class ConstraintSystem:
         """Dense rational view, built on demand."""
         out = []
         for row, scale in zip(self.rows, self.scales):
-            dense = [Fraction(0)] * len(self.columns)
+            dense = [Fraction(0)] * self.ambient_dim
             for col, v in row.items():
                 dense[col] = Fraction(v, scale)
             out.append(dense)
         return out
 
 
-def _shifts(p: Partition, k: int) -> list[tuple[int, int]]:
-    """The pairs (i, i + k) with both indices in one Jordan block of ``p``:
-    the nonzeros of J^k, all equal to 1."""
-    out = []
-    start = 0
-    for part in p.parts:
-        out += [(i, i + k) for i in range(start, start + part - k)]
-        start += part
-    return out
+def assemble_system(arrows: Sequence[str], relations: Sequence[Relation],
+                    a: int, b: int) -> ConstraintSystem:
+    """The system of ``relations``, all from one vertex s to one vertex t,
+    on the single Jordan blocks (a) at t and (b) at s.
 
-
-def assemble_system(pres: BoundQuiverPresentation, ja: JordanAssignment,
-                    relations: Optional[Sequence[Relation]] = None) -> ConstraintSystem:
-    """The system of ``relations`` (default: all) on the Jordan data ``ja``.
-
-    J^a only shifts indices within a block, so a term c * J_t^a x J_s^b
-    puts c into row (i, j) at the column of x[i + a][j - b], wherever both
-    shifts stay inside their blocks.  Each relation is scaled once, to the
-    lcm of its coefficient denominators, so every row holds integers.
-    Columns run over all non-loop arrows in declaration order, entries
-    row-major, so the column count is the ambient arrow dimension.
+    J^k shifts indices by k within its block, so a term c * J^pre x J^post
+    puts c into row (i, j) at the column of x[i + pre][j - post], wherever
+    both indices stay inside their blocks.  Each relation is scaled once,
+    to the lcm of its coefficient denominators, so every row holds
+    integers.  Rows run over the relations, then (i, j) row-major; columns
+    run over ``arrows`` (the non-loop arrows s -> t), then entries
+    row-major.  Every term must have a ``Path.split``.
     """
-    if relations is None:
-        relations = pres.relations
-    parts = dict(zip(ja.vertices, ja.partitions))
-    dims = dict(zip(ja.vertices, ja.dims))
-    columns: list[SymbolicArrowEntry] = []
-    offset: dict[str, int] = {}
-    for a in pres.quiver.non_loop_arrows:
-        offset[a.name] = len(columns)
-        columns.extend(SymbolicArrowEntry(a.name, k, l)
-                       for k in range(dims[a.target]) for l in range(dims[a.source]))
+    offset = {name: k * a * b for k, name in enumerate(arrows)}
     rows: list[dict[int, int]] = []
     scales: list[int] = []
-    row_labels: list[tuple[int, int, int]] = []
-    for ridx, rel in enumerate(relations):
-        dt, ds = dims[rel.target], dims[rel.source]
+    for rel in relations:
         scale = math.lcm(*(coeff.denominator for coeff, _ in rel.terms))
-        block: list[dict[int, int]] = [{} for _ in range(dt * ds)]
+        block: list[dict[int, int]] = [{} for _ in range(a * b)]
         for coeff, path in rel.terms:
-            if path.split is None:
-                raise UnsupportedDegreeError(
-                    f"path {path} has degree {path.degree}; the linear engine "
-                    "supports exactly one non-loop arrow per term"
-                )
             pre, name, post = path.split
             c = coeff.numerator * (scale // coeff.denominator)
-            base = offset[name]
-            right = _shifts(parts[rel.source], post)
-            for i, k in _shifts(parts[rel.target], pre):
-                col0 = base + k * ds
-                for l, j in right:
-                    row = block[i * ds + j]
-                    col = col0 + l
-                    row[col] = row.get(col, 0) + c
+            for i in range(a - pre):
+                col0 = offset[name] + (i + pre) * b - post
+                for j in range(post, b):
+                    row = block[i * b + j]
+                    row[col0 + j] = row.get(col0 + j, 0) + c
         rows += [{col: v for col, v in row.items() if v} for row in block]
         scales += [scale] * len(block)
-        row_labels += [(ridx, i, j) for i in range(dt) for j in range(ds)]
-    return ConstraintSystem(rows, scales, row_labels, columns)
+    return ConstraintSystem(rows, scales, len(arrows) * a * b)
 
 
 def _components(cs: ConstraintSystem
                 ) -> list[tuple[list[int], list[list[int]], list[int]]]:
-    """Dense integer blocks of the nonzero rows: (the block's columns as
-    indices into ``cs.columns``, its dense rows, the scale of each row).
+    """Dense integer blocks of the nonzero rows: (the block's column
+    indices, its dense rows, the scale of each row).
 
     Rows that share no column, directly or through other rows, are
     independent, so the blocks are the connected components of the rows
@@ -223,19 +183,13 @@ def rank_mod(cs: ConstraintSystem, p: int) -> int:
     return rank
 
 
-def codim_c(pres: BoundQuiverPresentation, ja: JordanAssignment,
-            relations: Optional[Sequence[Relation]] = None) -> int:
-    """Codimension of the arrow solution space for the given Jordan types."""
-    return rank_exact(assemble_system(pres, ja, relations))
-
-
 class PartPairTable:
     """Codimensions from the ranks r_ts(a, b) of single block pairs.
 
     A Jordan block only shifts indices within itself, so each relation
     system splits into one part per (target block, source block) pair, and
 
-        codim_c(ja) = sum over (t, s), a, b of m_t(a) * m_s(b) * r_ts(a, b)
+        c(ja) = sum over (t, s), a, b of m_t(a) * m_s(b) * r_ts(a, b)
 
     over the vertex pairs (t, s) carrying relations, with m_v(a) the number
     of parts a at vertex v and r_ts(a, b) the codimension of the (t, s)
@@ -243,28 +197,34 @@ class PartPairTable:
     """
 
     def __init__(self, pres: BoundQuiverPresentation):
-        vertices = pres.quiver.vertices
-        self._empty = tuple(Partition((), m) for m in pres.orders)
-        # raises UnsupportedDegreeError wherever any assembly would
-        assemble_system(pres, JordanAssignment(vertices, self._empty))
-        self.pres = pres
-        position = {v: k for k, v in enumerate(vertices)}
-        pairs: dict[tuple[int, int], list[Relation]] = {}
         for rel in pres.relations:
-            pairs.setdefault((position[rel.target], position[rel.source]), []).append(rel)
-        self._relations = {pair: tuple(rels) for pair, rels in pairs.items()}
+            for _, path in rel.terms:
+                if path.split is None:
+                    raise UnsupportedDegreeError(
+                        f"path {path} has degree {path.degree}; the linear engine "
+                        "supports exactly one non-loop arrow per term"
+                    )
+        self.pres = pres
+        position = {v: k for k, v in enumerate(pres.quiver.vertices)}
+
+        def pair(x) -> tuple[int, int]:
+            return position[x.target], position[x.source]
+
+        relations: dict[tuple[int, int], list[Relation]] = {}
+        for rel in pres.relations:
+            relations.setdefault(pair(rel), []).append(rel)
+        # (arrows t <- s, relations t <- s) per vertex pair carrying relations
+        self._pairs = {ts: (tuple(x.name for x in pres.quiver.non_loop_arrows
+                                  if pair(x) == ts), tuple(rels))
+                       for ts, rels in relations.items()}
         self._ranks: dict[tuple[int, int, int, int], int] = {}
 
     def entry(self, t: int, s: int, a: int, b: int) -> int:
         """r_ts(a, b), with t and s vertex positions."""
         rank = self._ranks.get((t, s, a, b))
         if rank is None:
-            parts = list(self._empty)
-            parts[t] = Partition((a,), parts[t].bound)
-            parts[s] = Partition((b,), parts[s].bound)
-            ja = JordanAssignment(self.pres.quiver.vertices, tuple(parts))
-            rank = rank_exact(assemble_system(self.pres, ja,
-                                              self._relations.get((t, s), ())))
+            arrows, relations = self._pairs.get((t, s), ((), ()))
+            rank = rank_exact(assemble_system(arrows, relations, a, b))
             self._ranks[t, s, a, b] = rank
         return rank
 
@@ -272,14 +232,14 @@ class PartPairTable:
         """Codimension of the Jordan types whose (part, count) pairs at
         vertex position k are ``multiplicities[k]``."""
         total = 0
-        for t, s in self._relations:
+        for t, s in self._pairs:
             for a, ma in multiplicities[t]:
                 for b, mb in multiplicities[s]:
                     total += ma * mb * self.entry(t, s, a, b)
         return total
 
     def codim(self, ja: JordanAssignment) -> int:
-        """Equal to ``codim_c(pres, ja)``."""
+        """Codimension of the arrow solution space on the Jordan types ``ja``."""
         return self.codim_of_types([ja.partition(v).multiplicities
                                     for v in self.pres.quiver.vertices])
 

@@ -359,8 +359,9 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
             except PresentationError as exc:
                 raise PresentationError(str(exc), lineno) from None
             terms.append((coeff, path))
+        first = terms[0][1]
         try:
-            rel = Relation.make(terms)
+            rel = Relation.make(terms, source=first.source, target=first.target)
         except PresentationError as exc:
             raise PresentationError(str(exc), lineno) from None
         if rel.is_zero:

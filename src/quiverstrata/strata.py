@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linsys import codim_c, codim_table
+from .linsys import codim_table
 from .partitions import (JordanAssignment, Partition, maximal_partition,
                          orbit_dim, partitions_bounded)
 from .quiver import Arrow, BoundQuiverPresentation, Quiver, relation_mod_orders
@@ -230,7 +230,8 @@ def split_gap_test(pres: BoundQuiverPresentation, dims: Sequence[int],
     witness_parts = {v: part for v, part in zip(ja_max.vertices, ja_max.partitions)}
     witness_parts[vertex] = Partition((p - 1, 1), pres.order(vertex))
     ja_wit = JordanAssignment.for_presentation(pres, witness_parts)
-    gap = codim_c(pres, ja_max) - codim_c(pres, ja_wit)
+    table = codim_table(pres)
+    gap = table.codim(ja_max) - table.codim(ja_wit)
     return gap >= 2, gap
 
 

@@ -1,18 +1,27 @@
 """The dense ``Fraction`` assembly and rank that the sparse engine replaced.
 
-Kept verbatim in substance as the reference for the differential tests in
-``test_linsys.py``: systems are dense lists of ``Fraction`` rows built by
-explicit loop-matrix powers, and the rank scales each row to integers and
-runs int64 fraction-free elimination, retried in python integers when
-entries could overflow.
+Kept verbatim in substance as the independent reference for the
+differential tests: the system of a whole Jordan assignment is a dense
+list of ``Fraction`` rows built by explicit loop-matrix powers, with no
+split into block pairs, and the rank scales each row to integers and runs
+int64 fraction-free elimination, retried in python integers when entries
+could overflow.
 """
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from jordan_reference import jordan_matrix
-from quiverstrata.linsys import BadPrimeError, SymbolicArrowEntry, UnsupportedDegreeError
+from quiverstrata.linsys import BadPrimeError, UnsupportedDegreeError
+
+
+class ArrowEntry(NamedTuple):
+    """Column label: entry (row, col) of the matrix of a non-loop arrow."""
+    arrow: str
+    row: int
+    col: int
 
 # Bareiss steps stay exact in int64 as long as every entry is below this
 # bound: products of two entries then fit in 62 bits.
@@ -94,7 +103,7 @@ def _evaluate_at(pres, rel, loop_mats, dims):
                         blj = B[l][j]
                         if not blj:
                             continue
-                        key = SymbolicArrowEntry(arrow_name, k, l)
+                        key = ArrowEntry(arrow_name, k, l)
                         form = grid[i][j]
                         form[key] = form.get(key, Fraction(0)) + coeff * aik * blj
     return grid
@@ -106,7 +115,7 @@ def assemble_at(pres, relations, loop_mats, dims):
     for a in pres.quiver.non_loop_arrows:
         for k in range(dims[a.target]):
             for l in range(dims[a.source]):
-                columns.append(SymbolicArrowEntry(a.name, k, l))
+                columns.append(ArrowEntry(a.name, k, l))
     col_index = {c: idx for idx, c in enumerate(columns)}
     matrix = []
     row_labels = []
@@ -122,12 +131,16 @@ def assemble_at(pres, relations, loop_mats, dims):
     return matrix, row_labels, columns
 
 
-def assemble(pres, ja, relations=None):
-    if relations is None:
-        relations = pres.relations
+def assemble(pres, ja):
+    """(matrix, row_labels, columns) of all relations on the Jordan data ``ja``."""
     loop_mats = {v: _as_rows(jordan_matrix(p)) for v, p in zip(ja.vertices, ja.partitions)}
     dims = dict(zip(ja.vertices, ja.dims))
-    return assemble_at(pres, relations, loop_mats, dims)
+    return assemble_at(pres, pres.relations, loop_mats, dims)
+
+
+def codim(pres, ja):
+    """Rank over Q of the whole system of ``ja``."""
+    return rank(assemble(pres, ja)[0])
 
 
 def _bareiss_rank_numpy(a):

@@ -5,11 +5,12 @@ checklist; every numeric comparison is exact integer equality.
 """
 import time
 
+from block_pairs import block_systems
 from jordan_reference import commutant_dim_oracle
 from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
 from quiverstrata.formulas import build_case, formula_cases
-from quiverstrata.linsys import assemble_system, rank_exact, rank_mod
+from quiverstrata.linsys import rank_exact, rank_mod
 from quiverstrata.partitions import Partition, end_dim, orbit_dim, partitions_bounded
 from quiverstrata.quiver import parse_presentation
 from quiverstrata.strata import dim_vectors_up_to, nooverlap_dims, reducibility_scan
@@ -25,7 +26,8 @@ def test_criterion_1_formula_suite():
     assert cases
     for case in cases:
         pres, ja, expected = build_case(case)
-        computed = rank_exact(assemble_system(pres, ja))
+        [cs] = block_systems(pres, ja)  # single parts: one block pair
+        computed = rank_exact(cs)
         assert computed == expected, case.describe()
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -149,7 +151,7 @@ def test_criterion_7_cross_field_rank_stability():
     total = 0
     for case in formula_cases(p_max=6, hs=(1, 2, 3)):
         pres, ja, _ = build_case(case)
-        cs = assemble_system(pres, ja)
+        [cs] = block_systems(pres, ja)  # single parts: one block pair
         r = rank_exact(cs)
         for prime in (101, 997):
             total += 1

@@ -103,6 +103,15 @@ def test_zero_denominator_exits_2(tmp_path, capsys, coeff):
     assert "Traceback" not in err
 
 
+def test_cancelling_relation_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.bq"
+    bad.write_text("vertex 0\nvertex 1\nloop e1 1 order 2\narrow a 1 -> 0\n"
+                   "relation a*e1 - a*e1\n")
+    code, _, err = run_cli(["strata", "--algebra", str(bad), "--dim", "1,1"], capsys)
+    assert code == 2
+    assert err == "error: line 5: relation cancels to zero\n"
+
+
 DEGREE_TWO = """vertex 0
 vertex 1
 vertex 2
@@ -200,6 +209,18 @@ def test_verify_formulas_side_condition_rejected(capsys):
     assert "lambda != 1" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--item", "7", "--p", "2", "--q", "2", "--lambda", "1/0"], "bad lambda '1/0'"),
+    (["--item", "3", "--p", "0", "--q", "1"], "p >= 1 required"),
+    (["--item", "3", "--p", "2", "--q", "1", "--h", "0"], "h=0"),
+])
+def test_verify_formulas_bad_single_case_exits_2(capsys, flags, message):
+    # a given zero is checked, not replaced by the default
+    code, out, err = run_cli(["verify-formulas", *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_formulas_small_sweep(capsys):
     code, out, _ = run_cli(["verify-formulas", "--p-max", "3",
                             "--format", "csv"], capsys)
@@ -295,6 +316,20 @@ def test_oracle_count_huge_field_exits_2_at_once(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "cap" in err
     assert "Traceback" not in err
+
+
+def test_oracle_count_int64_overflow_exits_2_at_once(tmp_path, capsys):
+    # a raised cap admits q, but products mod q would overflow int64, so q
+    # is refused before the trial-division primality test
+    path = str(tmp_path / "a1221.bq")
+    run_cli(["family", "A(1,2,2,1)", "-o", path], capsys)
+    start = time.monotonic()
+    code, out, err = run_cli(["oracle-count", "--algebra", path, "--dim", "1,1",
+                              "--q", "1000000000000000003",
+                              "--cap", "100000000000000000000"], capsys)
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "int64" in err
 
 
 def test_family_emits_parseable_presentation(capsys):

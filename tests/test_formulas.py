@@ -4,7 +4,7 @@ import pytest
 
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases)
-from quiverstrata.linsys import codim_c
+from quiverstrata.linsys import codim_table
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
 
@@ -88,7 +88,7 @@ def test_unified_remark_formula_reported_not_relied_on(capsys):
                     pres, [Partition((p,), pres.orders[0]),
                            Partition((q,), pres.orders[1])]
                 )
-                got = codim_c(pres, ja)
+                got = codim_table(pres).codim(ja)
                 if got != q * (p - l):
                     mismatches.append((p, q, l, got, q * (p - l)))
     print("unified-rule mismatches:", mismatches)

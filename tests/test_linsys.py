@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference
+from block_pairs import block_systems
 from strategies import presentations
 
 from quiverstrata.families import build_family, parse_family_spec
-from quiverstrata.linsys import (BadPrimeError, ConstraintSystem,
-                                 SymbolicArrowEntry,
-                                 UnsupportedDegreeError, _components, assemble_system,
-                                 codim_c, codim_table, rank_exact, rank_mod)
+from quiverstrata.linsys import (BadPrimeError, ConstraintSystem, PartPairTable,
+                                 UnsupportedDegreeError, assemble_system,
+                                 codim_table, rank_exact, rank_mod)
 from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
                                  Relation, parse_presentation)
@@ -45,14 +46,26 @@ def _ja(pres, p_parts, q_parts):
     )
 
 
-def _grid(pres, rel, ja):
-    """The relation on the Jordan matrices of ``ja`` as a d_target x d_source
-    grid of linear forms {arrow entry: rational coefficient}."""
-    cs = assemble_system(pres, ja, (rel,))
-    dims = dict(zip(ja.vertices, ja.dims))
-    grid = [[{} for _ in range(dims[rel.source])] for _ in range(dims[rel.target])]
-    for (_, i, j), row, scale in zip(cs.row_labels, cs.rows, cs.scales):
-        grid[i][j] = {cs.columns[col]: Fraction(v, scale) for col, v in row.items()}
+def _arrows(pres):
+    """The non-loop arrows of a two-vertex presentation, all 1 -> 0."""
+    return [x.name for x in pres.quiver.non_loop_arrows]
+
+
+def _system(pres, a, b):
+    """The system of all relations on the single blocks (a) at 0, (b) at 1."""
+    return assemble_system(_arrows(pres), pres.relations, a, b)
+
+
+def _grid(pres, rel, a, b):
+    """The relation on the single blocks (a) at 0 and (b) at 1 as an a x b
+    grid of linear forms {(arrow, row, col): rational coefficient}."""
+    arrows = _arrows(pres)
+    cs = assemble_system(arrows, (rel,), a, b)
+    grid = [[{} for _ in range(b)] for _ in range(a)]
+    for k, (row, scale) in enumerate(zip(cs.rows, cs.scales)):
+        i, j = divmod(k, b)
+        grid[i][j] = {(arrows[col // (a * b)], *divmod(col % (a * b), b)):
+                      Fraction(v, scale) for col, v in row.items()}
     return grid
 
 
@@ -60,25 +73,23 @@ def test_evaluate_shifted_copies():
     # e0^l * a on types (p), (1): row i is the entry (i + l) of a
     p, l = 4, 2
     pres = _two_vertex(p, 1, 1, [[(1, ["e0"] * l + ["a1"])]])
-    ja = _ja(pres, (p,), (1,))
-    grid = _grid(pres, pres.relations[0], ja)
+    grid = _grid(pres, pres.relations[0], p, 1)
     assert len(grid) == p and len(grid[0]) == 1
     nonzero_rows = [i for i in range(p) if grid[i][0]]
     assert nonzero_rows == list(range(p - l))
     for i in nonzero_rows:
-        assert grid[i][0] == {SymbolicArrowEntry("a1", i + l, 0): Fraction(1)}
+        assert grid[i][0] == {("a1", i + l, 0): Fraction(1)}
 
 
 def test_evaluate_zero_relation_and_truncation():
     pres = _two_vertex(3, 1, 1, [])
     q = pres.quiver
     zero = Relation.make([], source="1", target="0")
-    ja = _ja(pres, (2,), (1,))
-    grid = _grid(pres, zero, ja)
+    grid = _grid(pres, zero, 2, 1)
     assert all(form == {} for row in grid for form in row)
     # e0^2 * a evaluates to zero once the Jordan type is (2): J^2 = 0
     rel = Relation.make([(1, q.path(["e0", "e0", "a1"]))])
-    grid = _grid(pres, rel, ja)
+    grid = _grid(pres, rel, 2, 1)
     assert all(form == {} for row in grid for form in row)
 
 
@@ -87,23 +98,18 @@ def test_evaluate_rejects_higher_degree():
                (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
     pres = BoundQuiverPresentation(q, (1, 1, 1),
                                    (Relation.make([(1, q.path(["a", "b"]))]),))
-    ja = JordanAssignment.for_presentation(
-        pres, [Partition((1,), 1), Partition((1,), 1), Partition((1,), 1)]
-    )
     with pytest.raises(UnsupportedDegreeError):
-        codim_c(pres, ja)
+        PartPairTable(pres)
 
 
 def test_assemble_known_small_system(a1221):
-    ja = _ja(a1221, (2,), (2,))
-    cs = assemble_system(a1221, ja)
+    cs = _system(a1221, 2, 2)
     assert cs.n_rows == 4 and cs.ambient_dim == 4
     assert rank_exact(cs) == 2
 
 
 def test_assemble_empty_relation_list(a1221):
-    ja = _ja(a1221, (2,), (2,))
-    cs = assemble_system(a1221, ja, relations=())
+    cs = assemble_system(_arrows(a1221), (), 2, 2)
     assert cs.n_rows == 0 and cs.ambient_dim == 4
     assert rank_exact(cs) == 0
 
@@ -117,33 +123,30 @@ def test_rank_exact_trivial_cases():
 
 
 def integer_system(rows):
-    """A one-relation system whose rows are the given integer rows."""
-    n = len(rows[0]) if rows else 0
+    """A system whose rows are the given integer rows."""
     return ConstraintSystem(
         [{j: v for j, v in enumerate(row) if v} for row in rows],
         [1] * len(rows),
-        [(0, i, 0) for i in range(len(rows))],
-        [SymbolicArrowEntry("a1", 0, j) for j in range(n)],
+        len(rows[0]) if rows else 0,
     )
 
 
 def test_rank_exact_matches_known_formula_instance():
     # eps0 a + a eps1 on types (3), (2) has rank q(p-1) = 4
     pres = _two_vertex(3, 2, 1, [[(1, ["e0", "a1"]), (1, ["a1", "e1"])]])
-    cs = assemble_system(pres, _ja(pres, (3,), (2,)))
-    assert rank_exact(cs) == 4
+    assert rank_exact(_system(pres, 3, 2)) == 4
 
 
 def test_codim_examples():
     for p in range(1, 6):
         for l in range(1, p + 1):
             pres = _two_vertex(max(p, l + 1), 1, 1, [[(1, ["e0"] * l + ["a1"])]])
-            assert codim_c(pres, _ja(pres, (p,), (1,))) == p - l
+            assert codim_table(pres).codim(_ja(pres, (p,), (1,))) == p - l
     for p in range(1, 6):
         for q in range(1, p + 1):
             pres = _two_vertex(max(p, 2), max(q, 2), 1,
                                [[(1, ["e0", "a1"]), (1, ["a1", "e1"])]])
-            assert codim_c(pres, _ja(pres, (p,), (q,))) == q * (p - 1)
+            assert codim_table(pres).codim(_ja(pres, (p,), (q,))) == q * (p - 1)
     # three-term shape with a second arrow: rank 2 regardless of lambda
     p = q = 3
     lam = Fraction(1, 2)
@@ -151,7 +154,7 @@ def test_codim_examples():
              (lam, ["e0"] * (p - 2) + ["a1"] + ["e1"] * (q - 1)),
              (1, ["e0"] * (p - 1) + ["a2"] + ["e1"] * (q - 1))]
     pres = _two_vertex(p, q, 2, [words])
-    assert codim_c(pres, _ja(pres, (p,), (q,))) == 2
+    assert codim_table(pres).codim(_ja(pres, (p,), (q,))) == 2
 
 
 def _part_pair_split(pres, ja):
@@ -167,13 +170,13 @@ def test_additivity_split_example():
     ja = _ja(pres, (2, 1), (1,))
     table = _part_pair_split(pres, ja)
     assert table == {(0, 0): 1, (1, 0): 0}
-    assert sum(table.values()) == codim_c(pres, ja)
+    assert sum(table.values()) == dense_reference.codim(pres, ja)
 
 
 def test_additivity_split_single_part_matches_codim(a1221):
     ja = _ja(a1221, (2,), (2,))
     table = _part_pair_split(a1221, ja)
-    assert table == {(0, 0): codim_c(a1221, ja)}
+    assert table == {(0, 0): dense_reference.codim(a1221, ja)}
 
 
 def test_additivity_split_step_value():
@@ -182,7 +185,7 @@ def test_additivity_split_step_value():
         pres = _two_vertex(m, 2, 2, [[(1, ["e0", "a1"]), (1, ["a2", "e1"])]])
         ja = _ja(pres, (m, m), (2,))
         table = _part_pair_split(pres, ja)
-        assert sum(table.values()) == codim_c(pres, ja) == 2 * (2 * m - 1)
+        assert sum(table.values()) == dense_reference.codim(pres, ja) == 2 * (2 * m - 1)
 
 
 def test_additivity_over_parts_weight_bounded():
@@ -204,31 +207,8 @@ def test_additivity_over_parts_weight_bounded():
                     for qq in partitions_bounded(wq, 3):
                         ja = JordanAssignment.for_presentation(pres, [pp, qq])
                         table = _part_pair_split(pres, ja)
-                        assert sum(table.values()) == codim_c(pres, ja), (item, pp, qq)
-
-
-def _block_of(partition):
-    """Jordan block index of each basis position of the partition."""
-    return [b for b, part in enumerate(partition.parts) for _ in range(part)]
-
-
-@pytest.mark.parametrize("spec", ["A(1,4,4,2)", "A(2,3,3,1)"])
-def test_components_follow_part_pairs(spec):
-    pres = build_family(parse_family_spec(spec))
-    checked = 0
-    for dims in dim_vectors_up_to(2, 6):
-        for ja in assignments_for(pres, dims):
-            tgt_block = _block_of(ja.partition("0"))
-            src_block = _block_of(ja.partition("1"))
-            cs = assemble_system(pres, ja)
-            for cols, _, _ in _components(cs):
-                pairs = {(tgt_block[cs.columns[c].row], src_block[cs.columns[c].col])
-                         for c in cols}
-                assert len(pairs) == 1, (spec, ja.serialize(), pairs)
-                checked += 1
-            table = _part_pair_split(pres, ja)
-            assert sum(table.values()) == codim_c(pres, ja), (spec, ja.serialize())
-    assert checked >= 50  # the blocks are not vacuous
+                        assert sum(table.values()) == dense_reference.codim(pres, ja), \
+                            (item, pp, qq)
 
 
 def test_disjoint_arrow_relations_add_up():
@@ -256,9 +236,10 @@ def test_disjoint_arrow_relations_add_up():
         ja = JordanAssignment.for_presentation(
             pres, [maximal_partition(d0, m0), maximal_partition(d1, m1)]
         )
-        total = codim_c(pres, ja)
-        parts = sum(codim_c(pres, ja, relations=(r,)) for r in pres.relations)
-        assert total == parts
+        total = codim_table(pres).codim(ja)
+        parts = sum(PartPairTable(replace(pres, relations=(r,))).codim(ja)
+                    for r in pres.relations)
+        assert total == parts == dense_reference.codim(pres, ja)
 
 
 def test_rank_bounds_and_monotonicity():
@@ -267,10 +248,10 @@ def test_rank_bounds_and_monotonicity():
         [(1, ["e0", "e0", "a2"])],
     ])
     ja = _ja(pres, (3, 2), (3, 1))
-    cs = assemble_system(pres, ja)
-    c_all = rank_exact(cs)
-    assert 0 <= c_all <= min(cs.n_rows, cs.ambient_dim)
-    c_one = codim_c(pres, ja, relations=pres.relations[:1])
+    matrix = dense_reference.assemble(pres, ja)[0]
+    c_all = codim_table(pres).codim(ja)
+    assert 0 <= c_all <= min(len(matrix), len(matrix[0]))
+    c_one = PartPairTable(replace(pres, relations=pres.relations[:1])).codim(ja)
     assert c_one <= c_all
 
 
@@ -325,7 +306,7 @@ def _conjugated_systems():
 def test_conjugation_invariance():
     for pres, ja, loop_mats, dims in _conjugated_systems():
         matrix, _, _ = dense_reference.assemble_at(pres, pres.relations, loop_mats, dims)
-        assert dense_reference.rank(matrix) == codim_c(pres, ja)
+        assert dense_reference.rank(matrix) == codim_table(pres).codim(ja)
 
 
 def test_cross_field_rank_stability_sample():
@@ -334,17 +315,16 @@ def test_cross_field_rank_stability_sample():
         [(1, ["e0", "a1"]), (1, ["a1", "e1"]), (Fraction(1, 2), ["a2", "e1", "e1"])],
     ])
     for pp, qq in cases:
-        ja = _ja(pres, pp, qq)
-        cs = assemble_system(pres, ja)
-        r = rank_exact(cs)
-        assert rank_mod(cs, 101) == r
-        assert rank_mod(cs, 997) == r
+        for cs in block_systems(pres, _ja(pres, pp, qq)):
+            r = rank_exact(cs)
+            assert rank_mod(cs, 101) == r
+            assert rank_mod(cs, 997) == r
 
 
 def test_rank_mod_rejects_bad_prime():
     pres = _two_vertex(2, 2, 1, [[(Fraction(1, 2), ["e0", "a1"]),
                                   (1, ["a1", "e1"])]])
-    cs = assemble_system(pres, _ja(pres, (2,), (2,)))
+    cs = _system(pres, 2, 2)
     with pytest.raises(BadPrimeError):
         rank_mod(cs, 2)
     assert rank_mod(cs, 101) == rank_exact(cs)
@@ -364,23 +344,28 @@ def _rank_mod_outcome(fn, system, p):
         return "bad prime"
 
 
-def _assert_same_system(cs, ref) -> int:
-    """Compare one system with its reference; the number of primes at which
-    both raise BadPrimeError."""
-    matrix, row_labels, columns = ref
-    assert cs.columns == columns
-    assert cs.row_labels == row_labels
-    assert cs.matrix == matrix
-    assert rank_exact(cs) == dense_reference.rank(matrix)
+def _summed_rank_mod(systems, p):
+    """The rank mod p of a direct sum of systems, or "bad prime"."""
+    ranks = [_rank_mod_outcome(rank_mod, cs, p) for cs in systems]
+    return "bad prime" if "bad prime" in ranks else sum(ranks)
+
+
+def _assert_same_ranks(systems, matrix) -> int:
+    """Compare the block-pair systems of one assignment with the dense
+    reference system of the whole assignment; the number of primes at
+    which both raise BadPrimeError."""
+    assert sum(rank_exact(cs) for cs in systems) == dense_reference.rank(matrix)
     bad = 0
     for p in DIFF_PRIMES:
         want = _rank_mod_outcome(dense_reference.rank_mod, matrix, p)
-        assert _rank_mod_outcome(rank_mod, cs, p) == want
+        assert _summed_rank_mod(systems, p) == want
         bad += want == "bad prime"
     return bad
 
 
 def test_engine_matches_dense_reference_on_formula_cases():
+    """A formula case has single parts at both vertices, so its system is
+    one block pair, entry for entry the dense reference's."""
     from quiverstrata.formulas import build_case, formula_cases
 
     cases = formula_cases(p_max=8)
@@ -388,8 +373,10 @@ def test_engine_matches_dense_reference_on_formula_cases():
     bad = 0
     for case in cases:
         pres, ja, _ = build_case(case)
-        bad += _assert_same_system(assemble_system(pres, ja),
-                                   dense_reference.assemble(pres, ja))
+        cs = _system(pres, case.p, case.q)
+        matrix = dense_reference.assemble(pres, ja)[0]
+        assert cs.matrix == matrix
+        bad += _assert_same_ranks([cs], matrix)
     assert bad > 0  # lambda = 1/2 cases cannot reduce mod 2
 
 
@@ -398,12 +385,12 @@ def test_engine_matches_dense_reference_on_families(spec):
     pres = build_family(parse_family_spec(spec))
     for dims in dim_vectors_up_to(2, 6):
         for ja in assignments_for(pres, dims):
-            _assert_same_system(assemble_system(pres, ja),
-                                dense_reference.assemble(pres, ja))
+            _assert_same_ranks(list(block_systems(pres, ja)),
+                               dense_reference.assemble(pres, ja)[0])
 
 
 # ---------------------------------------------------------------------------
-# differential gate: the part-pair table against assembly and rank
+# differential gate: the part-pair table against the dense reference
 # ---------------------------------------------------------------------------
 
 TABLE_SPECS = [
@@ -415,11 +402,14 @@ TABLE_SPECS = [
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_table_matches_codim_c_on_families(spec):
+    """The codimension c of every assignment up to total 9, against the
+    rank of the dense reference system."""
     pres = build_family(parse_family_spec(spec))
     table = codim_table(pres)
     for dims in dim_vectors_up_to(2, 9):
         for ja in assignments_for(pres, dims):
-            assert table.codim(ja) == codim_c(pres, ja), (spec, ja.serialize())
+            assert table.codim(ja) == dense_reference.codim(pres, ja), \
+                (spec, ja.serialize())
 
 
 # parallel arrows, relations in both directions, rational coefficients
@@ -445,21 +435,23 @@ def test_table_and_rank_mod_on_random_presentations(pres, dims):
     dims = dims[:len(pres.quiver.vertices)]
     table = codim_table(pres)
     for ja in assignments_for(pres, dims):
-        cs = assemble_system(pres, ja)
-        rank = rank_exact(cs)
-        assert table.codim(ja) == rank == codim_c(pres, ja)
+        systems = list(block_systems(pres, ja))
+        rank = dense_reference.codim(pres, ja)
+        assert table.codim(ja) == rank == sum(rank_exact(cs) for cs in systems)
         for p in (2, 3, 5, 7):
-            assert _rank_mod_outcome(rank_mod, cs, p) in ("bad prime", *range(rank + 1))
+            assert _summed_rank_mod(systems, p) in ("bad prime", *range(rank + 1))
         # 101 is prime to every coefficient of the strategy, and no drawn
         # system has a minor divisible by it
-        assert rank_mod(cs, 101) == rank
+        assert _summed_rank_mod(systems, 101) == rank
 
 
 def _brute_force_scan(pres, dims):
-    """Every certificate of ``dims``, from codim_c on each assignment."""
+    """Every certificate of ``dims``, from the table entry sum of each
+    assignment."""
     n = ambient_arrow_dim(pres, dims)
     reports = [StratumReport(ja, tuple(orbit_dim(p) for p in ja.partitions), n,
-                             codim_c(pres, ja), all(p.is_maximal for p in ja.partitions))
+                             codim_table(pres).codim(ja),
+                             all(p.is_maximal for p in ja.partitions))
                for ja in assignments_for(pres, dims)]
     return [ReducibilityCertificate(tuple(dims), reports[0], r)
             for r in reports[1:] if r.dim >= reports[0].dim]
@@ -485,7 +477,7 @@ def test_table_raises_where_assembly_raises():
                                    (Relation.make([(1, q.path(["a", "b"]))]),))
     empty = JordanAssignment.for_presentation(pres, [Partition((), 1)] * 3)
     with pytest.raises(UnsupportedDegreeError) as want:
-        assemble_system(pres, empty)
+        dense_reference.assemble(pres, empty)
     with pytest.raises(UnsupportedDegreeError) as got:
         codim_table(pres)
     assert str(got.value) == str(want.value)

@@ -135,7 +135,7 @@ def test_dense_loop_pair_splitting_certificate():
 def test_three_term_relation_codim_pairs():
     # eps0 a1 + a1 eps1 + a2 eps1^(p-1) on types ((m, m), (p)) versus
     # ((m, m), (p-1, 1)): 2(p(m-1) + 1) against 2((p-1)(m-1) + (m-1))
-    from quiverstrata.linsys import codim_c
+    from quiverstrata.linsys import codim_table
 
     for m0, p in ((3, 2), (3, 3), (4, 3)):
         text = (f"vertex 0\nvertex 1\nloop e0 0 order {m0}\nloop e1 1 order {p}\n"
@@ -146,8 +146,9 @@ def test_three_term_relation_codim_pairs():
             pres, [Partition((m0,) * 2, m0), Partition((p,), p)])
         ja_wit = JordanAssignment.for_presentation(
             pres, [Partition((m0,) * 2, m0), Partition((p - 1, 1), p)])
-        assert codim_c(pres, ja_max) == 2 * (p * (m0 - 1) + 1)
-        assert codim_c(pres, ja_wit) == 2 * ((p - 1) * (m0 - 1) + (m0 - 1))
+        table = codim_table(pres)
+        assert table.codim(ja_max) == 2 * (p * (m0 - 1) + 1)
+        assert table.codim(ja_wit) == 2 * ((p - 1) * (m0 - 1) + (m0 - 1))
 
 
 def test_split_gap_cases():
