@@ -2,9 +2,9 @@
 
 Exact integer rank is pure python: big integers never overflow, and the
 components it sees are small.  The finite-field kernels (rank over F_p and
-the exhaustive enumerations) are numpy: they batch the per-matrix and
-per-point work in chunks of ``CHUNK`` codes, so memory stays bounded while
-every matrix or point is still visited.
+the exhaustive enumerations) are numpy, batched in chunks of about ``CHUNK``
+so memory stays bounded.  The point tally visits every point; the loop
+enumeration forms only trace-zero matrices, since X^m = 0 forces trace 0.
 """
 from __future__ import annotations
 
@@ -112,43 +112,49 @@ def ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
 # exhaustive enumeration of bounded nilpotent matrices over F_q
 # ---------------------------------------------------------------------------
 
-def matrices_from_codes(codes: np.ndarray, rows: int, cols: int, q: int) -> np.ndarray:
-    """The rows x cols matrices over F_q whose row-major base-q digits are
-    ``codes``; rows * cols must be positive."""
-    digits = np.unravel_index(codes, (q,) * (rows * cols))
-    return np.stack(digits, axis=-1).astype(np.int64).reshape(-1, rows, cols)
+def digit_table(n: int, q: int, dtype=np.int64) -> np.ndarray:
+    """The q**n rows of n base-q digits, in the order of the codes they spell."""
+    return np.indices((q,) * n, dtype).reshape(n, q ** n).T
 
 
 def enumerate_nilpotent(d: int, m: int, q: int):
     """All d x d matrices X over F_q with X^m = 0, plus their rank rows.
 
-    Returns ``(mats, ranks)`` where ``mats`` has shape (count, d, d), in
-    the order of their row-major base-q codes, and row i of ``ranks``
-    holds rank(X^k) of ``mats[i]`` for 0 < k < min(m, d); with
-    X^min(m, d) = 0 this determines the Jordan type.  Every nilpotent
-    d x d matrix has X^d = 0, so at most d powers are formed however large
-    m is.  Matrices are tested in chunks of ``CHUNK`` and only the
-    survivors are kept.  The caller is responsible for keeping q**(d*d)
-    within enumerable range.
+    Returns ``(mats, ranks)``: ``mats`` (count, d, d) in row-major base-q
+    code order, and row i of ``ranks`` holds rank(X^k) of ``mats[i]`` for
+    0 < k < top = min(m, d), which with X^top = 0 gives the Jordan type.
+    X^m = 0 forces trace 0, so the last diagonal entry (the lowest digit)
+    is minus the others' sum: q**(d*d - 1) candidates are formed, chunks of
+    low digits from one table under fixed high digits, with powers kept
+    unreduced in int16 while their bound fits.  The caller bounds q**(d*d).
     """
     if d == 0:
         return np.zeros((1, 0, 0), np.int64), np.zeros((1, 0), np.int64)
-    top = min(m, d)
-    total = q ** (d * d)
-    kept_mats: list[np.ndarray] = []
-    kept_ranks: list[np.ndarray] = []
-    for start in range(0, total, CHUNK):
-        powers = [matrices_from_codes(np.arange(start, min(start + CHUNK, total)),
-                                      d, d, q)]
+    top, free = min(m, d), d * d - 1
+    # fewest high digits whose chunk of low digits fits in CHUNK
+    split = next(s for s in range(free + 1) if q ** (free - s) <= CHUNK)
+    # unreduced X^k has entries at most d^(k-1) (q-1)^k; a trace sum, d (q-1)
+    small = max(d * (q - 1), d ** (top - 1) * (q - 1) ** top) < 1 << 15
+    dtype = np.int16 if small else np.int64
+    lows, highs = digit_table(free - split, q, dtype), digit_table(split, q, dtype)
+    diag = np.arange(0, free, d + 1)  # all but the last diagonal entry
+    x = np.empty((lows.shape[0], d * d), dtype)
+    x[:, split:free] = lows
+    mats = x.reshape(-1, d, d)
+    kept = [[] for _ in range(max(top - 1, 1))]  # survivors of X^k, 0 < k < max(top, 2)
+    for high in highs:
+        x[:, :split] = high
+        x[:, free] = -x[:, diag].sum(axis=1, dtype=dtype) % q
+        powers = [mats]
         for _ in range(top - 1):
-            powers.append(np.matmul(powers[-1], powers[0]) % q)
-        nil = ~powers[-1].any(axis=(1, 2))
-        ranks = np.empty((np.count_nonzero(nil), top - 1), np.int64)
-        for k in range(1, top):
-            ranks[:, k - 1] = ranks_mod_p(powers[k - 1][nil], q)
-        kept_mats.append(powers[0][nil])
-        kept_ranks.append(ranks)
-    return np.concatenate(kept_mats), np.concatenate(kept_ranks)
+            powers.append(powers[-1] @ mats if small else powers[-1] @ mats % q)
+        nil = ~(powers[-1] % q).any(axis=(1, 2))
+        for power, part in zip(powers, kept):
+            part.append(power[nil])
+    ranks = np.empty((sum(map(len, kept[0])), top - 1), np.int64)
+    for k in range(1, top):
+        ranks[:, k - 1] = ranks_mod_p(np.concatenate(kept[k - 1]) % q, q)
+    return np.concatenate(kept[0]).astype(np.int64), ranks
 
 
 # ---------------------------------------------------------------------------

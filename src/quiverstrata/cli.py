@@ -46,9 +46,12 @@ def _parse_dim(text: str) -> tuple[int, ...]:
 
 def _parse_primes(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
+        primes = [int(x) for x in text.split(",")]
     except ValueError:
         raise PresentationError(f"bad field size list {text!r}") from None
+    if len(set(primes)) < len(primes):
+        raise PresentationError(f"repeated field size in {text!r}")
+    return primes
 
 
 def _parse_lambda(text: str) -> Fraction:
@@ -265,6 +268,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         code = args.func(args)
     except (PresentationError, SideConditionError, EnumerationCapExceeded,
             BadPrimeError, UnsupportedDegreeError, ValueError) as exc:

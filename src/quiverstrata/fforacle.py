@@ -89,6 +89,7 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     slot_of: dict[str, int] = {}
     cand_mats: list[np.ndarray] = []
     cand_keys: list[np.ndarray] = []
+    nilpotent: dict = {}  # one enumeration per loop (dimension, order)
 
     for a in quiver.arrows:
         d_t, d_s = dim_of[a.target], dim_of[a.source]
@@ -101,7 +102,9 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
                     f"loop enumeration at {v!r} needs {q ** (d * d)} points, "
                     f"cap is {max_points}"
                 )
-            mats, ranks = _kernels.enumerate_nilpotent(d, m, q)
+            if (d, m) not in nilpotent:
+                nilpotent[d, m] = _kernels.enumerate_nilpotent(d, m, q)
+            mats, ranks = nilpotent[d, m]
             # rank rows packed in base d + 1: equal rows, and only they, share a key
             keys = ranks @ (d + 1) ** np.arange(ranks.shape[1])
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -110,16 +113,12 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
                               for k in first], np.int64)[inverse]
             cand_keys.append(weights[vi] * types)
         else:
-            n_entries = d_t * d_s
-            if n_entries == 0:
-                mats = np.zeros((1, d_t, d_s), np.int64)
-            else:
-                count = q ** n_entries
-                if count > max_points:
-                    raise EnumerationCapExceeded(
-                        f"arrow {a.name!r} needs {count} points, cap is {max_points}"
-                    )
-                mats = _kernels.matrices_from_codes(np.arange(count), d_t, d_s, q)
+            count = q ** (d_t * d_s)
+            if count > max_points:
+                raise EnumerationCapExceeded(
+                    f"arrow {a.name!r} needs {count} points, cap is {max_points}"
+                )
+            mats = _kernels.digit_table(d_t * d_s, q).reshape(count, d_t, d_s)
             cand_keys.append(np.zeros(mats.shape[0], np.int64))
         cand_mats.append(mats)
         slot_of[a.name] = len(cand_mats) - 1

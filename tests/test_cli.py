@@ -84,6 +84,26 @@ def test_jobs_below_one_exits_2(algebra_file, capsys, command, jobs):
     assert err.startswith("error:") and "--jobs" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["reduce-scan", "oracle-count"])
+def test_cap_below_one_exits_2(algebra_file, capsys, command, cap):
+    args = [command, "--algebra", algebra_file, "--cap", cap]
+    if command == "reduce-scan":
+        args += ["--max-total", "3"]
+    else:
+        args += ["--dim", "1,1", "--q", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--cap" in err
+
+
+def test_oracle_count_repeated_prime_exits_2(algebra_file, capsys):
+    code, out, err = run_cli(["oracle-count", "--algebra", algebra_file,
+                              "--dim", "1,1", "--q", "2,3,2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "repeated" in err
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.bq"
     bad.write_text("vertex 0\narrow a 0 -> 9\n")

@@ -1,6 +1,7 @@
 """Kernel checks: exact integer rank against an independent fraction-based
 elimination, and the finite-field kernels against plain-python mod-p
-elimination and a brute-force nilpotency filter."""
+elimination, a brute-force nilpotency filter and the enumeration that the
+trace-zero kernel replaced."""
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilpotent_reference
 from quiverstrata._kernels import (enumerate_nilpotent, exact_rank_int, rank_mod_p,
                                    ranks_mod_p)
 
@@ -130,3 +132,40 @@ def test_nilpotent_counts_match_theory():
     ranks = [int(np.linalg.matrix_rank(x)) for x in mats]
     assert all((x @ x % 2 == 0).all() for x in mats)
     assert sorted(set(ranks)) == [0, 1]
+
+
+# every (d, m, q) with q^(d^2) <= 2^16 and 1 <= m <= d + 1, d = 0 included
+REFERENCE_CASES = [(d, m, q) for q in (2, 3, 5, 7, 11, 13) for d in range(5)
+                   if q ** (d * d) <= 1 << 16 for m in range(1, d + 2)]
+
+
+@pytest.mark.parametrize("d,m,q", REFERENCE_CASES)
+def test_nilpotent_enumeration_matches_reference(d, m, q):
+    """The trace-zero kernel returns exactly what the full enumeration did."""
+    got = enumerate_nilpotent(d, m, q)
+    want = nilpotent_reference.enumerate_nilpotent(d, m, q)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert g.shape == w.shape
+        assert (g == w).all()
+
+
+@pytest.mark.parametrize("q", [127, 131])
+def test_nilpotent_enumeration_at_int16_boundary(q):
+    """2 x 2 with X^2 = 0: unreduced powers reach 2 (q - 1)^2, which fits
+    int16 at q = 127 and not at q = 131."""
+    mats, ranks = enumerate_nilpotent(2, 2, q)
+    assert mats.dtype == np.int64 and mats.shape == (q * q, 2, 2)
+    assert not (np.matmul(mats, mats) % q).any()
+    assert ranks.tolist() == [[rank_mod_p(x, q)] for x in mats]
+
+
+def test_nilpotent_enumeration_past_int16_overflow():
+    """At q = 151 unreduced 2 x 2 squares reach 2 * 150^2 = 45000, and some
+    trace-zero X with X^2 = 0 mod q, such as [[150, 141], [136, 1]], have
+    an entry of X^2 above 2^15: a too loose int16 bound loses them.  (At
+    q = 131 no such X overflows, so the boundary pair cannot show it.)"""
+    q = 151
+    mats, _ = enumerate_nilpotent(2, 2, q)
+    assert mats.shape == (q * q, 2, 2)
+    assert not (np.matmul(mats, mats) % q).any()
