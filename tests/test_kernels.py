@@ -150,6 +150,12 @@ def test_nilpotent_enumeration_matches_reference(d, m, q):
         assert (g == w).all()
 
 
+def _codes(mats, q):
+    """The row-major base-q codes of a stack of square matrices."""
+    n = mats.shape[1] * mats.shape[2]
+    return mats.reshape(-1, n) @ q ** np.arange(n - 1, -1, -1)
+
+
 @pytest.mark.parametrize("q", [127, 131])
 def test_nilpotent_enumeration_at_int16_boundary(q):
     """2 x 2 with X^2 = 0: unreduced powers reach 2 (q - 1)^2, which fits
@@ -157,6 +163,7 @@ def test_nilpotent_enumeration_at_int16_boundary(q):
     mats, ranks = enumerate_nilpotent(2, 2, q)
     assert mats.dtype == np.int64 and mats.shape == (q * q, 2, 2)
     assert not (np.matmul(mats, mats) % q).any()
+    assert (np.diff(_codes(mats, q)) > 0).all()
     assert ranks.tolist() == [[rank_mod_p(x, q)] for x in mats]
 
 
@@ -169,3 +176,4 @@ def test_nilpotent_enumeration_past_int16_overflow():
     mats, _ = enumerate_nilpotent(2, 2, q)
     assert mats.shape == (q * q, 2, 2)
     assert not (np.matmul(mats, mats) % q).any()
+    assert (np.diff(_codes(mats, q)) > 0).all()
