@@ -1,10 +1,12 @@
 """Hot numeric kernels.
 
-Exact integer rank is pure python: big integers never overflow, and the
-components it sees are small.  The finite-field kernels (rank over F_p and
-the exhaustive enumerations) are numpy, batched in chunks of about ``CHUNK``
-so memory stays bounded.  The point tally visits every point; the loop
-enumeration forms only trace-zero matrices, since X^m = 0 forces trace 0.
+Exact rank, over Q or over F_p, is pure python elimination on sparse
+integer rows: big integers never overflow, and the block-pair systems it
+sees have a few dozen rows.  The oracle's kernels (ranks over F_p of
+matrix stacks and the exhaustive enumerations) are numpy, batched in
+chunks of about ``CHUNK`` so memory stays bounded.  The point tally
+visits every point; the loop enumeration forms only trace-zero matrices,
+since X^m = 0 forces trace 0.
 """
 from __future__ import annotations
 
@@ -16,61 +18,52 @@ CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# exact integer rank (fraction-free elimination, full pivoting)
+# exact rank of sparse integer rows, over Q or over a prime field
 # ---------------------------------------------------------------------------
 
-def exact_rank_int(rows) -> int:
-    """Rank of an integer matrix given as a list of int rows.
+def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
+    """``row`` without zero entries: over Q (``p == 0``) divided by the gcd
+    of its entries, over F_p reduced into [0, p)."""
+    if p:
+        return {c: v % p for c, v in row.items() if v % p}
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items() if v}
 
-    Fraction-free (Bareiss) elimination over python integers, so no entry
-    can overflow.  Pivot choice is the entry of maximal absolute value,
-    first in row-major order on ties.  The input rows are not modified.
+
+def exact_rank_int(rows, p: int = 0) -> int:
+    """Rank of integer rows given as ``{column: value}`` dicts, over Q, or
+    over F_p for a prime ``p``.
+
+    One pivot row is kept per leading (smallest) column.  A row whose lead
+    already has a pivot is replaced by the fraction-free combination
+    ``row * pivot[lead] - pivot * row[lead]``, which clears the lead, and
+    reduced as the input rows are: divided by the gcd of its entries over
+    Q, so python integers stay small, or taken mod p.  No division by a
+    pivot occurs.  The input rows are not modified.
     """
-    rows = [list(row) for row in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    prev = 1
-    r = 0
-    while r < m and r < n:
-        best = 0
-        bi = bj = -1
-        for i in range(r, m):
-            for j in range(r, n):
-                av = abs(rows[i][j])
-                if av > best:
-                    best = av
-                    bi, bj = i, j
-        if bi < 0:
-            break
-        if bi != r:
-            rows[r], rows[bi] = rows[bi], rows[r]
-        if bj != r:
-            for row in rows:
-                row[r], row[bj] = row[bj], row[r]
-        piv = rows[r][r]
-        rr = rows[r]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            f = ri[r]
-            for j in range(r + 1, n):
-                ri[j] = (ri[j] * piv - f * rr[j]) // prev
-            ri[r] = 0
-        prev = piv
-        r += 1
-    return r
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _reduced(row, p)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            # the update cancels the lead exactly; leaving it out makes
+            # every step raise the lead, so the loop ends
+            f, g = row.pop(lead), pivot[lead]
+            merged = {c: v * g for c, v in row.items()}
+            for c, v in pivot.items():
+                if c != lead:
+                    merged[c] = merged.get(c, 0) - f * v
+            row = _reduced(merged, p)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
-# rank over a prime field
+# ranks over a prime field, a stack of matrices at once
 # ---------------------------------------------------------------------------
-
-def rank_mod_p(mat, p: int) -> int:
-    """Rank of an integer matrix over F_p (p an odd or even prime)."""
-    a = np.asarray(mat, dtype=np.int64) % p
-    if a.size == 0:
-        return 0
-    return int(ranks_mod_p(a[None], p)[0])
-
 
 def ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of matrices of shape (count, m, n) with

@@ -220,18 +220,12 @@ def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
         for p in range(1, p_max + 1):
             qs = (1,) if item == 1 else (2,) if item == 2 else range(1, p + 1)
             for q in qs:
-                if item == 2 and q > p:
-                    continue
                 for lam in lams:
                     for h in hs:
                         if h < _SYMBOLS[item]:
                             continue
-                        if item in (1, 2, 6, 10, 11):
-                            lo = {1: 1, 2: 1, 6: 1, 10: 3, 11: 4}[item]
-                            hi = p if item == 1 else p - 1 if item == 2 else min(p, q)
-                            ls: Iterable[Optional[int]] = range(lo, hi + 1)
-                        else:
-                            ls = (None,)
+                        # c_closed_form below decides which l are admissible
+                        ls = range(1, p + 1) if item in (1, 2, 6, 10, 11) else (None,)
                         for l in ls:
                             case = FormulaCase(item, p, q, l, lam, h)
                             try:

@@ -7,8 +7,9 @@ ambient arrow space.  A Jordan block only shifts indices within itself, so
 the system splits into one part per (target block, source block) pair:
 ``assemble_system`` builds one such part and ``PartPairTable`` sums their
 ranks.  Rows are sparse integer vectors, each with the positive scale that
-turns it back into the rational row, and the rank is taken per connected
-component with fraction-free integer elimination: exact, and free of floats.
+turns it back into the rational row.  One sparse fraction-free elimination,
+``_kernels.exact_rank_int``, ranks them over Q and, with the entries
+reduced mod p, over F_p: exact, and free of floats.
 """
 from __future__ import annotations
 
@@ -103,61 +104,9 @@ def assemble_system(arrows: Sequence[str], relations: Sequence[Relation],
     return ConstraintSystem(rows, scales, len(arrows) * a * b)
 
 
-def _components(cs: ConstraintSystem
-                ) -> list[tuple[list[int], list[list[int]], list[int]]]:
-    """Dense integer blocks of the nonzero rows: (the block's column
-    indices, its dense rows, the scale of each row).
-
-    Rows that share no column, directly or through other rows, are
-    independent, so the blocks are the connected components of the rows
-    over their columns (union-find), and any rank of the system is the sum
-    of the ranks of its blocks.
-    """
-    parent: dict[int, int] = {}
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    nonzero = [k for k, row in enumerate(cs.rows) if row]
-    for k in nonzero:
-        root = -1
-        for c in cs.rows[k]:
-            r = find(parent.setdefault(c, c))
-            if root < 0:
-                root = r
-            elif r != root:
-                parent[r] = root
-    members: dict[int, list[int]] = {}
-    for k in nonzero:
-        members.setdefault(find(next(iter(cs.rows[k]))), []).append(k)
-    blocks = []
-    for ks in members.values():
-        index: dict[int, int] = {}
-        for k in ks:
-            for c in cs.rows[k]:
-                index.setdefault(c, len(index))
-        dense = []
-        for k in ks:
-            out = [0] * len(index)
-            for c, v in cs.rows[k].items():
-                out[index[c]] = v
-            dense.append(out)
-        blocks.append((list(index), dense, [cs.scales[k] for k in ks]))
-    return blocks
-
-
 def rank_exact(cs: ConstraintSystem) -> int:
-    """Rank over the rationals: fraction-free integer elimination per block.
-
-    A block with one row or one column has rank 1, since its rows are
-    nonzero.
-    """
-    return sum(1 if len(dense) == 1 or len(dense[0]) == 1
-               else _kernels.exact_rank_int(dense)
-               for _, dense, _ in _components(cs))
+    """Rank over the rationals, by sparse fraction-free integer elimination."""
+    return _kernels.exact_rank_int(cs.rows)
 
 
 def _fraction_mod(x: Fraction, p: int) -> int:
@@ -175,12 +124,9 @@ def rank_mod(cs: ConstraintSystem, p: int) -> int:
     Raises :class:`BadPrimeError` when the reduced denominator of some
     entry of :attr:`ConstraintSystem.matrix` vanishes mod ``p``.
     """
-    rank = 0
-    for _, dense, scales in _components(cs):
-        reduced = [[_fraction_mod(Fraction(v, scale), p) for v in row]
-                   for row, scale in zip(dense, scales)]
-        rank += _kernels.rank_mod_p(reduced, p)
-    return rank
+    return _kernels.exact_rank_int(
+        [{col: _fraction_mod(Fraction(v, scale), p) for col, v in row.items()}
+         for row, scale in zip(cs.rows, cs.scales)], p)
 
 
 class PartPairTable:

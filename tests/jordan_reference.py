@@ -40,10 +40,10 @@ def commutant_dim_oracle(p: Partition, max_weight: int = 12) -> int:
     rows = []
     for i in range(d):
         for j in range(d):
-            row = [0] * (d * d)
+            row = {}
             for l in range(d):
-                row[i * d + l] += int(J[l, j])
+                row[i * d + l] = row.get(i * d + l, 0) + int(J[l, j])
             for k in range(d):
-                row[k * d + j] -= int(J[i, k])
+                row[k * d + j] = row.get(k * d + j, 0) - int(J[i, k])
             rows.append(row)
     return d * d - exact_rank_int(rows)

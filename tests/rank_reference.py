@@ -1,0 +1,139 @@
+"""The rank routines that the sparse elimination replaced, kept verbatim
+as the reference of its differential tests.
+
+The rows of a system are split into connected components over their
+columns (union-find), each component is rebuilt as dense integer rows,
+and a component is ranked by Bareiss elimination with full pivoting over
+Q, or by numpy row reduction over F_p after its entries are reduced
+modulo p.  A component with one row or one column has rank 1 over Q.
+"""
+import sys
+from fractions import Fraction
+
+import numpy as np
+
+from quiverstrata._kernels import ranks_mod_p
+from quiverstrata.linsys import ConstraintSystem, _fraction_mod
+
+# the copies below reach their kernels as ``_kernels.<name>``: this module
+_kernels = sys.modules[__name__]
+
+
+def exact_rank_int(rows) -> int:
+    """Rank of an integer matrix given as a list of int rows.
+
+    Fraction-free (Bareiss) elimination over python integers, so no entry
+    can overflow.  Pivot choice is the entry of maximal absolute value,
+    first in row-major order on ties.  The input rows are not modified.
+    """
+    rows = [list(row) for row in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    prev = 1
+    r = 0
+    while r < m and r < n:
+        best = 0
+        bi = bj = -1
+        for i in range(r, m):
+            for j in range(r, n):
+                av = abs(rows[i][j])
+                if av > best:
+                    best = av
+                    bi, bj = i, j
+        if bi < 0:
+            break
+        if bi != r:
+            rows[r], rows[bi] = rows[bi], rows[r]
+        if bj != r:
+            for row in rows:
+                row[r], row[bj] = row[bj], row[r]
+        piv = rows[r][r]
+        rr = rows[r]
+        for i in range(r + 1, m):
+            ri = rows[i]
+            f = ri[r]
+            for j in range(r + 1, n):
+                ri[j] = (ri[j] * piv - f * rr[j]) // prev
+            ri[r] = 0
+        prev = piv
+        r += 1
+    return r
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank of an integer matrix over F_p (p an odd or even prime)."""
+    a = np.asarray(mat, dtype=np.int64) % p
+    if a.size == 0:
+        return 0
+    return int(ranks_mod_p(a[None], p)[0])
+
+
+def _components(cs: ConstraintSystem
+                ) -> list[tuple[list[int], list[list[int]], list[int]]]:
+    """Dense integer blocks of the nonzero rows: (the block's column
+    indices, its dense rows, the scale of each row).
+
+    Rows that share no column, directly or through other rows, are
+    independent, so the blocks are the connected components of the rows
+    over their columns (union-find), and any rank of the system is the sum
+    of the ranks of its blocks.
+    """
+    parent: dict[int, int] = {}
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    nonzero = [k for k, row in enumerate(cs.rows) if row]
+    for k in nonzero:
+        root = -1
+        for c in cs.rows[k]:
+            r = find(parent.setdefault(c, c))
+            if root < 0:
+                root = r
+            elif r != root:
+                parent[r] = root
+    members: dict[int, list[int]] = {}
+    for k in nonzero:
+        members.setdefault(find(next(iter(cs.rows[k]))), []).append(k)
+    blocks = []
+    for ks in members.values():
+        index: dict[int, int] = {}
+        for k in ks:
+            for c in cs.rows[k]:
+                index.setdefault(c, len(index))
+        dense = []
+        for k in ks:
+            out = [0] * len(index)
+            for c, v in cs.rows[k].items():
+                out[index[c]] = v
+            dense.append(out)
+        blocks.append((list(index), dense, [cs.scales[k] for k in ks]))
+    return blocks
+
+
+def rank_exact(cs: ConstraintSystem) -> int:
+    """Rank over the rationals: fraction-free integer elimination per block.
+
+    A block with one row or one column has rank 1, since its rows are
+    nonzero.
+    """
+    return sum(1 if len(dense) == 1 or len(dense[0]) == 1
+               else _kernels.exact_rank_int(dense)
+               for _, dense, _ in _components(cs))
+
+
+def rank_mod(cs: ConstraintSystem, p: int) -> int:
+    """Rank of the same system with entries reduced modulo a prime.
+
+    Raises :class:`BadPrimeError` when the reduced denominator of some
+    entry of :attr:`ConstraintSystem.matrix` vanishes mod ``p``.
+    """
+    rank = 0
+    for _, dense, scales in _components(cs):
+        reduced = [[_fraction_mod(Fraction(v, scale), p) for v in row]
+                   for row, scale in zip(dense, scales)]
+        rank += _kernels.rank_mod_p(reduced, p)
+    return rank

@@ -65,7 +65,7 @@ def test_no_relation_identity_is_pure_power(aprime122):
 def test_classification_invariant_under_conjugation():
     rng = np.random.default_rng(11)
     q = 3
-    from quiverstrata._kernels import enumerate_nilpotent, rank_mod_p
+    from quiverstrata._kernels import enumerate_nilpotent, exact_rank_int
     from quiverstrata.partitions import partition_from_ranks
 
     def jordan_type(X):
@@ -73,7 +73,8 @@ def test_classification_invariant_under_conjugation():
         ranks = []
         P = X.copy() % q
         for _ in range(1, d):
-            ranks.append(rank_mod_p(P, q))
+            ranks.append(exact_rank_int(
+                [{j: int(v) for j, v in enumerate(row) if v} for row in P], q))
             P = P @ X % q
         return partition_from_ranks(d, ranks, 3).parts
 
@@ -89,6 +90,32 @@ def test_classification_invariant_under_conjugation():
         conj = (g @ X @ (adj * det_inv)) % q
         assert (np.linalg.matrix_power(conj, 3) % q == 0).all()
         assert jordan_type(conj) == jordan_type(X)
+
+
+def test_oracle_calls_no_rank_routine(monkeypatch):
+    """The oracle stays independent ground truth: with every exact rank
+    routine made to raise, its tables are those of an unpatched run."""
+    import sys
+
+    from quiverstrata import _kernels, linsys
+
+    cases = [(build_family(parse_family_spec("A(2,3,3,1)")), (2, 2), 2),
+             (build_family(parse_family_spec("truncpoly(3)")), (3,), 3)]
+    want = [_counts_by_key(enumerate_and_classify(*case)) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a rank routine")
+
+    originals = {linsys.rank_exact, linsys.rank_mod, _kernels.exact_rank_int}
+    for name, module in list(sys.modules.items()):
+        if name == "quiverstrata" or name.startswith("quiverstrata."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="rank routine"):
+        linsys.rank_exact(None)
+    got = [_counts_by_key(enumerate_and_classify(*case)) for case in cases]
+    assert got == want
 
 
 def test_enumeration_caps():

@@ -1,7 +1,7 @@
-"""Kernel checks: exact integer rank against an independent fraction-based
-elimination, and the finite-field kernels against plain-python mod-p
-elimination, a brute-force nilpotency filter and the enumeration that the
-trace-zero kernel replaced."""
+"""Kernel checks: exact sparse rank against an independent fraction-based
+elimination over Q and plain-python elimination over F_p, and the
+finite-field kernels against that elimination, a brute-force nilpotency
+filter and the enumeration that the trace-zero kernel replaced."""
 import itertools
 from fractions import Fraction
 
@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilpotent_reference
-from quiverstrata._kernels import (enumerate_nilpotent, exact_rank_int, rank_mod_p,
-                                   ranks_mod_p)
+from quiverstrata._kernels import enumerate_nilpotent, exact_rank_int, ranks_mod_p
+
+
+def sparse(rows):
+    """Dense integer rows as ``{column: value}`` rows."""
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in rows]
 
 
 def fraction_rank(rows):
@@ -75,12 +79,12 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_exact_rank_matches_fraction_elimination(rows):
-    assert exact_rank_int(rows) == fraction_rank(rows)
+    assert exact_rank_int(sparse(rows)) == fraction_rank(rows)
 
 
 def test_bigint_path_handles_huge_entries():
     big = 10 ** 40
-    rows = [[big, 1], [0, big], [big, big + 1]]
+    rows = [{0: big, 1: 1}, {1: big}, {0: big, 1: big + 1}]
     assert exact_rank_int(rows) == 2
 
 
@@ -88,17 +92,17 @@ def test_bigint_path_handles_huge_entries():
 @given(matrices, st.sampled_from([2, 3, 101, 997]))
 def test_rank_mod_p_variants_agree(rows, p):
     want = python_rank_mod_p(rows, p)
-    assert rank_mod_p(rows, p) == want
+    assert exact_rank_int(sparse(rows), p) == want
     # a stack whose members pivot on different rows
     stack = np.array([rows, rows[::-1], [[0] * len(rows[0])] * len(rows)]) % p
     assert ranks_mod_p(stack, p).tolist() == [want, want, 0]
 
 
 def test_rank_mod_p_known_values():
-    assert rank_mod_p([[1, 0], [0, 1]], 2) == 2
-    assert rank_mod_p([[2, 4], [1, 2]], 2) == 1  # reduces to a single row
-    assert rank_mod_p([[2, 4], [1, 2]], 3) == 1  # proportional rows
-    assert rank_mod_p([[2, 4], [1, 3]], 3) == 2
+    assert exact_rank_int([{0: 1}, {1: 1}], 2) == 2
+    assert exact_rank_int([{0: 2, 1: 4}, {0: 1, 1: 2}], 2) == 1  # reduces to a single row
+    assert exact_rank_int([{0: 2, 1: 4}, {0: 1, 1: 2}], 3) == 1  # proportional rows
+    assert exact_rank_int([{0: 2, 1: 4}, {0: 1, 1: 3}], 3) == 2
 
 
 @pytest.mark.parametrize("d,m,q", [(1, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2),
@@ -164,7 +168,7 @@ def test_nilpotent_enumeration_at_int16_boundary(q):
     assert mats.dtype == np.int64 and mats.shape == (q * q, 2, 2)
     assert not (np.matmul(mats, mats) % q).any()
     assert (np.diff(_codes(mats, q)) > 0).all()
-    assert ranks.tolist() == [[rank_mod_p(x, q)] for x in mats]
+    assert ranks.tolist() == [[exact_rank_int(sparse(x), q)] for x in mats]
 
 
 def test_nilpotent_enumeration_past_int16_overflow():

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference
+import rank_reference
 from block_pairs import block_systems
 from strategies import presentations
 
+from quiverstrata import linsys
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.linsys import (BadPrimeError, ConstraintSystem, PartPairTable,
                                  UnsupportedDegreeError, assemble_system,
@@ -410,6 +412,80 @@ def test_table_matches_codim_c_on_families(spec):
         for ja in assignments_for(pres, dims):
             assert table.codim(ja) == dense_reference.codim(pres, ja), \
                 (spec, ja.serialize())
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the sparse elimination against the component-wise
+# Bareiss and numpy mod-p ranks it replaced
+# ---------------------------------------------------------------------------
+
+def _assert_same_as_replaced(cs) -> int:
+    """Equal ranks over Q and at DIFF_PRIMES, or BadPrimeError from both;
+    the number of primes at which both raise."""
+    assert rank_exact(cs) == rank_reference.rank_exact(cs)
+    bad = 0
+    for p in DIFF_PRIMES:
+        want = _rank_mod_outcome(rank_reference.rank_mod, cs, p)
+        assert _rank_mod_outcome(rank_mod, cs, p) == want
+        bad += want == "bad prime"
+    return bad
+
+
+def test_sparse_rank_matches_replaced_on_formula_cases():
+    from quiverstrata.formulas import build_case, formula_cases
+
+    bad = 0
+    for case in formula_cases(p_max=8):
+        pres, _, _ = build_case(case)
+        bad += _assert_same_as_replaced(_system(pres, case.p, case.q))
+    assert bad > 0  # lambda = 1/2 cases cannot reduce mod 2
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_sparse_rank_matches_replaced_on_table_entries(spec, monkeypatch):
+    """Every entry the table ranks for the assignments up to total 9."""
+    systems = []
+
+    def recorded(cs):
+        systems.append(cs)
+        return rank_exact(cs)
+
+    monkeypatch.setattr(linsys, "rank_exact", recorded)
+    table = PartPairTable(build_family(parse_family_spec(spec)))
+    for dims in dim_vectors_up_to(2, 9):
+        for ja in assignments_for(table.pres, dims):
+            table.codim(ja)
+    assert systems or not table.pres.relations  # Aprime has no relations
+    for cs in systems:
+        _assert_same_as_replaced(cs)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse integer rows with entries up to 10^40, some of them integer
+    combinations of earlier rows so that ranks fall short, and scales that
+    some of the primes divide."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                f = draw(entry)
+                for c, v in earlier.items():
+                    row[c] = row.get(c, 0) + f * v
+        else:
+            row = draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=n))
+        rows.append({c: v for c, v in row.items() if v})
+    scales = [draw(st.sampled_from([1, 1, 2, 3, 6, 101])) for _ in rows]
+    return ConstraintSystem(rows, scales, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_sparse_rank_matches_replaced_on_random_rows(cs):
+    _assert_same_as_replaced(cs)
 
 
 # parallel arrows, relations in both directions, rational coefficients

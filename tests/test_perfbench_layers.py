@@ -58,3 +58,5 @@ def test_traced_run_counts_the_linear_systems():
     for name in ("linsys.assemble_system.calls", "linsys.rows", "linsys.cols",
                  "linsys.nnz"):
         assert summary[name] > 0, name
+    # every exact rank goes through the traced kernel, so it is live code
+    assert summary["kernels.exact_rank_int.calls"] == summary["linsys.rank_exact.calls"] > 0

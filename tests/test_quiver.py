@@ -1,4 +1,9 @@
+import contextlib
+import io
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,7 @@ from strategies import presentations
 from substitution import (SubstitutionError, apply_arrow_substitution,
                           invert_substitution)
 
+from quiverstrata import cli
 from quiverstrata.quiver import (Arrow, PresentationError, Quiver, Relation,
                                  check_cycle_conditions, detect_shortcuts,
                                  parse_presentation, serialize_presentation)
@@ -340,3 +346,82 @@ def test_edited_files_parse_or_raise_presentation_error(pres, rng):
         parse_presentation(text)
     except PresentationError:
         pass
+
+
+# numbers, names, runs of white space, and single characters otherwise
+TOKEN = re.compile(r"\d+|\w+|\s+|.")
+SEPARATORS = {"*", "+", "-"}
+# stand-ins for a number: zero, a padded zero, a zero denominator, and a
+# value far past any loop order or exponent the engine can expand
+NUMBER_SWAPS = ("0", "00", "1/0", "1" + "0" * 40)
+
+
+def _factors(tokens):
+    """(start, end) token spans of the factors of the relation terms:
+    maximal runs such as ``e0^2`` or ``1/2`` next to a ``*``."""
+    spans, start = [], None
+    for i, tok in enumerate(tokens + [" "]):
+        if tok in SEPARATORS or tok.isspace():
+            if start is not None and "*" in (tokens[start - 1], tok):
+                spans.append((start, i))
+            start = None
+        elif start is None:
+            start = i
+    return spans
+
+
+def _token_edit(tokens, rng):
+    """One edit: swap a number, drop or duplicate a factor, flip a sign or
+    delete a ``*``."""
+    numbers = [i for i, t in enumerate(tokens) if t.isdigit()]
+    factors = _factors(tokens)
+    signs = [i for i, t in enumerate(tokens) if t in "+-"
+             and tokens[i + 1:i + 2] != [">"]]
+    stars = [i for i, t in enumerate(tokens) if t == "*"]
+    edits = [e for e, where in (("number", numbers), ("drop", factors),
+                                ("duplicate", factors), ("sign", signs),
+                                ("star", stars)) if where]
+    if not edits:
+        return tokens
+    edit = rng.choice(edits)
+    if edit == "number":
+        k = rng.choice(numbers)
+        return tokens[:k] + [rng.choice(NUMBER_SWAPS)] + tokens[k + 1:]
+    if edit == "sign":
+        k = rng.choice(signs)
+        return tokens[:k] + ["-" if tokens[k] == "+" else "+"] + tokens[k + 1:]
+    if edit == "star":
+        k = rng.choice(stars)
+        return tokens[:k] + tokens[k + 1:]
+    a, b = rng.choice(factors)
+    if edit == "duplicate":
+        return tokens[:b] + ["*"] + tokens[a:b] + tokens[b:]
+    # drop the factor with the ``*`` that joins it to its neighbour
+    if tokens[a - 1] == "*":
+        a -= 1
+    elif tokens[b:b + 1] == ["*"]:
+        b += 1
+    return tokens[:a] + tokens[b:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations(), st.randoms(use_true_random=False))
+def test_token_edited_files_parse_or_raise_presentation_error(pres, rng):
+    tokens = TOKEN.findall(serialize_presentation(pres))
+    for _ in range(rng.randint(1, 3)):
+        tokens = _token_edit(tokens, rng)
+    text = "".join(tokens)
+    try:
+        parse_presentation(text)
+    except PresentationError:
+        pass
+    if rng.random() < 0.25:
+        # the CLI turns every such file into a table or exit code 2
+        dims = ",".join(["1"] * len(pres.quiver.vertices))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.bq"
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["strata", "--algebra", str(path), "--dim", dims])
+        assert code in (0, 2), err.getvalue()
