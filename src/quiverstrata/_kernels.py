@@ -118,8 +118,9 @@ def enumerate_nilpotent(d: int, m: int, q: int):
     0 < k < top = min(m, d), which with X^top = 0 gives the Jordan type.
     X^m = 0 forces trace 0, so the last diagonal entry (the lowest digit)
     is minus the others' sum: q**(d*d - 1) candidates are formed, chunks of
-    low digits from one table under fixed high digits, with powers kept
-    unreduced in int16 while their bound fits.  The caller bounds q**(d*d).
+    low digits from one table under as many rows of high digits as fit,
+    with powers kept unreduced in int16 while their bound fits.  The
+    caller bounds q**(d*d).
     """
     if d == 0:
         return np.zeros((1, 0, 0), np.int64), np.zeros((1, 0), np.int64)
@@ -131,13 +132,17 @@ def enumerate_nilpotent(d: int, m: int, q: int):
     dtype = np.int16 if small else np.int64
     lows, highs = digit_table(free - split, q, dtype), digit_table(split, q, dtype)
     diag = np.arange(0, free, d + 1)  # all but the last diagonal entry
-    x = np.empty((lows.shape[0], d * d), dtype)
-    x[:, split:free] = lows
-    mats = x.reshape(-1, d, d)
+    # rows of high digits packed into one chunk, each over all low digits
+    per = min(CHUNK // len(lows), len(highs))
+    x = np.empty((per, len(lows), d * d), dtype)
+    x[:, :, split:free] = lows
     kept = [[] for _ in range(max(top - 1, 1))]  # survivors of X^k, 0 < k < max(top, 2)
-    for high in highs:
-        x[:, :split] = high
-        x[:, free] = -x[:, diag].sum(axis=1, dtype=dtype) % q
+    for start in range(0, len(highs), per):
+        high = highs[start:start + per]
+        chunk = x[:len(high)]
+        chunk[:, :, :split] = high[:, None]
+        chunk[:, :, free] = -chunk[:, :, diag].sum(axis=2, dtype=dtype) % q
+        mats = chunk.reshape(-1, d, d)
         powers = [mats]
         for _ in range(top - 1):
             powers.append(powers[-1] @ mats if small else powers[-1] @ mats % q)

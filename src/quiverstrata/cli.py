@@ -11,7 +11,6 @@ import functools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
@@ -77,6 +76,8 @@ def _map(fn, items: Sequence, jobs: int) -> list:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers > 1:
+        # imported here: a one-process run need not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

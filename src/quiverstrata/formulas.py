@@ -27,12 +27,13 @@ arbitrary ones; the sweep instantiates them as distinct arrows.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .partitions import JordanAssignment, Partition
-from .quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
+from .quiver import Arrow, BoundQuiverPresentation, Path, Quiver, Relation
 from .linsys import PartPairTable
 
 __all__ = [
@@ -162,36 +163,56 @@ class FormulaCase:
         return " ".join(bits)
 
 
-def build_case(case: FormulaCase):
-    """Presentation, Jordan assignment, and expected codimension of a case."""
-    expected = c_closed_form(case.item, case.p, case.q, case.l, case.lam)
-    shapes = _term_shapes(case.item, case.p, case.q, case.l, case.lam)
+@functools.lru_cache(maxsize=4096)
+def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]):
+    """(closed form, term shapes, loop orders (m0, m1)) of an admissible
+    case, whatever its h; raises :class:`SideConditionError` otherwise."""
+    expected = c_closed_form(item, p, q, l, lam)
+    shapes = tuple(_term_shapes(item, p, q, l, lam))
     if any(a + 1 + b < 2 for _, a, _sym, b in shapes):
         raise SideConditionError("a term would be a bare arrow (length < 2)")
+    m0 = max(p, max(a for _, a, _s, _b in shapes) + 1)
+    m1 = max(q, max(b for _, _a, _s, b in shapes) + 1)
+    return expected, shapes, (m0, m1)
+
+
+# the sweep's cases share a few quivers and their paths: build each once
+@functools.lru_cache(maxsize=64)
+def _quiver(loop0: bool, loop1: bool, h: int) -> Quiver:
+    arrows = [Arrow("e0", "0", "0")] if loop0 else []
+    if loop1:
+        arrows.append(Arrow("e1", "1", "1"))
+    arrows.extend(Arrow(f"a{i + 1}", "1", "0") for i in range(h))
+    return Quiver(("0", "1"), tuple(arrows))
+
+
+@functools.lru_cache(maxsize=1024)
+def _path(quiver: Quiver, a: int, sym: int, b: int) -> Path:
+    return quiver.path(["e0"] * a + [f"a{sym + 1}"] + ["e1"] * b)
+
+
+@functools.lru_cache(maxsize=256)
+def _single_part(part: int, bound: int) -> Partition:
+    return Partition((part,), bound)
+
+
+def build_case(case: FormulaCase):
+    """Presentation, Jordan assignment, and expected codimension of a case.
+
+    The quiver, paths and partitions are shared between cases; the
+    relation, presentation and assignment are built and validated anew."""
+    expected, shapes, (m0, m1) = _shaped(case.item, case.p, case.q, case.l, case.lam)
     n_sym = _SYMBOLS[case.item]
     if case.h < n_sym:
         raise SideConditionError(
             f"item {case.item} needs {n_sym} distinct arrows, h={case.h}"
         )
-    m0 = max(case.p, max(a for _, a, _s, _b in shapes) + 1)
-    m1 = max(case.q, max(b for _, _a, _s, b in shapes) + 1)
-    vertices = ("0", "1")
-    arrows = []
-    if m0 >= 2:
-        arrows.append(Arrow("e0", "0", "0"))
-    if m1 >= 2:
-        arrows.append(Arrow("e1", "1", "1"))
-    arrow_names = [f"a{i + 1}" for i in range(case.h)]
-    arrows.extend(Arrow(n, "1", "0") for n in arrow_names)
-    quiver = Quiver(vertices, tuple(arrows))
-    terms = []
-    for coeff, a, sym, b in shapes:
-        word = ["e0"] * a + [arrow_names[sym]] + ["e1"] * b
-        terms.append((coeff, quiver.path(word)))
-    rel = Relation.make(terms)
+    quiver = _quiver(m0 >= 2, m1 >= 2, case.h)
+    rel = Relation.make([(coeff, _path(quiver, a, sym, b))
+                         for coeff, a, sym, b in shapes])
     pres = BoundQuiverPresentation(quiver, (m0, m1), (rel,))
     ja = JordanAssignment.for_presentation(
-        pres, [Partition((case.p,), m0), Partition((case.q,), m1)]
+        pres, [_single_part(case.p, m0), _single_part(case.q, m1)]
     )
     return pres, ja, expected
 
@@ -219,21 +240,17 @@ def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
         )
         for p in range(1, p_max + 1):
             qs = (1,) if item == 1 else (2,) if item == 2 else range(1, p + 1)
+            ls = range(1, p + 1) if item in (1, 2, 6, 10, 11) else (None,)
             for q in qs:
                 for lam in lams:
-                    for h in hs:
-                        if h < _SYMBOLS[item]:
+                    # _shaped decides which l are admissible, whatever h
+                    ok = []
+                    for l in ls:
+                        try:
+                            _shaped(item, p, q, l, lam)
+                        except SideConditionError:
                             continue
-                        # c_closed_form below decides which l are admissible
-                        ls = range(1, p + 1) if item in (1, 2, 6, 10, 11) else (None,)
-                        for l in ls:
-                            case = FormulaCase(item, p, q, l, lam, h)
-                            try:
-                                c_closed_form(item, p, q, l, lam)
-                                shapes = _term_shapes(item, p, q, l, lam)
-                            except SideConditionError:
-                                continue
-                            if any(a + 1 + b < 2 for _, a, _s, b in shapes):
-                                continue
-                            cases.append(case)
+                        ok.append(l)
+                    cases += [FormulaCase(item, p, q, l, lam, h) for h in hs
+                              if h >= _SYMBOLS[item] for l in ok]
     return cases

@@ -136,7 +136,10 @@ def _normalize_combo(terms: Iterable[tuple[Fraction | int, Path]]) -> Combo:
     """Combine equal paths, drop zero coefficients, sort by length then word."""
     combined: dict[Path, Fraction] = {}
     for coeff, p in terms:
-        combined[p] = combined.get(p, Fraction(0)) + Fraction(coeff)
+        if p in combined:
+            combined[p] += coeff
+        else:
+            combined[p] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
     out = [(c, p) for p, c in combined.items() if c != 0]
     out.sort(key=lambda t: _term_key(t[1]))
     return out
@@ -243,16 +246,18 @@ class BoundQuiverPresentation:
         if len(self.orders) != len(q.vertices):
             raise PresentationError("orders must align with the vertex list")
         order_of = dict(zip(q.vertices, self.orders))
-        for v in q.vertices:
-            loops = q.loops_at(v)
-            if len(loops) > 1:
+        loops = dict.fromkeys(q.vertices, 0)
+        for a in q.arrows:
+            if a.is_loop:
+                loops[a.source] += 1
+        for v, m in order_of.items():
+            if loops[v] > 1:
                 raise PresentationError(f"vertex {v!r} carries more than one loop")
-            m = order_of[v]
             if m < 1:
                 raise PresentationError(f"nilpotency order at {v!r} must be >= 1")
-            if loops and m < 2:
+            if loops[v] and m < 2:
                 raise PresentationError(f"loop at {v!r} needs order >= 2")
-            if not loops and m != 1:
+            if not loops[v] and m != 1:
                 raise PresentationError(f"vertex {v!r} has order {m} but no loop")
         for rel in self.relations:
             if rel.is_zero:

@@ -237,11 +237,10 @@ def split_gap_test(pres: BoundQuiverPresentation, dims: Sequence[int],
 
 def dim_vectors_up_to(n_vertices: int, total: int) -> list[tuple[int, ...]]:
     """Dimension vectors with entry sum <= total, lexicographic order."""
-    out = []
-    for combo in itertools.product(range(total + 1), repeat=n_vertices):
-        if sum(combo) <= total:
-            out.append(combo)
-    return out
+    if n_vertices == 0:
+        return [()] if total >= 0 else []
+    return [(k, *rest) for k in range(total + 1)
+            for rest in dim_vectors_up_to(n_vertices - 1, total - k)]
 
 
 # ---------------------------------------------------------------------------

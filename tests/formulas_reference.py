@@ -1,0 +1,79 @@
+"""The ``build_case`` and ``formula_cases`` that the shared-parts versions
+replaced, kept verbatim as the reference of their differential tests:
+they check the side conditions of every case anew, and ``build_case``
+builds a fresh quiver, fresh paths and fresh partitions for every case.
+"""
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+from quiverstrata.formulas import (_DEFAULT_LAMBDAS, _HAS_LAMBDA, _SYMBOLS,
+                                   FormulaCase, SideConditionError, _term_shapes,
+                                   c_closed_form)
+from quiverstrata.partitions import JordanAssignment, Partition
+from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
+
+
+def build_case(case):
+    """Presentation, Jordan assignment, and expected codimension of a case."""
+    expected = c_closed_form(case.item, case.p, case.q, case.l, case.lam)
+    shapes = _term_shapes(case.item, case.p, case.q, case.l, case.lam)
+    if any(a + 1 + b < 2 for _, a, _sym, b in shapes):
+        raise SideConditionError("a term would be a bare arrow (length < 2)")
+    n_sym = _SYMBOLS[case.item]
+    if case.h < n_sym:
+        raise SideConditionError(
+            f"item {case.item} needs {n_sym} distinct arrows, h={case.h}"
+        )
+    m0 = max(case.p, max(a for _, a, _s, _b in shapes) + 1)
+    m1 = max(case.q, max(b for _, _a, _s, b in shapes) + 1)
+    vertices = ("0", "1")
+    arrows = []
+    if m0 >= 2:
+        arrows.append(Arrow("e0", "0", "0"))
+    if m1 >= 2:
+        arrows.append(Arrow("e1", "1", "1"))
+    arrow_names = [f"a{i + 1}" for i in range(case.h)]
+    arrows.extend(Arrow(n, "1", "0") for n in arrow_names)
+    quiver = Quiver(vertices, tuple(arrows))
+    terms = []
+    for coeff, a, sym, b in shapes:
+        word = ["e0"] * a + [arrow_names[sym]] + ["e1"] * b
+        terms.append((coeff, quiver.path(word)))
+    rel = Relation.make(terms)
+    pres = BoundQuiverPresentation(quiver, (m0, m1), (rel,))
+    ja = JordanAssignment.for_presentation(
+        pres, [Partition((case.p,), m0), Partition((case.q,), m1)]
+    )
+    return pres, ja, expected
+
+
+def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
+                  lambdas: Sequence[Fraction] = _DEFAULT_LAMBDAS,
+                  items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
+    """Every admissible case with q <= p <= p_max, deterministic order."""
+    wanted = set(items) if items is not None else set(range(1, 12))
+    cases: list[FormulaCase] = []
+    for item in sorted(wanted):
+        lams: Sequence[Optional[Fraction]] = (
+            lambdas if item in _HAS_LAMBDA else (None,)
+        )
+        for p in range(1, p_max + 1):
+            qs = (1,) if item == 1 else (2,) if item == 2 else range(1, p + 1)
+            for q in qs:
+                for lam in lams:
+                    for h in hs:
+                        if h < _SYMBOLS[item]:
+                            continue
+                        # c_closed_form below decides which l are admissible
+                        ls = range(1, p + 1) if item in (1, 2, 6, 10, 11) else (None,)
+                        for l in ls:
+                            case = FormulaCase(item, p, q, l, lam, h)
+                            try:
+                                c_closed_form(item, p, q, l, lam)
+                                shapes = _term_shapes(item, p, q, l, lam)
+                            except SideConditionError:
+                                continue
+                            if any(a + 1 + b < 2 for _, a, _s, b in shapes):
+                                continue
+                            cases.append(case)
+    return cases

@@ -1,9 +1,13 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from quiverstrata import formulas
 from quiverstrata.cli import main
 from quiverstrata.quiver import parse_presentation
 
@@ -254,6 +258,43 @@ def test_verify_formulas_jobs_match_sequential(capsys):
     _, seq, _ = run_cli(["verify-formulas", "--p-max", "2"], capsys)
     _, par, _ = run_cli(["verify-formulas", "--p-max", "2", "--jobs", "2"], capsys)
     assert seq == par
+
+
+def _clear_package_caches():
+    """Empty every module-level memo cache of the package, as a fresh
+    process starts."""
+    for name, module in list(sys.modules.items()):
+        if name == "quiverstrata" or name.startswith("quiverstrata."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_verify_formulas_cold_and_warm_caches_agree(capsys):
+    argv = ["verify-formulas", "--p-max", "4", "--format", "csv"]
+    _clear_package_caches()
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert formulas._quiver.cache_info().currsize > 0
+    assert formulas._path.cache_info().currsize > 0
+    code, warm, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert formulas._path.cache_info().hits > 0
+    assert warm == cold
+
+
+def test_single_process_run_does_not_import_the_pool():
+    script = ("import sys\n"
+              "from quiverstrata.cli import main\n"
+              "code = main(['verify-formulas', '--item', '1', '--p', '3', '--l', '1'])\n"
+              "print(code, 'concurrent.futures.process' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_oracle_count_identity(algebra_file, capsys):

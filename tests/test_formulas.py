@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import formulas_reference
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases)
 from quiverstrata.linsys import codim_table
@@ -41,6 +43,52 @@ def test_build_case_requires_enough_arrows():
         build_case(FormulaCase(4, 3, 2, None, None, 1))
     with pytest.raises(SideConditionError):
         build_case(FormulaCase(9, 3, 3, None, Fraction(2), 2))
+
+
+def _splits(pres):
+    return [(type(c), p.split) for rel in pres.relations for c, p in rel.terms]
+
+
+def test_build_case_matches_replaced_on_sweep():
+    """The shared-parts build_case returns what the replaced one did, on
+    every case of the p <= 8 sweep; ``Path.split`` is compared on its own,
+    since path equality ignores it."""
+    cases = formula_cases(p_max=8)
+    assert len(cases) == 1205
+    for case in cases:
+        pres, ja, expected = build_case(case)
+        ref_pres, ref_ja, ref_expected = formulas_reference.build_case(case)
+        assert (pres, ja, expected) == (ref_pres, ref_ja, ref_expected), case.describe()
+        assert _splits(pres) == _splits(ref_pres), case.describe()
+
+
+def test_build_case_rejects_what_replaced_rejected():
+    """On a grid of cases on and off the sweep, both versions return the
+    same, or fail alike with the same message."""
+    lams = (None, Fraction(0), Fraction(1), Fraction(2))
+    for item, p, q, h in itertools.product(range(1, 12), range(1, 4), range(1, 4),
+                                           range(1, 4)):
+        for l, lam in itertools.product((None, *range(1, p + 2)), lams):
+            case = FormulaCase(item, p, q, l, lam, h)
+            try:
+                want = formulas_reference.build_case(case)
+            except (SideConditionError, TypeError) as exc:  # no lambda: TypeError
+                with pytest.raises(type(exc)) as got:
+                    build_case(case)
+                assert str(got.value) == str(exc), case.describe()
+                continue
+            pres, ja, expected = build_case(case)
+            assert (pres, ja, expected) == want, case.describe()
+            assert _splits(pres) == _splits(want[0]), case.describe()
+
+
+@pytest.mark.parametrize("hs", [(1, 2, 3), (1,), (2, 1)])
+@pytest.mark.parametrize("lambdas", [(Fraction(2), Fraction(-1), Fraction(1, 2)),
+                                     (Fraction(0), Fraction(1))])
+def test_formula_cases_match_replaced(hs, lambdas):
+    for p_max in range(9):
+        assert (formula_cases(p_max, hs, lambdas)
+                == formulas_reference.formula_cases(p_max, hs, lambdas)), p_max
 
 
 def test_case_sweep_is_deterministic_and_nonempty():

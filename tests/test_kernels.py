@@ -127,8 +127,9 @@ def test_nilpotent_enumeration_variants_agree(d, m, q):
 
 
 def test_nilpotent_counts_match_theory():
-    # nilpotent d x d matrices over F_q number q^(d^2 - d)
-    for d, q in [(2, 2), (2, 3), (3, 2), (2, 5)]:
+    # nilpotent d x d matrices over F_q number q^(d^2 - d); at q = 131 a
+    # chunk packs many rows of high digits
+    for d, q in [(2, 2), (2, 3), (3, 2), (2, 5), (2, 131)]:
         mats, _ = enumerate_nilpotent(d, d, q)
         assert mats.shape[0] == q ** (d * d - d)
     # with the stricter bound X^2 = 0 on 3x3 over F_2: zero plus rank-1

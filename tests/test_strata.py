@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from quiverstrata.families import build_family, parse_family_spec
@@ -217,6 +219,12 @@ def test_dim_vectors_up_to():
     vecs = dim_vectors_up_to(2, 2)
     assert vecs == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     assert dim_vectors_up_to(2, 0) == [(0, 0)]
+    # the filtered product the direct generation replaced, order included
+    for n in range(4):
+        for total in range(-1, 9):
+            want = [v for v in itertools.product(range(total + 1), repeat=n)
+                    if sum(v) <= total]
+            assert dim_vectors_up_to(n, total) == want, (n, total)
 
 
 def test_ambient_arrow_dim():
