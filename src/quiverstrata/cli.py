@@ -64,6 +64,8 @@ def _dims_for(args, n_vertices: int) -> list[tuple[int, ...]]:
     if args.dim is not None:
         return [_parse_dim(args.dim)]
     if args.max_total is not None:
+        if args.max_total < 0:
+            raise ValueError(f"--max-total must be at least 0, got {args.max_total}")
         return dim_vectors_up_to(n_vertices, args.max_total)
     raise PresentationError("specify --dim or --max-total")
 
@@ -145,6 +147,8 @@ def cmd_verify_formulas(args) -> int:
                            lam, 3 if args.h is None else args.h)
         cases = [case]
     else:
+        if args.p_max < 1:
+            raise ValueError(f"--p-max must be at least 1, got {args.p_max}")
         items = [args.item] if args.item is not None else None
         cases = formula_cases(p_max=args.p_max, items=items)
     outcomes = _map(evaluate_case, cases, args.jobs)

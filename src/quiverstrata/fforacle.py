@@ -25,7 +25,7 @@ from .linsys import _fraction_mod, codim_table
 from .partitions import (JordanAssignment, _is_prime, orbit_count,
                          partition_from_ranks)
 from .quiver import BoundQuiverPresentation
-from .strata import ambient_arrow_dim, assignments_for, jordan_types
+from .strata import _check_dims, ambient_arrow_dim, assignments_for, jordan_types
 
 __all__ = [
     "StratumCountTable",
@@ -72,10 +72,25 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
                          f"dimension vector {tuple(dims)}")
     if not _is_prime(q):
         raise ValueError("q must be prime")
-    dims, per_vertex = jordan_types(pres, dims)
+    dims = _check_dims(pres, dims)
     quiver = pres.quiver
     dim_of = dict(zip(quiver.vertices, dims))
     order_of = pres.order_map
+    # the point caps come before the Jordan types, whose number grows
+    # faster than any cap can admit
+    for a in quiver.arrows:
+        count = q ** (dim_of[a.target] * dim_of[a.source])
+        if count <= max_points:
+            continue
+        if a.is_loop:
+            raise EnumerationCapExceeded(
+                f"loop enumeration at {a.source!r} needs {count} points, "
+                f"cap is {max_points}"
+            )
+        raise EnumerationCapExceeded(
+            f"arrow {a.name!r} needs {count} points, cap is {max_points}"
+        )
+    _, per_vertex = jordan_types(pres, dims)
 
     # mixed-radix layout of the tally keys, one digit per vertex, so a key
     # is the index of its assignment in the order of ``assignments_for``
@@ -97,11 +112,6 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
             v = a.source
             vi = quiver.vertices.index(v)
             d, m = d_t, order_of[v]
-            if q ** (d * d) > max_points:
-                raise EnumerationCapExceeded(
-                    f"loop enumeration at {v!r} needs {q ** (d * d)} points, "
-                    f"cap is {max_points}"
-                )
             if (d, m) not in nilpotent:
                 nilpotent[d, m] = _kernels.enumerate_nilpotent(d, m, q)
             mats, ranks = nilpotent[d, m]
@@ -114,10 +124,6 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
             cand_keys.append(weights[vi] * types)
         else:
             count = q ** (d_t * d_s)
-            if count > max_points:
-                raise EnumerationCapExceeded(
-                    f"arrow {a.name!r} needs {count} points, cap is {max_points}"
-                )
             mats = _kernels.digit_table(d_t * d_s, q).reshape(count, d_t, d_s)
             cand_keys.append(np.zeros(mats.shape[0], np.int64))
         cand_mats.append(mats)

@@ -16,7 +16,7 @@ __all__ = [
     "Partition",
     "JordanAssignment",
     "partitions_bounded",
-    "maximal_partition",
+    "count_partitions_bounded",
     "end_dim",
     "orbit_dim",
     "orbit_count",
@@ -86,12 +86,17 @@ def partitions_bounded(d: int, m: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def maximal_partition(d: int, m: int) -> Partition:
+@functools.cache
+def count_partitions_bounded(d: int, m: int) -> int:
+    """``len(partitions_bounded(d, m))`` without listing them: the
+    O(d·m) recurrence that adds the parts 1, ..., m one size at a time."""
     if d < 0 or m < 1:
         raise ValueError("need d >= 0 and m >= 1")
-    full, r = divmod(d, m)
-    parts = (m,) * full + ((r,) if r else ())
-    return Partition(parts, m)
+    ways = [1] + [0] * d
+    for part in range(1, min(m, d) + 1):
+        for n in range(part, d + 1):
+            ways[n] += ways[n - part]
+    return ways[d]
 
 
 def end_dim(p: Partition) -> int:

@@ -13,11 +13,8 @@ __all__ = [
     "Relation",
     "BoundQuiverPresentation",
     "PresentationError",
-    "CycleDiagnostic",
     "parse_presentation",
     "serialize_presentation",
-    "detect_shortcuts",
-    "check_cycle_conditions",
     "relation_mod_orders",
     "truncate_terms",
 ]
@@ -73,9 +70,6 @@ class Quiver:
     @property
     def non_loop_arrows(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if not a.is_loop)
-
-    def loops_at(self, vertex: str) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.is_loop and a.source == vertex)
 
     def path(self, arrow_names: Sequence[str]) -> "Path":
         """Path from a composition-ordered arrow word (leftmost applied last)."""
@@ -461,90 +455,3 @@ def serialize_presentation(pres: BoundQuiverPresentation) -> str:
     for rel in pres.relations:
         lines.append(f"relation {rel}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# structural diagnostics
-# ---------------------------------------------------------------------------
-
-def detect_shortcuts(quiver: Quiver) -> list[Arrow]:
-    """Non-loop arrows paralleled by a loop-free path of length >= 2."""
-    verts = quiver.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    edge = [[False] * n for _ in range(n)]
-    for a in quiver.non_loop_arrows:
-        edge[index[a.source]][index[a.target]] = True
-    reach = [row[:] for row in edge]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                for j in range(n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    out = []
-    for a in quiver.non_loop_arrows:
-        s, t = index[a.source], index[a.target]
-        if any(reach[s][index[b.source]] and index[b.target] == t
-               for b in quiver.non_loop_arrows):
-            out.append(a)
-    return out
-
-
-@dataclass(frozen=True)
-class CycleDiagnostic:
-    ok: bool
-    multi_loop_vertex: Optional[str] = None
-    degree_cycle: Optional[tuple[str, ...]] = None
-
-
-def check_cycle_conditions(quiver: Quiver) -> CycleDiagnostic:
-    """Check that every oriented cycle is a power of a loop and loops are unique.
-
-    Both conditions together say the only cycling happens through a single
-    loop per vertex; a cycle using a non-loop arrow, or two loops at one
-    vertex, is reported with a witness.
-    """
-    for v in quiver.vertices:
-        if len(quiver.loops_at(v)) > 1:
-            return CycleDiagnostic(False, multi_loop_vertex=v)
-    cycle = _find_loop_free_cycle(quiver)
-    if cycle is not None:
-        return CycleDiagnostic(False, degree_cycle=tuple(cycle))
-    return CycleDiagnostic(True)
-
-
-def _find_loop_free_cycle(quiver: Quiver) -> Optional[list[str]]:
-    out_arrows: dict[str, list[Arrow]] = {v: [] for v in quiver.vertices}
-    for a in quiver.non_loop_arrows:
-        out_arrows[a.source].append(a)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in quiver.vertices}
-    stack_arrows: list[Arrow] = []
-
-    def dfs(v: str) -> Optional[list[str]]:
-        color[v] = GRAY
-        for a in out_arrows[v]:
-            w = a.target
-            if color[w] == GRAY:
-                names = [a.name]
-                for b in reversed(stack_arrows):
-                    names.append(b.name)
-                    if b.source == w:
-                        break
-                return names
-            if color[w] == WHITE:
-                stack_arrows.append(a)
-                found = dfs(w)
-                stack_arrows.pop()
-                if found is not None:
-                    return found
-        color[v] = BLACK
-        return None
-
-    for v in quiver.vertices:
-        if color[v] == WHITE:
-            found = dfs(v)
-            if found is not None:
-                return found
-    return None

@@ -16,13 +16,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linsys import codim_table
-from .partitions import (JordanAssignment, Partition, maximal_partition,
+from .partitions import (JordanAssignment, Partition, count_partitions_bounded,
                          orbit_dim, partitions_bounded)
-from .quiver import Arrow, BoundQuiverPresentation, Quiver, relation_mod_orders
+from .quiver import BoundQuiverPresentation
 
 __all__ = [
     "StratumReport",
@@ -30,14 +29,9 @@ __all__ = [
     "ScanCapExceeded",
     "ambient_arrow_dim",
     "stratum_dim",
-    "max_assignment",
-    "max_stratum",
     "jordan_types",
     "assignments_for",
     "reducibility_scan",
-    "split_gap_test",
-    "nooverlap_dims",
-    "build_nooverlap_presentation",
     "dim_vectors_up_to",
 ]
 
@@ -132,17 +126,6 @@ def stratum_dim(pres: BoundQuiverPresentation, ja: JordanAssignment) -> StratumR
     return StratumReport(ja, orbits, n, c, is_max)
 
 
-def max_assignment(pres: BoundQuiverPresentation, dims: Sequence[int]) -> JordanAssignment:
-    dims = _check_dims(pres, dims)
-    parts = [maximal_partition(d, pres.order(v))
-             for v, d in zip(pres.quiver.vertices, dims)]
-    return JordanAssignment.for_presentation(pres, parts)
-
-
-def max_stratum(pres: BoundQuiverPresentation, dims: Sequence[int]) -> StratumReport:
-    return stratum_dim(pres, max_assignment(pres, dims))
-
-
 def jordan_types(pres: BoundQuiverPresentation, dims: Sequence[int]
                  ) -> tuple[tuple[int, ...], list[tuple[Partition, ...]]]:
     """The checked dimension vector and the Jordan types at each vertex.
@@ -179,10 +162,11 @@ def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
     fixed, so the scan compares orbit dims - codimension (from the table).
     """
     dims = _check_dims(pres, dims)
-    data = [_type_data(d, pres.order(v)) for v, d in zip(pres.quiver.vertices, dims)]
-    count = math.prod(len(types) for types in data)
+    # counted, not listed: a vector far over the cap must fail at once
+    count = math.prod(count_partitions_bounded(d, m) for d, m in zip(dims, pres.orders))
     if count > cap:
         raise ScanCapExceeded(count, cap)
+    data = [_type_data(d, m) for d, m in zip(dims, pres.orders)]
     table = codim_table(pres)
 
     def size(combo) -> int:
@@ -209,113 +193,9 @@ def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
     return found if find_all else None
 
 
-def split_gap_test(pres: BoundQuiverPresentation, dims: Sequence[int],
-                       vertex: Optional[str] = None) -> tuple[bool, int]:
-    """Codimension-gap criterion at one vertex with a single-part maximal type.
-
-    Splitting the single part (p) into (p - 1, 1) costs exactly 2 in orbit
-    dimension, so a codimension gap of at least 2 certifies reducibility.
-    Returns (gap >= 2, gap).
-    """
-    dims = _check_dims(pres, dims)
-    if vertex is None:
-        vertex = pres.quiver.vertices[0]
-    ja_max = max_assignment(pres, dims)
-    pmax = ja_max.partition(vertex)
-    if len(pmax.parts) != 1 or pmax.parts[0] < 2:
-        raise ValueError(
-            f"maximal partition at {vertex!r} must be a single part >= 2"
-        )
-    p = pmax.parts[0]
-    witness_parts = {v: part for v, part in zip(ja_max.vertices, ja_max.partitions)}
-    witness_parts[vertex] = Partition((p - 1, 1), pres.order(vertex))
-    ja_wit = JordanAssignment.for_presentation(pres, witness_parts)
-    table = codim_table(pres)
-    gap = table.codim(ja_max) - table.codim(ja_wit)
-    return gap >= 2, gap
-
-
 def dim_vectors_up_to(n_vertices: int, total: int) -> list[tuple[int, ...]]:
     """Dimension vectors with entry sum <= total, lexicographic order."""
     if n_vertices == 0:
         return [()] if total >= 0 else []
     return [(k, *rest) for k in range(total + 1)
             for rest in dim_vectors_up_to(n_vertices - 1, total - k)]
-
-
-# ---------------------------------------------------------------------------
-# three-vertex chain comparison
-# ---------------------------------------------------------------------------
-
-def build_nooverlap_presentation(h: int, l: int, n1: int, n2: int, m: int,
-                                 lam: Sequence[Fraction | int] = (1,)
-                                 ) -> BoundQuiverPresentation:
-    """Chain quiver 2 -> 1 -> 0 with a loop of order m at every vertex.
-
-    The two mixed relations tie the first arrow of each hop to the loops;
-    the middle loop enters the second relation through the reparameterized
-    loop lam_1 e1 + lam_2 e1^2 + ... (lam_1 != 0).
-    """
-    if not (0 < n1 <= n2 < m):
-        raise ValueError("need 0 < n1 <= n2 < m")
-    if h < 1 or l < 1:
-        raise ValueError("need h >= 1 and l >= 1")
-    lam = tuple(Fraction(x) for x in lam)
-    if not lam or lam[0] == 0:
-        raise ValueError("the leading loop coefficient must be nonzero")
-    if len(lam) > m - 1:
-        raise ValueError("at most m - 1 loop coefficients")
-    vertices = ("0", "1", "2")
-    arrows = [Arrow("e0", "0", "0"), Arrow("e1", "1", "1"), Arrow("e2", "2", "2")]
-    alphas = [f"a{i + 1}" for i in range(h)]
-    betas = [f"b{j + 1}" for j in range(l)]
-    arrows.extend(Arrow(n, "1", "0") for n in alphas)
-    arrows.extend(Arrow(n, "2", "1") for n in betas)
-    quiver = Quiver(vertices, tuple(arrows))
-    orders = {"0": m, "1": m, "2": m}
-
-    terms1 = []
-    for i in range(n1 + 1):
-        word = ["e0"] * i + ["a1"] + ["e1"] * (n1 - i)
-        terms1.append((Fraction(1), quiver.path(word)))
-    rel1 = relation_mod_orders(quiver, orders, terms1)
-
-    # powers of the reparameterized middle loop, truncated at e1^m
-    powers: list[dict[int, Fraction]] = [{0: Fraction(1)}]
-    base = {k + 1: c for k, c in enumerate(lam) if c != 0}
-    for _ in range(n2):
-        nxt: dict[int, Fraction] = {}
-        for deg, c in powers[-1].items():
-            for dk, ck in base.items():
-                nd = deg + dk
-                if nd < m:
-                    nxt[nd] = nxt.get(nd, Fraction(0)) + c * ck
-        powers.append(nxt)
-    terms2 = []
-    for j in range(n2 + 1):
-        for deg, c in powers[j].items():
-            word = ["e1"] * deg + ["b1"] + ["e2"] * (n2 - j)
-            terms2.append((c, quiver.path(word)))
-    rel2 = relation_mod_orders(quiver, orders, terms2)
-
-    return BoundQuiverPresentation(quiver, (m, m, m), (rel1, rel2))
-
-
-def nooverlap_dims(h: int, l: int, n1: int, n2: int, m: int,
-                   lam: Sequence[Fraction | int] = (1,)) -> tuple[int, int]:
-    """Dimensions of the two middle-type strata on the chain quiver.
-
-    For the dimension vector (1, n2 + 1, 1) the outer loops act by zero;
-    the middle Jordan type is (n2 + 1) for the first stratum and (n2, 1)
-    for the second.  The two dimensions coincide for every admissible
-    parameter choice, which is the point of the comparison.
-    """
-    pres = build_nooverlap_presentation(h, l, n1, n2, m, lam)
-    one = Partition((1,), m)
-    ja_u = JordanAssignment.for_presentation(
-        pres, [one, Partition((n2 + 1,), m), one]
-    )
-    ja_v = JordanAssignment.for_presentation(
-        pres, [one, Partition((n2, 1), m), one]
-    )
-    return stratum_dim(pres, ja_u).dim, stratum_dim(pres, ja_v).dim

@@ -1,10 +1,19 @@
 """Test-only oracles for Jordan data: the explicit Jordan matrix, the Hom
-dimension between indecomposables, and the commutant dimension by exact
-rank, an independent check of ``partitions.end_dim``."""
+dimension between indecomposables, the commutant dimension by exact rank,
+an independent check of ``partitions.end_dim``, and the maximal Jordan
+type in closed form, which ``partitions_bounded`` must list first."""
 import numpy as np
 
 from quiverstrata._kernels import exact_rank_int
 from quiverstrata.partitions import Partition
+
+
+def maximal_partition(d: int, m: int) -> Partition:
+    if d < 0 or m < 1:
+        raise ValueError("need d >= 0 and m >= 1")
+    full, r = divmod(d, m)
+    parts = (m,) * full + ((r,) if r else ())
+    return Partition(parts, m)
 
 
 def jordan_matrix(p: Partition) -> np.ndarray:

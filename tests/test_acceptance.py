@@ -7,13 +7,14 @@ import time
 
 from block_pairs import block_systems
 from jordan_reference import commutant_dim_oracle
+from paper_checks import nooverlap_dims
 from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
 from quiverstrata.formulas import build_case, formula_cases
 from quiverstrata.linsys import rank_exact, rank_mod
 from quiverstrata.partitions import Partition, end_dim, orbit_dim, partitions_bounded
 from quiverstrata.quiver import parse_presentation
-from quiverstrata.strata import dim_vectors_up_to, nooverlap_dims, reducibility_scan
+from quiverstrata.strata import dim_vectors_up_to, reducibility_scan
 
 
 def _report(name, detail):

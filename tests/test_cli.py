@@ -101,6 +101,19 @@ def test_cap_below_one_exits_2(algebra_file, capsys, command, cap):
     assert err.startswith("error:") and "--cap" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["reduce-scan", "--max-total", "-1"],
+    ["verify-formulas", "--p-max", "0"],
+    ["verify-formulas", "--p-max", "-2", "--item", "3"],
+], ids=["max-total", "p-max", "p-max-item"])
+def test_empty_sweep_exits_2(algebra_file, capsys, args):
+    if args[0] == "reduce-scan":
+        args = args + ["--algebra", algebra_file]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and args[1] in err
+
+
 def test_oracle_count_repeated_prime_exits_2(algebra_file, capsys):
     code, out, err = run_cli(["oracle-count", "--algebra", algebra_file,
                               "--dim", "1,1", "--q", "2,3,2"], capsys)
@@ -198,17 +211,24 @@ def test_reduce_scan_no_certificates(algebra_file, capsys):
     assert "REDUCIBLE" not in out
 
 
-def test_reduce_scan_empty_range(algebra_file, capsys):
-    code, out, _ = run_cli(["reduce-scan", "--algebra", algebra_file,
-                            "--max-total", "-1"], capsys)
-    assert code == 0 and out == ""
-
-
 def test_reduce_scan_cap_reported(algebra_file, capsys):
     code, out, _ = run_cli(["reduce-scan", "--algebra", algebra_file,
                             "--dim", "6,6", "--cap", "2"], capsys)
     assert code == 0
     assert "scan cap exceeded" in out
+
+
+def test_reduce_scan_cap_checked_before_listing_types(tmp_path, capsys):
+    # 930,028,784,400 assignments: counted, never listed
+    path = str(tmp_path / "a140401.bq")
+    run_cli(["family", "A(1,40,40,1)", "-o", path], capsys)
+    _clear_package_caches()  # a listing cached by an earlier test would hide the cost
+    start = time.monotonic()
+    code, out, err = run_cli(["reduce-scan", "--algebra", path, "--dim", "60,60",
+                              "--cap", "10"], capsys)
+    assert time.monotonic() - start < 2.0
+    assert code == 0 and err == ""
+    assert out == "d=(60, 60): scan cap exceeded (930028784400 assignments > cap 10)\n"
 
 
 def test_reduce_scan_jobs_match_sequential(algebra_file, capsys):
@@ -391,6 +411,19 @@ def test_oracle_count_int64_overflow_exits_2_at_once(tmp_path, capsys):
     assert time.monotonic() - start < 2.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "int64" in err
+
+
+def test_oracle_count_caps_checked_before_listing_types(tmp_path, capsys):
+    path = str(tmp_path / "a140401.bq")
+    run_cli(["family", "A(1,40,40,1)", "-o", path], capsys)
+    _clear_package_caches()  # a listing cached by an earlier test would hide the cost
+    start = time.monotonic()
+    code, out, err = run_cli(["oracle-count", "--algebra", path, "--dim", "60,60",
+                              "--q", "2"], capsys)
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == (f"error: loop enumeration at '0' needs {2 ** 3600} points, "
+                   "cap is 2000000\n")
 
 
 def test_family_emits_parseable_presentation(capsys):

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from paper_checks import product_decomposition_check, recognize_family
 from substitution import apply_arrow_substitution
 
-from quiverstrata.families import (FamilyTag, build_family, parse_family_spec,
-                                   product_decomposition_check, recognize_family)
+from quiverstrata.families import FamilyTag, build_family, parse_family_spec
 from quiverstrata.quiver import parse_presentation
 
 
@@ -54,6 +54,8 @@ def test_tag_validation_and_spec_strings():
     with pytest.raises(ValueError):
         FamilyTag("Aprime", h=-1, m0=1, m1=1)
     with pytest.raises(ValueError):
+        FamilyTag("unrecognized")
+    with pytest.raises(ValueError):
         parse_family_spec("B(1,2)")
     tag = parse_family_spec("A(2,3,3,2)")
     assert tag.spec_string() == "A(2,3,3,2)"
@@ -67,7 +69,6 @@ def test_in_classified_list_flag():
     assert not FamilyTag("A", h=1, m0=3, m1=2, n=1).in_classified_list
     assert FamilyTag("Aprime", h=2, m0=1, m1=3).in_classified_list
     assert FamilyTag("truncpoly", m=5).in_classified_list
-    assert FamilyTag("unrecognized").in_classified_list is None
 
 
 def test_recognize_round_trip_on_tags():
@@ -131,7 +132,7 @@ arrow a2 1 -> 0
 relation e0*a1 + e0^2*a2
 """
     pres = parse_presentation(text)
-    assert recognize_family(pres).kind == "unrecognized"
+    assert recognize_family(pres) is None
     twisted = """
 vertex 0
 vertex 1
@@ -141,7 +142,7 @@ arrow a1 1 -> 0
 relation e0^2*a1 + e0*a1*e1 + 2*a1*e1^2
 """
     # coefficients 1, 1, 2 are not geometric: not a loop rescale of the shape
-    assert recognize_family(parse_presentation(twisted)).kind == "unrecognized"
+    assert recognize_family(parse_presentation(twisted)) is None
 
 
 def test_recognize_too_many_vertices():

@@ -1,0 +1,78 @@
+"""Every module-level import in the package is used in its module.
+
+The package re-exports its public names from ``__init__``, so that file is
+skipped, as are ``from __future__`` imports.  A name listed in a module's
+``__all__`` counts as used.  The check reads the sources with ``ast``, so it
+imports nothing.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quiverstrata"
+
+
+def _bound_names(node):
+    for alias in node.names:
+        if alias.name == "*":
+            continue
+        if alias.asname:
+            yield alias.asname
+        elif isinstance(node, ast.Import):
+            yield alias.name.partition(".")[0]
+        else:
+            yield alias.name
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            yield node.annotation
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):  # names inside quoted annotations
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in _bound_names(node):
+                imported[name] = node.lineno
+    used = _used_names(tree)
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_checker_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import math, os.path\n"
+              "from typing import Optional, Sequence as Seq\n"
+              "__all__ = ['f']\n"
+              "def f(x: 'Optional[int]') -> int:\n"
+              "    return math.floor(x)\n")
+    assert unused_imports(source) == ["line 2: os", "line 3: Seq"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_module_imports(path):
+    assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []

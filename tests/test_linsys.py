@@ -233,7 +233,7 @@ def test_disjoint_arrow_relations_add_up():
             rel_words.append(words)
         pres = _two_vertex(m0, m1, h, rel_words)
         d0, d1 = rng.randint(1, 4), rng.randint(1, 4)
-        from quiverstrata.partitions import maximal_partition
+        from jordan_reference import maximal_partition
 
         ja = JordanAssignment.for_presentation(
             pres, [maximal_partition(d0, m0), maximal_partition(d1, m1)]

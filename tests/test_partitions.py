@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from jordan_reference import commutant_dim_oracle, hom_dim, jordan_matrix
-from quiverstrata.partitions import (JordanAssignment, Partition, end_dim,
-                                     maximal_partition, orbit_count,
-                                     orbit_count_ff, orbit_dim,
+from jordan_reference import (commutant_dim_oracle, hom_dim, jordan_matrix,
+                              maximal_partition)
+from quiverstrata.partitions import (JordanAssignment, Partition,
+                                     count_partitions_bounded, end_dim,
+                                     orbit_count, orbit_count_ff, orbit_dim,
                                      partition_from_ranks, partitions_bounded,
                                      rank_sequence)
 
@@ -32,6 +33,16 @@ def test_partitions_bounded_examples():
 @pytest.mark.parametrize("d,m", [(d, m) for d in range(0, 9) for m in (1, 2, 3, 4, 8)])
 def test_partitions_bounded_against_brute_force(d, m):
     assert [p.parts for p in partitions_bounded(d, m)] == brute_partitions(d, m)
+
+
+def test_count_partitions_bounded_matches_listing():
+    for d in range(0, 25):
+        for m in range(1, 12):
+            assert count_partitions_bounded(d, m) == len(partitions_bounded(d, m)), (d, m)
+    with pytest.raises(ValueError):
+        count_partitions_bounded(-1, 2)
+    with pytest.raises(ValueError):
+        count_partitions_bounded(2, 0)
 
 
 def test_maximal_partition_examples():

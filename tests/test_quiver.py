@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper_checks import check_cycle_conditions, detect_shortcuts
 from strategies import presentations
 from substitution import (SubstitutionError, apply_arrow_substitution,
                           invert_substitution)
 
 from quiverstrata import cli
 from quiverstrata.quiver import (Arrow, PresentationError, Quiver, Relation,
-                                 check_cycle_conditions, detect_shortcuts,
                                  parse_presentation, serialize_presentation)
 
 A1221_TEXT = """

@@ -1,15 +1,13 @@
 import itertools
 
 import pytest
+from paper_checks import build_nooverlap_presentation, nooverlap_dims, split_gap_test
 
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import parse_presentation
-from quiverstrata.strata import (ScanCapExceeded,
-                                 ambient_arrow_dim, assignments_for,
-                                 build_nooverlap_presentation,
-                                 split_gap_test, dim_vectors_up_to,
-                                 max_stratum, nooverlap_dims,
+from quiverstrata.strata import (ScanCapExceeded, ambient_arrow_dim,
+                                 assignments_for, dim_vectors_up_to,
                                  reducibility_scan, stratum_dim)
 
 
@@ -46,15 +44,15 @@ def test_stratum_dim_all_ones(aprime122):
 def test_max_stratum_examples():
     for m in (2, 3):
         pres = build_family(parse_family_spec(f"A(1,{m},{m},1)"))
-        rep = max_stratum(pres, (m, 2 * m))
+        rep = stratum_dim(pres, assignments_for(pres, (m, 2 * m))[0])
         assert rep.assignment.partitions[0].parts == (m,)
         assert rep.assignment.partitions[1].parts == (m, m)
         assert rep.is_maximal
 
     pres = build_family(parse_family_spec("A(1,2,2,1)"))
-    rep = max_stratum(pres, (0, 0))
+    rep = stratum_dim(pres, assignments_for(pres, (0, 0))[0])
     assert rep.dim == 0 and rep.assignment.dims == (0, 0)
-    rep = max_stratum(pres, (3, 1))
+    rep = stratum_dim(pres, assignments_for(pres, (3, 1))[0])
     assert rep.assignment.partitions[0].parts == (2, 1)
     assert rep.assignment.partitions[1].parts == (1,)
 
