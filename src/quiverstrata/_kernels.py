@@ -5,8 +5,9 @@ integer rows: big integers never overflow, and the block-pair systems it
 sees have a few dozen rows.  The oracle's kernels (ranks over F_p of
 matrix stacks and the exhaustive enumerations) are numpy, batched in
 chunks of about ``CHUNK`` so memory stays bounded.  The point tally
-visits every point; the loop enumeration forms only trace-zero matrices,
-since X^m = 0 forces trace 0.
+enumerates the candidates of the slots its relations read and folds in
+every other slot by its key histogram; the loop enumeration forms only
+trace-zero matrices, since X^m = 0 forces trace 0.
 """
 from __future__ import annotations
 
@@ -164,19 +165,24 @@ def tally_points(mats, keys, shape, relations, q: int, n_keys: int) -> np.ndarra
 
     Slot ``s`` holds the candidate matrices ``mats[s]`` (``shape[s]`` of
     them) and their tally keys ``keys[s]``.  A point picks one candidate
-    per slot; points are the mixed-radix codes over ``shape``, visited in
-    chunks of ``CHUNK``.  Each relation is a list of terms ``(coeff,
-    path)``, a coefficient mod q and the slots of its arrow word (leftmost
-    applied last).  A kept point adds one to the sum of its slots' keys.
+    per slot and adds one to the sum of its slots' keys.  Each relation is
+    a list of terms ``(coeff, path)``, a coefficient mod q and the slots
+    of its arrow word (leftmost applied last).  Only the slots some
+    relation reads are enumerated: their mixed-radix codes are visited in
+    chunks of ``CHUNK``.  The points are a product over the slots, so each
+    unread slot is folded in afterwards by its key histogram, which is
+    exact because keys are mixed-radix digits that never carry.
     """
+    read = sorted({s for terms in relations for _, path in terms for s in path})
+    radices = [shape[s] for s in read]
     tally = np.zeros(n_keys, np.int64)
-    total = math.prod(shape)
+    total = math.prod(radices)
     for start in range(0, total, CHUNK):
         codes = np.arange(start, min(start + CHUNK, total))
-        idx = np.unravel_index(codes, shape) if shape else ()
+        idx = dict(zip(read, np.unravel_index(codes, radices))) if read else {}
         key = np.zeros(codes.size, np.int64)
-        for k, i in zip(keys, idx):
-            key += k[i]
+        for s, i in idx.items():
+            key += keys[s][i]
         for terms in relations:
             acc = 0
             for coeff, path in terms:
@@ -185,7 +191,14 @@ def tally_points(mats, keys, shape, relations, q: int, n_keys: int) -> np.ndarra
                     prod = np.matmul(prod, mats[s][idx[s]]) % q
                 acc = (acc + coeff * prod) % q
             alive = ~acc.any(axis=(1, 2))
-            idx = tuple(i[alive] for i in idx)
+            idx = {s: i[alive] for s, i in idx.items()}
             key = key[alive]
         tally += np.bincount(key, minlength=n_keys)
+    for s in sorted(set(range(len(shape))) - set(read)):
+        # c candidates with key k shift c copies of the tally up by k
+        counts = np.bincount(keys[s])
+        folded = np.zeros(n_keys, np.int64)
+        for k in np.flatnonzero(counts):
+            folded[k:] += counts[k] * tally[:n_keys - k]
+        tally = folded
     return tally

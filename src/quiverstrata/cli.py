@@ -22,8 +22,8 @@ from .formulas import (FormulaCase, SideConditionError, evaluate_case,
                        formula_cases)
 from .linsys import BadPrimeError, UnsupportedDegreeError
 from .quiver import PresentationError, parse_presentation, serialize_presentation
-from .strata import (ScanCapExceeded, assignments_for, dim_vectors_up_to,
-                     reducibility_scan, stratum_dim)
+from .strata import (ScanCapExceeded, assignments_for, count_assignments,
+                     dim_vectors_up_to, reducibility_scan, stratum_dim)
 
 __all__ = ["main"]
 
@@ -87,7 +87,9 @@ def _map(fn, items: Sequence, jobs: int) -> list:
 
 def cmd_strata(args) -> int:
     pres = _read_presentation(args.algebra)
-    dims = _parse_dim(args.dim)
+    dims, count = count_assignments(pres, _parse_dim(args.dim))
+    if count > args.cap:
+        raise ValueError(f"{count} Jordan assignments exceed the cap {args.cap}")
     reports = [stratum_dim(pres, ja) for ja in assignments_for(pres, dims)]
     header = ["assignment", "orbit_dims", "N", "c", "dim", "maximal"]
     rows = [[r.assignment.serialize(),
@@ -193,7 +195,10 @@ def cmd_family(args) -> int:
     pres = build_family(tag)
     text = f"# {tag.spec_string()}\n" + serialize_presentation(pres)
     if args.output:
-        FsPath(args.output).write_text(text, encoding="utf-8")
+        try:
+            FsPath(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -229,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, help="presentation file")
     p.add_argument("--dim", required=True, help="dimension vector, e.g. 2,2")
     p.add_argument("--format", choices=("text", "csv"), default="text")
+    p.add_argument("--cap", type=int, default=100_000,
+                   help="assignments before giving up")
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("reduce-scan", help="reducibility certificates over dimension vectors")

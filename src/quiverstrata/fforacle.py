@@ -1,10 +1,13 @@
 """Exhaustive finite-field enumeration of representation points.
 
-This layer is verification-only ground truth: it iterates every matrix
-assignment over F_q, keeps the points satisfying the nilpotency bounds and
-the mixed relations, and classifies each point by the Jordan types of its
-loop actions.  Nothing here feeds back into the exact engine; the counting
-identity ties the two together:
+This layer is verification-only ground truth: it counts every matrix
+assignment over F_q that satisfies the nilpotency bounds and the mixed
+relations, and classifies each point by the Jordan types of its loop
+actions.  It enumerates the candidates of the arrows and loops that some
+relation reads; every other arrow or loop multiplies the count by its
+candidates, per Jordan type, without being enumerated.  Nothing here
+feeds back into the exact engine; the counting identity ties the two
+together:
 
     |stratum| = (product of loop orbit counts) * q^(N - c)
 
@@ -59,9 +62,12 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
 
     The loop matrices are pre-enumerated per vertex (only the nilpotent
     candidates survive, which prunes the dominant factor), then every
-    combination of loop candidates and arrow matrices is tested against
-    the relations.  ``max_points`` caps both each per-vertex enumeration
-    and the final product of candidate counts.
+    combination of the candidates that some relation reads is tested
+    against the relations, and the candidates no relation reads are
+    folded into the count per Jordan type.  ``max_points`` caps both each
+    per-vertex enumeration and the full product of candidate counts,
+    folded slots included; a full product of 2^63 or more would overflow
+    the int64 tally and is refused.
     """
     # both checks come before the primality test, whose cost grows with q
     if q > max_points:
@@ -133,6 +139,8 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     work = math.prod(shape)
     if work > max_points:
         raise EnumerationCapExceeded(f"{work} points exceed the cap {max_points}")
+    if work >= 2 ** 63:
+        raise ValueError(f"{work} points overflow the int64 tally")
 
     # relations as (coeff mod q, slot path) terms; those with an empty
     # equation grid hold trivially and are dropped

@@ -31,6 +31,7 @@ __all__ = [
     "stratum_dim",
     "jordan_types",
     "assignments_for",
+    "count_assignments",
     "reducibility_scan",
     "dim_vectors_up_to",
 ]
@@ -146,6 +147,15 @@ def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int]
             for combo in itertools.product(*per_vertex)]
 
 
+def count_assignments(pres: BoundQuiverPresentation, dims: Sequence[int]
+                      ) -> tuple[tuple[int, ...], int]:
+    """The checked dimension vector and its number of Jordan assignments,
+    counted, not listed, so a vector far over a cap fails at once."""
+    dims = _check_dims(pres, dims)
+    return dims, math.prod(count_partitions_bounded(d, m)
+                           for d, m in zip(dims, pres.orders))
+
+
 @functools.cache
 def _type_data(d: int, m: int) -> tuple[tuple[Partition, int, tuple], ...]:
     """(Jordan type, orbit dim, part multiplicities) for each type of
@@ -161,9 +171,7 @@ def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
     dimension vector is reducible; an empty result proves nothing.  N is
     fixed, so the scan compares orbit dims - codimension (from the table).
     """
-    dims = _check_dims(pres, dims)
-    # counted, not listed: a vector far over the cap must fail at once
-    count = math.prod(count_partitions_bounded(d, m) for d, m in zip(dims, pres.orders))
+    dims, count = count_assignments(pres, dims)
     if count > cap:
         raise ScanCapExceeded(count, cap)
     data = [_type_data(d, m) for d, m in zip(dims, pres.orders)]

@@ -53,6 +53,28 @@ def test_strata_csv(algebra_file, capsys):
     assert lines[1].startswith("2|2,")
 
 
+def test_strata_cap(algebra_file, capsys):
+    # 3 types at vertex 0 times 2 at vertex 1
+    args = ["strata", "--algebra", algebra_file, "--dim", "3,2"]
+    code, out, err = run_cli(args + ["--cap", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: 6 Jordan assignments exceed the cap 5\n"
+    _, want, _ = run_cli(args, capsys)
+    code, out, _ = run_cli(args + ["--cap", "6"], capsys)
+    assert code == 0 and out == want
+
+
+def test_strata_cap_checked_before_listing_types(tmp_path, capsys):
+    path = str(tmp_path / "a140401.bq")
+    run_cli(["family", "A(1,40,40,1)", "-o", path], capsys)
+    _clear_package_caches()  # a listing cached by an earlier test would hide the cost
+    start = time.monotonic()
+    code, out, err = run_cli(["strata", "--algebra", path, "--dim", "60,60"], capsys)
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == "error: 930028784400 Jordan assignments exceed the cap 100000\n"
+
+
 def test_output_deterministic(algebra_file, capsys):
     _, out1, _ = run_cli(["strata", "--algebra", algebra_file, "--dim", "3,3"], capsys)
     _, out2, _ = run_cli(["strata", "--algebra", algebra_file, "--dim", "3,3"], capsys)
@@ -89,13 +111,15 @@ def test_jobs_below_one_exits_2(algebra_file, capsys, command, jobs):
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
-@pytest.mark.parametrize("command", ["reduce-scan", "oracle-count"])
+@pytest.mark.parametrize("command", ["reduce-scan", "oracle-count", "strata"])
 def test_cap_below_one_exits_2(algebra_file, capsys, command, cap):
     args = [command, "--algebra", algebra_file, "--cap", cap]
     if command == "reduce-scan":
         args += ["--max-total", "3"]
-    else:
+    elif command == "oracle-count":
         args += ["--dim", "1,1", "--q", "2"]
+    else:
+        args += ["--dim", "1,1"]
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--cap" in err
@@ -413,6 +437,45 @@ def test_oracle_count_int64_overflow_exits_2_at_once(tmp_path, capsys):
     assert err.startswith("error: ") and "int64" in err
 
 
+def test_oracle_count_folds_unread_arrow_fast(tmp_path, capsys):
+    # 2.4e8 points, 5^4 times over in the arrow a2 that no relation reads
+    path = str(tmp_path / "a2331.bq")
+    run_cli(["family", "A(2,3,3,1)", "-o", path], capsys)
+    start = time.monotonic()
+    code, out, err = run_cli(["oracle-count", "--algebra", path, "--dim", "2,2",
+                              "--q", "5", "--cap", "300000000"], capsys)
+    assert time.monotonic() - start < 5.0
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4 and all(r["pass"] == "pass" for r in rows)
+    assert sum(int(r["count"]) for r in rows) == 10_140_625
+
+
+def _parallel_arrows(tmp_path, n):
+    path = tmp_path / f"arrows{n}.bq"
+    path.write_text("vertex 0\nvertex 1\n"
+                    + "".join(f"arrow a{i} 1 -> 0\n" for i in range(n)))
+    return str(path)
+
+
+def test_oracle_count_full_product_below_int64(tmp_path, capsys):
+    code, out, err = run_cli(["oracle-count", "--algebra", _parallel_arrows(tmp_path, 62),
+                              "--dim", "1,1", "--q", "2",
+                              "--cap", "100000000000000000000"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"1|1,{2 ** 62},2,{2 ** 62},pass"
+
+
+def test_oracle_count_full_product_over_int64_exits_2_at_once(tmp_path, capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(["oracle-count", "--algebra", _parallel_arrows(tmp_path, 63),
+                              "--dim", "1,1", "--q", "2",
+                              "--cap", "100000000000000000000"], capsys)
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == f"error: {2 ** 63} points overflow the int64 tally\n"
+
+
 def test_oracle_count_caps_checked_before_listing_types(tmp_path, capsys):
     path = str(tmp_path / "a140401.bq")
     run_cli(["family", "A(1,40,40,1)", "-o", path], capsys)
@@ -432,6 +495,14 @@ def test_family_emits_parseable_presentation(capsys):
     pres = parse_presentation(out)
     assert len(pres.quiver.non_loop_arrows) == 2
     assert pres.orders == (3, 1)
+
+
+def test_family_unwritable_output_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "alg.bq"
+    code, out, err = run_cli(["family", "A(1,2,2,1)", "-o", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_family_bad_spec(capsys):

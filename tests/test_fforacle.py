@@ -241,6 +241,17 @@ relation 1/2*a*b + 2/3*c*d + a*d + 2*c*b
 """
 
 
+# no relation reads e1, so the tally folds its Jordan types in by histogram
+UNREAD_LOOP = """
+vertex 0
+vertex 1
+loop e0 0 order 3
+loop e1 1 order 3
+arrow a1 1 -> 0
+relation e0*a1
+"""
+
+
 SLOW_DIMS = ((1, 3), (2, 2), (3, 1))  # A(2,3,3,1) at q = 3, 531,441 points each
 
 
@@ -263,6 +274,10 @@ def _differential_cases():
     for d in range(4):
         for q in (2, 3):
             yield "truncpoly(3)", pres, (d,), q
+    pres = parse_presentation(UNREAD_LOOP)
+    for dims in _dim_vectors(2, 4):
+        for q in (2, 3):
+            yield "unread-loop", pres, dims, q
     pres = parse_presentation(THREE_VERTEX)
     for dims in itertools.product(range(3), repeat=3):
         for q in (2, 3):
