@@ -11,15 +11,14 @@ import functools
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .families import build_family, parse_family_spec
 from .fforacle import (EnumerationCapExceeded, enumerate_and_classify,
                        identity_csv, verify_count_identity)
-from .formulas import (FormulaCase, SideConditionError, evaluate_case,
-                       formula_cases)
+from .formulas import (SideConditionError, evaluate_case, formula_cases,
+                       single_case)
 from .linsys import BadPrimeError, UnsupportedDegreeError
 from .quiver import PresentationError, parse_presentation, serialize_presentation
 from .strata import (ScanCapExceeded, assignments_for, count_assignments,
@@ -53,21 +52,12 @@ def _parse_primes(text: str) -> list[int]:
     return primes
 
 
-def _parse_lambda(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SideConditionError(f"bad lambda {text!r}") from None
-
-
 def _dims_for(args, n_vertices: int) -> list[tuple[int, ...]]:
     if args.dim is not None:
         return [_parse_dim(args.dim)]
-    if args.max_total is not None:
-        if args.max_total < 0:
-            raise ValueError(f"--max-total must be at least 0, got {args.max_total}")
-        return dim_vectors_up_to(n_vertices, args.max_total)
-    raise PresentationError("specify --dim or --max-total")
+    if args.max_total < 0:
+        raise ValueError(f"--max-total must be at least 0, got {args.max_total}")
+    return dim_vectors_up_to(n_vertices, args.max_total)
 
 
 def _map(fn, items: Sequence, jobs: int) -> list:
@@ -134,30 +124,21 @@ def _scan_one(work):
 
 
 def cmd_verify_formulas(args) -> int:
-    if args.item is not None and (args.p is not None or args.q is not None
-                                  or args.l is not None or args.lam is not None):
-        lam: Optional[Fraction] = None
-        if args.item in (7, 9, 11):
-            lam = _parse_lambda(args.lam) if args.lam is not None else Fraction(2)
-        elif args.lam is not None:
-            raise SideConditionError(f"item {args.item} takes no lambda")
-        q_default = 1 if args.item == 1 else 2 if args.item == 2 else None
-        q = args.q if args.q is not None else q_default
-        if q is None:
-            raise SideConditionError("this item needs an explicit --q")
-        case = FormulaCase(args.item, 1 if args.p is None else args.p, q, args.l,
-                           lam, 3 if args.h is None else args.h)
-        cases = [case]
+    single = (args.p, args.q, args.l, args.lam, args.h)
+    if any(x is not None for x in single):
+        if args.item is None:
+            raise ValueError("--p, --q, --l, --lambda and --h need --item")
+        cases = [single_case(args.item, *single)]
     else:
         if args.p_max < 1:
             raise ValueError(f"--p-max must be at least 1, got {args.p_max}")
         items = [args.item] if args.item is not None else None
         cases = formula_cases(p_max=args.p_max, items=items)
-    outcomes = _map(evaluate_case, cases, args.jobs)
     header = ["item", "p", "q", "l", "lambda", "h", "closed_form", "computed", "match"]
     rows = []
     mismatches = 0
-    for case, (expected, computed) in zip(cases, outcomes):
+    for case in cases:
+        expected, computed = evaluate_case(case)
         match = expected == computed
         if not match:
             mismatches += 1
@@ -240,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-scan", help="reducibility certificates over dimension vectors")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--dim", help="single dimension vector")
-    p.add_argument("--max-total", type=int,
-                   help="scan all vectors with entry sum up to this bound")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--dim", help="single dimension vector")
+    which.add_argument("--max-total", type=int,
+                       help="scan all vectors with entry sum up to this bound")
     p.add_argument("--cap", type=int, default=100_000,
                    help="assignments per vector before giving up")
     p.add_argument("--jobs", type=int, default=1)
@@ -256,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int)
     p.add_argument("--lambda", dest="lam", help="rational, e.g. 1/2")
     p.add_argument("--h", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_verify_formulas)
 

@@ -1,18 +1,26 @@
-"""Constructors for the standard two-vertex algebra families."""
+"""Constructors for the standard two-vertex algebra families.
+
+The two-vertex quiver (loops ``e0``, ``e1`` where the orders ask for them,
+arrows ``a1..ah`` from 1 to 0) and its paths ``e0^a a_k e1^b`` are built
+here once and cached; the families and the closed-form cases of
+``formulas`` share them.
+"""
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .quiver import (Arrow, BoundQuiverPresentation, Quiver, Relation,
-                     relation_mod_orders)
+from .quiver import Arrow, BoundQuiverPresentation, Path, Quiver, Relation
 
 __all__ = [
     "FamilyTag",
     "parse_family_spec",
     "build_family",
+    "two_vertex_quiver",
+    "two_vertex_path",
 ]
 
 
@@ -73,7 +81,10 @@ def parse_family_spec(text: str) -> FamilyTag:
     if not m:
         raise ValueError(f"cannot parse family spec {text!r}")
     kind = m.group(1)
-    params = [int(x) for x in m.group(2).split(",") if x.strip()]
+    try:
+        params = [int(x) for x in m.group(2).split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"cannot parse family spec {text!r}") from None
     if kind == "A":
         if len(params) != 4:
             raise ValueError("A takes (h, m0, m1, n)")
@@ -87,32 +98,40 @@ def parse_family_spec(text: str) -> FamilyTag:
     return FamilyTag("truncpoly", m=params[0])
 
 
+@functools.lru_cache(maxsize=64)
+def two_vertex_quiver(loop0: bool, loop1: bool, h: int) -> Quiver:
+    """Vertices 0 and 1, the loops ``e0`` at 0 and ``e1`` at 1 where asked,
+    and the arrows ``a1..ah`` from 1 to 0."""
+    arrows = [Arrow("e0", "0", "0")] if loop0 else []
+    if loop1:
+        arrows.append(Arrow("e1", "1", "1"))
+    arrows.extend(Arrow(f"a{i + 1}", "1", "0") for i in range(h))
+    return Quiver(("0", "1"), tuple(arrows))
+
+
+@functools.lru_cache(maxsize=1024)
+def two_vertex_path(quiver: Quiver, a: int, k: int, b: int) -> Path:
+    """The path ``e0^a a_k e1^b`` of a :func:`two_vertex_quiver`."""
+    return quiver.path(["e0"] * a + [f"a{k}"] + ["e1"] * b)
+
+
 def build_family(tag: FamilyTag) -> BoundQuiverPresentation:
-    """Presentation for a family tag; relation terms truncate in the basis."""
+    """Presentation for a family tag.
+
+    The relation of ``A(h,m0,m1,n)`` is the sum of ``e0^(n-i) a1 e1^i``
+    over the i whose loop powers stay below the orders; only those i are
+    visited, so a huge n costs nothing."""
     if tag.kind == "truncpoly":
         if tag.m >= 2:
             quiver = Quiver(("0",), (Arrow("e0", "0", "0"),))
             return BoundQuiverPresentation(quiver, (tag.m,))
         return BoundQuiverPresentation(Quiver(("0",), ()), (1,))
-    arrows = []
-    if tag.m0 >= 2:
-        arrows.append(Arrow("e0", "0", "0"))
-    if tag.m1 >= 2:
-        arrows.append(Arrow("e1", "1", "1"))
-    arrow_names = [f"a{i + 1}" for i in range(tag.h)]
-    arrows.extend(Arrow(n, "1", "0") for n in arrow_names)
-    quiver = Quiver(("0", "1"), tuple(arrows))
-    orders = {"0": tag.m0, "1": tag.m1}
+    quiver = two_vertex_quiver(tag.m0 >= 2, tag.m1 >= 2, tag.h)
     relations: tuple[Relation, ...] = ()
     if tag.kind == "A":
-        terms = []
-        for i in range(tag.n + 1):
-            a, b = tag.n - i, i
-            if a >= tag.m0 or b >= tag.m1:
-                continue
-            word = ["e0"] * a + ["a1"] + ["e1"] * b
-            terms.append((Fraction(1), quiver.path(word)))
-        rel = relation_mod_orders(quiver, orders, terms, source="1", target="0")
+        terms = [(Fraction(1), two_vertex_path(quiver, tag.n - i, 1, i))
+                 for i in range(max(0, tag.n - tag.m0 + 1), min(tag.n, tag.m1 - 1) + 1)]
+        rel = Relation.make(terms, source="1", target="0")
         if not rel.is_zero:
             relations = (rel,)
     return BoundQuiverPresentation(quiver, (tag.m0, tag.m1), relations)

@@ -26,9 +26,9 @@ import numpy as np
 from . import _kernels
 from .linsys import _fraction_mod, codim_table
 from .partitions import (JordanAssignment, _is_prime, orbit_count,
-                         partition_from_ranks)
+                         partition_from_ranks, partitions_bounded)
 from .quiver import BoundQuiverPresentation
-from .strata import _check_dims, ambient_arrow_dim, assignments_for, jordan_types
+from .strata import _check_dims, ambient_arrow_dim, assignments_for
 
 __all__ = [
     "StratumCountTable",
@@ -96,7 +96,7 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
         raise EnumerationCapExceeded(
             f"arrow {a.name!r} needs {count} points, cap is {max_points}"
         )
-    _, per_vertex = jordan_types(pres, dims)
+    per_vertex = [partitions_bounded(d, m) for d, m in zip(dims, pres.orders)]
 
     # mixed-radix layout of the tally keys, one digit per vertex, so a key
     # is the index of its assignment in the order of ``assignments_for``

@@ -23,17 +23,22 @@ of the induced linear system:
           + eps0^(p-1) c2 eps1^(q-1)    (l >= 4, t != 0)    l + 1
 
 Here a, b are linearly independent arrow combinations and c, c1, c2 are
-arbitrary ones; the sweep instantiates them as distinct arrows.
+arbitrary ones; the sweep instantiates them as distinct arrows a1, a2, a3
+of the two-vertex quiver of ``families``.  The rules that are not side
+conditions (which items take l and lambda, which fix q, how many arrows
+each needs) are the table ``_ITEMS``; ``c_closed_form``, ``formula_cases``,
+``single_case`` and ``build_case`` all read it.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .families import two_vertex_path, two_vertex_quiver
 from .partitions import JordanAssignment, Partition
-from .quiver import Arrow, BoundQuiverPresentation, Path, Quiver, Relation
+from .quiver import BoundQuiverPresentation, Relation
 from .linsys import PartPairTable
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "FormulaCase",
     "c_closed_form",
     "formula_cases",
+    "single_case",
     "build_case",
     "evaluate_case",
 ]
@@ -50,27 +56,34 @@ class SideConditionError(ValueError):
     pass
 
 
-# number of distinct arrow symbols each item consumes
-_SYMBOLS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 3, 11: 3}
-_HAS_LAMBDA = {7, 9, 11}
+class _Rules(NamedTuple):
+    symbols: int                    # distinct arrow symbols the relation uses
+    takes_l: bool = False
+    takes_lambda: bool = False
+    fixed_q: Optional[int] = None
+
+
+_ITEMS = {1: _Rules(1, takes_l=True, fixed_q=1), 2: _Rules(1, takes_l=True, fixed_q=2),
+          3: _Rules(1), 4: _Rules(2), 5: _Rules(2), 6: _Rules(1, takes_l=True),
+          7: _Rules(2, takes_lambda=True), 8: _Rules(3), 9: _Rules(3, takes_lambda=True),
+          10: _Rules(3, takes_l=True), 11: _Rules(3, takes_l=True, takes_lambda=True)}
 
 
 def c_closed_form(item: int, p: Optional[int] = None, q: Optional[int] = None,
                   l: Optional[int] = None, lam: Optional[Fraction] = None) -> int:
     """Closed-form codimension of the given item, checking side conditions."""
-    if item not in range(1, 12):
+    if item not in _ITEMS:
         raise SideConditionError(f"unknown item {item}")
     if p is None or p < 1:
         raise SideConditionError("p >= 1 required")
+    fixed_q = _ITEMS[item].fixed_q
+    if fixed_q is not None and q not in (None, fixed_q):
+        raise SideConditionError(f"item {item} has q = {fixed_q}")
     if item == 1:
-        if q not in (None, 1):
-            raise SideConditionError("item 1 has q = 1")
         if l is None or not 1 <= l <= p:
             raise SideConditionError("item 1 needs 1 <= l <= p")
         return p - l
     if item == 2:
-        if q not in (None, 2):
-            raise SideConditionError("item 2 has q = 2")
         if l is None or not 1 <= l < p:
             raise SideConditionError("item 2 needs 1 <= l < p")
         return 2 * (p - l)
@@ -176,21 +189,6 @@ def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]
     return expected, shapes, (m0, m1)
 
 
-# the sweep's cases share a few quivers and their paths: build each once
-@functools.lru_cache(maxsize=64)
-def _quiver(loop0: bool, loop1: bool, h: int) -> Quiver:
-    arrows = [Arrow("e0", "0", "0")] if loop0 else []
-    if loop1:
-        arrows.append(Arrow("e1", "1", "1"))
-    arrows.extend(Arrow(f"a{i + 1}", "1", "0") for i in range(h))
-    return Quiver(("0", "1"), tuple(arrows))
-
-
-@functools.lru_cache(maxsize=1024)
-def _path(quiver: Quiver, a: int, sym: int, b: int) -> Path:
-    return quiver.path(["e0"] * a + [f"a{sym + 1}"] + ["e1"] * b)
-
-
 @functools.lru_cache(maxsize=256)
 def _single_part(part: int, bound: int) -> Partition:
     return Partition((part,), bound)
@@ -202,13 +200,13 @@ def build_case(case: FormulaCase):
     The quiver, paths and partitions are shared between cases; the
     relation, presentation and assignment are built and validated anew."""
     expected, shapes, (m0, m1) = _shaped(case.item, case.p, case.q, case.l, case.lam)
-    n_sym = _SYMBOLS[case.item]
+    n_sym = _ITEMS[case.item].symbols
     if case.h < n_sym:
         raise SideConditionError(
             f"item {case.item} needs {n_sym} distinct arrows, h={case.h}"
         )
-    quiver = _quiver(m0 >= 2, m1 >= 2, case.h)
-    rel = Relation.make([(coeff, _path(quiver, a, sym, b))
+    quiver = two_vertex_quiver(m0 >= 2, m1 >= 2, case.h)
+    rel = Relation.make([(coeff, two_vertex_path(quiver, a, sym + 1, b))
                          for coeff, a, sym, b in shapes])
     pres = BoundQuiverPresentation(quiver, (m0, m1), (rel,))
     ja = JordanAssignment.for_presentation(
@@ -228,19 +226,37 @@ def evaluate_case(case: FormulaCase) -> tuple[int, int]:
 _DEFAULT_LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
 
 
+def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
+                l: Optional[int] = None, lam: Optional[str | Fraction] = None,
+                h: Optional[int] = None) -> FormulaCase:
+    """One case from the given parameters, ``None`` meaning not given:
+    p defaults to 1, h to 3, q to the item's fixed q, and lambda (any value
+    ``Fraction`` reads) to 2 for the items that take it."""
+    if _ITEMS[item].takes_lambda:
+        try:
+            lam = Fraction(2) if lam is None else Fraction(lam)
+        except (ValueError, ZeroDivisionError):
+            raise SideConditionError(f"bad lambda {lam!r}") from None
+    elif lam is not None:
+        raise SideConditionError(f"item {item} takes no lambda")
+    q = _ITEMS[item].fixed_q if q is None else q
+    if q is None:
+        raise SideConditionError("this item needs an explicit --q")
+    return FormulaCase(item, 1 if p is None else p, q, l, lam, 3 if h is None else h)
+
+
 def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
                   lambdas: Sequence[Fraction] = _DEFAULT_LAMBDAS,
                   items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
     """Every admissible case with q <= p <= p_max, deterministic order."""
-    wanted = set(items) if items is not None else set(range(1, 12))
+    wanted = set(items) if items is not None else set(_ITEMS)
     cases: list[FormulaCase] = []
     for item in sorted(wanted):
-        lams: Sequence[Optional[Fraction]] = (
-            lambdas if item in _HAS_LAMBDA else (None,)
-        )
+        rules = _ITEMS[item]
+        lams: Sequence[Optional[Fraction]] = lambdas if rules.takes_lambda else (None,)
         for p in range(1, p_max + 1):
-            qs = (1,) if item == 1 else (2,) if item == 2 else range(1, p + 1)
-            ls = range(1, p + 1) if item in (1, 2, 6, 10, 11) else (None,)
+            qs = range(1, p + 1) if rules.fixed_q is None else (rules.fixed_q,)
+            ls = range(1, p + 1) if rules.takes_l else (None,)
             for q in qs:
                 for lam in lams:
                     # _shaped decides which l are admissible, whatever h
@@ -252,5 +268,5 @@ def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
                             continue
                         ok.append(l)
                     cases += [FormulaCase(item, p, q, l, lam, h) for h in hs
-                              if h >= _SYMBOLS[item] for l in ok]
+                              if h >= rules.symbols for l in ok]
     return cases

@@ -29,7 +29,6 @@ __all__ = [
     "ScanCapExceeded",
     "ambient_arrow_dim",
     "stratum_dim",
-    "jordan_types",
     "assignments_for",
     "count_assignments",
     "reducibility_scan",
@@ -127,22 +126,13 @@ def stratum_dim(pres: BoundQuiverPresentation, ja: JordanAssignment) -> StratumR
     return StratumReport(ja, orbits, n, c, is_max)
 
 
-def jordan_types(pres: BoundQuiverPresentation, dims: Sequence[int]
-                 ) -> tuple[tuple[int, ...], list[tuple[Partition, ...]]]:
-    """The checked dimension vector and the Jordan types at each vertex.
-
-    Their ``itertools.product``, last vertex fastest, is the canonical
-    order of the Jordan assignments; the maximal one is first.
-    """
-    dims = _check_dims(pres, dims)
-    return dims, [partitions_bounded(d, pres.order(v))
-                  for v, d in zip(pres.quiver.vertices, dims)]
-
-
 def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int]
                     ) -> list[JordanAssignment]:
-    """All Jordan assignments in canonical order; the maximal pair is first."""
-    _, per_vertex = jordan_types(pres, dims)
+    """All Jordan assignments in canonical order, the product of the
+    Jordan types at each vertex with the last vertex fastest; the maximal
+    assignment is first."""
+    per_vertex = [partitions_bounded(d, m)
+                  for d, m in zip(_check_dims(pres, dims), pres.orders)]
     return [JordanAssignment.for_presentation(pres, combo)
             for combo in itertools.product(*per_vertex)]
 
@@ -164,11 +154,11 @@ def _type_data(d: int, m: int) -> tuple[tuple[Partition, int, tuple], ...]:
 
 
 def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
-                      cap: int = 100_000, find_all: bool = False):
-    """First (or all) non-maximal strata at least as large as the maximal one.
+                      cap: int = 100_000) -> ReducibilityCertificate | None:
+    """The first non-maximal stratum at least as large as the maximal one.
 
     A returned certificate proves the representation scheme of this
-    dimension vector is reducible; an empty result proves nothing.  N is
+    dimension vector is reducible; ``None`` proves nothing.  N is
     fixed, so the scan compares orbit dims - codimension (from the table).
     """
     dims, count = count_assignments(pres, dims)
@@ -188,17 +178,10 @@ def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
     it = itertools.product(*data)
     first = next(it)
     target = size(first)
-    max_report = None
-    found: list[ReducibilityCertificate] = []
     for combo in it:
         if size(combo) >= target:
-            if max_report is None:
-                max_report = report(first)
-            cert = ReducibilityCertificate(dims, max_report, report(combo))
-            if not find_all:
-                return cert
-            found.append(cert)
-    return found if find_all else None
+            return ReducibilityCertificate(dims, report(first), report(combo))
+    return None
 
 
 def dim_vectors_up_to(n_vertices: int, total: int) -> list[tuple[int, ...]]:

@@ -6,11 +6,14 @@ builds a fresh quiver, fresh paths and fresh partitions for every case.
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from quiverstrata.formulas import (_DEFAULT_LAMBDAS, _HAS_LAMBDA, _SYMBOLS,
-                                   FormulaCase, SideConditionError, _term_shapes,
-                                   c_closed_form)
+from quiverstrata.formulas import (_DEFAULT_LAMBDAS, FormulaCase, SideConditionError,
+                                   _term_shapes, c_closed_form)
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
+
+# the per-item rules as the replaced code stated them
+_SYMBOLS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 3, 11: 3}
+_HAS_LAMBDA = {7, 9, 11}
 
 
 def build_case(case):

@@ -1,14 +1,17 @@
+import argparse
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from quiverstrata import formulas
-from quiverstrata.cli import main
+from quiverstrata import families
+from quiverstrata.cli import build_parser, main
 from quiverstrata.quiver import parse_presentation
 
 A1332 = """vertex 0
@@ -98,13 +101,9 @@ def test_timing_leaves_csv_stdout_unchanged(capsys):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-@pytest.mark.parametrize("command", ["reduce-scan", "verify-formulas"])
+@pytest.mark.parametrize("command", ["reduce-scan"])
 def test_jobs_below_one_exits_2(algebra_file, capsys, command, jobs):
-    args = [command, "--jobs", jobs]
-    if command == "reduce-scan":
-        args += ["--algebra", algebra_file, "--max-total", "2"]
-    else:
-        args += ["--p-max", "2"]
+    args = [command, "--jobs", jobs, "--algebra", algebra_file, "--max-total", "2"]
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--jobs" in err
@@ -298,10 +297,46 @@ def test_verify_formulas_small_sweep(capsys):
     assert all(line.endswith("ok") for line in lines[1:])
 
 
-def test_verify_formulas_jobs_match_sequential(capsys):
-    _, seq, _ = run_cli(["verify-formulas", "--p-max", "2"], capsys)
-    _, par, _ = run_cli(["verify-formulas", "--p-max", "2", "--jobs", "2"], capsys)
-    assert seq == par
+def _argparse_exit(args, capsys):
+    """Exit code and stderr of a command line that argparse rejects."""
+    with pytest.raises(SystemExit) as done:
+        main(args)
+    out = capsys.readouterr()
+    assert out.out == ""
+    return done.value.code, out.err
+
+
+def test_verify_formulas_has_no_jobs(capsys):
+    code, err = _argparse_exit(["verify-formulas", "--p-max", "2", "--jobs", "2"], capsys)
+    assert code == 2 and "unrecognized arguments: --jobs 2" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--p", "3"), ("--q", "2"), ("--l", "1"),
+                                         ("--lambda", "1/2"), ("--h", "2")])
+def test_verify_formulas_single_case_flag_needs_item(capsys, flag, value):
+    code, out, err = run_cli(["verify-formulas", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --p, --q, --l, --lambda and --h need --item\n"
+
+
+def test_verify_formulas_h_selects_the_single_case(capsys):
+    # --h alone picks the single case, which for item 7 needs a q
+    code, out, err = run_cli(["verify-formulas", "--item", "7", "--h", "2",
+                              "--p-max", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: this item needs an explicit --q\n"
+    code, out, _ = run_cli(["verify-formulas", "--item", "7", "--p", "2", "--q", "2",
+                            "--h", "2", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["7,2,2,,2,2,2,2,ok"]
+
+
+def test_reduce_scan_dim_and_max_total_conflict(algebra_file, capsys):
+    code, err = _argparse_exit(["reduce-scan", "--algebra", algebra_file,
+                                "--dim", "2,2", "--max-total", "3"], capsys)
+    assert code == 2 and "not allowed with argument" in err
+    code, err = _argparse_exit(["reduce-scan", "--algebra", algebra_file], capsys)
+    assert code == 2 and "one of the arguments --dim --max-total is required" in err
 
 
 def _clear_package_caches():
@@ -319,11 +354,11 @@ def test_verify_formulas_cold_and_warm_caches_agree(capsys):
     _clear_package_caches()
     code, cold, _ = run_cli(argv, capsys)
     assert code == 0
-    assert formulas._quiver.cache_info().currsize > 0
-    assert formulas._path.cache_info().currsize > 0
+    assert families.two_vertex_quiver.cache_info().currsize > 0
+    assert families.two_vertex_path.cache_info().currsize > 0
     code, warm, _ = run_cli(argv, capsys)
     assert code == 0
-    assert formulas._path.cache_info().hits > 0
+    assert families.two_vertex_path.cache_info().hits > 0
     assert warm == cold
 
 
@@ -508,3 +543,43 @@ def test_family_unwritable_output_exits_2(tmp_path, capsys):
 def test_family_bad_spec(capsys):
     code, _, err = run_cli(["family", "B(1)"], capsys)
     assert code == 2
+
+
+def test_family_non_integer_parameter(capsys):
+    code, out, err = run_cli(["family", "A(1,2,2,x)"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse family spec 'A(1,2,2,x)'\n"
+
+
+def test_family_huge_degree_is_fast(capsys):
+    # only the terms below both loop orders are visited, so n costs nothing
+    start = time.monotonic()
+    code, out, _ = run_cli(["family", "A(1,2,2,99999999999)"], capsys)
+    assert code == 0
+    assert time.monotonic() - start < 1
+    _, small, _ = run_cli(["family", "A(1,2,2,3)"], capsys)
+    assert out.splitlines()[0] == "# A(1,2,2,99999999999)"
+    assert out.splitlines()[1:] == small.splitlines()[1:]
+
+
+def _readme_cli_lines():
+    """The command lines of README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.M | re.S).group(1)
+    return [line.split() for line in block.splitlines()
+            if line.startswith("quiverstrata ")]
+
+
+def test_readme_cli_flags_are_accepted():
+    """Every flag README shows for a subcommand, bracketed or not, is one
+    that subcommand's parser accepts."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    lines = _readme_cli_lines()
+    assert {words[1] for words in lines} == set(subparsers)
+    for words in lines:
+        accepted = subparsers[words[1]]._option_string_actions
+        flags = [w.strip("[]") for w in words[2:] if w.strip("[]").startswith("-")]
+        for flag in flags:
+            assert flag in accepted, (words[1], flag)

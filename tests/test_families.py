@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from paper_checks import product_decomposition_check, recognize_family
 from substitution import apply_arrow_substitution
 
 from quiverstrata.families import FamilyTag, build_family, parse_family_spec
-from quiverstrata.quiver import parse_presentation
+from quiverstrata.quiver import parse_presentation, relation_mod_orders
 
 
 def test_build_standard_relation():
@@ -29,6 +30,18 @@ def test_build_truncates_high_powers():
     # truncating everything leaves no relation at all
     pres = build_family(FamilyTag("A", h=1, m0=2, m1=2, n=3))
     assert pres.relations == ()
+
+
+def test_relation_sums_only_terms_below_the_orders():
+    # the same relation as summing all n + 1 terms and truncating them
+    for m0, m1 in itertools.product(range(2, 6), repeat=2):
+        for n in range(1, m0 + m1 + 1):
+            pres = build_family(FamilyTag("A", h=1, m0=m0, m1=m1, n=n))
+            terms = [(1, pres.quiver.path(["e0"] * (n - i) + ["a1"] + ["e1"] * i))
+                     for i in range(n + 1)]
+            want = relation_mod_orders(pres.quiver, {"0": m0, "1": m1}, terms,
+                                       source="1", target="0")
+            assert pres.relations == (() if want.is_zero else (want,)), (m0, m1, n)
 
 
 def test_degree_one_members_survive():

@@ -5,7 +5,8 @@ import pytest
 
 import formulas_reference
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
-                                   c_closed_form, evaluate_case, formula_cases)
+                                   c_closed_form, evaluate_case, formula_cases,
+                                   single_case)
 from quiverstrata.linsys import codim_table
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
@@ -36,6 +37,27 @@ def test_closed_form_side_conditions():
         c_closed_form(10, p=6, q=2, l=3)
     with pytest.raises(SideConditionError):
         c_closed_form(12, p=2)
+
+
+def test_fixed_q_items_reject_other_q():
+    for item, q in ((1, 1), (2, 2)):
+        assert c_closed_form(item, p=3, q=q, l=1) == c_closed_form(item, p=3, l=1)
+        with pytest.raises(SideConditionError, match=f"^item {item} has q = {q}$"):
+            c_closed_form(item, p=3, q=3, l=1)
+
+
+def test_single_case_defaults_and_rules():
+    assert single_case(1, l=1) == FormulaCase(1, 1, 1, 1, None, 3)
+    assert single_case(2, p=3, l=1, h=1) == FormulaCase(2, 3, 2, 1, None, 1)
+    assert single_case(7, p=2, q=2) == FormulaCase(7, 2, 2, None, Fraction(2), 3)
+    assert single_case(11, p=4, q=4, l=4, lam="1/2").lam == Fraction(1, 2)
+    assert single_case(3, p=0, q=1, h=0) == FormulaCase(3, 0, 1, None, None, 0)
+    with pytest.raises(SideConditionError, match="^item 3 takes no lambda$"):
+        single_case(3, p=2, q=1, lam="1/0")
+    with pytest.raises(SideConditionError, match="^bad lambda '1/0'$"):
+        single_case(9, p=3, lam="1/0")
+    with pytest.raises(SideConditionError, match="^this item needs an explicit --q$"):
+        single_case(4, p=3)
 
 
 def test_build_case_requires_enough_arrows():

@@ -540,7 +540,6 @@ def test_scan_matches_brute_force(spec):
     certified = 0
     for dims in dim_vectors_up_to(2, 8):
         want = _brute_force_scan(pres, dims)
-        assert reducibility_scan(pres, dims, find_all=True) == want, (spec, dims)
         assert reducibility_scan(pres, dims) == (want[0] if want else None)
         certified += bool(want)
     if spec in ("A(1,4,4,2)", "A(1,5,5,3)"):
