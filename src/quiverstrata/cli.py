@@ -15,14 +15,11 @@ from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .families import build_family, parse_family_spec
-from .fforacle import (EnumerationCapExceeded, enumerate_and_classify,
-                       identity_csv, verify_count_identity)
-from .formulas import (SideConditionError, evaluate_case, formula_cases,
-                       single_case)
-from .linsys import BadPrimeError, UnsupportedDegreeError
-from .quiver import PresentationError, parse_presentation, serialize_presentation
-from .strata import (ScanCapExceeded, assignments_for, count_assignments,
-                     dim_vectors_up_to, reducibility_scan, stratum_dim)
+from .fforacle import enumerate_and_classify, verify_count_identity
+from .formulas import evaluate_case, formula_cases, single_case
+from .quiver import parse_presentation, serialize_presentation
+from .strata import (ScanCapExceeded, assignments_for, dim_vectors_up_to,
+                     reducibility_scan, stratum_dim)
 
 __all__ = ["main"]
 
@@ -31,7 +28,7 @@ def _read_presentation(path: str):
     try:
         text = FsPath(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise PresentationError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_presentation(text)
 
 
@@ -39,16 +36,16 @@ def _parse_dim(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise PresentationError(f"bad dimension vector {text!r}") from None
+        raise ValueError(f"bad dimension vector {text!r}") from None
 
 
 def _parse_primes(text: str) -> list[int]:
     try:
         primes = [int(x) for x in text.split(",")]
     except ValueError:
-        raise PresentationError(f"bad field size list {text!r}") from None
+        raise ValueError(f"bad field size list {text!r}") from None
     if len(set(primes)) < len(primes):
-        raise PresentationError(f"repeated field size in {text!r}")
+        raise ValueError(f"repeated field size in {text!r}")
     return primes
 
 
@@ -77,10 +74,8 @@ def _map(fn, items: Sequence, jobs: int) -> list:
 
 def cmd_strata(args) -> int:
     pres = _read_presentation(args.algebra)
-    dims, count = count_assignments(pres, _parse_dim(args.dim))
-    if count > args.cap:
-        raise ValueError(f"{count} Jordan assignments exceed the cap {args.cap}")
-    reports = [stratum_dim(pres, ja) for ja in assignments_for(pres, dims)]
+    dims = _parse_dim(args.dim)
+    reports = [stratum_dim(pres, ja) for ja in assignments_for(pres, dims, args.cap)]
     header = ["assignment", "orbit_dims", "N", "c", "dim", "maximal"]
     rows = [[r.assignment.serialize(),
              "|".join(str(o) for o in r.orbit_dims),
@@ -128,12 +123,17 @@ def cmd_verify_formulas(args) -> int:
     if any(x is not None for x in single):
         if args.item is None:
             raise ValueError("--p, --q, --l, --lambda and --h need --item")
+        if args.p_max is not None:
+            raise ValueError("--p-max is for the sweep, not a single case")
         cases = [single_case(args.item, *single)]
     else:
-        if args.p_max < 1:
-            raise ValueError(f"--p-max must be at least 1, got {args.p_max}")
         items = [args.item] if args.item is not None else None
-        cases = formula_cases(p_max=args.p_max, items=items)
+        if args.p_max is None:
+            cases = formula_cases(items=items)
+        elif args.p_max < 1:
+            raise ValueError(f"--p-max must be at least 1, got {args.p_max}")
+        else:
+            cases = formula_cases(p_max=args.p_max, items=items)
     header = ["item", "p", "q", "l", "lambda", "h", "closed_form", "computed", "match"]
     rows = []
     mismatches = 0
@@ -161,7 +161,9 @@ def cmd_oracle_count(args) -> int:
     for q in _parse_primes(args.q):
         table = enumerate_and_classify(pres, dims, q, max_points=args.cap)
         rows = verify_count_identity(table, pres)
-        sys.stdout.write(identity_csv(q, rows))
+        _emit_csv(["assignment", "count", "q", "predicted", "pass"],
+                  [[r.assignment.serialize(), r.count, q, r.predicted,
+                    "pass" if r.ok else "fail"] for r in rows])
         bad = [r for r in rows if not r.ok]
         failures += len(bad)
         covered = sum(r.count for r in rows)
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce_scan)
 
     p = sub.add_parser("verify-formulas", help="closed-form codimension sweep")
-    p.add_argument("--p-max", type=int, default=6)
+    p.add_argument("--p-max", type=int, help="sweep bound on p (default 6)")
     p.add_argument("--item", type=int, choices=range(1, 12))
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
@@ -264,8 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "cap", 1) < 1:
             raise ValueError(f"--cap must be at least 1, got {args.cap}")
         code = args.func(args)
-    except (PresentationError, SideConditionError, EnumerationCapExceeded,
-            BadPrimeError, UnsupportedDegreeError, ValueError) as exc:
+    except ValueError as exc:  # every error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.timing:

@@ -15,8 +15,6 @@ with N the ambient arrow dimension and c the exact codimension.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,7 +34,6 @@ __all__ = [
     "IdentityRow",
     "enumerate_and_classify",
     "verify_count_identity",
-    "identity_csv",
 ]
 
 
@@ -187,14 +184,3 @@ def verify_count_identity(table: StratumCountTable,
             pred *= orbit_count(p, q)
         rows.append(IdentityRow(ja, table.counts.get(ja, 0), pred))
     return rows
-
-
-def identity_csv(q: int, rows: Sequence[IdentityRow]) -> str:
-    """CSV export of checked rows: assignment, count, q, predicted, pass/fail."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["assignment", "count", "q", "predicted", "pass"])
-    for row in rows:
-        writer.writerow([row.assignment.serialize(), row.count, q,
-                         row.predicted, "pass" if row.ok else "fail"])
-    return buf.getvalue()

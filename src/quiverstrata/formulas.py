@@ -224,6 +224,7 @@ def evaluate_case(case: FormulaCase) -> tuple[int, int]:
 
 
 _DEFAULT_LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
+_MAX_UNKNOWNS = 10 ** 6  # of the one block-pair system of a single case
 
 
 def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
@@ -231,7 +232,9 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
                 h: Optional[int] = None) -> FormulaCase:
     """One case from the given parameters, ``None`` meaning not given:
     p defaults to 1, h to 3, q to the item's fixed q, and lambda (any value
-    ``Fraction`` reads) to 2 for the items that take it."""
+    ``Fraction`` reads) to 2 for the items that take it.  A case whose
+    block-pair system has more than ``_MAX_UNKNOWNS`` unknowns (h*p*q) is
+    refused before anything is built."""
     if _ITEMS[item].takes_lambda:
         try:
             lam = Fraction(2) if lam is None else Fraction(lam)
@@ -239,10 +242,16 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
             raise SideConditionError(f"bad lambda {lam!r}") from None
     elif lam is not None:
         raise SideConditionError(f"item {item} takes no lambda")
+    if l is not None and not _ITEMS[item].takes_l:
+        raise SideConditionError(f"item {item} takes no l")
     q = _ITEMS[item].fixed_q if q is None else q
     if q is None:
         raise SideConditionError("this item needs an explicit --q")
-    return FormulaCase(item, 1 if p is None else p, q, l, lam, 3 if h is None else h)
+    p, h = 1 if p is None else p, 3 if h is None else h
+    if min(p, q) >= 1 and h * p * q > _MAX_UNKNOWNS:
+        raise SideConditionError(
+            f"h*p*q = {h * p * q} unknowns exceed the single-case bound {_MAX_UNKNOWNS}")
+    return FormulaCase(item, p, q, l, lam, h)
 
 
 def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),

@@ -1,7 +1,9 @@
-"""Quivers, paths, relations, and bound quiver presentations."""
+"""Quivers, paths, relations, and bound quiver presentations.  Their
+constructors check every rule; the file parser adds syntax and line numbers."""
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -57,8 +59,9 @@ class Quiver:
             if a.name in names:
                 raise PresentationError(f"duplicate arrow {a.name!r}")
             names.add(a.name)
-            if a.source not in seen or a.target not in seen:
-                raise PresentationError(f"arrow {a.name!r} references unknown vertex")
+            for v in (a.source, a.target):
+                if v not in seen:
+                    raise PresentationError(f"arrow {a.name!r} references unknown vertex {v!r}")
         object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
 
     def arrow(self, name: str) -> Arrow:
@@ -247,19 +250,16 @@ class BoundQuiverPresentation:
         for v, m in order_of.items():
             if loops[v] > 1:
                 raise PresentationError(f"vertex {v!r} carries more than one loop")
-            if m < 1:
-                raise PresentationError(f"nilpotency order at {v!r} must be >= 1")
             if loops[v] and m < 2:
-                raise PresentationError(f"loop at {v!r} needs order >= 2")
+                raise PresentationError(
+                    f"loop at {v!r} needs order >= 2 (omit the loop for order 1)")
             if not loops[v] and m != 1:
                 raise PresentationError(f"vertex {v!r} has order {m} but no loop")
         for rel in self.relations:
             if rel.is_zero:
-                raise PresentationError("presentations may not contain zero relations")
+                raise PresentationError("relation cancels to zero")
             if rel.degree == 0:
-                raise PresentationError(
-                    "degree-0 relations are expressed through nilpotency orders"
-                )
+                raise PresentationError("degree-0 relation; use a loop order instead")
             for _, p in rel.terms:  # paths stay in the monomial basis
                 power = _forbidden_power(q, order_of, _runs(p.arrows))
                 if power is not None:
@@ -294,12 +294,15 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
 
     A term is ``[<rational>*]<factor>*<factor>*...`` with factors
     ``<arrowid>`` or ``<loopid>^<k>``, written left-to-right in composition
-    order (leftmost factor applied last).
+    order (leftmost factor applied last).  The presentation declared so
+    far is built after each declaration, and each relation alone, so an
+    error names its line.
     """
     vertices: list[str] = []
     arrows: list[Arrow] = []
     orders: dict[str, int] = {}
     relation_specs: list[tuple[int, list[tuple[Fraction, list[str]]]]] = []
+    pres = BoundQuiverPresentation(Quiver((), ()), ())
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -307,27 +310,18 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
+        if keyword == "relation":
+            relation_specs.append((lineno, _parse_relation_terms(rest, lineno)))
+            continue
         if keyword == "vertex":
             if not rest or " " in rest:
                 raise PresentationError("expected: vertex <id>", lineno)
-            if rest in vertices:
-                raise PresentationError(f"duplicate vertex {rest!r}", lineno)
             vertices.append(rest)
         elif keyword == "loop":
             m = re.match(r"^(\S+)\s+(\S+)\s+order\s+(\d+)$", rest)
             if not m:
                 raise PresentationError("expected: loop <id> <vertex> order <m>", lineno)
             name, vertex, order = m.group(1), m.group(2), int(m.group(3))
-            if vertex not in vertices:
-                raise PresentationError(f"unknown vertex {vertex!r}", lineno)
-            if any(a.name == name for a in arrows):
-                raise PresentationError(f"duplicate arrow {name!r}", lineno)
-            if any(a.is_loop and a.source == vertex for a in arrows):
-                raise PresentationError(f"vertex {vertex!r} already has a loop", lineno)
-            if order < 2:
-                raise PresentationError(
-                    "loop order must be >= 2 (omit the loop for order 1)", lineno
-                )
             arrows.append(Arrow(name, vertex, vertex))
             orders[vertex] = order
         elif keyword == "arrow":
@@ -335,45 +329,35 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
             if not m:
                 raise PresentationError("expected: arrow <id> <src> -> <dst>", lineno)
             name, src, dst = m.groups()
-            if src not in vertices or dst not in vertices:
-                raise PresentationError("arrow endpoints must be declared vertices", lineno)
-            if any(a.name == name for a in arrows):
-                raise PresentationError(f"duplicate arrow {name!r}", lineno)
             if src == dst:
                 raise PresentationError("declare loops with the loop directive", lineno)
             arrows.append(Arrow(name, src, dst))
-        elif keyword == "relation":
-            relation_specs.append((lineno, _parse_relation_terms(rest, lineno)))
         else:
             raise PresentationError(f"unknown directive {keyword!r}", lineno)
+        with _on_line(lineno):  # the constructors check each declaration
+            pres = BoundQuiverPresentation(Quiver(tuple(vertices), tuple(arrows)),
+                                           tuple(orders.get(v, 1) for v in vertices))
 
-    quiver = Quiver(tuple(vertices), tuple(arrows))
-    order_map = {v: orders.get(v, 1) for v in vertices}
+    quiver, order_map = pres.quiver, pres.order_map
     relations = []
     for lineno, term_words in relation_specs:
-        terms = []
-        for coeff, factors in term_words:
-            try:
-                path = quiver.path(_expand_factors(quiver, order_map, factors))
-            except PresentationError as exc:
-                raise PresentationError(str(exc), lineno) from None
-            terms.append((coeff, path))
-        first = terms[0][1]
-        try:
+        with _on_line(lineno):
+            terms = [(coeff, quiver.path(_expand_factors(quiver, order_map, factors)))
+                     for coeff, factors in term_words]
+            first = terms[0][1]
             rel = Relation.make(terms, source=first.source, target=first.target)
-        except PresentationError as exc:
-            raise PresentationError(str(exc), lineno) from None
-        if rel.is_zero:
-            raise PresentationError("relation cancels to zero", lineno)
-        if rel.degree == 0:
-            raise PresentationError(
-                "degree-0 relation; use a loop order instead", lineno
-            )
+            BoundQuiverPresentation(quiver, pres.orders, (rel,))
         relations.append(rel)
+    return BoundQuiverPresentation(quiver, pres.orders, tuple(relations))
 
-    return BoundQuiverPresentation(
-        quiver, tuple(order_map[v] for v in vertices), tuple(relations)
-    )
+
+@contextmanager
+def _on_line(lineno: int):
+    """Re-raise a :class:`PresentationError` with the line number."""
+    try:
+        yield
+    except PresentationError as exc:
+        raise PresentationError(str(exc), lineno) from None
 
 
 def _parse_relation_terms(rest: str, lineno: int):

@@ -9,6 +9,8 @@ conjugation equivariance, so
 
 A non-maximal stratum whose dimension reaches the maximal stratum's proves
 that the representation scheme is reducible; the scan searches for one.
+Given a cap, ``assignments_for`` and the scan count the Jordan assignments
+before they list any.
 """
 from __future__ import annotations
 
@@ -30,17 +32,16 @@ __all__ = [
     "ambient_arrow_dim",
     "stratum_dim",
     "assignments_for",
-    "count_assignments",
     "reducibility_scan",
     "dim_vectors_up_to",
 ]
 
 
-class ScanCapExceeded(RuntimeError):
+class ScanCapExceeded(ValueError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"{count} Jordan assignments exceed the scan cap {cap}")
+        super().__init__(f"{count} Jordan assignments exceed the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,19 @@ class ReducibilityCertificate:
         return "\n".join(lines)
 
 
-def _check_dims(pres: BoundQuiverPresentation, dims: Sequence[int]) -> tuple[int, ...]:
+def _check_dims(pres: BoundQuiverPresentation, dims: Sequence[int],
+                cap: int | None = None) -> tuple[int, ...]:
+    """The checked dimension vector.  Given a cap, its Jordan assignments
+    are counted, not listed, so a vector far over the cap fails at once."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != len(pres.quiver.vertices):
         raise ValueError("dimension vector length must match the vertex count")
     if any(d < 0 for d in dims):
         raise ValueError("dimensions must be nonnegative")
+    if cap is not None:
+        count = math.prod(count_partitions_bounded(d, m) for d, m in zip(dims, pres.orders))
+        if count > cap:
+            raise ScanCapExceeded(count, cap)
     return dims
 
 
@@ -126,24 +134,16 @@ def stratum_dim(pres: BoundQuiverPresentation, ja: JordanAssignment) -> StratumR
     return StratumReport(ja, orbits, n, c, is_max)
 
 
-def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int]
-                    ) -> list[JordanAssignment]:
+def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int],
+                    cap: int | None = None) -> list[JordanAssignment]:
     """All Jordan assignments in canonical order, the product of the
     Jordan types at each vertex with the last vertex fastest; the maximal
-    assignment is first."""
+    assignment is first.  More than ``cap`` of them raise
+    :class:`ScanCapExceeded` before any is listed."""
     per_vertex = [partitions_bounded(d, m)
-                  for d, m in zip(_check_dims(pres, dims), pres.orders)]
+                  for d, m in zip(_check_dims(pres, dims, cap), pres.orders)]
     return [JordanAssignment.for_presentation(pres, combo)
             for combo in itertools.product(*per_vertex)]
-
-
-def count_assignments(pres: BoundQuiverPresentation, dims: Sequence[int]
-                      ) -> tuple[tuple[int, ...], int]:
-    """The checked dimension vector and its number of Jordan assignments,
-    counted, not listed, so a vector far over a cap fails at once."""
-    dims = _check_dims(pres, dims)
-    return dims, math.prod(count_partitions_bounded(d, m)
-                           for d, m in zip(dims, pres.orders))
 
 
 @functools.cache
@@ -161,9 +161,7 @@ def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
     dimension vector is reducible; ``None`` proves nothing.  N is
     fixed, so the scan compares orbit dims - codimension (from the table).
     """
-    dims, count = count_assignments(pres, dims)
-    if count > cap:
-        raise ScanCapExceeded(count, cap)
+    dims = _check_dims(pres, dims, cap)
     data = [_type_data(d, m) for d, m in zip(dims, pres.orders)]
     table = codim_table(pres)
 

@@ -1,7 +1,10 @@
 import argparse
 import csv
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import quiverstrata
 from quiverstrata import families
 from quiverstrata.cli import build_parser, main
 from quiverstrata.quiver import parse_presentation
@@ -321,14 +325,74 @@ def test_verify_formulas_single_case_flag_needs_item(capsys, flag, value):
 
 def test_verify_formulas_h_selects_the_single_case(capsys):
     # --h alone picks the single case, which for item 7 needs a q
-    code, out, err = run_cli(["verify-formulas", "--item", "7", "--h", "2",
-                              "--p-max", "2"], capsys)
+    code, out, err = run_cli(["verify-formulas", "--item", "7", "--h", "2"], capsys)
     assert code == 2 and out == ""
     assert err == "error: this item needs an explicit --q\n"
     code, out, _ = run_cli(["verify-formulas", "--item", "7", "--p", "2", "--q", "2",
                             "--h", "2", "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines()[1:] == ["7,2,2,,2,2,2,2,ok"]
+
+
+def test_verify_formulas_l_only_where_the_item_takes_it(capsys):
+    code, out, err = run_cli(["verify-formulas", "--item", "3", "--p", "2",
+                              "--q", "1", "--l", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: item 3 takes no l\n"
+
+
+def test_verify_formulas_p_max_is_for_the_sweep(capsys):
+    code, out, err = run_cli(["verify-formulas", "--item", "7", "--p", "2",
+                              "--q", "2", "--p-max", "9"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --p-max is for the sweep, not a single case\n"
+    _, default, _ = run_cli(["verify-formulas", "--item", "3"], capsys)
+    _, six, _ = run_cli(["verify-formulas", "--item", "3", "--p-max", "6"], capsys)
+    assert default == six and default.endswith("63 cases, 0 mismatches\n")
+
+
+@pytest.mark.parametrize("flags", [["--item", "1", "--p", "100000000", "--l", "1"],
+                                   ["--item", "3", "--p", "3", "--q", "2",
+                                    "--h", "100000000"]], ids=["p", "h"])
+def test_verify_formulas_huge_single_case_exits_2_at_once(capsys, flags):
+    start = time.monotonic()
+    code, out, err = run_cli(["verify-formulas", *flags], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: h*p*q = ") and "single-case bound 1000000" in err
+
+
+def _package_exception_classes():
+    """Every exception class defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(quiverstrata.__path__):
+        module = importlib.import_module(f"quiverstrata.{info.name}")
+        found += [obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    return found
+
+
+def test_package_errors_are_value_errors():
+    classes = _package_exception_classes()
+    assert len(classes) >= 6
+    assert all(issubclass(cls, ValueError) for cls in classes), classes
+
+
+@pytest.mark.parametrize("cls", _package_exception_classes(), ids=lambda c: c.__name__)
+def test_every_package_error_exits_2(capsys, monkeypatch, cls):
+    from quiverstrata import cli
+
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    required = [p for p in params if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD]
+    exc = cls(*["boom"] * max(len(required), 1))
+
+    def fail(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_family_spec", fail)
+    code, out, err = run_cli(["family", "A(1,2,2,1)"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {exc}\n" and "Traceback" not in err
 
 
 def test_reduce_scan_dim_and_max_total_conflict(algebra_file, capsys):
@@ -382,6 +446,19 @@ def test_oracle_count_identity(algebra_file, capsys):
     assert code == 0
     assert out.count("assignment,count,q,predicted,pass") == 2
     assert "fail" not in out
+
+
+def test_oracle_count_csv_export(tmp_path, capsys):
+    path = str(tmp_path / "a1221.bq")
+    run_cli(["family", "A(1,2,2,1)", "-o", path], capsys)
+    code, out, _ = run_cli(["oracle-count", "--algebra", path,
+                            "--dim", "2,2", "--q", "2"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "assignment,count,q,predicted,pass"
+    assert len(lines) == 5
+    assert all(line.endswith("pass") for line in lines[1:])
+    assert any(line.startswith("2|2,36,2,36") for line in lines[1:])
 
 
 def test_oracle_count_beyond_exhaustive_orbit_cap(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from oracle_reference import reference_enumerate_and_classify
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classify,
-                                   identity_csv, verify_count_identity)
+                                   verify_count_identity)
 from quiverstrata.linsys import BadPrimeError
 from quiverstrata.quiver import parse_presentation
 
@@ -203,16 +203,6 @@ def test_random_presentations_match_same_field_prediction():
                 assert table.counts.get(ja, 0) == pred, (dims, q, ja.serialize())
                 checked += 1
     assert checked > 50
-
-
-def test_csv_export(a1221):
-    table = enumerate_and_classify(a1221, (2, 2), 2)
-    text = identity_csv(table.q, verify_count_identity(table, a1221))
-    lines = text.strip().splitlines()
-    assert lines[0] == "assignment,count,q,predicted,pass"
-    assert len(lines) == 5
-    assert all(line.endswith("pass") for line in lines[1:])
-    assert any(line.startswith("2|2,36,2,36") for line in lines[1:])
 
 
 THREE_VERTEX = """

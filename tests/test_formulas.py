@@ -60,6 +60,29 @@ def test_single_case_defaults_and_rules():
         single_case(4, p=3)
 
 
+def test_single_case_rejects_l_where_the_item_takes_none():
+    for item in range(1, 12):
+        q = 2 if item == 2 else 1
+        if item in (1, 2, 6, 10, 11):
+            assert single_case(item, p=5, q=q, l=3).l == 3
+        else:
+            with pytest.raises(SideConditionError, match=f"^item {item} takes no l$"):
+                single_case(item, p=5, q=q, l=3)
+
+
+def test_single_case_bounds_its_unknowns():
+    # h*p*q unknowns in the one block-pair system; the bound is 10^6
+    assert single_case(3, p=1000, q=1000, h=1).h == 1
+    for kwargs in ({"p": 1000, "q": 1000, "h": 2}, {"p": 10 ** 8, "q": 1},
+                   {"p": 3, "q": 2, "h": 10 ** 8}):
+        with pytest.raises(SideConditionError, match="exceed the single-case bound"):
+            single_case(3, **kwargs)
+    with pytest.raises(SideConditionError, match="^h\\*p\\*q = 300000000 unknowns"):
+        single_case(1, p=10 ** 8, l=1)
+    # a side condition, not the bound, rejects nonpositive sizes
+    assert single_case(3, p=-2000, q=-2000, h=1).p == -2000
+
+
 def test_build_case_requires_enough_arrows():
     with pytest.raises(SideConditionError):
         build_case(FormulaCase(4, 3, 2, None, None, 1))

@@ -76,6 +76,38 @@ def test_parse_errors_carry_line_numbers():
         assert exc.value.line == 5
 
 
+_HEAD = "vertex 0\nvertex 1\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("vertex 0\nvertex 1\nvertex 0\nvertex 2\n", 3),
+    (_HEAD + "loop e 2 order 2\nvertex 2\n", 3),
+    (_HEAD + "loop e 0 order 2\nloop e 1 order 2\n", 4),
+    (_HEAD + "arrow a 1 -> 0\nloop a 0 order 2\n", 4),
+    (_HEAD + "loop e 0 order 2\narrow e 1 -> 0\n", 4),
+    (_HEAD + "arrow a 1 -> 0\narrow a 0 -> 1\n", 4),
+    (_HEAD + "loop e 0 order 2\nloop f 0 order 3\nloop g 1 order 2\n", 4),
+    (_HEAD + "loop e 0 order 1\nloop f 1 order 2\n", 3),
+    (_HEAD + "loop e 1 order 0\n", 3),
+    (_HEAD + "arrow a 1 -> 2\nvertex 2\n", 3),
+    (_HEAD + "arrow a 2 -> 0\n", 3),
+    (_HEAD + "arrow a 1 -> 1\nloop e 1 order 2\n", 3),
+    (_HEAD + "loop e 1 order 2\narrow a 1 -> 0\nrelation a*e - a*e\nrelation a*e\n", 5),
+    (_HEAD + "loop e 1 order 3\narrow a 1 -> 0\nrelation a*e\n"
+     "relation a*e^2 - a*e^2\nrelation a*e^2\n", 6),
+    ("vertex 0\nloop e 0 order 4\nrelation e^2 + e^3\n", 3),
+], ids=["duplicate-vertex", "loop-at-undeclared-vertex", "duplicate-loop-name",
+        "loop-named-as-arrow", "arrow-named-as-loop", "duplicate-arrow-name",
+        "second-loop", "loop-order-1", "loop-order-0", "arrow-to-undeclared-vertex",
+        "arrow-from-undeclared-vertex", "self-arrow", "cancelling-relation",
+        "cancelling-relation-later", "degree-0-relation"])
+def test_parse_error_names_its_line(text, line):
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+
+
 def test_parse_rejects_forbidden_subword():
     text = "vertex 0\nvertex 1\nloop e0 0 order 2\narrow a 1 -> 0\nrelation e0^2*a\n"
     with pytest.raises(PresentationError):

@@ -62,6 +62,9 @@ def test_assignments_order_and_cap(a1221):
     assert [j.serialize() for j in jas] == ["2|2", "2|1,1", "1,1|2", "1,1|1,1"]
     with pytest.raises(ScanCapExceeded):
         reducibility_scan(a1221, (2, 2), cap=3)
+    assert assignments_for(a1221, (2, 2), cap=4) == jas
+    with pytest.raises(ScanCapExceeded, match="^4 Jordan assignments exceed the cap 3$"):
+        assignments_for(a1221, (2, 2), cap=3)
 
 
 def test_scan_two_monomial_relations():
