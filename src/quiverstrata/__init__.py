@@ -6,20 +6,18 @@ finite-field oracles, with a batch CLI.
 """
 
 from .quiver import (Arrow, BoundQuiverPresentation, Path, PresentationError,
-                     Quiver, Relation, parse_presentation, relation_mod_orders,
-                     serialize_presentation)
+                     Quiver, Relation, parse_presentation, serialize_presentation)
 from .partitions import (JordanAssignment, Partition, end_dim, orbit_count,
                          orbit_count_ff, orbit_dim, partitions_bounded)
-from .linsys import (BadPrimeError, ConstraintSystem, PartPairTable,
-                     UnsupportedDegreeError, assemble_system, codim_table,
-                     rank_exact, rank_mod)
+from .linsys import (ConstraintSystem, PartPairTable, UnsupportedDegreeError,
+                     assemble_system, codim_table, rank_exact)
 from .formulas import (FormulaCase, SideConditionError, c_closed_form,
                        evaluate_case, formula_cases)
 from .strata import (ReducibilityCertificate, ScanCapExceeded, StratumReport,
                      ambient_arrow_dim, assignments_for, dim_vectors_up_to,
                      reducibility_scan, stratum_dim)
 from .families import FamilyTag, build_family, parse_family_spec
-from .fforacle import (EnumerationCapExceeded, StratumCountTable,
+from .fforacle import (BadPrimeError, EnumerationCapExceeded, StratumCountTable,
                        enumerate_and_classify, verify_count_identity)
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Hot numeric kernels.
 
-Exact rank, over Q or over F_p, is pure python elimination on sparse
-integer rows: big integers never overflow, and the block-pair systems it
-sees have a few dozen rows.  The oracle's kernels (ranks over F_p of
+Exact rank over Q is pure python elimination on sparse integer rows:
+big integers never overflow, and the block-pair systems it sees have a
+few dozen rows.  The oracle's kernels (ranks over F_p of
 matrix stacks and the exhaustive enumerations) are numpy, batched in
 chunks of about ``CHUNK`` so memory stays bounded.  The point tally
 enumerates the candidates of the slots its relations read and folds in
@@ -19,32 +19,28 @@ CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# exact rank of sparse integer rows, over Q or over a prime field
+# exact rank of sparse integer rows over Q
 # ---------------------------------------------------------------------------
 
-def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
-    """``row`` without zero entries: over Q (``p == 0``) divided by the gcd
-    of its entries, over F_p reduced into [0, p)."""
-    if p:
-        return {c: v % p for c, v in row.items() if v % p}
+def _reduced(row: dict[int, int]) -> dict[int, int]:
+    """``row`` without zero entries, divided by the gcd of its entries."""
     g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items() if v}
 
 
-def exact_rank_int(rows, p: int = 0) -> int:
-    """Rank of integer rows given as ``{column: value}`` dicts, over Q, or
-    over F_p for a prime ``p``.
+def exact_rank_int(rows) -> int:
+    """Rank over Q of integer rows given as ``{column: value}`` dicts.
 
     One pivot row is kept per leading (smallest) column.  A row whose lead
     already has a pivot is replaced by the fraction-free combination
     ``row * pivot[lead] - pivot * row[lead]``, which clears the lead, and
-    reduced as the input rows are: divided by the gcd of its entries over
-    Q, so python integers stay small, or taken mod p.  No division by a
-    pivot occurs.  The input rows are not modified.
+    divided by the gcd of its entries, as the input rows are, so python
+    integers stay small.  No division by a pivot occurs.  The input rows
+    are not modified.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = _reduced(row, p)
+        row = _reduced(row)
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -58,7 +54,7 @@ def exact_rank_int(rows, p: int = 0) -> int:
             for c, v in pivot.items():
                 if c != lead:
                     merged[c] = merged.get(c, 0) - f * v
-            row = _reduced(merged, p)
+            row = _reduced(merged)
     return len(pivots)
 
 

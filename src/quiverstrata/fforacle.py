@@ -5,8 +5,9 @@ assignment over F_q that satisfies the nilpotency bounds and the mixed
 relations, and classifies each point by the Jordan types of its loop
 actions.  It enumerates the candidates of the arrows and loops that some
 relation reads; every other arrow or loop multiplies the count by its
-candidates, per Jordan type, without being enumerated.  Nothing here
-feeds back into the exact engine; the counting identity ties the two
+candidates, per Jordan type, without being enumerated.  Only this layer
+reduces coefficients mod a prime, and it calls no rank routine.  Nothing
+here feeds back into the exact engine; the counting identity ties the two
 together:
 
     |stratum| = (product of loop orbit counts) * q^(N - c)
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .linsys import _fraction_mod, codim_table
+from .linsys import codim_table
 from .partitions import (JordanAssignment, _is_prime, orbit_count,
                          partition_from_ranks, partitions_bounded)
 from .quiver import BoundQuiverPresentation
@@ -31,6 +33,7 @@ from .strata import _check_dims, ambient_arrow_dim, assignments_for
 __all__ = [
     "StratumCountTable",
     "EnumerationCapExceeded",
+    "BadPrimeError",
     "IdentityRow",
     "enumerate_and_classify",
     "verify_count_identity",
@@ -39,6 +42,19 @@ __all__ = [
 
 class EnumerationCapExceeded(ValueError):
     pass
+
+
+class BadPrimeError(ValueError):
+    """A rational coefficient cannot be reduced modulo the requested prime."""
+
+
+def _fraction_mod(x: Fraction, p: int) -> int:
+    """``x`` reduced modulo the prime ``p``; raises :class:`BadPrimeError`
+    when its denominator vanishes mod ``p``."""
+    den = x.denominator % p
+    if den == 0:
+        raise BadPrimeError(f"coefficient {x} cannot reduce mod {p}")
+    return (x.numerator % p) * pow(den, p - 2, p) % p
 
 
 @dataclass

@@ -37,9 +37,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .families import two_vertex_path, two_vertex_quiver
-from .partitions import JordanAssignment, Partition
-from .quiver import BoundQuiverPresentation, Relation
-from .linsys import PartPairTable
+from .linsys import assemble_system, rank_exact
+from .quiver import Relation
 
 __all__ = [
     "SideConditionError",
@@ -166,15 +165,6 @@ class FormulaCase:
     lam: Optional[Fraction]
     h: int
 
-    def describe(self) -> str:
-        bits = [f"item={self.item}", f"p={self.p}", f"q={self.q}"]
-        if self.l is not None:
-            bits.append(f"l={self.l}")
-        if self.lam is not None:
-            bits.append(f"lam={self.lam}")
-        bits.append(f"h={self.h}")
-        return " ".join(bits)
-
 
 @functools.lru_cache(maxsize=4096)
 def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]):
@@ -189,16 +179,11 @@ def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]
     return expected, shapes, (m0, m1)
 
 
-@functools.lru_cache(maxsize=256)
-def _single_part(part: int, bound: int) -> Partition:
-    return Partition((part,), bound)
-
-
 def build_case(case: FormulaCase):
-    """Presentation, Jordan assignment, and expected codimension of a case.
-
-    The quiver, paths and partitions are shared between cases; the
-    relation, presentation and assignment are built and validated anew."""
+    """The h arrows ``a1..ah``, the relation, and the expected codimension
+    of a case.  No presentation check can fail: ``_shaped`` picks orders
+    that fit every term, each term has one arrow and length at least 2,
+    and ``Relation.make`` drops a lambda = 0 term."""
     expected, shapes, (m0, m1) = _shaped(case.item, case.p, case.q, case.l, case.lam)
     n_sym = _ITEMS[case.item].symbols
     if case.h < n_sym:
@@ -208,19 +193,16 @@ def build_case(case: FormulaCase):
     quiver = two_vertex_quiver(m0 >= 2, m1 >= 2, case.h)
     rel = Relation.make([(coeff, two_vertex_path(quiver, a, sym + 1, b))
                          for coeff, a, sym, b in shapes])
-    pres = BoundQuiverPresentation(quiver, (m0, m1), (rel,))
-    ja = JordanAssignment.for_presentation(
-        pres, [_single_part(case.p, m0), _single_part(case.q, m1)]
-    )
-    return pres, ja, expected
+    return tuple(a.name for a in quiver.non_loop_arrows), rel, expected
 
 
 def evaluate_case(case: FormulaCase) -> tuple[int, int]:
     """(expected closed form, computed exact rank) for one case.
 
-    Every case is its own presentation, so its table is not cached."""
-    pres, ja, expected = build_case(case)
-    return expected, PartPairTable(pres).codim(ja)
+    Both Jordan types are single parts, so the relation system is the one
+    block pair (p) at 0 and (q) at 1, ranked as it is assembled."""
+    arrows, rel, expected = build_case(case)
+    return expected, rank_exact(assemble_system(arrows, [rel], case.p, case.q))
 
 
 _DEFAULT_LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))

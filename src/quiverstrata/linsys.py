@@ -8,8 +8,7 @@ the system splits into one part per (target block, source block) pair:
 ``assemble_system`` builds one such part and ``PartPairTable`` sums their
 ranks.  Rows are sparse integer vectors, each with the positive scale that
 turns it back into the rational row.  One sparse fraction-free elimination,
-``_kernels.exact_rank_int``, ranks them over Q and, with the entries
-reduced mod p, over F_p: exact, and free of floats.
+``_kernels.exact_rank_int``, ranks them over Q: exact, and free of floats.
 """
 from __future__ import annotations
 
@@ -26,10 +25,8 @@ from .quiver import BoundQuiverPresentation, Relation
 __all__ = [
     "ConstraintSystem",
     "UnsupportedDegreeError",
-    "BadPrimeError",
     "assemble_system",
     "rank_exact",
-    "rank_mod",
     "PartPairTable",
     "codim_table",
 ]
@@ -37,10 +34,6 @@ __all__ = [
 
 class UnsupportedDegreeError(ValueError):
     """A relation term does not contain exactly one non-loop arrow."""
-
-
-class BadPrimeError(ValueError):
-    """A rational entry cannot be reduced modulo the requested prime."""
 
 
 @dataclass
@@ -107,26 +100,6 @@ def assemble_system(arrows: Sequence[str], relations: Sequence[Relation],
 def rank_exact(cs: ConstraintSystem) -> int:
     """Rank over the rationals, by sparse fraction-free integer elimination."""
     return _kernels.exact_rank_int(cs.rows)
-
-
-def _fraction_mod(x: Fraction, p: int) -> int:
-    """``x`` reduced modulo the prime ``p``; raises :class:`BadPrimeError`
-    when its denominator vanishes mod ``p``."""
-    den = x.denominator % p
-    if den == 0:
-        raise BadPrimeError(f"coefficient {x} cannot reduce mod {p}")
-    return (x.numerator % p) * pow(den, p - 2, p) % p
-
-
-def rank_mod(cs: ConstraintSystem, p: int) -> int:
-    """Rank of the same system with entries reduced modulo a prime.
-
-    Raises :class:`BadPrimeError` when the reduced denominator of some
-    entry of :attr:`ConstraintSystem.matrix` vanishes mod ``p``.
-    """
-    return _kernels.exact_rank_int(
-        [{col: _fraction_mod(Fraction(v, scale), p) for col, v in row.items()}
-         for row, scale in zip(cs.rows, cs.scales)], p)
 
 
 class PartPairTable:

@@ -3,7 +3,6 @@ constructors check every rule; the file parser adds syntax and line numbers."""
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -17,8 +16,6 @@ __all__ = [
     "PresentationError",
     "parse_presentation",
     "serialize_presentation",
-    "relation_mod_orders",
-    "truncate_terms",
 ]
 
 
@@ -210,20 +207,6 @@ def _forbidden_power(quiver: Quiver, orders: Mapping[str, int],
     return None
 
 
-def truncate_terms(quiver: Quiver, orders: dict[str, int],
-                   terms: Iterable[tuple[Fraction | int, Path]]):
-    """Drop terms containing a loop power at or above its nilpotency order."""
-    return [(Fraction(coeff), p) for coeff, p in terms
-            if _forbidden_power(quiver, orders, _runs(p.arrows)) is None]
-
-
-def relation_mod_orders(quiver: Quiver, orders: dict[str, int],
-                        terms: Iterable[tuple[Fraction | int, Path]],
-                        source: Optional[str] = None,
-                        target: Optional[str] = None) -> Relation:
-    return Relation.make(truncate_terms(quiver, orders, terms), source, target)
-
-
 @dataclass(frozen=True)
 class BoundQuiverPresentation:
     """Quiver with per-vertex nilpotency orders and the mixed relations.
@@ -294,87 +277,94 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
 
     A term is ``[<rational>*]<factor>*<factor>*...`` with factors
     ``<arrowid>`` or ``<loopid>^<k>``, written left-to-right in composition
-    order (leftmost factor applied last).  The presentation declared so
-    far is built after each declaration, and each relation alone, so an
-    error names its line.
+    order (leftmost factor applied last).  Every line is parsed first and
+    the presentation is built once.  An error names the first line at
+    which the declarations so far fail; relations, which may name arrows
+    declared after them, come after every declaration.
     """
-    vertices: list[str] = []
-    arrows: list[Arrow] = []
-    orders: dict[str, int] = {}
-    relation_specs: list[tuple[int, list[tuple[Fraction, list[str]]]]] = []
-    pres = BoundQuiverPresentation(Quiver((), ()), ())
+    decls: list[tuple[int, object, Optional[int]]] = []
+    relations: list[tuple[int, object, None]] = []
+    seen: set[str] = set()
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            keyword, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if keyword == "relation":
+                relations.append((lineno, _parse_relation_terms(rest, lineno), None))
+                continue
+            if keyword == "vertex":
+                if not rest or " " in rest:
+                    raise PresentationError("expected: vertex <id>", lineno)
+                decls.append((lineno, rest, None))
+                seen.add(rest)
+                continue
+            if keyword == "loop":
+                m = re.match(r"^(\S+)\s+(\S+)\s+order\s+(\d+)$", rest)
+                if not m:
+                    raise PresentationError("expected: loop <id> <vertex> order <m>", lineno)
+                name, vertex, order = m.group(1), m.group(2), int(m.group(3))
+                decls.append((lineno, Arrow(name, vertex, vertex), order))
+            elif keyword == "arrow":
+                m = _ARROW_RE.match(rest)
+                if not m:
+                    raise PresentationError("expected: arrow <id> <src> -> <dst>", lineno)
+                name, src, dst = m.groups()
+                if src == dst:
+                    raise PresentationError("declare loops with the loop directive", lineno)
+                decls.append((lineno, Arrow(name, src, dst), None))
+            else:
+                raise PresentationError(f"unknown directive {keyword!r}", lineno)
+            if not {decls[-1][1].source, decls[-1][1].target} <= seen:
+                break  # a vertex declared later fails this prefix, not the whole
+    except PresentationError:
+        _built(decls)  # an earlier line's error comes first
+        raise
+    return _built(decls + relations)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if keyword == "relation":
-            relation_specs.append((lineno, _parse_relation_terms(rest, lineno)))
-            continue
-        if keyword == "vertex":
-            if not rest or " " in rest:
-                raise PresentationError("expected: vertex <id>", lineno)
-            vertices.append(rest)
-        elif keyword == "loop":
-            m = re.match(r"^(\S+)\s+(\S+)\s+order\s+(\d+)$", rest)
-            if not m:
-                raise PresentationError("expected: loop <id> <vertex> order <m>", lineno)
-            name, vertex, order = m.group(1), m.group(2), int(m.group(3))
-            arrows.append(Arrow(name, vertex, vertex))
-            orders[vertex] = order
-        elif keyword == "arrow":
-            m = _ARROW_RE.match(rest)
-            if not m:
-                raise PresentationError("expected: arrow <id> <src> -> <dst>", lineno)
-            name, src, dst = m.groups()
-            if src == dst:
-                raise PresentationError("declare loops with the loop directive", lineno)
-            arrows.append(Arrow(name, src, dst))
-        else:
-            raise PresentationError(f"unknown directive {keyword!r}", lineno)
-        with _on_line(lineno):  # the constructors check each declaration
-            pres = BoundQuiverPresentation(Quiver(tuple(vertices), tuple(arrows)),
-                                           tuple(orders.get(v, 1) for v in vertices))
 
-    quiver, order_map = pres.quiver, pres.order_map
+def _declared(decls) -> BoundQuiverPresentation:
+    """The presentation of ``(line, item, loop order)`` declarations, each
+    item a vertex, an arrow or the parsed terms of a relation; a vertex
+    takes the order of its last loop, or 1."""
+    vertices = tuple(d for _, d, _ in decls if isinstance(d, str))
+    quiver = Quiver(vertices, tuple(d for _, d, _ in decls if isinstance(d, Arrow)))
+    order_of = {d.source: m for _, d, m in decls if m is not None}
     relations = []
-    for lineno, term_words in relation_specs:
-        with _on_line(lineno):
-            terms = [(coeff, quiver.path(_expand_factors(quiver, order_map, factors)))
+    for _, term_words, _ in decls:
+        if isinstance(term_words, list):
+            terms = [(coeff, quiver.path(_expand_factors(quiver, order_of, factors)))
                      for coeff, factors in term_words]
             first = terms[0][1]
-            rel = Relation.make(terms, source=first.source, target=first.target)
-            BoundQuiverPresentation(quiver, pres.orders, (rel,))
-        relations.append(rel)
-    return BoundQuiverPresentation(quiver, pres.orders, tuple(relations))
+            relations.append(Relation.make(terms, source=first.source, target=first.target))
+    return BoundQuiverPresentation(quiver, tuple(order_of.get(v, 1) for v in vertices),
+                                   tuple(relations))
 
 
-@contextmanager
-def _on_line(lineno: int):
-    """Re-raise a :class:`PresentationError` with the line number."""
+def _built(decls) -> BoundQuiverPresentation:
+    """The presentation of ``decls``, built once.  When that fails, the
+    prefixes are built in turn, so the error names the first line that
+    breaks them."""
     try:
-        yield
-    except PresentationError as exc:
-        raise PresentationError(str(exc), lineno) from None
+        return _declared(decls)
+    except PresentationError:
+        for k, (lineno, _, _) in enumerate(decls, 1):
+            try:
+                _declared(decls[:k])
+            except PresentationError as exc:
+                raise PresentationError(str(exc), lineno) from None
+        raise
 
 
 def _parse_relation_terms(rest: str, lineno: int):
     if not rest:
         raise PresentationError("empty relation", lineno)
-    tokens = re.split(r"\s*([+-])\s*", rest)
-    if tokens[0].strip():
-        signed = [("+", tokens[0])]
-        rest_tokens = tokens[1:]
-    else:
-        # leading sign belongs to the first term
-        if len(tokens) < 3:
-            raise PresentationError("dangling sign in relation", lineno)
-        signed = [(tokens[1], tokens[2])]
-        rest_tokens = tokens[3:]
-    for sign, chunk in zip(rest_tokens[0::2], rest_tokens[1::2]):
-        signed.append((sign, chunk))
+    tokens = re.split(r"\s*([+-])\s*", rest)  # term, sign, term, ..., sign, term
+    # an empty first term is a leading sign, which belongs to the next term
+    signed = [("+", tokens[0])] if tokens[0] else []
+    signed += zip(tokens[1::2], tokens[2::2])
     out = []
     for sign, chunk in signed:
         chunk = chunk.strip()

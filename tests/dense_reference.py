@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from jordan_reference import jordan_matrix
-from quiverstrata.linsys import BadPrimeError, UnsupportedDegreeError
+from quiverstrata.fforacle import BadPrimeError
+from quiverstrata.linsys import UnsupportedDegreeError
 
 
 class ArrowEntry(NamedTuple):

@@ -11,8 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from quiverstrata import _kernels
-from quiverstrata.fforacle import EnumerationCapExceeded, StratumCountTable
-from quiverstrata.linsys import BadPrimeError
+from quiverstrata.fforacle import (BadPrimeError, EnumerationCapExceeded,
+                                   StratumCountTable)
 from quiverstrata.partitions import (JordanAssignment, _is_prime,
                                      partition_from_ranks, partitions_bounded)
 from quiverstrata.quiver import BoundQuiverPresentation

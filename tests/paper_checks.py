@@ -17,9 +17,9 @@ from quiverstrata.families import FamilyTag
 from quiverstrata.fforacle import enumerate_and_classify
 from quiverstrata.linsys import codim_table
 from quiverstrata.partitions import JordanAssignment, Partition
-from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver, Relation,
-                                 relation_mod_orders)
+from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 from quiverstrata.strata import assignments_for, stratum_dim
+from substitution import relation_mod_orders
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ columns (union-find), each component is rebuilt as dense integer rows,
 and a component is ranked by Bareiss elimination with full pivoting over
 Q, or by numpy row reduction over F_p after its entries are reduced
 modulo p.  A component with one row or one column has rank 1 over Q.
+The package ranks over Q only, so ``rank_mod`` is also the rank over F_p
+that the tests hold against the rank over Q.
 """
 import sys
 from fractions import Fraction
@@ -13,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from quiverstrata._kernels import ranks_mod_p
-from quiverstrata.linsys import ConstraintSystem, _fraction_mod
+from quiverstrata.fforacle import _fraction_mod
+from quiverstrata.linsys import ConstraintSystem
 
 # the copies below reach their kernels as ``_kernels.<name>``: this module
 _kernels = sys.modules[__name__]

@@ -2,19 +2,35 @@
 combination of arrows as one of its arrows.
 
 The recognizer and substitution tests build their inputs with these; the
-package itself never substitutes.
+package itself never substitutes.  ``relation_mod_orders`` builds a
+relation from terms after dropping those with a loop power at or above
+its order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from quiverstrata.quiver import (BoundQuiverPresentation, Combo, Path, Quiver,
-                                 Relation, _normalize_combo, truncate_terms)
+                                 Relation, _forbidden_power, _normalize_combo, _runs)
 
 
 class SubstitutionError(ValueError):
     pass
+
+
+def truncate_terms(quiver: Quiver, orders: dict[str, int],
+                   terms: Iterable[tuple[Fraction | int, Path]]):
+    """Drop terms containing a loop power at or above its nilpotency order."""
+    return [(Fraction(coeff), p) for coeff, p in terms
+            if _forbidden_power(quiver, orders, _runs(p.arrows)) is None]
+
+
+def relation_mod_orders(quiver: Quiver, orders: dict[str, int],
+                        terms: Iterable[tuple[Fraction | int, Path]],
+                        source: Optional[str] = None,
+                        target: Optional[str] = None) -> Relation:
+    return Relation.make(truncate_terms(quiver, orders, terms), source, target)
 
 
 def _concat(quiver: Quiver, left: Path, right: Path) -> Path:

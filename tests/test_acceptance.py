@@ -5,13 +5,15 @@ checklist; every numeric comparison is exact integer equality.
 """
 import time
 
+import formulas_reference
 from block_pairs import block_systems
 from jordan_reference import commutant_dim_oracle
 from paper_checks import nooverlap_dims
+from rank_reference import rank_mod
 from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
-from quiverstrata.formulas import build_case, formula_cases
-from quiverstrata.linsys import rank_exact, rank_mod
+from quiverstrata.formulas import evaluate_case, formula_cases
+from quiverstrata.linsys import rank_exact
 from quiverstrata.partitions import Partition, end_dim, orbit_dim, partitions_bounded
 from quiverstrata.quiver import parse_presentation
 from quiverstrata.strata import dim_vectors_up_to, reducibility_scan
@@ -26,10 +28,11 @@ def test_criterion_1_formula_suite():
     cases = formula_cases(p_max=6, hs=(1, 2, 3))
     assert cases
     for case in cases:
-        pres, ja, expected = build_case(case)
+        pres, ja, expected = formulas_reference.build_case(case)
         [cs] = block_systems(pres, ja)  # single parts: one block pair
         computed = rank_exact(cs)
-        assert computed == expected, case.describe()
+        assert computed == expected, case
+        assert evaluate_case(case) == (expected, computed), case
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     _report("1 formula suite", f"{len(cases)} cases exact, {elapsed:.1f}s")
@@ -151,7 +154,7 @@ def test_criterion_7_cross_field_rank_stability():
     mismatches = 0
     total = 0
     for case in formula_cases(p_max=6, hs=(1, 2, 3)):
-        pres, ja, _ = build_case(case)
+        pres, ja, _ = formulas_reference.build_case(case)
         [cs] = block_systems(pres, ja)  # single parts: one block pair
         r = rank_exact(cs)
         for prime in (101, 997):

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 from paper_checks import product_decomposition_check, recognize_family
-from substitution import apply_arrow_substitution
+from substitution import apply_arrow_substitution, relation_mod_orders
 
 from quiverstrata.families import FamilyTag, build_family, parse_family_spec
-from quiverstrata.quiver import parse_presentation, relation_mod_orders
+from quiverstrata.quiver import parse_presentation
 
 
 def test_build_standard_relation():

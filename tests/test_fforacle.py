@@ -7,7 +7,7 @@ from oracle_reference import reference_enumerate_and_classify
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classify,
                                    verify_count_identity)
-from quiverstrata.linsys import BadPrimeError
+from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.quiver import parse_presentation
 
 
@@ -65,16 +65,16 @@ def test_no_relation_identity_is_pure_power(aprime122):
 def test_classification_invariant_under_conjugation():
     rng = np.random.default_rng(11)
     q = 3
-    from quiverstrata._kernels import enumerate_nilpotent, exact_rank_int
+    from quiverstrata._kernels import enumerate_nilpotent
     from quiverstrata.partitions import partition_from_ranks
+    from rank_reference import rank_mod_p
 
     def jordan_type(X):
         d = X.shape[0]
         ranks = []
         P = X.copy() % q
         for _ in range(1, d):
-            ranks.append(exact_rank_int(
-                [{j: int(v) for j, v in enumerate(row) if v} for row in P], q))
+            ranks.append(rank_mod_p(P, q))
             P = P @ X % q
         return partition_from_ranks(d, ranks, 3).parts
 
@@ -106,7 +106,7 @@ def test_oracle_calls_no_rank_routine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called a rank routine")
 
-    originals = {linsys.rank_exact, linsys.rank_mod, _kernels.exact_rank_int}
+    originals = {linsys.rank_exact, _kernels.exact_rank_int}
     for name, module in list(sys.modules.items()):
         if name == "quiverstrata" or name.startswith("quiverstrata."):
             for attr, value in list(vars(module).items()):
@@ -152,7 +152,7 @@ def test_random_presentations_match_same_field_prediction():
     import random
 
     from block_pairs import block_systems
-    from quiverstrata.linsys import rank_mod
+    from rank_reference import rank_mod
     from quiverstrata.partitions import orbit_count
     from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
                                      Relation)

@@ -2,12 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formulas_reference
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases,
                                    single_case)
-from quiverstrata.linsys import codim_table
+from quiverstrata.linsys import PartPairTable, codim_table
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
 
@@ -90,41 +92,89 @@ def test_build_case_requires_enough_arrows():
         build_case(FormulaCase(9, 3, 3, None, Fraction(2), 2))
 
 
-def _splits(pres):
-    return [(type(c), p.split) for rel in pres.relations for c, p in rel.terms]
+def _splits(relations):
+    return [(type(c), p.split) for rel in relations for c, p in rel.terms]
+
+
+def _assert_matches_reference(case, ref):
+    """build_case gives the non-loop arrows and the relation of the
+    presentation that the reference builds, and evaluate_case the codimension
+    of its part-pair table; ``Path.split`` is compared on its own, since
+    path equality ignores it."""
+    ref_pres, ref_ja, ref_expected = ref
+    arrows, rel, expected = build_case(case)
+    assert arrows == tuple(a.name for a in ref_pres.quiver.non_loop_arrows), case
+    assert (rel,) == ref_pres.relations, case
+    assert _splits((rel,)) == _splits(ref_pres.relations), case
+    assert expected == ref_expected, case
+    assert evaluate_case(case) == (ref_expected, PartPairTable(ref_pres).codim(ref_ja)), case
 
 
 def test_build_case_matches_replaced_on_sweep():
-    """The shared-parts build_case returns what the replaced one did, on
-    every case of the p <= 8 sweep; ``Path.split`` is compared on its own,
-    since path equality ignores it."""
+    """On every case of the p <= 8 sweep the reference builds a
+    presentation, and the direct build_case and evaluate_case agree with it."""
     cases = formula_cases(p_max=8)
     assert len(cases) == 1205
     for case in cases:
-        pres, ja, expected = build_case(case)
-        ref_pres, ref_ja, ref_expected = formulas_reference.build_case(case)
-        assert (pres, ja, expected) == (ref_pres, ref_ja, ref_expected), case.describe()
-        assert _splits(pres) == _splits(ref_pres), case.describe()
+        _assert_matches_reference(case, formulas_reference.build_case(case))
+
+
+def _outcome(build, case):
+    try:
+        return build(case)
+    except (SideConditionError, TypeError) as exc:  # no lambda: TypeError
+        return type(exc), str(exc)
 
 
 def test_build_case_rejects_what_replaced_rejected():
-    """On a grid of cases on and off the sweep, both versions return the
-    same, or fail alike with the same message."""
+    """On a grid of cases on and off the sweep, both versions accept the
+    same cases and agree on them, or fail alike with the same message."""
     lams = (None, Fraction(0), Fraction(1), Fraction(2))
     for item, p, q, h in itertools.product(range(1, 12), range(1, 4), range(1, 4),
                                            range(1, 4)):
         for l, lam in itertools.product((None, *range(1, p + 2)), lams):
             case = FormulaCase(item, p, q, l, lam, h)
-            try:
-                want = formulas_reference.build_case(case)
-            except (SideConditionError, TypeError) as exc:  # no lambda: TypeError
-                with pytest.raises(type(exc)) as got:
-                    build_case(case)
-                assert str(got.value) == str(exc), case.describe()
-                continue
-            pres, ja, expected = build_case(case)
-            assert (pres, ja, expected) == want, case.describe()
-            assert _splits(pres) == _splits(want[0]), case.describe()
+            want = _outcome(formulas_reference.build_case, case)
+            if isinstance(want[0], type):
+                assert _outcome(build_case, case) == want, case
+            else:
+                _assert_matches_reference(case, want)
+
+
+@st.composite
+def single_case_args(draw):
+    """(item, p, q, l, lambda, h) for ``single_case``, biased towards q <= p
+    and l <= min(p, q); l and lambda are drawn where the item takes them,
+    q also where the item fixes it."""
+    item, p = draw(st.integers(1, 11)), draw(st.integers(-1, 8))
+    small = st.integers(1, max(p, 1))
+    if item in (1, 2):
+        q = draw(st.one_of(st.none(), st.integers(1, 3)))
+    else:
+        q = draw(st.one_of(small, st.integers(-1, 8)))
+    l = lam = None
+    if item in (1, 2, 6, 10, 11):
+        l = draw(st.one_of(st.integers(1, max(min(p, q or p), 1)), st.integers(-2, 10)))
+    if item in (7, 9, 11):
+        lam = draw(st.sampled_from(["0", "1", "-1", "1/2", "2"]))
+    return item, p, q, l, lam, draw(st.integers(0, 4))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(single_case_args())
+def test_single_cases_match_reference(args):
+    """Any case ``single_case`` admits is accepted by the direct path and by
+    the reference alike, with the same closed form and the same rank."""
+    try:
+        case = single_case(*args)
+    except SideConditionError:
+        return
+
+    def reference(case):
+        pres, ja, expected = formulas_reference.build_case(case)
+        return expected, PartPairTable(pres).codim(ja)
+
+    assert _outcome(evaluate_case, case) == _outcome(reference, case)
 
 
 @pytest.mark.parametrize("hs", [(1, 2, 3), (1,), (2, 1)])
@@ -150,7 +200,7 @@ def test_each_item_matches_engine_on_a_sample(item):
     assert sample
     for case in sample:
         expected, computed = evaluate_case(case)
-        assert expected == computed, case.describe()
+        assert expected == computed, case
 
 
 def test_unified_remark_formula_reported_not_relied_on(capsys):

@@ -7,15 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference
+import formulas_reference
 import rank_reference
 from block_pairs import block_systems
 from strategies import presentations
 
 from quiverstrata import linsys
 from quiverstrata.families import build_family, parse_family_spec
-from quiverstrata.linsys import (BadPrimeError, ConstraintSystem, PartPairTable,
+from quiverstrata.fforacle import BadPrimeError
+from quiverstrata.linsys import (ConstraintSystem, PartPairTable,
                                  UnsupportedDegreeError, assemble_system,
-                                 codim_table, rank_exact, rank_mod)
+                                 codim_table, rank_exact)
 from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
                                  Relation, parse_presentation)
@@ -319,8 +321,8 @@ def test_cross_field_rank_stability_sample():
     for pp, qq in cases:
         for cs in block_systems(pres, _ja(pres, pp, qq)):
             r = rank_exact(cs)
-            assert rank_mod(cs, 101) == r
-            assert rank_mod(cs, 997) == r
+            assert rank_reference.rank_mod(cs, 101) == r
+            assert rank_reference.rank_mod(cs, 997) == r
 
 
 def test_rank_mod_rejects_bad_prime():
@@ -328,8 +330,8 @@ def test_rank_mod_rejects_bad_prime():
                                   (1, ["a1", "e1"])]])
     cs = _system(pres, 2, 2)
     with pytest.raises(BadPrimeError):
-        rank_mod(cs, 2)
-    assert rank_mod(cs, 101) == rank_exact(cs)
+        rank_reference.rank_mod(cs, 2)
+    assert rank_reference.rank_mod(cs, 101) == rank_exact(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +350,7 @@ def _rank_mod_outcome(fn, system, p):
 
 def _summed_rank_mod(systems, p):
     """The rank mod p of a direct sum of systems, or "bad prime"."""
-    ranks = [_rank_mod_outcome(rank_mod, cs, p) for cs in systems]
+    ranks = [_rank_mod_outcome(rank_reference.rank_mod, cs, p) for cs in systems]
     return "bad prime" if "bad prime" in ranks else sum(ranks)
 
 
@@ -368,13 +370,13 @@ def _assert_same_ranks(systems, matrix) -> int:
 def test_engine_matches_dense_reference_on_formula_cases():
     """A formula case has single parts at both vertices, so its system is
     one block pair, entry for entry the dense reference's."""
-    from quiverstrata.formulas import build_case, formula_cases
+    from quiverstrata.formulas import formula_cases
 
     cases = formula_cases(p_max=8)
     assert len(cases) == 1205
     bad = 0
     for case in cases:
-        pres, ja, _ = build_case(case)
+        pres, ja, _ = formulas_reference.build_case(case)
         cs = _system(pres, case.p, case.q)
         matrix = dense_reference.assemble(pres, ja)[0]
         assert cs.matrix == matrix
@@ -416,29 +418,19 @@ def test_table_matches_codim_c_on_families(spec):
 
 # ---------------------------------------------------------------------------
 # differential gate: the sparse elimination against the component-wise
-# Bareiss and numpy mod-p ranks it replaced
+# Bareiss rank it replaced
 # ---------------------------------------------------------------------------
 
-def _assert_same_as_replaced(cs) -> int:
-    """Equal ranks over Q and at DIFF_PRIMES, or BadPrimeError from both;
-    the number of primes at which both raise."""
+def _assert_same_as_replaced(cs):
     assert rank_exact(cs) == rank_reference.rank_exact(cs)
-    bad = 0
-    for p in DIFF_PRIMES:
-        want = _rank_mod_outcome(rank_reference.rank_mod, cs, p)
-        assert _rank_mod_outcome(rank_mod, cs, p) == want
-        bad += want == "bad prime"
-    return bad
 
 
 def test_sparse_rank_matches_replaced_on_formula_cases():
-    from quiverstrata.formulas import build_case, formula_cases
+    from quiverstrata.formulas import formula_cases
 
-    bad = 0
     for case in formula_cases(p_max=8):
-        pres, _, _ = build_case(case)
-        bad += _assert_same_as_replaced(_system(pres, case.p, case.q))
-    assert bad > 0  # lambda = 1/2 cases cannot reduce mod 2
+        pres, _, _ = formulas_reference.build_case(case)
+        _assert_same_as_replaced(_system(pres, case.p, case.q))
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
@@ -463,8 +455,7 @@ def test_sparse_rank_matches_replaced_on_table_entries(spec, monkeypatch):
 @st.composite
 def sparse_systems(draw):
     """Sparse integer rows with entries up to 10^40, some of them integer
-    combinations of earlier rows so that ranks fall short, and scales that
-    some of the primes divide."""
+    combinations of earlier rows so that ranks fall short."""
     n = draw(st.integers(1, 8))
     entry = st.one_of(st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40))
     rows = []

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quiver_reference
 from paper_checks import check_cycle_conditions, detect_shortcuts
 from strategies import presentations
 from substitution import (SubstitutionError, apply_arrow_substitution,
@@ -106,6 +108,50 @@ def test_parse_error_names_its_line(text, line):
         parse_presentation(text)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: ")
+
+
+# lines for the differential test: each directive well formed or not, names
+# that clash, vertices used before they are declared, and relations that
+# fail in the parser, in Relation.make or in the presentation
+PARSE_LINES = [
+    "vertex 0", "vertex 1", "vertex 2", "vertex 0 1", "# note", "",
+    "loop e 0 order 3", "loop f 1 order 2", "loop e 1 order 2", "loop g 2 order 1",
+    "loop h 0 order 0", "loop e 0 ordr 2",
+    "arrow a 1 -> 0", "arrow b 1 -> 0", "arrow a 2 -> 1", "arrow c 0 -> 0",
+    "arrow c 5 -> 0", "arrow e 1 -> 0", "arrow d 1 0", "bogus 1",
+    "relation e*a", "relation e*a - e*a", "relation e^2", "relation a*f + 1/2*e*b",
+    "relation e^5*a", "relation x*a", "relation 1/0*e*a", "relation", "relation a*b",
+    "relation e*a*f - 2*e^2*b", "relation - e*a", "relation e*a +", "relation -",
+    "relation -1/2*e*a + e*b", "relation +e*a", "relation e*a - - e*b", "relation 0*e*a",
+    "relation e*a*", "relation e^0*a", "relation a*f^2", "relation 2",
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(PARSE_LINES), max_size=14))
+def test_parse_matches_replaced(lines):
+    """The build-once parser returns what the per-line one did, or fails
+    with the same message on the same line."""
+    def outcome(parse):
+        try:
+            pres = parse("\n".join(lines))
+        except PresentationError as exc:
+            return str(exc), exc.line
+        return pres.quiver, pres.orders, pres.relations
+
+    assert outcome(parse_presentation) == outcome(quiver_reference.parse_presentation)
+
+
+def test_parse_is_linear_in_the_arrows():
+    """4,000 parallel arrows and 200 relations parse at once; building the
+    presentation after every line took seconds."""
+    text = "\n".join(["vertex 0", "vertex 1", "loop e 0 order 2"]
+                     + [f"arrow a{i} 1 -> 0" for i in range(4000)]
+                     + [f"relation e*a{i}" for i in range(200)])
+    start = time.perf_counter()
+    pres = parse_presentation(text)
+    assert time.perf_counter() - start < 0.5
+    assert len(pres.quiver.arrows) == 4001 and len(pres.relations) == 200
 
 
 def test_parse_rejects_forbidden_subword():
