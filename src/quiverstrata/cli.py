@@ -93,29 +93,23 @@ def cmd_strata(args) -> int:
 def cmd_reduce_scan(args) -> int:
     pres = _read_presentation(args.algebra)
     dim_list = _dims_for(args, len(pres.quiver.vertices))
-    results = _map(_scan_one, [(pres, d, args.cap) for d in dim_list], args.jobs)
-    for dims, outcome, text in results:
-        label = f"d=({', '.join(str(x) for x in dims)})"
-        if outcome == "cert":
-            print(f"{label}: REDUCIBLE")
-            for line in text.splitlines():
-                print(f"  {line}")
-        elif outcome == "cap":
-            print(f"{label}: scan cap exceeded ({text})")
-        else:
-            print(f"{label}: no certificate")
+    for block in _map(_scan_one, [(pres, d, args.cap) for d in dim_list], args.jobs):
+        print(block)
     return 0
 
 
-def _scan_one(work):
+def _scan_one(work) -> str:
+    """The report that ``reduce-scan`` prints for one dimension vector."""
     pres, dims, cap = work
+    label = f"d=({', '.join(str(x) for x in dims)})"
     try:
         cert = reducibility_scan(pres, dims, cap=cap)
     except ScanCapExceeded as exc:
-        return dims, "cap", f"{exc.count} assignments > cap {exc.cap}"
+        return f"{label}: scan cap exceeded ({exc.count} assignments > cap {exc.cap})"
     if cert is None:
-        return dims, "none", ""
-    return dims, "cert", cert.to_text()
+        return f"{label}: no certificate"
+    return "\n".join([f"{label}: REDUCIBLE",
+                      *(f"  {line}" for line in cert.to_text().splitlines())])
 
 
 def cmd_verify_formulas(args) -> int:

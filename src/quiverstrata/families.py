@@ -1,26 +1,21 @@
-"""Constructors for the standard two-vertex algebra families.
-
-The two-vertex quiver (loops ``e0``, ``e1`` where the orders ask for them,
-arrows ``a1..ah`` from 1 to 0) and its paths ``e0^a a_k e1^b`` are built
-here once and cached; the families and the closed-form cases of
-``formulas`` share them.
+"""Constructors for the standard algebra families: the two-vertex quiver
+(loops ``e0``, ``e1`` where the orders ask for them, arrows ``a1..ah`` from
+1 to 0) with or without its mixed relation, and the truncated polynomial
+ring on one loop.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .quiver import Arrow, BoundQuiverPresentation, Path, Quiver, Relation
+from .quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 
 __all__ = [
     "FamilyTag",
     "parse_family_spec",
     "build_family",
-    "two_vertex_quiver",
-    "two_vertex_path",
 ]
 
 
@@ -98,23 +93,6 @@ def parse_family_spec(text: str) -> FamilyTag:
     return FamilyTag("truncpoly", m=params[0])
 
 
-@functools.lru_cache(maxsize=64)
-def two_vertex_quiver(loop0: bool, loop1: bool, h: int) -> Quiver:
-    """Vertices 0 and 1, the loops ``e0`` at 0 and ``e1`` at 1 where asked,
-    and the arrows ``a1..ah`` from 1 to 0."""
-    arrows = [Arrow("e0", "0", "0")] if loop0 else []
-    if loop1:
-        arrows.append(Arrow("e1", "1", "1"))
-    arrows.extend(Arrow(f"a{i + 1}", "1", "0") for i in range(h))
-    return Quiver(("0", "1"), tuple(arrows))
-
-
-@functools.lru_cache(maxsize=1024)
-def two_vertex_path(quiver: Quiver, a: int, k: int, b: int) -> Path:
-    """The path ``e0^a a_k e1^b`` of a :func:`two_vertex_quiver`."""
-    return quiver.path(["e0"] * a + [f"a{k}"] + ["e1"] * b)
-
-
 def build_family(tag: FamilyTag) -> BoundQuiverPresentation:
     """Presentation for a family tag.
 
@@ -126,10 +104,11 @@ def build_family(tag: FamilyTag) -> BoundQuiverPresentation:
             quiver = Quiver(("0",), (Arrow("e0", "0", "0"),))
             return BoundQuiverPresentation(quiver, (tag.m,))
         return BoundQuiverPresentation(Quiver(("0",), ()), (1,))
-    quiver = two_vertex_quiver(tag.m0 >= 2, tag.m1 >= 2, tag.h)
+    loops = [Arrow(f"e{v}", str(v), str(v)) for v, m in enumerate((tag.m0, tag.m1)) if m >= 2]
+    quiver = Quiver(("0", "1"), (*loops, *(Arrow(f"a{i + 1}", "1", "0") for i in range(tag.h))))
     relations: tuple[Relation, ...] = ()
     if tag.kind == "A":
-        terms = [(Fraction(1), two_vertex_path(quiver, tag.n - i, 1, i))
+        terms = [(Fraction(1), quiver.path(["e0"] * (tag.n - i) + ["a1"] + ["e1"] * i))
                  for i in range(max(0, tag.n - tag.m0 + 1), min(tag.n, tag.m1 - 1) + 1)]
         rel = Relation.make(terms, source="1", target="0")
         if not rel.is_zero:

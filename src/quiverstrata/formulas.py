@@ -23,11 +23,14 @@ of the induced linear system:
           + eps0^(p-1) c2 eps1^(q-1)    (l >= 4, t != 0)    l + 1
 
 Here a, b are linearly independent arrow combinations and c, c1, c2 are
-arbitrary ones; the sweep instantiates them as distinct arrows a1, a2, a3
-of the two-vertex quiver of ``families``.  The rules that are not side
-conditions (which items take l and lambda, which fix q, how many arrows
-each needs) are the table ``_ITEMS``; ``c_closed_form``, ``formula_cases``,
-``single_case`` and ``build_case`` all read it.
+arbitrary ones; the sweep instantiates them as the distinct arrows 0, 1, 2
+of the h arrows 1 -> 0.  It states each term as the split term
+``(coefficient, eps0 power, arrow index, eps1 power)`` that
+``linsys.assemble_system`` reads, and builds no quiver, path or relation.
+The rules that are not side conditions (which items take l and lambda,
+which fix q, how many arrows each needs) are the table ``_ITEMS``;
+``c_closed_form``, ``formula_cases``, ``single_case`` and ``build_case``
+all read it.
 """
 from __future__ import annotations
 
@@ -36,9 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .families import two_vertex_path, two_vertex_quiver
-from .linsys import assemble_system, rank_exact
-from .quiver import Relation
+from .linsys import Term, assemble_system, rank_exact
 
 __all__ = [
     "SideConditionError",
@@ -123,8 +124,8 @@ def c_closed_form(item: int, p: Optional[int] = None, q: Optional[int] = None,
 
 
 def _term_shapes(item: int, p: int, q: int, l: Optional[int],
-                 lam: Optional[Fraction]) -> list[tuple[Fraction, int, int, int]]:
-    """(coefficient, eps0 power, symbol index, eps1 power) per term."""
+                 lam: Optional[Fraction]) -> list[Term]:
+    """(coefficient, eps0 power, arrow index, eps1 power) per term."""
     one = Fraction(1)
     if item == 1:
         return [(one, l, 0, 0)]
@@ -168,32 +169,26 @@ class FormulaCase:
 
 @functools.lru_cache(maxsize=4096)
 def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]):
-    """(closed form, term shapes, loop orders (m0, m1)) of an admissible
-    case, whatever its h; raises :class:`SideConditionError` otherwise."""
+    """(closed form, split terms) of an admissible case, whatever its h;
+    raises :class:`SideConditionError` otherwise."""
     expected = c_closed_form(item, p, q, l, lam)
-    shapes = tuple(_term_shapes(item, p, q, l, lam))
-    if any(a + 1 + b < 2 for _, a, _sym, b in shapes):
+    terms = tuple(_term_shapes(item, p, q, l, lam))
+    if any(a + 1 + b < 2 for _, a, _k, b in terms):
         raise SideConditionError("a term would be a bare arrow (length < 2)")
-    m0 = max(p, max(a for _, a, _s, _b in shapes) + 1)
-    m1 = max(q, max(b for _, _a, _s, b in shapes) + 1)
-    return expected, shapes, (m0, m1)
+    return expected, terms
 
 
-def build_case(case: FormulaCase):
-    """The h arrows ``a1..ah``, the relation, and the expected codimension
-    of a case.  No presentation check can fail: ``_shaped`` picks orders
-    that fit every term, each term has one arrow and length at least 2,
-    and ``Relation.make`` drops a lambda = 0 term."""
-    expected, shapes, (m0, m1) = _shaped(case.item, case.p, case.q, case.l, case.lam)
+def build_case(case: FormulaCase) -> tuple[int, tuple[Term, ...], int]:
+    """The number h of arrows 1 -> 0, the split terms of the relation, and
+    the expected codimension of a case.  A lambda = 0 term stays in the
+    terms; it puts no entry into the system."""
+    expected, terms = _shaped(case.item, case.p, case.q, case.l, case.lam)
     n_sym = _ITEMS[case.item].symbols
     if case.h < n_sym:
         raise SideConditionError(
             f"item {case.item} needs {n_sym} distinct arrows, h={case.h}"
         )
-    quiver = two_vertex_quiver(m0 >= 2, m1 >= 2, case.h)
-    rel = Relation.make([(coeff, two_vertex_path(quiver, a, sym + 1, b))
-                         for coeff, a, sym, b in shapes])
-    return tuple(a.name for a in quiver.non_loop_arrows), rel, expected
+    return case.h, terms, expected
 
 
 def evaluate_case(case: FormulaCase) -> tuple[int, int]:
@@ -201,8 +196,8 @@ def evaluate_case(case: FormulaCase) -> tuple[int, int]:
 
     Both Jordan types are single parts, so the relation system is the one
     block pair (p) at 0 and (q) at 1, ranked as it is assembled."""
-    arrows, rel, expected = build_case(case)
-    return expected, rank_exact(assemble_system(arrows, [rel], case.p, case.q))
+    h, terms, expected = build_case(case)
+    return expected, rank_exact(assemble_system(h, [terms], case.p, case.q))
 
 
 _DEFAULT_LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))

@@ -6,9 +6,13 @@ of the stacked system is the codimension of its solution space inside the
 ambient arrow space.  A Jordan block only shifts indices within itself, so
 the system splits into one part per (target block, source block) pair:
 ``assemble_system`` builds one such part and ``PartPairTable`` sums their
-ranks.  Rows are sparse integer vectors, each with the positive scale that
-turns it back into the rational row.  One sparse fraction-free elimination,
-``_kernels.exact_rank_int``, ranks them over Q: exact, and free of floats.
+ranks.  The engine reads a relation as split terms, ``(coefficient, loop
+power before, arrow index, loop power after)``: ``split_terms`` makes them
+from a ``Relation`` once per presentation, and the formula sweep states
+them directly.  Rows are sparse integer vectors, each with the positive
+scale that turns it back into the rational row.  One sparse fraction-free
+elimination, ``_kernels.exact_rank_int``, ranks them over Q: exact, and
+free of floats.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ from .quiver import BoundQuiverPresentation, Relation
 __all__ = [
     "ConstraintSystem",
     "UnsupportedDegreeError",
+    "split_terms",
     "assemble_system",
     "rank_exact",
     "PartPairTable",
@@ -34,6 +39,10 @@ __all__ = [
 
 class UnsupportedDegreeError(ValueError):
     """A relation term does not contain exactly one non-loop arrow."""
+
+
+# (coefficient, loop power before, index of the non-loop arrow, loop power after)
+Term = tuple[Fraction, int, int, int]
 
 
 @dataclass
@@ -65,36 +74,51 @@ class ConstraintSystem:
         return out
 
 
-def assemble_system(arrows: Sequence[str], relations: Sequence[Relation],
-                    a: int, b: int) -> ConstraintSystem:
-    """The system of ``relations``, all from one vertex s to one vertex t,
-    on the single Jordan blocks (a) at t and (b) at s.
+def split_terms(rel: Relation, arrows: Sequence[str]) -> list[Term]:
+    """The terms of ``rel``, each arrow by its index in ``arrows``, the
+    non-loop arrows from its source to its target."""
+    index = {name: k for k, name in enumerate(arrows)}
+    out = []
+    for coeff, path in rel.terms:
+        if path.split is None:
+            raise UnsupportedDegreeError(
+                f"path {path} has degree {path.degree}; the linear engine "
+                "supports exactly one non-loop arrow per term"
+            )
+        pre, name, post = path.split
+        out.append((coeff, pre, index[name], post))
+    return out
 
-    J^k shifts indices by k within its block, so a term c * J^pre x J^post
-    puts c into row (i, j) at the column of x[i + pre][j - post], wherever
-    both indices stay inside their blocks.  Each relation is scaled once,
-    to the lcm of its coefficient denominators, so every row holds
-    integers.  Rows run over the relations, then (i, j) row-major; columns
-    run over ``arrows`` (the non-loop arrows s -> t), then entries
-    row-major.  Every term must have a ``Path.split``.
+
+def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
+                    a: int, b: int) -> ConstraintSystem:
+    """The system of ``relations``, each a list of split terms, all from one
+    vertex s to one vertex t, on the single Jordan blocks (a) at t and (b)
+    at s.
+
+    J^k shifts indices by k within its block, so a term (c, pre, k, post),
+    that is c * J^pre x_k J^post, puts c into row (i, j) at the column of
+    x_k[i + pre][j - post], wherever both indices stay inside their blocks.
+    Each relation is scaled once, to the lcm of its coefficient
+    denominators, so every row holds integers; a zero coefficient leaves no
+    entry.  Rows run over the relations, then (i, j) row-major; columns run
+    over the ``n_arrows`` arrows s -> t, then entries row-major.
     """
-    offset = {name: k * a * b for k, name in enumerate(arrows)}
     rows: list[dict[int, int]] = []
     scales: list[int] = []
-    for rel in relations:
-        scale = math.lcm(*(coeff.denominator for coeff, _ in rel.terms))
+    for terms in relations:
+        scale = math.lcm(*(coeff.denominator for coeff, *_ in terms))
         block: list[dict[int, int]] = [{} for _ in range(a * b)]
-        for coeff, path in rel.terms:
-            pre, name, post = path.split
+        for coeff, pre, k, post in terms:
             c = coeff.numerator * (scale // coeff.denominator)
             for i in range(a - pre):
-                col0 = offset[name] + (i + pre) * b - post
+                col0 = k * a * b + (i + pre) * b - post
                 for j in range(post, b):
                     row = block[i * b + j]
                     row[col0 + j] = row.get(col0 + j, 0) + c
         rows += [{col: v for col, v in row.items() if v} for row in block]
         scales += [scale] * len(block)
-    return ConstraintSystem(rows, scales, len(arrows) * a * b)
+    return ConstraintSystem(rows, scales, n_arrows * a * b)
 
 
 def rank_exact(cs: ConstraintSystem) -> int:
@@ -116,34 +140,29 @@ class PartPairTable:
     """
 
     def __init__(self, pres: BoundQuiverPresentation):
-        for rel in pres.relations:
-            for _, path in rel.terms:
-                if path.split is None:
-                    raise UnsupportedDegreeError(
-                        f"path {path} has degree {path.degree}; the linear engine "
-                        "supports exactly one non-loop arrow per term"
-                    )
         self.pres = pres
         position = {v: k for k, v in enumerate(pres.quiver.vertices)}
 
         def pair(x) -> tuple[int, int]:
             return position[x.target], position[x.source]
 
-        relations: dict[tuple[int, int], list[Relation]] = {}
+        arrows: dict[tuple[int, int], list[str]] = {}
+        for x in pres.quiver.non_loop_arrows:
+            arrows.setdefault(pair(x), []).append(x.name)
+        # (number of arrows t <- s, split relations t <- s) per related pair
+        self._pairs: dict[tuple[int, int], tuple[int, list[list[Term]]]] = {}
         for rel in pres.relations:
-            relations.setdefault(pair(rel), []).append(rel)
-        # (arrows t <- s, relations t <- s) per vertex pair carrying relations
-        self._pairs = {ts: (tuple(x.name for x in pres.quiver.non_loop_arrows
-                                  if pair(x) == ts), tuple(rels))
-                       for ts, rels in relations.items()}
+            ts = pair(rel)
+            names = arrows.get(ts, ())
+            self._pairs.setdefault(ts, (len(names), []))[1].append(split_terms(rel, names))
         self._ranks: dict[tuple[int, int, int, int], int] = {}
 
     def entry(self, t: int, s: int, a: int, b: int) -> int:
         """r_ts(a, b), with t and s vertex positions."""
         rank = self._ranks.get((t, s, a, b))
         if rank is None:
-            arrows, relations = self._pairs.get((t, s), ((), ()))
-            rank = rank_exact(assemble_system(arrows, relations, a, b))
+            n_arrows, relations = self._pairs.get((t, s), (0, ()))
+            rank = rank_exact(assemble_system(n_arrows, relations, a, b))
             self._ranks[t, s, a, b] = rank
         return rank
 

@@ -305,7 +305,7 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
                 m = re.match(r"^(\S+)\s+(\S+)\s+order\s+(\d+)$", rest)
                 if not m:
                     raise PresentationError("expected: loop <id> <vertex> order <m>", lineno)
-                name, vertex, order = m.group(1), m.group(2), int(m.group(3))
+                name, vertex, order = m.group(1), m.group(2), _integer(m.group(3), lineno)
                 decls.append((lineno, Arrow(name, vertex, vertex), order))
             elif keyword == "arrow":
                 m = _ARROW_RE.match(rest)
@@ -358,6 +358,14 @@ def _built(decls) -> BoundQuiverPresentation:
         raise
 
 
+def _integer(digits: str, lineno: int) -> int:
+    """``int(digits)``, with an over-long literal an error of its line."""
+    try:
+        return int(digits)
+    except ValueError:  # beyond Python's limit on integer string conversion
+        raise PresentationError(f"{len(digits)}-digit integer is too long", lineno) from None
+
+
 def _parse_relation_terms(rest: str, lineno: int):
     if not rest:
         raise PresentationError("empty relation", lineno)
@@ -373,10 +381,11 @@ def _parse_relation_terms(rest: str, lineno: int):
         pieces = [piece.strip() for piece in chunk.split("*")]
         coeff = Fraction(1)
         if _RATIONAL_RE.match(pieces[0]):
-            den = pieces[0].partition("/")[2]
-            if den and int(den) == 0:
+            num, _, den = pieces[0].partition("/")
+            denominator = _integer(den or "1", lineno)
+            if denominator == 0:
                 raise PresentationError("zero denominator", lineno)
-            coeff = Fraction(pieces[0])
+            coeff = Fraction(_integer(num, lineno), denominator)
             pieces = pieces[1:]
         if not pieces:
             raise PresentationError("term has no factors", lineno)
@@ -386,7 +395,7 @@ def _parse_relation_terms(rest: str, lineno: int):
             if not m:
                 raise PresentationError(f"bad factor {piece!r}", lineno)
             name, power = m.group(1), m.group(2)
-            k = int(power) if power is not None else 1
+            k = _integer(power, lineno) if power is not None else 1
             if k < 1:
                 raise PresentationError("factor power must be >= 1", lineno)
             if factors and factors[-1][0] == name:

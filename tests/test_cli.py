@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quiverstrata
-from quiverstrata import families
+from quiverstrata import formulas
 from quiverstrata.cli import build_parser, main
 from quiverstrata.quiver import parse_presentation
 
@@ -164,6 +164,25 @@ def test_zero_denominator_exits_2(tmp_path, capsys, coeff):
     code, _, err = run_cli(["strata", "--algebra", str(bad), "--dim", "1,1"], capsys)
     assert code == 2
     assert err.startswith("error: line 5:")
+    assert "Traceback" not in err
+
+
+BIG = "9" * 5000  # over Python's 4,300-digit limit on integer string conversion
+
+
+@pytest.mark.parametrize("lineno, text", [(3, f"loop e 0 order {BIG}"),
+                                          (5, f"relation e^{BIG}*a"),
+                                          (5, f"relation {BIG}*e*a"),
+                                          (5, f"relation 1/{BIG}*e*a")],
+                         ids=["loop-order", "factor-power", "coefficient", "denominator"])
+def test_oversized_integer_names_its_line(tmp_path, capsys, lineno, text):
+    lines = ["vertex 0", "vertex 1", "loop e 0 order 2", "arrow a 1 -> 0", "relation e*a"]
+    lines[lineno - 1] = text
+    bad = tmp_path / "bad.bq"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["strata", "--algebra", str(bad), "--dim", "1,1"], capsys)
+    assert code == 2
+    assert err == f"error: line {lineno}: 5000-digit integer is too long\n"
     assert "Traceback" not in err
 
 
@@ -418,11 +437,11 @@ def test_verify_formulas_cold_and_warm_caches_agree(capsys):
     _clear_package_caches()
     code, cold, _ = run_cli(argv, capsys)
     assert code == 0
-    assert families.two_vertex_quiver.cache_info().currsize > 0
-    assert families.two_vertex_path.cache_info().currsize > 0
+    cold_hits = formulas._shaped.cache_info().hits
+    assert formulas._shaped.cache_info().currsize > 0
     code, warm, _ = run_cli(argv, capsys)
     assert code == 0
-    assert families.two_vertex_path.cache_info().hits > 0
+    assert formulas._shaped.cache_info().hits > cold_hits
     assert warm == cold
 
 

@@ -92,20 +92,30 @@ def test_build_case_requires_enough_arrows():
         build_case(FormulaCase(9, 3, 3, None, Fraction(2), 2))
 
 
-def _splits(relations):
-    return [(type(c), p.split) for rel in relations for c, p in rel.terms]
+def _linear_form(terms):
+    """{(pre, arrow index, post): coefficient} of split terms, equal terms
+    combined and zero coefficients dropped, as ``Relation.make`` does."""
+    form = {}
+    for coeff, pre, k, post in terms:
+        form[pre, k, post] = form.get((pre, k, post), 0) + coeff
+    return {key: coeff for key, coeff in form.items() if coeff}
 
 
 def _assert_matches_reference(case, ref):
-    """build_case gives the non-loop arrows and the relation of the
-    presentation that the reference builds, and evaluate_case the codimension
-    of its part-pair table; ``Path.split`` is compared on its own, since
-    path equality ignores it."""
+    """build_case gives the number of non-loop arrows and the split terms of
+    the presentation that the reference builds, arrow ``a{k+1}`` as index
+    k, and evaluate_case the codimension of its part-pair table."""
     ref_pres, ref_ja, ref_expected = ref
-    arrows, rel, expected = build_case(case)
-    assert arrows == tuple(a.name for a in ref_pres.quiver.non_loop_arrows), case
-    assert (rel,) == ref_pres.relations, case
-    assert _splits((rel,)) == _splits(ref_pres.relations), case
+    h, terms, expected = build_case(case)
+    assert [f"a{k + 1}" for k in range(h)] == [
+        a.name for a in ref_pres.quiver.non_loop_arrows], case
+    assert all(type(coeff) is Fraction for coeff, *_ in terms), case
+    [ref_rel] = ref_pres.relations
+    ref_terms = []
+    for coeff, path in ref_rel.terms:
+        pre, name, post = path.split
+        ref_terms.append((coeff, pre, int(name[1:]) - 1, post))
+    assert _linear_form(terms) == _linear_form(ref_terms), case
     assert expected == ref_expected, case
     assert evaluate_case(case) == (ref_expected, PartPairTable(ref_pres).codim(ref_ja)), case
 

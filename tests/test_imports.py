@@ -1,9 +1,10 @@
-"""Every module-level import in the package is used in its module.
+"""Every module-level import in the package is used in its module, and the
+formula sweep builds on the exact engine alone.
 
 The package re-exports its public names from ``__init__``, so that file is
 skipped, as are ``from __future__`` imports.  A name listed in a module's
-``__all__`` counts as used.  The check reads the sources with ``ast``, so it
-imports nothing.
+``__all__`` counts as used.  The checks read the sources with ``ast``, so
+they import nothing.
 """
 import ast
 from pathlib import Path
@@ -76,3 +77,40 @@ def test_checker_finds_an_unused_import():
                                         if p.name != "__init__.py"))
 def test_no_unused_module_imports(path):
     assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from the package itself
+            module = ".".join(filter(None, ["quiverstrata" if node.level else "",
+                                            node.module]))
+            names = ([f"{module}.{alias.name}" for alias in node.names]
+                     if module == "quiverstrata" else [module])
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names
+                     if name.startswith("quiverstrata."))
+    return found
+
+
+def test_package_import_finder():
+    source = ("import math\n"
+              "from . import quiver\n"
+              "from .linsys import rank_exact\n"
+              "def f():\n"
+              "    from quiverstrata.families import build_family\n"
+              "    import quiverstrata.strata\n"
+              "    from quiverstrata import cli\n")
+    assert package_imports(source) == {"quiver", "linsys", "families", "strata", "cli"}
+
+
+def test_formulas_imports_only_the_engine():
+    """The sweep states its split terms directly: it builds no quiver,
+    path, relation or presentation."""
+    source = (PACKAGE / "formulas.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"linsys"}

@@ -17,7 +17,7 @@ from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.linsys import (ConstraintSystem, PartPairTable,
                                  UnsupportedDegreeError, assemble_system,
-                                 codim_table, rank_exact)
+                                 codim_table, rank_exact, split_terms)
 from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
                                  Relation, parse_presentation)
@@ -55,16 +55,24 @@ def _arrows(pres):
     return [x.name for x in pres.quiver.non_loop_arrows]
 
 
+def _assembled(pres, relations, a, b):
+    """The system of ``relations`` on the single blocks (a) at 0, (b) at 1,
+    each relation split as the part-pair table splits it."""
+    arrows = _arrows(pres)
+    return assemble_system(len(arrows), [split_terms(rel, arrows) for rel in relations],
+                           a, b)
+
+
 def _system(pres, a, b):
     """The system of all relations on the single blocks (a) at 0, (b) at 1."""
-    return assemble_system(_arrows(pres), pres.relations, a, b)
+    return _assembled(pres, pres.relations, a, b)
 
 
 def _grid(pres, rel, a, b):
     """The relation on the single blocks (a) at 0 and (b) at 1 as an a x b
     grid of linear forms {(arrow, row, col): rational coefficient}."""
     arrows = _arrows(pres)
-    cs = assemble_system(arrows, (rel,), a, b)
+    cs = _assembled(pres, (rel,), a, b)
     grid = [[{} for _ in range(b)] for _ in range(a)]
     for k, (row, scale) in enumerate(zip(cs.rows, cs.scales)):
         i, j = divmod(k, b)
@@ -106,6 +114,24 @@ def test_evaluate_rejects_higher_degree():
         PartPairTable(pres)
 
 
+def test_split_terms_index_the_arrows_and_refuse_other_degrees():
+    pres = _two_vertex(3, 3, 2, [[(Fraction(1, 2), ["e0", "a2"]), (1, ["a1", "e1", "e1"])]])
+    assert split_terms(pres.relations[0], ["a1", "a2"]) == [
+        (Fraction(1, 2), 1, 1, 0), (Fraction(1), 0, 0, 2)]
+    # a path through a third vertex: no arrow joins its ends, and the
+    # degree, not the arrow lookup, refuses it
+    q = Quiver(("0", "1", "2"), (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
+    with pytest.raises(UnsupportedDegreeError, match="^path a\\*b has degree 2;"):
+        split_terms(Relation.make([(1, q.path(["a", "b"]))]), [])
+
+
+def test_zero_coefficient_term_leaves_no_entry():
+    with_zero = [(Fraction(1), 1, 0, 0), (Fraction(0), 0, 1, 1)]
+    cs = assemble_system(2, [with_zero], 3, 2)
+    assert cs.rows == assemble_system(2, [with_zero[:1]], 3, 2).rows
+    assert all(col < 6 for row in cs.rows for col in row)
+
+
 def test_assemble_known_small_system(a1221):
     cs = _system(a1221, 2, 2)
     assert cs.n_rows == 4 and cs.ambient_dim == 4
@@ -113,7 +139,7 @@ def test_assemble_known_small_system(a1221):
 
 
 def test_assemble_empty_relation_list(a1221):
-    cs = assemble_system(_arrows(a1221), (), 2, 2)
+    cs = assemble_system(len(_arrows(a1221)), (), 2, 2)
     assert cs.n_rows == 0 and cs.ambient_dim == 4
     assert rank_exact(cs) == 0
 
