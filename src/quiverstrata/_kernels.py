@@ -1,8 +1,10 @@
 """Hot numeric kernels.
 
-Exact rank over Q is pure python elimination on sparse integer rows:
-big integers never overflow, and the block-pair systems it sees have a
-few dozen rows.  The oracle's kernels (ranks over F_p of
+Exact rank over Q is pure python fraction-free elimination on sparse
+integer rows: big integers never overflow, and the block-pair systems it
+sees have a few dozen rows, many of them empty.  Empty rows are skipped,
+each row is updated in place, and a row is divided by the gcd of its
+entries only when that exceeds 1.  The oracle's kernels (ranks over F_p of
 matrix stacks and the exhaustive enumerations) are numpy, batched in
 chunks of about ``CHUNK`` so memory stays bounded.  The point tally
 enumerates the candidates of the slots its relations read and folds in
@@ -22,26 +24,28 @@ CHUNK = 1 << 14
 # exact rank of sparse integer rows over Q
 # ---------------------------------------------------------------------------
 
-def _reduced(row: dict[int, int]) -> dict[int, int]:
-    """``row`` without zero entries, divided by the gcd of its entries."""
-    g = math.gcd(*row.values())
-    return {c: v // g for c, v in row.items() if v}
-
-
 def exact_rank_int(rows) -> int:
     """Rank over Q of integer rows given as ``{column: value}`` dicts.
 
-    One pivot row is kept per leading (smallest) column.  A row whose lead
-    already has a pivot is replaced by the fraction-free combination
-    ``row * pivot[lead] - pivot * row[lead]``, which clears the lead, and
-    divided by the gcd of its entries, as the input rows are, so python
-    integers stay small.  No division by a pivot occurs.  The input rows
-    are not modified.
+    One pivot row is kept per leading (smallest) column.  Empty rows are
+    skipped; every other row is copied once without its zero values and
+    divided by the gcd of its entries when that exceeds 1.  A row whose
+    lead already has a pivot becomes, in place, the fraction-free
+    combination ``row * pivot[lead] - pivot * row[lead]``, which clears
+    the lead and deletes every entry it cancels, and is divided again by
+    its gcd when that exceeds 1, so python integers stay small.  No
+    division by a pivot occurs.  The input rows are not modified.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = _reduced(row)
+        if not row:
+            continue
+        row = {c: v for c, v in row.items() if v}
         while row:
+            g = math.gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
@@ -50,11 +54,16 @@ def exact_rank_int(rows) -> int:
             # the update cancels the lead exactly; leaving it out makes
             # every step raise the lead, so the loop ends
             f, g = row.pop(lead), pivot[lead]
-            merged = {c: v * g for c, v in row.items()}
+            if g != 1:
+                for c in row:
+                    row[c] *= g
             for c, v in pivot.items():
                 if c != lead:
-                    merged[c] = merged.get(c, 0) - f * v
-            row = _reduced(merged)
+                    v = row.get(c, 0) - f * v
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
     return len(pivots)
 
 

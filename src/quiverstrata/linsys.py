@@ -10,9 +10,12 @@ ranks.  The engine reads a relation as split terms, ``(coefficient, loop
 power before, arrow index, loop power after)``: ``split_terms`` makes them
 from a ``Relation`` once per presentation, and the formula sweep states
 them directly.  Rows are sparse integer vectors, each with the positive
-scale that turns it back into the rational row.  One sparse fraction-free
-elimination, ``_kernels.exact_rank_int``, ranks them over Q: exact, and
-free of floats.
+scale that turns it back into the rational row; ``assemble_system`` builds
+them in one pass, deleting each entry that cancels as it is added, and
+keeps empty rows.  One sparse fraction-free elimination,
+``_kernels.exact_rank_int``, ranks them over Q: it skips empty rows,
+updates each row in place, divides a row by its gcd only when that exceeds
+1, and uses no floats.
 """
 from __future__ import annotations
 
@@ -100,9 +103,11 @@ def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
     that is c * J^pre x_k J^post, puts c into row (i, j) at the column of
     x_k[i + pre][j - post], wherever both indices stay inside their blocks.
     Each relation is scaled once, to the lcm of its coefficient
-    denominators, so every row holds integers; a zero coefficient leaves no
-    entry.  Rows run over the relations, then (i, j) row-major; columns run
-    over the ``n_arrows`` arrows s -> t, then entries row-major.
+    denominators, so every row holds integers.  A zero coefficient is
+    skipped, and an entry that cancels is deleted as it is added, so no
+    row stores a zero; every row is kept, empty or not.  Rows run over the
+    relations, then (i, j) row-major; columns run over the ``n_arrows``
+    arrows s -> t, then entries row-major.
     """
     rows: list[dict[int, int]] = []
     scales: list[int] = []
@@ -111,12 +116,19 @@ def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
         block: list[dict[int, int]] = [{} for _ in range(a * b)]
         for coeff, pre, k, post in terms:
             c = coeff.numerator * (scale // coeff.denominator)
+            if not c:
+                continue
             for i in range(a - pre):
-                col0 = k * a * b + (i + pre) * b - post
-                for j in range(post, b):
-                    row = block[i * b + j]
-                    row[col0 + j] = row.get(col0 + j, 0) + c
-        rows += [{col: v for col, v in row.items() if v} for row in block]
+                # x_k[i + pre][j - post] for j = post .. b-1, in row (i, j)
+                col = k * a * b + (i + pre) * b
+                for row in block[i * b + post:(i + 1) * b]:
+                    v = row.get(col, 0) + c
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+                    col += 1
+        rows += block
         scales += [scale] * len(block)
     return ConstraintSystem(rows, scales, n_arrows * a * b)
 

@@ -1,7 +1,10 @@
-"""The rank routines that the sparse elimination replaced, kept verbatim
-as the reference of its differential tests.
+"""The rank routines that the current sparse elimination replaced, kept
+verbatim as the references of its differential tests.
 
-The rows of a system are split into connected components over their
+``sparse_rank_int`` (with ``_reduced``) is the sparse fraction-free
+elimination as it was before it skipped empty rows and updated rows in
+place: every row, empty or not, is rebuilt as a new dict and divided by
+its gcd at every step.  Before it, the rows of a system are split into connected components over their
 columns (union-find), each component is rebuilt as dense integer rows,
 and a component is ranked by Bareiss elimination with full pivoting over
 Q, or by numpy row reduction over F_p after its entries are reduced
@@ -9,6 +12,7 @@ modulo p.  A component with one row or one column has rank 1 over Q.
 The package ranks over Q only, so ``rank_mod`` is also the rank over F_p
 that the tests hold against the rank over Q.
 """
+import math
 import sys
 from fractions import Fraction
 
@@ -20,6 +24,42 @@ from quiverstrata.linsys import ConstraintSystem
 
 # the copies below reach their kernels as ``_kernels.<name>``: this module
 _kernels = sys.modules[__name__]
+
+
+def _reduced(row: dict[int, int]) -> dict[int, int]:
+    """``row`` without zero entries, divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items() if v}
+
+
+def sparse_rank_int(rows) -> int:
+    """Rank over Q of integer rows given as ``{column: value}`` dicts.
+
+    One pivot row is kept per leading (smallest) column.  A row whose lead
+    already has a pivot is replaced by the fraction-free combination
+    ``row * pivot[lead] - pivot * row[lead]``, which clears the lead, and
+    divided by the gcd of its entries, as the input rows are, so python
+    integers stay small.  No division by a pivot occurs.  The input rows
+    are not modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _reduced(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            # the update cancels the lead exactly; leaving it out makes
+            # every step raise the lead, so the loop ends
+            f, g = row.pop(lead), pivot[lead]
+            merged = {c: v * g for c, v in row.items()}
+            for c, v in pivot.items():
+                if c != lead:
+                    merged[c] = merged.get(c, 0) - f * v
+            row = _reduced(merged)
+    return len(pivots)
 
 
 def exact_rank_int(rows) -> int:

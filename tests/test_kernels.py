@@ -1,7 +1,9 @@
 """Kernel checks: exact sparse rank against an independent fraction-based
-elimination over Q, and the finite-field kernels against plain-python
+elimination over Q and against the sparse elimination it replaced, and the
+finite-field kernels against plain-python
 elimination over F_p, a brute-force nilpotency filter and the enumeration
 that the trace-zero kernel replaced."""
+import copy
 import itertools
 import random
 import time
@@ -9,11 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilpotent_reference
-from quiverstrata._kernels import _reduced, enumerate_nilpotent, exact_rank_int, ranks_mod_p
+import rank_reference
+from quiverstrata._kernels import enumerate_nilpotent, exact_rank_int, ranks_mod_p
 
 
 def sparse(rows):
@@ -91,16 +94,50 @@ def test_bigint_path_handles_huge_entries():
 
 
 def test_rows_are_divided_by_their_gcd():
-    """Each row is divided by the gcd of its entries, which keeps the
-    integers small: without it their bit lengths double with each pivot,
-    and this dense 22 x 22 rank takes seconds instead of milliseconds."""
-    assert _reduced({0: 6, 1: -4, 2: 0}) == {0: 3, 1: -2}
+    """Each row is divided by the gcd of its entries, as the replaced
+    elimination's rows were, which keeps the integers small: without it
+    their bit lengths double with each pivot, and this dense 22 x 22 rank
+    takes seconds instead of milliseconds."""
+    assert rank_reference._reduced({0: 6, 1: -4, 2: 0}) == {0: 3, 1: -2}
     rng = random.Random(5)
     rows = [[rng.randint(-9, 9) for _ in range(22)] for _ in range(22)]
     start = time.perf_counter()
     rank = exact_rank_int(sparse(rows))
     assert time.perf_counter() - start < 0.5
-    assert rank == fraction_rank(rows)
+    assert rank == fraction_rank(rows) == rank_reference.sparse_rank_int(sparse(rows))
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse integer rows with empty rows, explicit zero values and
+    entries up to 10^40, some rows integer combinations of earlier ones
+    (zeros kept) so that ranks fall short."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-9, 9), st.just(0), st.integers(-10 ** 40, 10 ** 40))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                f = draw(entry)
+                for c, v in earlier.items():
+                    row[c] = row.get(c, 0) + f * v
+        else:
+            row = draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=n))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_rows())
+@example([])
+@example([{}, {0: 0, 3: 0}, {}])
+@example([{}, {2: 0, 5: 4}, {5: -8, 2: 0}, {}])
+def test_exact_rank_matches_replaced_sparse_rank(rows):
+    """Same rank as the replaced elimination; the input rows stay as they were."""
+    before = copy.deepcopy(rows)
+    assert exact_rank_int(rows) == rank_reference.sparse_rank_int(rows)
+    assert rows == before
 
 
 @settings(max_examples=100, deadline=None)

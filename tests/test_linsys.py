@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import assembly_reference
 import dense_reference
 import formulas_reference
 import rank_reference
 from block_pairs import block_systems
 from strategies import presentations
 
-from quiverstrata import linsys
+from quiverstrata import _kernels, linsys
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.linsys import (ConstraintSystem, PartPairTable,
@@ -459,25 +460,6 @@ def test_sparse_rank_matches_replaced_on_formula_cases():
         _assert_same_as_replaced(_system(pres, case.p, case.q))
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS)
-def test_sparse_rank_matches_replaced_on_table_entries(spec, monkeypatch):
-    """Every entry the table ranks for the assignments up to total 9."""
-    systems = []
-
-    def recorded(cs):
-        systems.append(cs)
-        return rank_exact(cs)
-
-    monkeypatch.setattr(linsys, "rank_exact", recorded)
-    table = PartPairTable(build_family(parse_family_spec(spec)))
-    for dims in dim_vectors_up_to(2, 9):
-        for ja in assignments_for(table.pres, dims):
-            table.codim(ja)
-    assert systems or not table.pres.relations  # Aprime has no relations
-    for cs in systems:
-        _assert_same_as_replaced(cs)
-
-
 @st.composite
 def sparse_systems(draw):
     """Sparse integer rows with entries up to 10^40, some of them integer
@@ -503,6 +485,103 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_sparse_rank_matches_replaced_on_random_rows(cs):
     _assert_same_as_replaced(cs)
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the one-pass assembly and the in-place elimination
+# against the versions they replaced
+# ---------------------------------------------------------------------------
+
+def _assert_same_as_last(args) -> ConstraintSystem:
+    """The system of ``args`` equals the replaced assembly's, and its rank
+    the replaced sparse elimination's."""
+    cs = assemble_system(*args)
+    ref = assembly_reference.assemble_system(*args)
+    assert (cs.rows, cs.scales, cs.ambient_dim) == (ref.rows, ref.scales, ref.ambient_dim)
+    assert rank_exact(cs) == rank_reference.sparse_rank_int(ref.rows)
+    return cs
+
+
+def test_assembly_and_rank_match_last_on_formula_cases():
+    """Every case of the sweep to p = 8, and the lambda = 0 cases, whose
+    zero term puts no entry into the system."""
+    from quiverstrata.formulas import build_case, formula_cases
+
+    cases = formula_cases(p_max=8)
+    zero = [c for c in formula_cases(p_max=8, lambdas=[Fraction(0)]) if c.lam is not None]
+    assert len(cases) == 1205 and zero
+    for case in cases + zero:
+        h, terms, _ = build_case(case)
+        _assert_same_as_last((h, [terms], case.p, case.q))
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_sparse_rank_matches_replaced_on_table_entries(spec, monkeypatch):
+    """Every entry the table ranks for the assignments up to total 9,
+    against the Bareiss rank and against the assembly and sparse rank that
+    the current ones replaced."""
+    calls = []
+    assemble = linsys.assemble_system
+
+    def recorded(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(linsys, "assemble_system", recorded)
+    table = PartPairTable(build_family(parse_family_spec(spec)))
+    for dims in dim_vectors_up_to(2, 9):
+        for ja in assignments_for(table.pres, dims):
+            table.codim(ja)
+    assert calls or not table.pres.relations  # Aprime has no relations
+    for args in calls:
+        _assert_same_as_replaced(_assert_same_as_last(args))
+
+
+@st.composite
+def split_relations(draw):
+    """(n_arrows, relations, a, b) with split terms that may have zero
+    coefficients, loop powers past the blocks, and repeated terms whose
+    coefficients cancel."""
+    n_arrows, a, b = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    term = st.tuples(coeff, st.integers(0, a), st.integers(0, n_arrows - 1), st.integers(0, b))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = draw(st.lists(term, max_size=4))
+        for c, pre, k, post in draw(st.lists(st.sampled_from(terms), max_size=2)) if terms else ():
+            terms.append((-c, pre, k, post))
+        relations.append(draw(st.permutations(terms)))
+    return n_arrows, relations, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_relations())
+@example((1, [[(Fraction(1), 0, 0, 0), (Fraction(-1), 0, 0, 0), (Fraction(1), 0, 0, 0)]], 2, 2))
+@example((2, [[(Fraction(1), 1, 0, 0), (Fraction(0), 0, 1, 1)]], 3, 2))
+def test_assembly_matches_last_and_keeps_every_row_on_random_terms(args):
+    """Every relation gives a*b rows, empty or not, and no row stores a zero."""
+    n_arrows, relations, a, b = args
+    cs = _assert_same_as_last(args)
+    assert cs.n_rows == len(cs.scales) == len(relations) * a * b
+    assert cs.ambient_dim == n_arrows * a * b
+    assert all(v for row in cs.rows for v in row.values())
+
+
+def test_rank_exact_calls_the_kernel_once_per_system(monkeypatch):
+    calls = []
+    kernel = _kernels.exact_rank_int
+
+    def counted(rows):
+        calls.append(rows)
+        return kernel(rows)
+
+    monkeypatch.setattr(_kernels, "exact_rank_int", counted)
+    all_empty = assemble_system(1, [[(Fraction(0), 0, 0, 0)], []], 2, 2)
+    assert all_empty.n_rows == 8 and not any(all_empty.rows)
+    systems = [all_empty, assemble_system(1, [], 2, 2),
+               assemble_system(2, [[(Fraction(1, 2), 1, 0, 0), (Fraction(3), 0, 1, 1)]], 3, 2)]
+    assert [rank_exact(cs) for cs in systems] == [0, 0, 5]
+    assert calls == [cs.rows for cs in systems]
 
 
 # parallel arrows, relations in both directions, rational coefficients

@@ -1,6 +1,11 @@
 import contextlib
+import dataclasses
 import io
+import os
+import pickle
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -181,6 +186,36 @@ relation e0^2*a1 + e0*a1*e1 - 1/2*a2*e1
     assert again.quiver == pres.quiver
     assert again.orders == pres.orders
     assert again.relations == pres.relations
+
+
+def test_equal_presentations_hash_alike_and_pickle_without_the_cached_hash():
+    pres, again = parse_presentation(A1221_TEXT), parse_presentation(A1221_TEXT)
+    assert pres is not again and pres == again
+    assert hash(pres) == hash(again) == hash(pres)
+    copy = pickle.loads(pickle.dumps(pres))
+    assert copy.__dict__.keys() == {f.name for f in dataclasses.fields(pres)}
+    assert copy == pres and hash(copy) == hash(pres)
+
+
+def test_unpickled_presentation_hashes_as_parsed_under_another_hash_seed():
+    """A presentation pickled after its hash was taken, as ``--jobs``
+    hands it to a worker, hashes in a process with another hash seed as
+    one parsed there does, so the worker's cache lookups find it."""
+    pres = parse_presentation(A1221_TEXT)
+    hash(pres)
+    script = ("import pickle, sys\n"
+              "from quiverstrata.quiver import parse_presentation\n"
+              "pres = pickle.loads(sys.stdin.buffer.read())\n"
+              "print(hash(pres) == hash(parse_presentation(sys.argv[1])))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, A1221_TEXT],
+                              input=pickle.dumps(pres), env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [b"True"]
 
 
 def test_path_degree():
