@@ -169,7 +169,8 @@ def tally_points(mats, keys, shape, relations, q: int, n_keys: int) -> np.ndarra
     """Count the points that kill every relation, per tally key.
 
     Slot ``s`` holds the candidate matrices ``mats[s]`` (``shape[s]`` of
-    them) and their tally keys ``keys[s]``.  A point picks one candidate
+    them; ``None`` may stand for those of a slot no relation reads) and
+    their tally keys ``keys[s]``.  A point picks one candidate
     per slot and adds one to the sum of its slots' keys.  Each relation is
     a list of terms ``(coeff, path)``, a coefficient mod q and the slots
     of its arrow word (leftmost applied last).  Only the slots some

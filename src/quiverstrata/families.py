@@ -67,7 +67,7 @@ class FamilyTag:
         return f"truncpoly({self.m})"
 
 
-_SPEC_RE = re.compile(r"^\s*(A|Aprime|A'|truncpoly)\s*\(([^)]*)\)\s*$")
+_SPEC_RE = re.compile(r"^\s*(A|Aprime|truncpoly)\s*\(([^)]*)\)\s*$")
 
 
 def parse_family_spec(text: str) -> FamilyTag:
@@ -84,7 +84,7 @@ def parse_family_spec(text: str) -> FamilyTag:
         if len(params) != 4:
             raise ValueError("A takes (h, m0, m1, n)")
         return FamilyTag("A", h=params[0], m0=params[1], m1=params[2], n=params[3])
-    if kind in ("Aprime", "A'"):
+    if kind == "Aprime":
         if len(params) != 3:
             raise ValueError("Aprime takes (h, m0, m1)")
         return FamilyTag("Aprime", h=params[0], m0=params[1], m1=params[2])
@@ -108,7 +108,7 @@ def build_family(tag: FamilyTag) -> BoundQuiverPresentation:
     quiver = Quiver(("0", "1"), (*loops, *(Arrow(f"a{i + 1}", "1", "0") for i in range(tag.h))))
     relations: tuple[Relation, ...] = ()
     if tag.kind == "A":
-        terms = [(Fraction(1), quiver.path(["e0"] * (tag.n - i) + ["a1"] + ["e1"] * i))
+        terms = [(Fraction(1), quiver.path([("e0", tag.n - i), ("a1", 1), ("e1", i)]))
                  for i in range(max(0, tag.n - tag.m0 + 1), min(tag.n, tag.m1 - 1) + 1)]
         rel = Relation.make(terms, source="1", target="0")
         if not rel.is_zero:

@@ -120,13 +120,14 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
         w *= len(per_vertex[i])
     n_keys = w
 
-    slot_of: dict[str, int] = {}
-    cand_mats: list[np.ndarray] = []
+    slot_of = {a.name: s for s, a in enumerate(quiver.arrows)}
+    cand_mats: list = []  # an arrow's matrices are built once a relation reads them
     cand_keys: list[np.ndarray] = []
     nilpotent: dict = {}  # one enumeration per loop (dimension, order)
 
     for a in quiver.arrows:
         d_t, d_s = dim_of[a.target], dim_of[a.source]
+        mats = None
         if a.is_loop:
             v = a.source
             vi = quiver.vertices.index(v)
@@ -142,27 +143,35 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
                               for k in first], np.int64)[inverse]
             cand_keys.append(weights[vi] * types)
         else:
-            count = q ** (d_t * d_s)
-            mats = _kernels.digit_table(d_t * d_s, q).reshape(count, d_t, d_s)
-            cand_keys.append(np.zeros(mats.shape[0], np.int64))
+            cand_keys.append(np.zeros(q ** (d_t * d_s), np.int64))
         cand_mats.append(mats)
-        slot_of[a.name] = len(cand_mats) - 1
 
-    shape = tuple(m.shape[0] for m in cand_mats)
+    shape = tuple(len(k) for k in cand_keys)
     work = math.prod(shape)
     if work > max_points:
         raise EnumerationCapExceeded(f"{work} points exceed the cap {max_points}")
     if work >= 2 ** 63:
         raise ValueError(f"{work} points overflow the int64 tally")
 
-    # relations as (coeff mod q, slot path) terms; those with an empty
-    # equation grid hold trivially and are dropped
+    # relations as (coeff mod q, slot word) terms, written out from the
+    # runs; a relation with an empty equation grid holds trivially, and a
+    # term with a loop run k >= d vanishes, since X^d = 0 for every
+    # nilpotent d x d loop matrix X
     relations = []
     for rel in pres.relations:
-        if dim_of[rel.target] == 0 or dim_of[rel.source] == 0:
-            continue
-        relations.append([(_fraction_mod(coeff, q), [slot_of[n] for n in path.arrows])
-                          for coeff, path in rel.terms])
+        if dim_of[rel.target] and dim_of[rel.source]:
+            terms = []
+            for coeff, path in rel.terms:
+                coeff = _fraction_mod(coeff, q)  # every coefficient, kept or not
+                runs = [(quiver.arrow(name), k) for name, k in path.runs]
+                if all(k < dim_of[a.source] for a, k in runs if a.is_loop):
+                    terms.append((coeff, [slot_of[a.name] for a, k in runs for _ in range(k)]))
+            if terms:
+                relations.append(terms)
+    for s in {s for terms in relations for _, word in terms for s in word}:
+        if cand_mats[s] is None:
+            d_t, d_s = dim_of[quiver.arrows[s].target], dim_of[quiver.arrows[s].source]
+            cand_mats[s] = _kernels.digit_table(d_t * d_s, q).reshape(shape[s], d_t, d_s)
 
     tally = _kernels.tally_points(cand_mats, cand_keys, shape, relations, q, n_keys)
 

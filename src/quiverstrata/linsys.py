@@ -31,17 +31,12 @@ from .quiver import BoundQuiverPresentation, Relation
 
 __all__ = [
     "ConstraintSystem",
-    "UnsupportedDegreeError",
     "split_terms",
     "assemble_system",
     "rank_exact",
     "PartPairTable",
     "codim_table",
 ]
-
-
-class UnsupportedDegreeError(ValueError):
-    """A relation term does not contain exactly one non-loop arrow."""
 
 
 # (coefficient, loop power before, index of the non-loop arrow, loop power after)
@@ -78,16 +73,12 @@ class ConstraintSystem:
 
 
 def split_terms(rel: Relation, arrows: Sequence[str]) -> list[Term]:
-    """The terms of ``rel``, each arrow by its index in ``arrows``, the
-    non-loop arrows from its source to its target."""
+    """The terms of ``rel``, a relation of a presentation, so every term
+    has its split, each arrow by its index in ``arrows``, the non-loop
+    arrows from its source to its target."""
     index = {name: k for k, name in enumerate(arrows)}
     out = []
     for coeff, path in rel.terms:
-        if path.split is None:
-            raise UnsupportedDegreeError(
-                f"path {path} has degree {path.degree}; the linear engine "
-                "supports exactly one non-loop arrow per term"
-            )
         pre, name, post = path.split
         out.append((coeff, pre, index[name], post))
     return out

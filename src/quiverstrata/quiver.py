@@ -71,56 +71,66 @@ class Quiver:
     def non_loop_arrows(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if not a.is_loop)
 
-    def path(self, arrow_names: Sequence[str]) -> "Path":
-        """Path from a composition-ordered arrow word (leftmost applied last)."""
-        if not arrow_names:
+    def path(self, runs: Sequence[tuple[str, int]]) -> "Path":
+        """Path from arrow runs ``(name, k)``, each the arrow ``name`` k >= 0
+        times, in composition order (leftmost applied last); adjacent runs
+        of one arrow merge, and a run of 0 is dropped."""
+        merged: list[tuple[str, int]] = []
+        for name, k in runs:
+            if merged and merged[-1][0] == name:
+                merged[-1] = (name, merged[-1][1] + k)
+            elif k:
+                merged.append((name, k))
+        if not merged:
             raise PresentationError("empty arrow word")
-        arrows = [self.arrow(n) for n in arrow_names]
+        arrows = [self.arrow(name) for name, _ in merged]
+        for a, (_, k) in zip(arrows, merged):
+            if k > 1 and not a.is_loop:
+                raise PresentationError(f"arrows {a.name!r} and {a.name!r} do not compose")
         for left, right in zip(arrows, arrows[1:]):
             if left.source != right.target:
                 raise PresentationError(
                     f"arrows {left.name!r} and {right.name!r} do not compose"
                 )
-        moves = [k for k, a in enumerate(arrows) if not a.is_loop]
+        moves = [i for i, a in enumerate(arrows) if not a.is_loop]
         split = None
         if len(moves) == 1:
-            k = moves[0]
-            split = (k, arrows[k].name, len(arrows) - 1 - k)
-        return Path(tuple(arrow_names), arrows[-1].source, arrows[0].target,
+            i = moves[0]
+            split = (sum(k for _, k in merged[:i]), arrows[i].name,
+                     sum(k for _, k in merged[i + 1:]))
+        return Path(tuple(merged), arrows[-1].source, arrows[0].target,
                     len(moves), split)
 
 
 @dataclass(frozen=True)
 class Path:
-    """Composable arrow word; ``arrows[0]`` is applied last (target side)."""
+    """Composable path as its maximal arrow runs ``(name, k)``; ``runs[0]``
+    is applied last (target side).  A non-loop arrow runs once, so the
+    degree, the number of non-loop arrows, is the number of their runs."""
 
-    arrows: tuple[str, ...]
+    runs: tuple[tuple[str, int], ...]
     source: str
     target: str
-    degree: int
+    degree: int = field(compare=False)
     # (loops before, arrow, loops after) when exactly one arrow is not a loop
     split: Optional[tuple[int, str, int]] = field(default=None, compare=False)
 
     @property
     def length(self) -> int:
-        return len(self.arrows)
+        return sum(k for _, k in self.runs)
 
     def __str__(self) -> str:
-        return _format_runs(_runs(self.arrows))
-
-
-def _runs(word: Sequence[str]) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for name in word:
-        if out and out[-1][0] == name:
-            out[-1] = (name, out[-1][1] + 1)
-        else:
-            out.append((name, 1))
-    return out
+        return _format_runs(self.runs)
 
 
 def _term_key(p: Path):
-    return (p.length, p.arrows)
+    """Length, then the arrow word, compared run by run: where two words
+    part inside runs of one arrow, the shorter run meets the arrow of the
+    next run ("" past the end), so it sorts first exactly when that arrow
+    comes before its own."""
+    after = [name for name, _ in p.runs[1:]] + [""]
+    return (p.length, tuple((name, nxt > name, -k if nxt > name else k)
+                            for (name, k), nxt in zip(p.runs, after)))
 
 
 Combo = list[tuple[Fraction, Path]]
@@ -172,12 +182,6 @@ class Relation:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(p.degree for _, p in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -197,14 +201,14 @@ def _format_runs(runs: Sequence[tuple[str, int]]) -> str:
     return "*".join(name if k == 1 else f"{name}^{k}" for name, k in runs)
 
 
-def _forbidden_power(quiver: Quiver, orders: Mapping[str, int],
-                     runs: Sequence[tuple[str, int]]) -> Optional[str]:
-    """The first loop power ``name^k`` of the runs at or above its order."""
+def _refuse_forbidden_power(quiver: Quiver, orders: Mapping[str, int],
+                            runs: Sequence[tuple[str, int]]) -> None:
+    """Refuse the path of ``runs`` at its first loop power at or above its order."""
     for name, k in runs:
         a = quiver.arrow(name)
         if a.is_loop and k >= orders[a.source]:
-            return f"{name}^{k}"
-    return None
+            raise PresentationError(
+                f"path {_format_runs(runs)} contains the forbidden power {name}^{k}")
 
 
 @dataclass(frozen=True)
@@ -212,9 +216,10 @@ class BoundQuiverPresentation:
     """Quiver with per-vertex nilpotency orders and the mixed relations.
 
     Order 1 at a vertex means the vertex carries no loop (the induced loop
-    action is the zero map); a physical loop forces order >= 2.  Relation
-    paths live in the monomial basis: no path may contain a loop power at
-    or above the order of its vertex.
+    action is the zero map); a physical loop forces order >= 2.  Every
+    relation term has exactly one non-loop arrow, the only shape the
+    engine ranks, and lives in the monomial basis: no path may contain a
+    loop power at or above the order of its vertex.
     """
 
     quiver: Quiver
@@ -241,12 +246,14 @@ class BoundQuiverPresentation:
         for rel in self.relations:
             if rel.is_zero:
                 raise PresentationError("relation cancels to zero")
-            if rel.degree == 0:
+            if any(p.degree == 0 for _, p in rel.terms):
                 raise PresentationError("degree-0 relation; use a loop order instead")
             for _, p in rel.terms:  # paths stay in the monomial basis
-                power = _forbidden_power(q, order_of, _runs(p.arrows))
-                if power is not None:
-                    raise PresentationError(f"path {p} contains the forbidden power {power}")
+                _refuse_forbidden_power(q, order_of, p.runs)
+                if p.degree > 1:
+                    raise PresentationError(
+                        f"path {p} has degree {p.degree}; the linear engine "
+                        "supports exactly one non-loop arrow per term")
 
     def __hash__(self) -> int:
         # cached: ``codim_table`` looks a presentation up once per dimension
@@ -347,10 +354,13 @@ def _declared(decls) -> BoundQuiverPresentation:
     quiver = Quiver(vertices, tuple(d for _, d, _ in decls if isinstance(d, Arrow)))
     order_of = {d.source: m for _, d, m in decls if m is not None}
     relations = []
-    for _, term_words, _ in decls:
-        if isinstance(term_words, list):
-            terms = [(coeff, quiver.path(_expand_factors(quiver, order_of, factors)))
-                     for coeff, factors in term_words]
+    for _, term_runs, _ in decls:
+        if isinstance(term_runs, list):
+            terms = []
+            for coeff, factors in term_runs:
+                # a forbidden power is named before the path checks its arrows
+                _refuse_forbidden_power(quiver, order_of, factors)
+                terms.append((coeff, quiver.path(factors)))
             first = terms[0][1]
             relations.append(Relation.make(terms, source=first.source, target=first.target))
     return BoundQuiverPresentation(quiver, tuple(order_of.get(v, 1) for v in vertices),
@@ -422,20 +432,6 @@ def _parse_relation_terms(rest: str, lineno: int):
             coeff = -coeff
         out.append((coeff, factors))
     return out
-
-
-def _expand_factors(quiver: Quiver, orders: Mapping[str, int],
-                    factors: Sequence[tuple[str, int]]) -> list[str]:
-    """The arrow word of a term's factors, refusing a power the arrow
-    cannot carry before the word is written out."""
-    power = _forbidden_power(quiver, orders, factors)
-    if power is not None:
-        raise PresentationError(
-            f"path {_format_runs(factors)} contains the forbidden power {power}")
-    for name, k in factors:
-        if k > 1 and not quiver.arrow(name).is_loop:
-            raise PresentationError(f"arrows {name!r} and {name!r} do not compose")
-    return [name for name, k in factors for _ in range(k)]
 
 
 def serialize_presentation(pres: BoundQuiverPresentation) -> str:

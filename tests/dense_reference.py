@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from jordan_reference import jordan_matrix
+from path_reference import word_of
 from quiverstrata.fforacle import BadPrimeError
-from quiverstrata.linsys import UnsupportedDegreeError
 
 
 class ArrowEntry(NamedTuple):
@@ -63,7 +63,7 @@ def _decompose_term(pres, path):
     pre = 0
     arrow_name = None
     post = 0
-    for name in path.arrows:
+    for name in word_of(path):
         a = quiver.arrow(name)
         if a.is_loop:
             if arrow_name is None:
@@ -72,13 +72,13 @@ def _decompose_term(pres, path):
                 post += 1
         else:
             if arrow_name is not None:
-                raise UnsupportedDegreeError(
+                raise ValueError(
                     f"path {path} has degree {path.degree}; the linear engine "
                     "supports exactly one non-loop arrow per term"
                 )
             arrow_name = name
     if arrow_name is None:
-        raise UnsupportedDegreeError(f"path {path} contains no non-loop arrow")
+        raise ValueError(f"path {path} contains no non-loop arrow")
     return pre, arrow_name, post
 
 

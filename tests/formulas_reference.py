@@ -6,6 +6,8 @@ builds a fresh quiver, fresh paths and fresh partitions for every case.
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from path_reference import path_of
+
 from quiverstrata.formulas import (_DEFAULT_LAMBDAS, FormulaCase, SideConditionError,
                                    _term_shapes, c_closed_form)
 from quiverstrata.partitions import JordanAssignment, Partition
@@ -41,7 +43,7 @@ def build_case(case):
     terms = []
     for coeff, a, sym, b in shapes:
         word = ["e0"] * a + [arrow_names[sym]] + ["e1"] * b
-        terms.append((coeff, quiver.path(word)))
+        terms.append((coeff, path_of(quiver, word)))
     rel = Relation.make(terms)
     pres = BoundQuiverPresentation(quiver, (m0, m1), (rel,))
     ja = JordanAssignment.for_presentation(

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from path_reference import word_of
 
 from quiverstrata import _kernels
 from quiverstrata.fforacle import (BadPrimeError, EnumerationCapExceeded,
@@ -144,7 +145,7 @@ def reference_enumerate_and_classify(pres: BoundQuiverPresentation,
             if den == 0:
                 raise BadPrimeError(f"coefficient {coeff} cannot reduce mod {q}")
             term_coeff.append((coeff.numerator % q) * pow(den, q - 2, q) % q)
-            path_slots.extend(slot_of[name] for name in path.arrows)
+            path_slots.extend(slot_of[name] for name in word_of(path))
             term_path_start.append(len(path_slots))
         rel_term_start.append(len(term_coeff))
 

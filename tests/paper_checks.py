@@ -19,6 +19,7 @@ from quiverstrata.linsys import codim_table
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 from quiverstrata.strata import assignments_for, stratum_dim
+from path_reference import path_of
 from substitution import relation_mod_orders
 
 
@@ -305,7 +306,7 @@ def build_nooverlap_presentation(h: int, l: int, n1: int, n2: int, m: int,
     terms1 = []
     for i in range(n1 + 1):
         word = ["e0"] * i + ["a1"] + ["e1"] * (n1 - i)
-        terms1.append((Fraction(1), quiver.path(word)))
+        terms1.append((Fraction(1), path_of(quiver, word)))
     rel1 = relation_mod_orders(quiver, orders, terms1)
 
     # powers of the reparameterized middle loop, truncated at e1^m
@@ -323,7 +324,7 @@ def build_nooverlap_presentation(h: int, l: int, n1: int, n2: int, m: int,
     for j in range(n2 + 1):
         for deg, c in powers[j].items():
             word = ["e1"] * deg + ["b1"] + ["e2"] * (n2 - j)
-            terms2.append((c, quiver.path(word)))
+            terms2.append((c, path_of(quiver, word)))
     rel2 = relation_mod_orders(quiver, orders, terms2)
 
     return BoundQuiverPresentation(quiver, (m, m, m), (rel1, rel2))

@@ -2,15 +2,20 @@
 its ``_parse_relation_terms``, kept verbatim as the reference of their
 differential test: it builds the presentation declared so far after every
 declaration line, and a presentation of each relation alone, so its cost
-grows with the square of the input.
+grows with the square of the input.  ``_expand_factors``, which wrote each
+term out as its arrow word, and its ``_forbidden_power`` are kept verbatim
+too; the word goes to ``Quiver.path`` as runs of one arrow each.
 """
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Mapping, Optional, Sequence
+
+from path_reference import path_of
 
 from quiverstrata.quiver import (_ARROW_RE, _FACTOR_RE, _RATIONAL_RE, Arrow,
                                  BoundQuiverPresentation, PresentationError, Quiver,
-                                 Relation, _expand_factors)
+                                 Relation, _format_runs)
 
 
 def parse_presentation(text: str) -> BoundQuiverPresentation:
@@ -73,7 +78,7 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
     relations = []
     for lineno, term_words in relation_specs:
         with _on_line(lineno):
-            terms = [(coeff, quiver.path(_expand_factors(quiver, order_map, factors)))
+            terms = [(coeff, path_of(quiver, _expand_factors(quiver, order_map, factors)))
                      for coeff, factors in term_words]
             first = terms[0][1]
             rel = Relation.make(terms, source=first.source, target=first.target)
@@ -140,3 +145,27 @@ def _parse_relation_terms(rest: str, lineno: int):
             coeff = -coeff
         out.append((coeff, factors))
     return out
+
+
+def _forbidden_power(quiver: Quiver, orders: Mapping[str, int],
+                     runs: Sequence[tuple[str, int]]) -> Optional[str]:
+    """The first loop power ``name^k`` of the runs at or above its order."""
+    for name, k in runs:
+        a = quiver.arrow(name)
+        if a.is_loop and k >= orders[a.source]:
+            return f"{name}^{k}"
+    return None
+
+
+def _expand_factors(quiver: Quiver, orders: Mapping[str, int],
+                    factors: Sequence[tuple[str, int]]) -> list[str]:
+    """The arrow word of a term's factors, refusing a power the arrow
+    cannot carry before the word is written out."""
+    power = _forbidden_power(quiver, orders, factors)
+    if power is not None:
+        raise PresentationError(
+            f"path {_format_runs(factors)} contains the forbidden power {power}")
+    for name, k in factors:
+        if k > 1 and not quiver.arrow(name).is_loop:
+            raise PresentationError(f"arrows {name!r} and {name!r} do not compose")
+    return [name for name, k in factors for _ in range(k)]

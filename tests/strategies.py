@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 from hypothesis import strategies as st
+from path_reference import path_of
 
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 
@@ -39,7 +40,7 @@ def presentations(draw):
             mid = draw(st.sampled_from(parallel)).name
             coeff = Fraction(draw(st.integers(min_value=-5, max_value=5).filter(bool)),
                              draw(st.integers(min_value=1, max_value=6)))
-            terms.append((coeff, quiver.path(loop_t * pre + [mid] + loop_s * post)))
+            terms.append((coeff, path_of(quiver, loop_t * pre + [mid] + loop_s * post)))
         rel = Relation.make(terms, source=first.source, target=first.target)
         if not rel.is_zero:
             relations.append(rel)

@@ -11,8 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from path_reference import word_of
+from quiver_reference import _forbidden_power
+
 from quiverstrata.quiver import (BoundQuiverPresentation, Combo, Path, Quiver,
-                                 Relation, _forbidden_power, _normalize_combo, _runs)
+                                 Relation, _normalize_combo)
 
 
 class SubstitutionError(ValueError):
@@ -23,7 +26,7 @@ def truncate_terms(quiver: Quiver, orders: dict[str, int],
                    terms: Iterable[tuple[Fraction | int, Path]]):
     """Drop terms containing a loop power at or above its nilpotency order."""
     return [(Fraction(coeff), p) for coeff, p in terms
-            if _forbidden_power(quiver, orders, _runs(p.arrows)) is None]
+            if _forbidden_power(quiver, orders, p.runs) is None]
 
 
 def relation_mod_orders(quiver: Quiver, orders: dict[str, int],
@@ -38,7 +41,7 @@ def _concat(quiver: Quiver, left: Path, right: Path) -> Path:
         return right
     if right.length == 0:
         return left
-    return quiver.path(left.arrows + right.arrows)
+    return quiver.path(left.runs + right.runs)
 
 
 def _substitute_in_path(pres: BoundQuiverPresentation, word: Path,
@@ -47,8 +50,8 @@ def _substitute_in_path(pres: BoundQuiverPresentation, word: Path,
     quiver = pres.quiver
     orders = pres.order_map
     acc: Combo = [(Fraction(1), Path((), word.target, word.target, 0))]
-    for name in word.arrows:
-        pieces = expansion if name == arrow_name else [(Fraction(1), quiver.path([name]))]
+    for name in word_of(word):
+        pieces = expansion if name == arrow_name else [(Fraction(1), quiver.path([(name, 1)]))]
         nxt: Combo = []
         for c1, p1 in acc:
             for c2, p2 in pieces:
@@ -80,7 +83,7 @@ def invert_substitution(pres: BoundQuiverPresentation, arrow_name: str,
             raise SubstitutionError(
                 f"replacement term {p} does not share endpoints with {arrow_name!r}"
             )
-        if p.arrows == (arrow_name,):
+        if p.runs == ((arrow_name, 1),):
             lead = c
         else:
             rest.append((c, p))
@@ -88,7 +91,7 @@ def invert_substitution(pres: BoundQuiverPresentation, arrow_name: str,
         raise SubstitutionError(
             f"replacement has no invertible coefficient on {arrow_name!r}"
         )
-    bare = quiver.path([arrow_name])
+    bare = quiver.path([(arrow_name, 1)])
     expr: Combo = [(1 / lead, bare)]
     max_rounds = sum(pres.orders) + len(quiver.vertices) + 2
     for _ in range(max_rounds):

@@ -8,7 +8,7 @@ from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classify,
                                    verify_count_identity)
 from quiverstrata.fforacle import BadPrimeError
-from quiverstrata.quiver import parse_presentation
+from quiverstrata.quiver import PresentationError, parse_presentation
 
 
 def _counts_by_key(table):
@@ -152,6 +152,7 @@ def test_random_presentations_match_same_field_prediction():
     import random
 
     from block_pairs import block_systems
+    from path_reference import path_of
     from rank_reference import rank_mod
     from quiverstrata.partitions import orbit_count
     from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
@@ -185,7 +186,7 @@ def test_random_presentations_match_same_field_prediction():
                     else:
                         continue
                 word = ["e0"] * a + [rng.choice(names)] + ["e1"] * b
-                terms.append((rng.choice([1, -1]), quiver.path(word)))
+                terms.append((rng.choice([1, -1]), path_of(quiver, word)))
             if terms:
                 rel = Relation.make(terms, source="1", target="0")
                 if not rel.is_zero:
@@ -205,6 +206,7 @@ def test_random_presentations_match_same_field_prediction():
     assert checked > 50
 
 
+# degree-2 terms, which the presentation refuses
 THREE_VERTEX = """
 vertex 0
 vertex 1
@@ -217,8 +219,6 @@ arrow b 2 -> 1
 relation 1/2*a*b + 2/3*c*b*e2 - e0*a*b
 """
 
-# rescaling the arrows cannot absorb these coefficients: at dimension
-# (1, 1, 1) the count depends on whether (1/2)(2/3) - 2 vanishes mod q
 FOUR_TERM = """
 vertex 0
 vertex 1
@@ -228,6 +228,33 @@ arrow c 1 -> 0
 arrow b 2 -> 1
 arrow d 2 -> 1
 relation 1/2*a*b + 2/3*c*d + a*d + 2*c*b
+"""
+
+# relations on two vertex pairs; at dimension 1 at vertex 0 every term of
+# the first relation vanishes, and a and c go unread
+THREE_VERTEX_LINEAR = """
+vertex 0
+vertex 1
+vertex 2
+loop e0 0 order 2
+loop e2 2 order 2
+arrow a 1 -> 0
+arrow c 1 -> 0
+arrow b 2 -> 1
+relation 1/2*e0*a - 2/3*e0*c
+relation 3/5*b*e2
+"""
+
+# four degree-1 terms with coefficients no rescaling of the arrows absorbs;
+# the e0^2 term vanishes below dimension 3 at vertex 0
+FOUR_TERM_LINEAR = """
+vertex 0
+vertex 1
+loop e0 0 order 3
+loop e1 1 order 2
+arrow a 1 -> 0
+arrow c 1 -> 0
+relation 1/2*e0^2*a + 2/3*c*e1 - e0*c + 2*a*e1
 """
 
 
@@ -268,16 +295,16 @@ def _differential_cases():
     for dims in _dim_vectors(2, 4):
         for q in (2, 3):
             yield "unread-loop", pres, dims, q
-    pres = parse_presentation(THREE_VERTEX)
+    pres = parse_presentation(THREE_VERTEX_LINEAR)
     for dims in itertools.product(range(3), repeat=3):
         for q in (2, 3):
             if sum(dims) <= 4:
                 yield "three-vertex", pres, dims, q
-    for dims in ((1, 1, 1), (1, 1, 2), (1, 0, 1), (0, 1, 1)):
+    for dims in ((1, 1, 1), (2, 1, 2), (1, 0, 1), (0, 1, 1)):
         yield "three-vertex", pres, dims, 5
-    pres = parse_presentation(FOUR_TERM)
+    pres = parse_presentation(FOUR_TERM_LINEAR)
     for q in (2, 3, 5, 7):
-        for dims in ((1, 1, 1), (1, 0, 1), (0, 1, 1)):
+        for dims in ((1, 1), (2, 1), (3, 1), (1, 2), (0, 1)):
             yield "four-term", pres, dims, q
     pres = parse_presentation("vertex 0\n")
     for d in range(4):
@@ -303,7 +330,19 @@ def test_tally_matches_reference_odometer():
         if want[0] is BadPrimeError:
             bad_prime.add((name, q))
     assert bad_prime == {(name, q) for name in ("three-vertex", "four-term")
-                         for q in (2, 3)}
+                         for q in (2, 3)} | {("three-vertex", 5)}
+
+
+@pytest.mark.parametrize("text, line, path", [(THREE_VERTEX, 10, "a*b"),
+                                              (FOUR_TERM, 9, "a*b")],
+                         ids=["three-vertex", "four-term"])
+def test_degree_two_terms_are_refused_when_built(text, line, path):
+    """The degree-2 presentations the tally once counted are refused at
+    their relation's line, before any count."""
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == (f"line {line}: path {path} has degree 2; the linear "
+                              "engine supports exactly one non-loop arrow per term")
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formulas_reference
+from path_reference import path_of
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases,
                                    single_case)
@@ -234,7 +235,7 @@ def test_unified_remark_formula_reported_not_relied_on(capsys):
                     word = ["e0"] * (l - i) + ["a1"] + ["e1"] * i
                     if len(word) < 2:
                         continue
-                    terms.append((1, quiver.path(word)))
+                    terms.append((1, path_of(quiver, word)))
                 rel = Relation.make(terms)
                 pres = BoundQuiverPresentation(quiver, (max(p, l + 1), max(q, 2) if q >= 2 else 1), (rel,))
                 ja = JordanAssignment.for_presentation(

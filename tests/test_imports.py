@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used in its module, and the
-formula sweep builds on the exact engine alone.
+"""Every module-level import in the package and in the test modules is
+used in its module, and the formula sweep builds on the exact engine alone.
 
 The package re-exports its public names from ``__init__``, so that file is
 skipped, as are ``from __future__`` imports.  A name listed in a module's
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quiverstrata"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "quiverstrata"
 
 
 def _bound_names(node):
@@ -73,10 +74,12 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: os", "line 3: Seq"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", [
+    *(pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))
+      if p.name != "__init__.py"),
+    *(pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py")))])
 def test_no_unused_module_imports(path):
-    assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def package_imports(source: str) -> set[str]:

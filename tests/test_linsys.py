@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,17 +12,17 @@ import dense_reference
 import formulas_reference
 import rank_reference
 from block_pairs import block_systems
+from path_reference import path_of
 from strategies import presentations
 
 from quiverstrata import _kernels, linsys
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import BadPrimeError
-from quiverstrata.linsys import (ConstraintSystem, PartPairTable,
-                                 UnsupportedDegreeError, assemble_system,
+from quiverstrata.linsys import (ConstraintSystem, PartPairTable, assemble_system,
                                  codim_table, rank_exact, split_terms)
 from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
-from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
-                                 Relation, parse_presentation)
+from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
+                                 Quiver, Relation, parse_presentation)
 from quiverstrata.strata import (ReducibilityCertificate, StratumReport,
                                  ambient_arrow_dim, assignments_for,
                                  dim_vectors_up_to, reducibility_scan)
@@ -39,7 +40,7 @@ def _two_vertex(m0, m1, h, relation_words):
     q = Quiver(("0", "1"), tuple(arrows))
     rels = []
     for words in relation_words:
-        rels.append(Relation.make([(c, q.path(w)) for c, w in words]))
+        rels.append(Relation.make([(c, path_of(q, w)) for c, w in words]))
     return BoundQuiverPresentation(q, (m0, m1), tuple(rels))
 
 
@@ -101,29 +102,31 @@ def test_evaluate_zero_relation_and_truncation():
     grid = _grid(pres, zero, 2, 1)
     assert all(form == {} for row in grid for form in row)
     # e0^2 * a evaluates to zero once the Jordan type is (2): J^2 = 0
-    rel = Relation.make([(1, q.path(["e0", "e0", "a1"]))])
+    rel = Relation.make([(1, path_of(q, ["e0", "e0", "a1"]))])
     grid = _grid(pres, rel, 2, 1)
     assert all(form == {} for row in grid for form in row)
 
 
 def test_evaluate_rejects_higher_degree():
+    # the presentation refuses the term, so no table is ever built on it
     q = Quiver(("0", "1", "2"),
                (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
-    pres = BoundQuiverPresentation(q, (1, 1, 1),
-                                   (Relation.make([(1, q.path(["a", "b"]))]),))
-    with pytest.raises(UnsupportedDegreeError):
-        PartPairTable(pres)
+    with pytest.raises(PresentationError, match="^path a\\*b has degree 2;"):
+        BoundQuiverPresentation(q, (1, 1, 1),
+                                (Relation.make([(1, path_of(q, ["a", "b"]))]),))
 
 
 def test_split_terms_index_the_arrows_and_refuse_other_degrees():
     pres = _two_vertex(3, 3, 2, [[(Fraction(1, 2), ["e0", "a2"]), (1, ["a1", "e1", "e1"])]])
     assert split_terms(pres.relations[0], ["a1", "a2"]) == [
         (Fraction(1, 2), 1, 1, 0), (Fraction(1), 0, 0, 2)]
-    # a path through a third vertex: no arrow joins its ends, and the
-    # degree, not the arrow lookup, refuses it
+    # a path through a third vertex has no split; the presentation, not
+    # split_terms, refuses it, by its degree
     q = Quiver(("0", "1", "2"), (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
-    with pytest.raises(UnsupportedDegreeError, match="^path a\\*b has degree 2;"):
-        split_terms(Relation.make([(1, q.path(["a", "b"]))]), [])
+    path = path_of(q, ["a", "b"])
+    assert path.split is None
+    with pytest.raises(PresentationError, match="^path a\\*b has degree 2;"):
+        BoundQuiverPresentation(q, (1, 1, 1), (Relation.make([(1, path)]),))
 
 
 def test_zero_coefficient_term_leaves_no_entry():
@@ -643,15 +646,12 @@ def test_scan_matches_brute_force(spec):
 
 
 def test_table_raises_where_assembly_raises():
+    """The presentation refuses a degree-2 term with the message the dense
+    reference assembly gives for it, so no table or scan ever reads it."""
     q = Quiver(("0", "1", "2"), (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
-    pres = BoundQuiverPresentation(q, (1, 1, 1),
-                                   (Relation.make([(1, q.path(["a", "b"]))]),))
-    empty = JordanAssignment.for_presentation(pres, [Partition((), 1)] * 3)
-    with pytest.raises(UnsupportedDegreeError) as want:
-        dense_reference.assemble(pres, empty)
-    with pytest.raises(UnsupportedDegreeError) as got:
-        codim_table(pres)
+    path = path_of(q, ["a", "b"])
+    with pytest.raises(ValueError) as want:
+        dense_reference._decompose_term(SimpleNamespace(quiver=q), path)
+    with pytest.raises(PresentationError) as got:
+        BoundQuiverPresentation(q, (1, 1, 1), (Relation.make([(1, path)]),))
     assert str(got.value) == str(want.value)
-    # a dimension vector with a zero entry reads no entry, and still raises
-    with pytest.raises(UnsupportedDegreeError):
-        reducibility_scan(pres, (1, 0, 1))

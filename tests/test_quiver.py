@@ -12,18 +12,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import path_reference
 import quiver_reference
 from paper_checks import check_cycle_conditions, detect_shortcuts
+from path_reference import path_of, word_of
 from strategies import presentations
 from substitution import (SubstitutionError, apply_arrow_substitution,
                           invert_substitution)
 
 from quiverstrata import cli
-from quiverstrata.quiver import (Arrow, PresentationError, Quiver, Relation,
-                                 parse_presentation, serialize_presentation)
+from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
+                                 Quiver, Relation, _normalize_combo, parse_presentation,
+                                 serialize_presentation)
 
 A1221_TEXT = """
 # two vertices, two loops, one arrow
@@ -43,7 +46,7 @@ def test_parse_a1221():
     assert len(pres.relations) == 1
     rel = pres.relations[0]
     assert rel.source == "1" and rel.target == "0"
-    assert {p.arrows for _, p in rel.terms} == {("e0", "a1"), ("a1", "e1")}
+    assert {word_of(p) for _, p in rel.terms} == {("e0", "a1"), ("a1", "e1")}
     assert all(c == 1 for c, _ in rel.terms)
 
 
@@ -129,6 +132,7 @@ PARSE_LINES = [
     "relation e*a*f - 2*e^2*b", "relation - e*a", "relation e*a +", "relation -",
     "relation -1/2*e*a + e*b", "relation +e*a", "relation e*a - - e*b", "relation 0*e*a",
     "relation e*a*", "relation e^0*a", "relation a*f^2", "relation 2",
+    "relation e^4*f", "relation e^3*x*a^2",
 ]
 
 
@@ -160,9 +164,16 @@ def test_parse_is_linear_in_the_arrows():
 
 
 def test_parse_rejects_forbidden_subword():
-    text = "vertex 0\nvertex 1\nloop e0 0 order 2\narrow a 1 -> 0\nrelation e0^2*a\n"
-    with pytest.raises(PresentationError):
-        parse_presentation(text)
+    """A forbidden power is named before an unknown arrow, a power of an
+    arrow that is not a loop, or arrows that do not compose."""
+    for term, path, power in [
+            ("e0^2*a", "e0^2*a", "e0^2"), ("e0*e0^2*a", "e0^3*a", "e0^3"),
+            ("e0^2*x", "e0^2*x", "e0^2"), ("e0^2*a^2", "e0^2*a^2", "e0^2"),
+            ("a*e0^2", "a*e0^2", "e0^2")]:
+        text = f"vertex 0\nvertex 1\nloop e0 0 order 2\narrow a 1 -> 0\nrelation {term}\n"
+        with pytest.raises(PresentationError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == f"line 5: path {path} contains the forbidden power {power}"
 
 
 def test_parse_rejects_degree_zero_relation():
@@ -222,32 +233,40 @@ def test_path_degree():
     q = Quiver(("0", "1", "2"),
                (Arrow("e0", "0", "0"), Arrow("e1", "1", "1"),
                 Arrow("a1", "1", "0"), Arrow("b1", "2", "1")))
-    assert q.path(["e0", "e0", "a1", "e1"]).degree == 1
-    assert q.path(["e0", "e0", "e0"]).degree == 0
-    assert q.path(["a1", "e1", "b1"]).degree == 2
+    assert path_of(q, ["e0", "e0", "a1", "e1"]).degree == 1
+    assert path_of(q, ["e0", "e0", "e0"]).degree == 0
+    assert path_of(q, ["a1", "e1", "b1"]).degree == 2
 
 
 def test_relation_degree():
-    q = Quiver(("0", "1"),
-               (Arrow("e0", "0", "0"), Arrow("a1", "1", "0")))
-    mixed = Relation.make([(1, q.path(["e0", "a1"])), (1, q.path(["e0", "e0", "a1"]))])
-    assert mixed.degree == 1
-    loops = Relation.make([(1, q.path(["e0", "e0", "e0"]))])
-    assert loops.degree == 0
+    """A relation builds into a presentation only when every term has
+    exactly one non-loop arrow."""
+    q = Quiver(("0", "1", "2"),
+               (Arrow("e0", "0", "0"), Arrow("a1", "1", "0"), Arrow("b1", "2", "1")))
+    mixed = Relation.make([(1, path_of(q, ["e0", "a1"])), (1, path_of(q, ["e0", "e0", "a1"]))])
+    assert BoundQuiverPresentation(q, (4, 1, 1), (mixed,)).relations == (mixed,)
+    loops = Relation.make([(1, path_of(q, ["e0", "e0", "e0"]))])
+    with pytest.raises(PresentationError, match="^degree-0 relation; use a loop order instead$"):
+        BoundQuiverPresentation(q, (4, 1, 1), (loops,))
+    deep = Relation.make([(1, path_of(q, ["e0", "a1", "b1"])), (1, path_of(q, ["a1", "b1"]))])
+    with pytest.raises(PresentationError, match=(
+            "^path a1\\*b1 has degree 2; the linear engine supports exactly one "
+            "non-loop arrow per term$")):
+        BoundQuiverPresentation(q, (4, 1, 1), (deep,))
 
 
 def test_relation_rejects_incompatible_paths():
     q = Quiver(("0", "1", "2"),
                (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
     with pytest.raises(PresentationError):
-        q.path(["b", "a"])  # does not compose
+        path_of(q, ["b", "a"])  # does not compose
     with pytest.raises(PresentationError):
-        Relation.make([(1, q.path(["a", "b"])), (1, q.path(["b", "b"]))])
+        Relation.make([(1, path_of(q, ["a", "b"])), (1, path_of(q, ["b", "b"]))])
 
 
 def test_normalization_idempotent_and_cancellation():
     q = Quiver(("0", "1"), (Arrow("e0", "0", "0"), Arrow("a", "1", "0")))
-    p1 = q.path(["e0", "a"])
+    p1 = path_of(q, ["e0", "a"])
     rel = Relation.make([(Fraction(1, 2), p1), (Fraction(1, 2), p1)])
     assert rel.terms == ((Fraction(1), p1),)
     assert Relation.make(rel.terms) == rel
@@ -326,19 +345,102 @@ def test_cycle_conditions_match_brute_force(quiver):
 @settings(max_examples=100, deadline=None)
 @given(small_quivers())
 def test_relation_degree_matches_min_over_terms(quiver):
-    # build all length-2 paths and check the min-degree convention
-    paths = []
+    """The presentation refuses a relation with a degree-0 term, then one
+    with a term of degree 2 or more, naming the first such term, and
+    builds every other; all length-2 paths, grouped by their ends."""
+    loops = [a.source for a in quiver.arrows if a.is_loop]
+    assume(len(loops) == len(set(loops)))
+    orders = tuple(3 if v in loops else 1 for v in quiver.vertices)
+    groups = {}
     for a in quiver.arrows:
         for b in quiver.arrows:
             if a.source == b.target:
-                paths.append(quiver.path([a.name, b.name]))
-    groups = {}
-    for p in paths:
-        groups.setdefault((p.source, p.target), []).append(p)
+                p = path_of(quiver, [a.name, b.name])
+                groups.setdefault((p.source, p.target), []).append(p)
     for ps in groups.values():
         rel = Relation.make([(1, p) for p in ps])
-        if not rel.is_zero:
-            assert rel.degree == min(p.degree for _, p in rel.terms)
+        deep = [p for _, p in rel.terms if p.degree > 1]
+        if min(p.degree for _, p in rel.terms) == 0:
+            want = "degree-0 relation; use a loop order instead"
+        elif deep:
+            want = (f"path {deep[0]} has degree {deep[0].degree}; the linear "
+                    "engine supports exactly one non-loop arrow per term")
+        else:
+            assert BoundQuiverPresentation(quiver, orders, (rel,)).relations == (rel,)
+            continue
+        with pytest.raises(PresentationError) as exc:
+            BoundQuiverPresentation(quiver, orders, (rel,))
+        assert str(exc.value) == want
+
+
+@st.composite
+def _run_lists(draw, quiver):
+    """Up to four runs (powers 1 to 6), each arrow mostly one that composes
+    with the run before it, and repeated runs of one arrow."""
+    runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        prev = quiver.arrow(runs[-1][0]) if runs else None
+        following = [a for a in quiver.arrows if prev is None or a.target == prev.source]
+        pool = following if following and draw(st.integers(0, 5)) else quiver.arrows
+        name = draw(st.sampled_from(pool)).name
+        runs.append((name, draw(st.integers(min_value=1, max_value=6))))
+    return runs
+
+
+def _built(build, *args):
+    try:
+        return build(*args)
+    except PresentationError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_quivers(), st.data())
+def test_run_paths_match_word_model(quiver, data):
+    """Paths built from runs against the word model they replaced: the same
+    paths exist, with the same str, ends, degree, split and length, and the
+    same equality, hash and term order."""
+    assume(quiver.arrows)
+    pairs = []
+    for runs in data.draw(st.lists(_run_lists(quiver), min_size=1, max_size=8)):
+        word = [name for name, k in runs for _ in range(k)]
+        new, old = _built(quiver.path, runs), _built(path_reference.word_path, quiver, word)
+        assert (new is None) == (old is None), runs
+        if new is None:
+            continue
+        assert new.runs == tuple(path_reference._runs(word)) and word_of(new) == old.arrows
+        assert (str(new), new.source, new.target, new.degree, new.split, new.length) == (
+            str(old), old.source, old.target, old.degree, old.split, old.length)
+        pairs.append((new, old))
+    for new, old in pairs:
+        for other_new, other_old in pairs:
+            assert (new == other_new) == (old == other_old)
+            if new == other_new:
+                assert hash(new) == hash(other_new)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(pairs), max_size=len(pairs)))
+    got = _normalize_combo([(c, new) for c, (new, _) in zip(coeffs, pairs)])
+    want = path_reference._normalize_combo([(c, old) for c, (_, old) in zip(coeffs, pairs)])
+    assert [(c, word_of(p)) for c, p in got] == [(c, p.arrows) for c, p in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.permutations(["b", "d", "f", "h"]), st.integers(min_value=2, max_value=6),
+       st.data())
+def test_relation_term_order_matches_word_model(names, length, data):
+    """Degree-1 terms of one length, that a relation orders by their
+    target-loop power and arrow, in the order the word model gives their
+    words; loop and arrow names interleave alphabetically."""
+    e0, e1, a1, a2 = names
+    q = Quiver(("0", "1"), (Arrow(e0, "0", "0"), Arrow(e1, "1", "1"),
+                            Arrow(a1, "1", "0"), Arrow(a2, "1", "0")))
+    terms = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, length - 1),
+                                         st.sampled_from([a1, a2])), min_size=1, max_size=8))
+    got = Relation.make([(c, q.path([(e0, i), (a, 1), (e1, length - 1 - i)]))
+                         for c, i, a in terms], source="1", target="0")
+    want = path_reference._normalize_combo(
+        [(c, path_reference.word_path(q, [e0] * i + [a] + [e1] * (length - 1 - i)))
+         for c, i, a in terms])
+    assert [(c, word_of(p)) for c, p in got.terms] == [(c, p.arrows) for c, p in want]
 
 
 SUBST_BASE = """
@@ -354,17 +456,17 @@ relation e0^2*a1
 def test_substitution_scalar_rescale():
     pres = parse_presentation("vertex 0\nvertex 1\nloop e0 0 order 2\n"
                               "arrow a1 1 -> 0\nrelation e0*a1\n")
-    out = apply_arrow_substitution(pres, "a1", [(2, pres.quiver.path(["a1"]))])
+    out = apply_arrow_substitution(pres, "a1", [(2, path_of(pres.quiver, ["a1"]))])
     (coeff, path), = out.relations[0].terms
-    assert coeff == Fraction(1, 2) and path.arrows == ("e0", "a1")
+    assert coeff == Fraction(1, 2) and word_of(path) == ("e0", "a1")
 
 
 def test_substitution_shear_expected_expansion():
     pres = parse_presentation(SUBST_BASE)
     q = pres.quiver
-    repl = [(1, q.path(["a1"])), (1, q.path(["e0", "a2"]))]
+    repl = [(1, path_of(q, ["a1"])), (1, path_of(q, ["e0", "a2"]))]
     out = apply_arrow_substitution(pres, "a1", repl)
-    got = {(c, p.arrows) for c, p in out.relations[0].terms}
+    got = {(c, word_of(p)) for c, p in out.relations[0].terms}
     assert got == {(Fraction(1), ("e0", "e0", "a1")),
                    (Fraction(-1), ("e0", "e0", "e0", "a2"))}
 
@@ -374,10 +476,10 @@ def test_substitution_loop_reparameterization_keeps_order():
             "arrow a1 1 -> 0\nrelation e0*a1 + a1*e1\n")
     pres = parse_presentation(text)
     q = pres.quiver
-    repl = [(1, q.path(["e1"])), (Fraction(1, 3), q.path(["e1"] * 3))]
+    repl = [(1, path_of(q, ["e1"])), (Fraction(1, 3), path_of(q, ["e1"] * 3))]
     out = apply_arrow_substitution(pres, "e1", repl)
     assert out.orders == pres.orders
-    words = {p.arrows for _, p in out.relations[0].terms}
+    words = {word_of(p) for _, p in out.relations[0].terms}
     assert ("a1", "e1", "e1", "e1") in words
 
 
@@ -385,9 +487,9 @@ def test_substitution_round_trip():
     pres = parse_presentation(SUBST_BASE)
     q = pres.quiver
     for repl in (
-        [(1, q.path(["a1"])), (1, q.path(["e0", "a2"]))],
-        [(Fraction(-3), q.path(["a1"])), (Fraction(1, 2), q.path(["e0", "e0", "a1"]))],
-        [(2, q.path(["a1"])), (1, q.path(["a2"]))],
+        [(1, path_of(q, ["a1"])), (1, path_of(q, ["e0", "a2"]))],
+        [(Fraction(-3), path_of(q, ["a1"])), (Fraction(1, 2), path_of(q, ["e0", "e0", "a1"]))],
+        [(2, path_of(q, ["a1"])), (1, path_of(q, ["a2"]))],
     ):
         forward = apply_arrow_substitution(pres, "a1", repl)
         back = apply_arrow_substitution(forward, "a1",
@@ -402,14 +504,14 @@ def test_substitution_with_self_referencing_tail():
             "arrow a1 1 -> 0\nrelation e0*a1 + a1*e1\n")
     pres = parse_presentation(text)
     q = pres.quiver
-    repl = [(1, q.path(["a1"])), (Fraction(1, 2), q.path(["e0", "a1", "e1"]))]
+    repl = [(1, path_of(q, ["a1"])), (Fraction(1, 2), path_of(q, ["e0", "a1", "e1"]))]
     inv = invert_substitution(pres, "a1", repl)
-    assert {(str(c), p.arrows) for c, p in inv} == {
+    assert {(str(c), word_of(p)) for c, p in inv} == {
         ("1", ("a1",)),
         ("-1/2", ("e0", "a1", "e1")),
         ("1/4", ("e0", "e0", "a1", "e1", "e1"))}
     fwd = apply_arrow_substitution(pres, "a1", repl)
-    words = {p.arrows for _, p in fwd.relations[0].terms}
+    words = {word_of(p) for _, p in fwd.relations[0].terms}
     assert ("e0", "e0", "a1", "e1") in words and ("e0", "a1", "e1", "e1") in words
     back = apply_arrow_substitution(fwd, "a1", inv)
     assert back.relations == pres.relations
@@ -419,9 +521,9 @@ def test_substitution_requires_invertible_lead():
     pres = parse_presentation(SUBST_BASE)
     q = pres.quiver
     with pytest.raises(SubstitutionError):
-        apply_arrow_substitution(pres, "a1", [(1, q.path(["a2"]))])
+        apply_arrow_substitution(pres, "a1", [(1, path_of(q, ["a2"]))])
     with pytest.raises(SubstitutionError):
-        apply_arrow_substitution(pres, "a1", [(1, q.path(["e0", "a1"]))])
+        apply_arrow_substitution(pres, "a1", [(1, path_of(q, ["e0", "a1"]))])
 
 
 @settings(max_examples=200, deadline=None)
