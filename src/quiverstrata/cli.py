@@ -151,10 +151,13 @@ def cmd_verify_formulas(args) -> int:
 def cmd_oracle_count(args) -> int:
     pres = _read_presentation(args.algebra)
     dims = _parse_dim(args.dim)
-    failures = 0
+    # every prime's counts and identity rows first: an error prints nothing
+    results = []
     for q in _parse_primes(args.q):
         table = enumerate_and_classify(pres, dims, q, max_points=args.cap)
-        rows = verify_count_identity(table, pres)
+        results.append((q, table, verify_count_identity(table, pres)))
+    failures = 0
+    for q, table, rows in results:
         _emit_csv(["assignment", "count", "q", "predicted", "pass"],
                   [[r.assignment.serialize(), r.count, q, r.predicted,
                     "pass" if r.ok else "fail"] for r in rows])

@@ -25,8 +25,9 @@ of the induced linear system:
 Here a, b are linearly independent arrow combinations and c, c1, c2 are
 arbitrary ones; the sweep instantiates them as the distinct arrows 0, 1, 2
 of the h arrows 1 -> 0.  It states each term as the split term
-``(coefficient, eps0 power, arrow index, eps1 power)`` that
-``linsys.assemble_system`` reads, and builds no quiver, path or relation.
+``(coefficient, eps0 power, arrow index, eps1 power)``, made integer once
+per case shape by ``linsys.integer_terms`` for ``linsys.assemble_system``,
+and builds no quiver, path or relation.
 The rules that are not side conditions (which items take l and lambda,
 which fix q, how many arrows each needs) are the table ``_ITEMS``;
 ``c_closed_form``, ``formula_cases``, ``single_case`` and ``build_case``
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .linsys import Term, assemble_system, rank_exact
+from .linsys import Term, assemble_system, integer_terms, rank_exact
 
 __all__ = [
     "SideConditionError",
@@ -124,8 +125,8 @@ def c_closed_form(item: int, p: Optional[int] = None, q: Optional[int] = None,
 
 
 def _term_shapes(item: int, p: int, q: int, l: Optional[int],
-                 lam: Optional[Fraction]) -> list[Term]:
-    """(coefficient, eps0 power, arrow index, eps1 power) per term."""
+                 lam: Optional[Fraction]) -> list[tuple[Fraction, int, int, int]]:
+    """(rational coefficient, eps0 power, arrow index, eps1 power) per term."""
     one = Fraction(1)
     if item == 1:
         return [(one, l, 0, 0)]
@@ -169,19 +170,19 @@ class FormulaCase:
 
 @functools.lru_cache(maxsize=4096)
 def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]):
-    """(closed form, split terms) of an admissible case, whatever its h;
-    raises :class:`SideConditionError` otherwise."""
+    """(closed form, integer split terms) of an admissible case, whatever
+    its h; raises :class:`SideConditionError` otherwise."""
     expected = c_closed_form(item, p, q, l, lam)
-    terms = tuple(_term_shapes(item, p, q, l, lam))
+    terms = tuple(integer_terms(_term_shapes(item, p, q, l, lam)))
     if any(a + 1 + b < 2 for _, a, _k, b in terms):
         raise SideConditionError("a term would be a bare arrow (length < 2)")
     return expected, terms
 
 
 def build_case(case: FormulaCase) -> tuple[int, tuple[Term, ...], int]:
-    """The number h of arrows 1 -> 0, the split terms of the relation, and
-    the expected codimension of a case.  A lambda = 0 term stays in the
-    terms; it puts no entry into the system."""
+    """The number h of arrows 1 -> 0, the integer split terms of the
+    relation, and the expected codimension of a case.  A lambda = 0 term
+    stays in the terms; it puts no entry into the system."""
     expected, terms = _shaped(case.item, case.p, case.q, case.l, case.lam)
     n_sym = _ITEMS[case.item].symbols
     if case.h < n_sym:
@@ -200,7 +201,8 @@ def evaluate_case(case: FormulaCase) -> tuple[int, int]:
     return expected, rank_exact(assemble_system(h, [terms], case.p, case.q))
 
 
-_DEFAULT_LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
+_HS = (1, 2, 3)  # the numbers of arrows 1 -> 0 that the sweep tries
+_LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
 _MAX_UNKNOWNS = 10 ** 6  # of the one block-pair system of a single case
 
 
@@ -231,15 +233,14 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
     return FormulaCase(item, p, q, l, lam, h)
 
 
-def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
-                  lambdas: Sequence[Fraction] = _DEFAULT_LAMBDAS,
-                  items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
-    """Every admissible case with q <= p <= p_max, deterministic order."""
+def formula_cases(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
+    """Every admissible case with q <= p <= p_max, h in ``_HS`` and, for the
+    items that take it, lambda in ``_LAMBDAS``, in a deterministic order."""
     wanted = set(items) if items is not None else set(_ITEMS)
     cases: list[FormulaCase] = []
     for item in sorted(wanted):
         rules = _ITEMS[item]
-        lams: Sequence[Optional[Fraction]] = lambdas if rules.takes_lambda else (None,)
+        lams: Sequence[Optional[Fraction]] = _LAMBDAS if rules.takes_lambda else (None,)
         for p in range(1, p_max + 1):
             qs = range(1, p + 1) if rules.fixed_q is None else (rules.fixed_q,)
             ls = range(1, p + 1) if rules.takes_l else (None,)
@@ -253,6 +254,6 @@ def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
                         except SideConditionError:
                             continue
                         ok.append(l)
-                    cases += [FormulaCase(item, p, q, l, lam, h) for h in hs
+                    cases += [FormulaCase(item, p, q, l, lam, h) for h in _HS
                               if h >= rules.symbols for l in ok]
     return cases

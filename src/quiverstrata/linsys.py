@@ -6,23 +6,22 @@ of the stacked system is the codimension of its solution space inside the
 ambient arrow space.  A Jordan block only shifts indices within itself, so
 the system splits into one part per (target block, source block) pair:
 ``assemble_system`` builds one such part and ``PartPairTable`` sums their
-ranks.  The engine reads a relation as split terms, ``(coefficient, loop
-power before, arrow index, loop power after)``: ``split_terms`` makes them
-from a ``Relation`` once per presentation, and the formula sweep states
-them directly.  Rows are sparse integer vectors, each with the positive
-scale that turns it back into the rational row; ``assemble_system`` builds
-them in one pass, deleting each entry that cancels as it is added, and
-keeps empty rows.  One sparse fraction-free elimination,
-``_kernels.exact_rank_int``, ranks them over Q: it skips empty rows,
-updates each row in place, divides a row by its gcd only when that exceeds
-1, and uses no floats.
+ranks.  The engine reads a relation as integer split terms,
+``(coefficient, loop power before, arrow index, loop power after)``:
+``integer_terms`` scales a relation's rational terms once by the lcm of
+their denominators, which changes no rank, and ``split_terms`` makes them
+from a ``Relation`` once per presentation.  Rows are sparse integer
+vectors; ``assemble_system`` builds them in one pass, deleting each entry
+that cancels as it is added, and keeps empty rows.  One sparse
+fraction-free elimination, ``_kernels.exact_rank_int``, ranks them over
+Q: it skips empty rows, updates each row in place, divides a row by its
+gcd only when that exceeds 1, and uses no floats.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels
@@ -31,6 +30,7 @@ from .quiver import BoundQuiverPresentation, Relation
 
 __all__ = [
     "ConstraintSystem",
+    "integer_terms",
     "split_terms",
     "assemble_system",
     "rank_exact",
@@ -40,20 +40,15 @@ __all__ = [
 
 
 # (coefficient, loop power before, index of the non-loop arrow, loop power after)
-Term = tuple[Fraction, int, int, int]
+Term = tuple[int, int, int, int]
 
 
 @dataclass
 class ConstraintSystem:
-    """Stacked exact system; columns are unknown arrow entries.
-
-    Row k of the rational system is ``rows[k] / scales[k]``, where
-    ``rows[k]`` maps column indices to nonzero integers and
-    ``scales[k] > 0``.
-    """
+    """Stacked exact system; columns are unknown arrow entries, and
+    ``rows[k]`` maps column indices to nonzero integers."""
 
     rows: list[dict[int, int]]
-    scales: list[int]
     ambient_dim: int
 
     @property
@@ -61,52 +56,53 @@ class ConstraintSystem:
         return len(self.rows)
 
     @property
-    def matrix(self) -> list[list[Fraction]]:
-        """Dense rational view, built on demand."""
+    def matrix(self) -> list[list[int]]:
+        """Dense integer view, built on demand."""
         out = []
-        for row, scale in zip(self.rows, self.scales):
-            dense = [Fraction(0)] * self.ambient_dim
+        for row in self.rows:
+            dense = [0] * self.ambient_dim
             for col, v in row.items():
-                dense[col] = Fraction(v, scale)
+                dense[col] = v
             out.append(dense)
         return out
 
 
+def integer_terms(terms: Sequence[tuple]) -> list[Term]:
+    """Split terms with rational coefficients (``Fraction`` or ``int``),
+    all of one relation, times the lcm of their denominators: the same
+    relation up to a positive scale, with integer coefficients."""
+    scale = math.lcm(*(coeff.denominator for coeff, *_ in terms))
+    return [(coeff.numerator * (scale // coeff.denominator), pre, k, post)
+            for coeff, pre, k, post in terms]
+
+
 def split_terms(rel: Relation, arrows: Sequence[str]) -> list[Term]:
-    """The terms of ``rel``, a relation of a presentation, so every term
-    has its split, each arrow by its index in ``arrows``, the non-loop
+    """The integer terms of ``rel``, a relation of a presentation, so every
+    term has its split, each arrow by its index in ``arrows``, the non-loop
     arrows from its source to its target."""
     index = {name: k for k, name in enumerate(arrows)}
-    out = []
-    for coeff, path in rel.terms:
-        pre, name, post = path.split
-        out.append((coeff, pre, index[name], post))
-    return out
+    return integer_terms([(coeff, pre, index[name], post)
+                          for coeff, path in rel.terms for pre, name, post in [path.split]])
 
 
 def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
                     a: int, b: int) -> ConstraintSystem:
-    """The system of ``relations``, each a list of split terms, all from one
-    vertex s to one vertex t, on the single Jordan blocks (a) at t and (b)
-    at s.
+    """The system of ``relations``, each a list of integer split terms, all
+    from one vertex s to one vertex t, on the single Jordan blocks (a) at t
+    and (b) at s.
 
     J^k shifts indices by k within its block, so a term (c, pre, k, post),
     that is c * J^pre x_k J^post, puts c into row (i, j) at the column of
     x_k[i + pre][j - post], wherever both indices stay inside their blocks.
-    Each relation is scaled once, to the lcm of its coefficient
-    denominators, so every row holds integers.  A zero coefficient is
-    skipped, and an entry that cancels is deleted as it is added, so no
-    row stores a zero; every row is kept, empty or not.  Rows run over the
-    relations, then (i, j) row-major; columns run over the ``n_arrows``
-    arrows s -> t, then entries row-major.
+    A zero coefficient is skipped, and an entry that cancels is deleted as
+    it is added, so no row stores a zero; every row is kept, empty or not.
+    Rows run over the relations, then (i, j) row-major; columns run over
+    the ``n_arrows`` arrows s -> t, then entries row-major.
     """
     rows: list[dict[int, int]] = []
-    scales: list[int] = []
     for terms in relations:
-        scale = math.lcm(*(coeff.denominator for coeff, *_ in terms))
         block: list[dict[int, int]] = [{} for _ in range(a * b)]
-        for coeff, pre, k, post in terms:
-            c = coeff.numerator * (scale // coeff.denominator)
+        for c, pre, k, post in terms:
             if not c:
                 continue
             for i in range(a - pre):
@@ -120,8 +116,7 @@ def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
                         del row[col]
                     col += 1
         rows += block
-        scales += [scale] * len(block)
-    return ConstraintSystem(rows, scales, n_arrows * a * b)
+    return ConstraintSystem(rows, n_arrows * a * b)
 
 
 def rank_exact(cs: ConstraintSystem) -> int:

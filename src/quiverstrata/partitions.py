@@ -5,7 +5,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -205,15 +205,12 @@ class JordanAssignment:
 
     @classmethod
     def for_presentation(cls, pres: BoundQuiverPresentation,
-                         assignment: Mapping[str, Partition] | Iterable[Partition]
-                         ) -> "JordanAssignment":
+                         assignment: Iterable[Partition]) -> "JordanAssignment":
+        """One partition per vertex of ``pres``, in vertex order."""
         verts = pres.quiver.vertices
-        if isinstance(assignment, Mapping):
-            parts = tuple(assignment[v] for v in verts)
-        else:
-            parts = tuple(assignment)
-            if len(parts) != len(verts):
-                raise ValueError("one partition per vertex required")
+        parts = tuple(assignment)
+        if len(parts) != len(verts):
+            raise ValueError("one partition per vertex required")
         for v, p in zip(verts, parts):
             if p.bound != pres.order(v):
                 raise PresentationError(

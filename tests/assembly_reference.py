@@ -1,17 +1,41 @@
 """The block-pair assembly that the one-pass ``linsys.assemble_system``
-replaced, kept verbatim as the reference of its differential tests.
+replaced, kept verbatim as the reference of its differential tests, with
+the rational split terms it read.
 
-Every entry is added into its row dict, zero coefficients included, and
-each row is rebuilt afterwards without its zero values.
+Each relation is scaled to integers by the lcm of its coefficient
+denominators as it is assembled, and every row keeps that scale.  Every
+entry is added into its row dict, zero coefficients included, and each
+row is rebuilt afterwards without its zero values.
 """
 import math
-from typing import Sequence
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
-from quiverstrata.linsys import ConstraintSystem, Term
+# (rational coefficient, loop power before, arrow index, loop power after)
+RationalTerm = tuple[Fraction, int, int, int]
 
 
-def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
-                    a: int, b: int) -> ConstraintSystem:
+class ScaledSystem(NamedTuple):
+    """Row k of the rational system is ``rows[k] / scales[k]``."""
+
+    rows: list[dict[int, int]]
+    scales: list[int]
+    ambient_dim: int
+
+
+def split_terms(rel, arrows: Sequence[str]) -> list[RationalTerm]:
+    """The terms of ``rel`` split at their non-loop arrow, with their
+    rational coefficients, each arrow by its index in ``arrows``."""
+    index = {name: k for k, name in enumerate(arrows)}
+    out = []
+    for coeff, path in rel.terms:
+        pre, name, post = path.split
+        out.append((coeff, pre, index[name], post))
+    return out
+
+
+def assemble_system(n_arrows: int, relations: Sequence[Sequence[RationalTerm]],
+                    a: int, b: int) -> ScaledSystem:
     """The system of ``relations``, each a list of split terms, all from one
     vertex s to one vertex t, on the single Jordan blocks (a) at t and (b)
     at s.
@@ -38,4 +62,4 @@ def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
                     row[col0 + j] = row.get(col0 + j, 0) + c
         rows += [{col: v for col, v in row.items() if v} for row in block]
         scales += [scale] * len(block)
-    return ConstraintSystem(rows, scales, n_arrows * a * b)
+    return ScaledSystem(rows, scales, n_arrows * a * b)

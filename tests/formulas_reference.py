@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from path_reference import path_of
 
-from quiverstrata.formulas import (_DEFAULT_LAMBDAS, FormulaCase, SideConditionError,
+from quiverstrata.formulas import (_LAMBDAS, FormulaCase, SideConditionError,
                                    _term_shapes, c_closed_form)
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
@@ -53,7 +53,7 @@ def build_case(case):
 
 
 def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
-                  lambdas: Sequence[Fraction] = _DEFAULT_LAMBDAS,
+                  lambdas: Sequence[Fraction] = _LAMBDAS,
                   items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
     """Every admissible case with q <= p <= p_max, deterministic order."""
     wanted = set(items) if items is not None else set(range(1, 12))

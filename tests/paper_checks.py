@@ -264,8 +264,8 @@ def split_gap_test(pres: BoundQuiverPresentation, dims: Sequence[int],
             f"maximal partition at {vertex!r} must be a single part >= 2"
         )
     p = pmax.parts[0]
-    witness_parts = {v: part for v, part in zip(ja_max.vertices, ja_max.partitions)}
-    witness_parts[vertex] = Partition((p - 1, 1), pres.order(vertex))
+    witness_parts = list(ja_max.partitions)
+    witness_parts[ja_max.vertices.index(vertex)] = Partition((p - 1, 1), pres.order(vertex))
     ja_wit = JordanAssignment.for_presentation(pres, witness_parts)
     table = codim_table(pres)
     gap = table.codim(ja_max) - table.codim(ja_wit)

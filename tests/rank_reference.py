@@ -9,17 +9,16 @@ columns (union-find), each component is rebuilt as dense integer rows,
 and a component is ranked by Bareiss elimination with full pivoting over
 Q, or by numpy row reduction over F_p after its entries are reduced
 modulo p.  A component with one row or one column has rank 1 over Q.
-The package ranks over Q only, so ``rank_mod`` is also the rank over F_p
-that the tests hold against the rank over Q.
+The package ranks over Q only, so ``rank_mod``, the rank over F_p of a
+system's integer rows, is also the one that the tests hold against the
+rank over Q.
 """
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from quiverstrata._kernels import ranks_mod_p
-from quiverstrata.fforacle import _fraction_mod
 from quiverstrata.linsys import ConstraintSystem
 
 # the copies below reach their kernels as ``_kernels.<name>``: this module
@@ -111,10 +110,9 @@ def rank_mod_p(mat, p: int) -> int:
     return int(ranks_mod_p(a[None], p)[0])
 
 
-def _components(cs: ConstraintSystem
-                ) -> list[tuple[list[int], list[list[int]], list[int]]]:
+def _components(cs: ConstraintSystem) -> list[tuple[list[int], list[list[int]]]]:
     """Dense integer blocks of the nonzero rows: (the block's column
-    indices, its dense rows, the scale of each row).
+    indices, its dense rows).
 
     Rows that share no column, directly or through other rows, are
     independent, so the blocks are the connected components of the rows
@@ -153,7 +151,7 @@ def _components(cs: ConstraintSystem
             for c, v in cs.rows[k].items():
                 out[index[c]] = v
             dense.append(out)
-        blocks.append((list(index), dense, [cs.scales[k] for k in ks]))
+        blocks.append((list(index), dense))
     return blocks
 
 
@@ -165,18 +163,13 @@ def rank_exact(cs: ConstraintSystem) -> int:
     """
     return sum(1 if len(dense) == 1 or len(dense[0]) == 1
                else _kernels.exact_rank_int(dense)
-               for _, dense, _ in _components(cs))
+               for _, dense in _components(cs))
 
 
 def rank_mod(cs: ConstraintSystem, p: int) -> int:
-    """Rank of the same system with entries reduced modulo a prime.
-
-    Raises :class:`BadPrimeError` when the reduced denominator of some
-    entry of :attr:`ConstraintSystem.matrix` vanishes mod ``p``.
-    """
-    rank = 0
-    for _, dense, scales in _components(cs):
-        reduced = [[_fraction_mod(Fraction(v, scale), p) for v in row]
-                   for row, scale in zip(dense, scales)]
-        rank += _kernels.rank_mod_p(reduced, p)
-    return rank
+    """Rank of the system's integer rows with entries reduced modulo a
+    prime.  Each row is its relation's rational row times the lcm of the
+    relation's denominators, so this is the rank of the rational system
+    mod every prime that divides none of them."""
+    return sum(_kernels.rank_mod_p([[v % p for v in row] for row in dense], p)
+               for _, dense in _components(cs))

@@ -25,7 +25,7 @@ def _report(name, detail):
 
 def test_criterion_1_formula_suite():
     start = time.monotonic()
-    cases = formula_cases(p_max=6, hs=(1, 2, 3))
+    cases = formula_cases(p_max=6)
     assert cases
     for case in cases:
         pres, ja, expected = formulas_reference.build_case(case)
@@ -153,7 +153,7 @@ def test_criterion_6_chain_dimension_equality():
 def test_criterion_7_cross_field_rank_stability():
     mismatches = 0
     total = 0
-    for case in formula_cases(p_max=6, hs=(1, 2, 3)):
+    for case in formula_cases(p_max=6):
         pres, ja, _ = formulas_reference.build_case(case)
         [cs] = block_systems(pres, ja)  # single parts: one block pair
         r = rank_exact(cs)

@@ -148,6 +148,23 @@ def test_oracle_count_repeated_prime_exits_2(algebra_file, capsys):
     assert err.startswith("error:") and "repeated" in err
 
 
+@pytest.mark.parametrize("qs, message", [("2,3", "error: coefficient 1/3 cannot reduce mod 3"),
+                                         ("2,4", "error: q must be prime")],
+                         ids=["bad-prime", "not-prime"])
+def test_oracle_count_error_at_a_later_prime_prints_nothing(tmp_path, capsys, qs, message):
+    # q = 2 alone prints its table (and a fail row: 2 divides the numerator
+    # 2/5, so the rank drops mod 2); the error at the second q prints nothing
+    path = tmp_path / "thirds.bq"
+    path.write_text("vertex 0\nvertex 1\nloop e 0 order 2\nloop f 1 order 2\n"
+                    "arrow a 1 -> 0\nrelation 1/3*e*a + 2/5*a*f\n")
+    argv = ["oracle-count", "--algebra", str(path), "--dim", "2,2"]
+    code, out, _ = run_cli([*argv, "--q", "2"], capsys)
+    assert code == 1 and len(out.splitlines()) == 5
+    code, out, err = run_cli([*argv, "--q", qs], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "Traceback" not in err
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.bq"
     bad.write_text("vertex 0\narrow a 0 -> 9\n")

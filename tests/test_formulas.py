@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import formulas_reference
 from path_reference import path_of
+from quiverstrata import formulas
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases,
                                    single_case)
@@ -105,17 +107,19 @@ def _linear_form(terms):
 def _assert_matches_reference(case, ref):
     """build_case gives the number of non-loop arrows and the split terms of
     the presentation that the reference builds, arrow ``a{k+1}`` as index
-    k, and evaluate_case the codimension of its part-pair table."""
+    k, times the lcm of the relation's denominators, and evaluate_case the
+    codimension of its part-pair table."""
     ref_pres, ref_ja, ref_expected = ref
     h, terms, expected = build_case(case)
     assert [f"a{k + 1}" for k in range(h)] == [
         a.name for a in ref_pres.quiver.non_loop_arrows], case
-    assert all(type(coeff) is Fraction for coeff, *_ in terms), case
+    assert all(type(coeff) is int for coeff, *_ in terms), case
     [ref_rel] = ref_pres.relations
+    scale = math.lcm(*(coeff.denominator for coeff, _ in ref_rel.terms))
     ref_terms = []
     for coeff, path in ref_rel.terms:
         pre, name, post = path.split
-        ref_terms.append((coeff, pre, int(name[1:]) - 1, post))
+        ref_terms.append((coeff * scale, pre, int(name[1:]) - 1, post))
     assert _linear_form(terms) == _linear_form(ref_terms), case
     assert expected == ref_expected, case
     assert evaluate_case(case) == (ref_expected, PartPairTable(ref_pres).codim(ref_ja)), case
@@ -191,9 +195,20 @@ def test_single_cases_match_reference(args):
 @pytest.mark.parametrize("hs", [(1, 2, 3), (1,), (2, 1)])
 @pytest.mark.parametrize("lambdas", [(Fraction(2), Fraction(-1), Fraction(1, 2)),
                                      (Fraction(0), Fraction(1))])
-def test_formula_cases_match_replaced(hs, lambdas):
+def test_formula_cases_match_replaced(hs, lambdas, monkeypatch):
+    """The sweep over h and lambda is set by module constants; under each
+    setting it lists the reference's cases in the reference's order."""
+    monkeypatch.setattr(formulas, "_HS", hs)
+    monkeypatch.setattr(formulas, "_LAMBDAS", lambdas)
     for p_max in range(9):
-        assert (formula_cases(p_max, hs, lambdas)
+        assert (formula_cases(p_max)
+                == formulas_reference.formula_cases(p_max, hs, lambdas)), p_max
+
+
+def test_formula_cases_default_sweep_matches_replaced():
+    hs, lambdas = (1, 2, 3), (Fraction(2), Fraction(-1), Fraction(1, 2))
+    for p_max in range(9):
+        assert (formula_cases(p_max)
                 == formulas_reference.formula_cases(p_max, hs, lambdas)), p_max
 
 

@@ -1,5 +1,6 @@
 """Every module-level import in the package and in the test modules is
-used in its module, and the formula sweep builds on the exact engine alone.
+used in its module, the formula sweep builds on the exact engine alone,
+and the exact engine imports nothing from ``fractions``.
 
 The package re-exports its public names from ``__init__``, so that file is
 skipped, as are ``from __future__`` imports.  A name listed in a module's
@@ -117,3 +118,22 @@ def test_formulas_imports_only_the_engine():
     path, relation or presentation."""
     source = (PACKAGE / "formulas.py").read_text(encoding="utf-8")
     assert package_imports(source) == {"linsys"}
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Every module that ``source`` imports by absolute name, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+    return found
+
+
+@pytest.mark.parametrize("name", ["linsys.py", "_kernels.py"])
+def test_exact_engine_imports_no_fractions(name):
+    """The exact engine takes integer terms: rational coefficients become
+    integers before they reach it, so it needs no ``Fraction``."""
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert "fractions" not in {m.split(".")[0] for m in _imported_modules(source)}

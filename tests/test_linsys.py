@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,7 @@ from quiverstrata import _kernels, linsys
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.linsys import (ConstraintSystem, PartPairTable, assemble_system,
-                                 codim_table, rank_exact, split_terms)
+                                 codim_table, integer_terms, rank_exact, split_terms)
 from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
                                  Quiver, Relation, parse_presentation)
@@ -70,13 +71,21 @@ def _system(pres, a, b):
     return _assembled(pres, pres.relations, a, b)
 
 
+def _scale(rel):
+    """The lcm of the relation's denominators: its integer terms, and so
+    its assembled rows, are its rational ones times this."""
+    return math.lcm(*(coeff.denominator for coeff, _ in rel.terms))
+
+
 def _grid(pres, rel, a, b):
     """The relation on the single blocks (a) at 0 and (b) at 1 as an a x b
-    grid of linear forms {(arrow, row, col): rational coefficient}."""
+    grid of linear forms {(arrow, row, col): rational coefficient}: the
+    assembled integer rows over the lcm of the relation's denominators."""
     arrows = _arrows(pres)
     cs = _assembled(pres, (rel,), a, b)
+    scale = _scale(rel)
     grid = [[{} for _ in range(b)] for _ in range(a)]
-    for k, (row, scale) in enumerate(zip(cs.rows, cs.scales)):
+    for k, row in enumerate(cs.rows):
         i, j = divmod(k, b)
         grid[i][j] = {(arrows[col // (a * b)], *divmod(col % (a * b), b)):
                       Fraction(v, scale) for col, v in row.items()}
@@ -118,8 +127,10 @@ def test_evaluate_rejects_higher_degree():
 
 def test_split_terms_index_the_arrows_and_refuse_other_degrees():
     pres = _two_vertex(3, 3, 2, [[(Fraction(1, 2), ["e0", "a2"]), (1, ["a1", "e1", "e1"])]])
-    assert split_terms(pres.relations[0], ["a1", "a2"]) == [
-        (Fraction(1, 2), 1, 1, 0), (Fraction(1), 0, 0, 2)]
+    # 1/2 e0 a2 + a1 e1^2, times 2
+    terms = split_terms(pres.relations[0], ["a1", "a2"])
+    assert terms == [(1, 1, 1, 0), (2, 0, 0, 2)]
+    assert all(type(c) is int for c, *_ in terms)
     # a path through a third vertex has no split; the presentation, not
     # split_terms, refuses it, by its degree
     q = Quiver(("0", "1", "2"), (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
@@ -130,7 +141,7 @@ def test_split_terms_index_the_arrows_and_refuse_other_degrees():
 
 
 def test_zero_coefficient_term_leaves_no_entry():
-    with_zero = [(Fraction(1), 1, 0, 0), (Fraction(0), 0, 1, 1)]
+    with_zero = [(1, 1, 0, 0), (0, 0, 1, 1)]
     cs = assemble_system(2, [with_zero], 3, 2)
     assert cs.rows == assemble_system(2, [with_zero[:1]], 3, 2).rows
     assert all(col < 6 for row in cs.rows for col in row)
@@ -153,14 +164,13 @@ def test_rank_exact_trivial_cases():
     assert rank_exact(identity) == 3
     zero = integer_system([[0, 0], [0, 0]])
     assert rank_exact(zero) == 0
-    assert zero.matrix == [[Fraction(0)] * 2] * 2
+    assert zero.matrix == [[0, 0], [0, 0]]
 
 
 def integer_system(rows):
     """A system whose rows are the given integer rows."""
     return ConstraintSystem(
         [{j: v for j, v in enumerate(row) if v} for row in rows],
-        [1] * len(rows),
         len(rows[0]) if rows else 0,
     )
 
@@ -356,12 +366,18 @@ def test_cross_field_rank_stability_sample():
 
 
 def test_rank_mod_rejects_bad_prime():
+    """The dense rational system refuses a prime that divides a
+    denominator; the engine's rows are its entries times that denominator,
+    so they agree with it mod every other prime."""
     pres = _two_vertex(2, 2, 1, [[(Fraction(1, 2), ["e0", "a1"]),
                                   (1, ["a1", "e1"])]])
     cs = _system(pres, 2, 2)
+    matrix = dense_reference.assemble(pres, _ja(pres, (2,), (2,)))[0]
+    assert cs.matrix == [[2 * x for x in row] for row in matrix]
     with pytest.raises(BadPrimeError):
-        rank_reference.rank_mod(cs, 2)
-    assert rank_reference.rank_mod(cs, 101) == rank_exact(cs)
+        dense_reference.rank_mod(matrix, 2)
+    assert (rank_reference.rank_mod(cs, 101) == dense_reference.rank_mod(matrix, 101)
+            == rank_exact(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +395,33 @@ def _rank_mod_outcome(fn, system, p):
 
 
 def _summed_rank_mod(systems, p):
-    """The rank mod p of a direct sum of systems, or "bad prime"."""
-    ranks = [_rank_mod_outcome(rank_reference.rank_mod, cs, p) for cs in systems]
-    return "bad prime" if "bad prime" in ranks else sum(ranks)
+    """The rank mod p of a direct sum of systems' integer rows."""
+    return sum(rank_reference.rank_mod(cs, p) for cs in systems)
 
 
 def _assert_same_ranks(systems, matrix) -> int:
     """Compare the block-pair systems of one assignment with the dense
     reference system of the whole assignment; the number of primes at
-    which both raise BadPrimeError."""
+    which the reference raises BadPrimeError.  The engine's rows are
+    compared mod p only at the other primes: mod a prime that divides a
+    relation's lcm, its scaled rows are not the rational ones.  In the
+    systems compared here every denominator reaches the dense matrix, so
+    the reference refuses every such prime."""
     assert sum(rank_exact(cs) for cs in systems) == dense_reference.rank(matrix)
     bad = 0
     for p in DIFF_PRIMES:
         want = _rank_mod_outcome(dense_reference.rank_mod, matrix, p)
-        assert _summed_rank_mod(systems, p) == want
-        bad += want == "bad prime"
+        if want == "bad prime":
+            bad += 1
+        else:
+            assert _summed_rank_mod(systems, p) == want
     return bad
 
 
 def test_engine_matches_dense_reference_on_formula_cases():
     """A formula case has single parts at both vertices, so its system is
-    one block pair, entry for entry the dense reference's."""
+    one block pair, entry for entry the dense reference's times the lcm of
+    the relation's denominators."""
     from quiverstrata.formulas import formula_cases
 
     cases = formula_cases(p_max=8)
@@ -409,7 +431,8 @@ def test_engine_matches_dense_reference_on_formula_cases():
         pres, ja, _ = formulas_reference.build_case(case)
         cs = _system(pres, case.p, case.q)
         matrix = dense_reference.assemble(pres, ja)[0]
-        assert cs.matrix == matrix
+        [rel] = pres.relations
+        assert cs.matrix == [[_scale(rel) * x for x in row] for row in matrix]
         bad += _assert_same_ranks([cs], matrix)
     assert bad > 0  # lambda = 1/2 cases cannot reduce mod 2
 
@@ -480,8 +503,7 @@ def sparse_systems(draw):
         else:
             row = draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=n))
         rows.append({c: v for c, v in row.items() if v})
-    scales = [draw(st.sampled_from([1, 1, 2, 3, 6, 101])) for _ in rows]
-    return ConstraintSystem(rows, scales, n)
+    return ConstraintSystem(rows, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -495,34 +517,39 @@ def test_sparse_rank_matches_replaced_on_random_rows(cs):
 # against the versions they replaced
 # ---------------------------------------------------------------------------
 
-def _assert_same_as_last(args) -> ConstraintSystem:
-    """The system of ``args`` equals the replaced assembly's, and its rank
-    the replaced sparse elimination's."""
+def _assert_same_as_last(args, rational) -> ConstraintSystem:
+    """The system of ``args``, whose relations are integer terms, equals
+    the one that the replaced assembly builds on ``rational``, the same
+    relations with their rational coefficients, and its rank the replaced
+    sparse elimination's."""
+    n_arrows, _, a, b = args
     cs = assemble_system(*args)
-    ref = assembly_reference.assemble_system(*args)
-    assert (cs.rows, cs.scales, cs.ambient_dim) == (ref.rows, ref.scales, ref.ambient_dim)
+    ref = assembly_reference.assemble_system(n_arrows, rational, a, b)
+    assert (cs.rows, cs.ambient_dim) == (ref.rows, ref.ambient_dim)
     assert rank_exact(cs) == rank_reference.sparse_rank_int(ref.rows)
     return cs
 
 
 def test_assembly_and_rank_match_last_on_formula_cases():
-    """Every case of the sweep to p = 8, and the lambda = 0 cases, whose
-    zero term puts no entry into the system."""
-    from quiverstrata.formulas import build_case, formula_cases
+    """Every case of the sweep to p = 8, and its lambda cases at lambda = 0,
+    whose zero term puts no entry into the system (item 11 refuses it)."""
+    from quiverstrata.formulas import _term_shapes, build_case, formula_cases
 
     cases = formula_cases(p_max=8)
-    zero = [c for c in formula_cases(p_max=8, lambdas=[Fraction(0)]) if c.lam is not None]
+    zero = list(dict.fromkeys(replace(c, lam=Fraction(0)) for c in cases
+                              if c.lam is not None and c.item != 11))
     assert len(cases) == 1205 and zero
     for case in cases + zero:
         h, terms, _ = build_case(case)
-        _assert_same_as_last((h, [terms], case.p, case.q))
+        rational = _term_shapes(case.item, case.p, case.q, case.l, case.lam)
+        _assert_same_as_last((h, [terms], case.p, case.q), [rational])
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_sparse_rank_matches_replaced_on_table_entries(spec, monkeypatch):
     """Every entry the table ranks for the assignments up to total 9,
     against the Bareiss rank and against the assembly and sparse rank that
-    the current ones replaced."""
+    the current ones replaced, the assembly on the rational split terms."""
     calls = []
     assemble = linsys.assemble_system
 
@@ -536,15 +563,18 @@ def test_sparse_rank_matches_replaced_on_table_entries(spec, monkeypatch):
         for ja in assignments_for(table.pres, dims):
             table.codim(ja)
     assert calls or not table.pres.relations  # Aprime has no relations
+    # the families' relations all run 1 -> 0, along every non-loop arrow
+    arrows = _arrows(table.pres)
+    rational = [assembly_reference.split_terms(rel, arrows) for rel in table.pres.relations]
     for args in calls:
-        _assert_same_as_replaced(_assert_same_as_last(args))
+        _assert_same_as_replaced(_assert_same_as_last(args, rational))
 
 
 @st.composite
 def split_relations(draw):
-    """(n_arrows, relations, a, b) with split terms that may have zero
-    coefficients, loop powers past the blocks, and repeated terms whose
-    coefficients cancel."""
+    """(n_arrows, relations, a, b) with rational split terms that may have
+    zero coefficients, mixed denominators, loop powers past the blocks, and
+    repeated terms whose coefficients cancel."""
     n_arrows, a, b = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
     term = st.tuples(coeff, st.integers(0, a), st.integers(0, n_arrows - 1), st.integers(0, b))
@@ -561,11 +591,19 @@ def split_relations(draw):
 @given(split_relations())
 @example((1, [[(Fraction(1), 0, 0, 0), (Fraction(-1), 0, 0, 0), (Fraction(1), 0, 0, 0)]], 2, 2))
 @example((2, [[(Fraction(1), 1, 0, 0), (Fraction(0), 0, 1, 1)]], 3, 2))
+@example((2, [[(Fraction(1, 2), 1, 0, 0), (Fraction(2, 3), 0, 1, 1)], [(Fraction(-1, 3), 0, 0, 0)]], 2, 2))
 def test_assembly_matches_last_and_keeps_every_row_on_random_terms(args):
-    """Every relation gives a*b rows, empty or not, and no row stores a zero."""
+    """Every relation gives a*b rows, empty or not, and no row stores a
+    zero; the integer terms are the rational ones times the lcm of their
+    denominators."""
     n_arrows, relations, a, b = args
-    cs = _assert_same_as_last(args)
-    assert cs.n_rows == len(cs.scales) == len(relations) * a * b
+    integer = [integer_terms(terms) for terms in relations]
+    for terms, scaled in zip(relations, integer):
+        scale = math.lcm(*(c.denominator for c, *_ in terms))
+        assert scaled == [(c * scale, pre, k, post) for c, pre, k, post in terms]
+        assert all(type(c) is int for c, *_ in scaled)
+    cs = _assert_same_as_last((n_arrows, integer, a, b), relations)
+    assert cs.n_rows == len(relations) * a * b
     assert cs.ambient_dim == n_arrows * a * b
     assert all(v for row in cs.rows for v in row.values())
 
@@ -579,10 +617,10 @@ def test_rank_exact_calls_the_kernel_once_per_system(monkeypatch):
         return kernel(rows)
 
     monkeypatch.setattr(_kernels, "exact_rank_int", counted)
-    all_empty = assemble_system(1, [[(Fraction(0), 0, 0, 0)], []], 2, 2)
+    all_empty = assemble_system(1, [[(0, 0, 0, 0)], []], 2, 2)
     assert all_empty.n_rows == 8 and not any(all_empty.rows)
     systems = [all_empty, assemble_system(1, [], 2, 2),
-               assemble_system(2, [[(Fraction(1, 2), 1, 0, 0), (Fraction(3), 0, 1, 1)]], 3, 2)]
+               assemble_system(2, [[(1, 1, 0, 0), (6, 0, 1, 1)]], 3, 2)]
     assert [rank_exact(cs) for cs in systems] == [0, 0, 5]
     assert calls == [cs.rows for cs in systems]
 
@@ -614,7 +652,7 @@ def test_table_and_rank_mod_on_random_presentations(pres, dims):
         rank = dense_reference.codim(pres, ja)
         assert table.codim(ja) == rank == sum(rank_exact(cs) for cs in systems)
         for p in (2, 3, 5, 7):
-            assert _summed_rank_mod(systems, p) in ("bad prime", *range(rank + 1))
+            assert _summed_rank_mod(systems, p) <= rank
         # 101 is prime to every coefficient of the strategy, and no drawn
         # system has a minor divisible by it
         assert _summed_rank_mod(systems, 101) == rank

@@ -12,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from quiverstrata.formulas import build_case, formula_cases
+from quiverstrata.linsys import assemble_system
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
@@ -58,5 +61,11 @@ def test_traced_run_counts_the_linear_systems():
     for name in ("linsys.assemble_system.calls", "linsys.rows", "linsys.cols",
                  "linsys.nnz"):
         assert summary[name] > 0, name
+    # nnz counted through the dense integer view is the sparse rows' length
+    nnz = 0
+    for case in formula_cases(p_max=3, items=[3]):
+        h, terms, _ = build_case(case)
+        nnz += sum(map(len, assemble_system(h, [terms], case.p, case.q).rows))
+    assert summary["linsys.nnz"] == nnz
     # every exact rank goes through the traced kernel, so it is live code
     assert summary["kernels.exact_rank_int.calls"] == summary["linsys.rank_exact.calls"] > 0
