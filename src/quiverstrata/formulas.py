@@ -204,6 +204,10 @@ def evaluate_case(case: FormulaCase) -> tuple[int, int]:
 _HS = (1, 2, 3)  # the numbers of arrows 1 -> 0 that the sweep tries
 _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
 _MAX_UNKNOWNS = 10 ** 6  # of the one block-pair system of a single case
+# entries of that system: item 3 at p = q = 1000, h = 1 assembles 1,998,000
+# and peaks near 600 MB, the most that any case of at most three terms
+# within the unknowns bound reaches
+_MAX_ENTRIES = 2 * 10 ** 6
 
 
 def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
@@ -212,8 +216,13 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
     """One case from the given parameters, ``None`` meaning not given:
     p defaults to 1, h to 3, q to the item's fixed q, and lambda (any value
     ``Fraction`` reads) to 2 for the items that take it.  A case whose
-    block-pair system has more than ``_MAX_UNKNOWNS`` unknowns (h*p*q) is
-    refused before anything is built."""
+    block-pair system has more than ``_MAX_UNKNOWNS`` unknowns (h*p*q), or
+    would assemble more than ``_MAX_ENTRIES`` entries, is refused before
+    anything is built: a term (c, pre, k, post) with c != 0 puts
+    max(0, p - pre) * max(0, q - post) entries into the system, so items
+    6, 10 and 11 with a large l grow with l*p*q within the unknowns bound.
+    A case that breaks a side condition is left for ``build_case`` to
+    refuse."""
     if _ITEMS[item].takes_lambda:
         try:
             lam = Fraction(2) if lam is None else Fraction(lam)
@@ -230,6 +239,15 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
     if min(p, q) >= 1 and h * p * q > _MAX_UNKNOWNS:
         raise SideConditionError(
             f"h*p*q = {h * p * q} unknowns exceed the single-case bound {_MAX_UNKNOWNS}")
+    try:
+        _, terms = _shaped(item, p, q, l, lam)
+    except SideConditionError:
+        terms = ()
+    entries = sum(max(0, p - pre) * max(0, q - post) for c, pre, _k, post in terms if c)
+    if entries > _MAX_ENTRIES:
+        raise SideConditionError(
+            f"the case assembles {entries} entries, more than the single-case "
+            f"bound {_MAX_ENTRIES}")
     return FormulaCase(item, p, q, l, lam, h)
 
 

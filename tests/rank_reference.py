@@ -12,13 +12,17 @@ modulo p.  A component with one row or one column has rank 1 over Q.
 The package ranks over Q only, so ``rank_mod``, the rank over F_p of a
 system's integer rows, is also the one that the tests hold against the
 rank over Q.
+
+``ranks_mod_p`` is the oracle's row reduction over F_p as it was on
+(count, m, n) stacks, the batch axis first, before the kernel moved the
+batch axis last; ``rank_mod_p`` and ``nilpotent_reference`` use this copy,
+not the kernel under test.
 """
 import math
 import sys
 
 import numpy as np
 
-from quiverstrata._kernels import ranks_mod_p
 from quiverstrata.linsys import ConstraintSystem
 
 # the copies below reach their kernels as ``_kernels.<name>``: this module
@@ -100,6 +104,42 @@ def exact_rank_int(rows) -> int:
         prev = piv
         r += 1
     return r
+
+
+def ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of matrices of shape (count, m, n) with
+    entries in [0, p), by row reduction run on the whole stack at once.
+
+    Entries stay below p, so products stay below p^2 and fit int64 for
+    any prime below 3 * 10^9.  The input is not modified.
+    """
+    a = stack.astype(np.int64)
+    count, m, n = a.shape
+    rank = np.zeros(count, np.int64)
+    row = np.arange(m)
+    for col in range(n):
+        free = (a[:, :, col] != 0) & (row >= rank[:, None])
+        b = np.flatnonzero(free.any(axis=1))
+        if b.size == 0:
+            continue
+        r = rank[b]
+        piv = free[b].argmax(axis=1)
+        top = a[b, piv]
+        a[b, piv] = a[b, r]
+        # scale the pivot row to a leading 1 (Fermat inverse), clear below
+        inv = np.ones(b.size, np.int64)
+        base, e = top[:, col], p - 2
+        while e:
+            if e & 1:
+                inv = inv * base % p
+            base = base * base % p
+            e >>= 1
+        top = top * inv[:, None] % p
+        a[b, r] = top
+        f = np.where(row > r[:, None], a[b, :, col], 0)
+        a[b] = (a[b] - f[:, :, None] * top[:, None, :]) % p
+        rank[b] += 1
+    return rank
 
 
 def rank_mod_p(mat, p: int) -> int:

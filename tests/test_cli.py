@@ -238,8 +238,12 @@ def test_degree_two_relation_exits_2(tmp_path, capsys, argv):
 
 def _measured(args, tmp_path):
     """Run the CLI on ``args`` in a fresh interpreter: exit code, stdout,
-    stderr, the command's own seconds and the process's peak RSS in MB."""
+    stderr, the command's own seconds and the process's peak RSS in MB.
+    The interpreter's address space is capped at 2 GiB, so a command that
+    outgrows its bounds ends in a ``MemoryError`` instead of filling the
+    host's memory."""
     script = ("import resource, sys, time\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
               "from quiverstrata.cli import main\n"
               "start = time.monotonic()\n"
               "code = main(sys.argv[1:])\n"
@@ -254,6 +258,19 @@ def _measured(args, tmp_path):
     code, seconds, kilobytes = last.split()
     return int(code), done.stdout, "".join(f"{line}\n" for line in err), \
         float(seconds), int(kilobytes) / 1024
+
+
+def test_single_case_entry_bound_exits_2_at_once(tmp_path):
+    """Item 6 with l = p = q = 1000 would assemble 167,167,000 entries
+    within the 10^6 unknowns bound (it ended in a MemoryError after more
+    than 3.7 GB): it exits 2 with one error line before anything is built."""
+    argv = ["verify-formulas", "--item", "6", "--p", "1000", "--q", "1000", "--l", "1000",
+            "--h", "1"]
+    code, out, err, seconds, megabytes = _measured(argv, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == ("error: the case assembles 167167000 entries, more than the "
+                   "single-case bound 2000000\n")
+    assert seconds < 1 and megabytes < 150
 
 
 LOOP_POWER = "vertex 0\nvertex 1\nloop e 0 order {m}\narrow a 1 -> 0\nrelation e^{k}*a\n"

@@ -12,7 +12,7 @@ from quiverstrata import formulas
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases,
                                    single_case)
-from quiverstrata.linsys import PartPairTable, codim_table
+from quiverstrata.linsys import PartPairTable, assemble_system, codim_table
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
 
@@ -86,6 +86,35 @@ def test_single_case_bounds_its_unknowns():
         single_case(1, p=10 ** 8, l=1)
     # a side condition, not the bound, rejects nonpositive sizes
     assert single_case(3, p=-2000, q=-2000, h=1).p == -2000
+
+
+@pytest.mark.parametrize("item, kwargs", [
+    (6, {"p": 9, "q": 7, "l": 5, "h": 1}), (10, {"p": 8, "q": 8, "l": 6, "h": 3}),
+    (11, {"p": 9, "q": 6, "l": 5, "lam": "-1/2", "h": 3}), (3, {"p": 6, "q": 4, "h": 1}),
+    (7, {"p": 5, "q": 4, "lam": "0", "h": 2})])
+def test_single_case_bounds_its_entries(item, kwargs, monkeypatch):
+    """The bound counts the entries that the assembly puts in, before it
+    runs: a case with exactly the bound passes and one above it does not."""
+    case = single_case(item, **kwargs)
+    h, terms, _ = build_case(case)
+    entries = sum(map(len, assemble_system(h, [terms], case.p, case.q).rows))
+    assert entries > 0
+    monkeypatch.setattr(formulas, "_MAX_ENTRIES", entries)
+    assert single_case(item, **kwargs) == case
+    monkeypatch.setattr(formulas, "_MAX_ENTRIES", entries - 1)
+    with pytest.raises(SideConditionError,
+                       match=f"^the case assembles {entries} entries, more than"):
+        single_case(item, **kwargs)
+
+
+def test_single_case_entry_bound_refuses_long_item_6():
+    # 167,167,000 entries within 10^6 unknowns; the largest case of at most
+    # three terms, item 3 at p = q = 1000, assembles 1,998,000
+    with pytest.raises(SideConditionError, match="^the case assembles 167167000 entries"):
+        single_case(6, p=1000, q=1000, l=1000, h=1)
+    assert single_case(3, p=1000, q=1000, h=1).p == 1000
+    # a side condition, not the bound, rejects an inadmissible l
+    assert single_case(6, p=1000, q=1000, l=2000, h=1).l == 2000
 
 
 def test_build_case_requires_enough_arrows():

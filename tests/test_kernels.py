@@ -1,8 +1,9 @@
 """Kernel checks: exact sparse rank against an independent fraction-based
 elimination over Q and against the sparse elimination it replaced, and the
 finite-field kernels against plain-python
-elimination over F_p, a brute-force nilpotency filter and the enumeration
-that the trace-zero kernel replaced."""
+elimination over F_p, a brute-force nilpotency filter, the enumeration
+that the trace-zero kernel replaced and the batch-first kernels that the
+batch-last ones replaced."""
 import copy
 import itertools
 import random
@@ -144,9 +145,43 @@ def test_exact_rank_matches_replaced_sparse_rank(rows):
 @given(matrices, st.sampled_from([2, 3, 101, 997]))
 def test_rank_mod_p_variants_agree(rows, p):
     want = python_rank_mod_p(rows, p)
-    # a stack whose members pivot on different rows
+    # a stack whose members pivot on different rows, the batch axis last
     stack = np.array([rows, rows[::-1], [[0] * len(rows[0])] * len(rows)]) % p
-    assert ranks_mod_p(stack, p).tolist() == [want, want, 0]
+    assert ranks_mod_p(np.moveaxis(stack, 0, 2), p).tolist() == [want, want, 0]
+
+
+@st.composite
+def rank_stacks(draw):
+    """A prime p and a (count, m, n) stack over F_p: all-zero and
+    single-member stacks, sparse members, and members whose last row is a
+    combination of the rows above it, so that ranks fall short."""
+    p = draw(st.sampled_from([2, 3, 101, 181, 251, 997]))
+    count, m, n = draw(st.integers(1, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    stack = np.array(draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                            min_size=m, max_size=m),
+                                   min_size=count, max_size=count)), np.int64)
+    if m > 1:
+        for member in stack:
+            if draw(st.booleans()):
+                f = np.array(draw(st.lists(entry, min_size=m - 1, max_size=m - 1)))
+                member[-1] = f @ member[:-1] % p
+    return stack, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_stacks())
+@example((np.zeros((1, 1, 1), np.int64), 2))
+@example((np.zeros((4, 3, 5), np.int64), 997))
+@example((np.array([[[0, 2, 1], [0, 1, 2]]]), 3))
+def test_ranks_mod_p_matches_batch_first_reference(case):
+    """The batch-last row reduction gives every member the rank that the
+    replaced (count, m, n) reduction gives it; the input stays as it was."""
+    stack, p = case
+    batch_last = np.ascontiguousarray(np.moveaxis(stack, 0, 2))
+    before = batch_last.copy()
+    assert ranks_mod_p(batch_last, p).tolist() == rank_reference.ranks_mod_p(stack, p).tolist()
+    assert (batch_last == before).all()
 
 
 @pytest.mark.parametrize("d,m,q", [(1, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2),
@@ -190,9 +225,24 @@ REFERENCE_CASES = [(d, m, q) for q in (2, 3, 5, 7, 11, 13) for d in range(5)
 
 @pytest.mark.parametrize("d,m,q", REFERENCE_CASES)
 def test_nilpotent_enumeration_matches_reference(d, m, q):
-    """The trace-zero kernel returns exactly what the full enumeration did."""
+    """The kernel returns exactly what the full enumeration and the
+    batch-first trace-zero kernel did."""
     got = enumerate_nilpotent(d, m, q)
-    want = nilpotent_reference.enumerate_nilpotent(d, m, q)
+    for reference in (nilpotent_reference.enumerate_nilpotent,
+                      nilpotent_reference.enumerate_nilpotent_batch_first):
+        for g, w in zip(got, reference(d, m, q)):
+            assert g.dtype == w.dtype == np.int64
+            assert g.shape == w.shape
+            assert (g == w).all()
+
+
+@pytest.mark.parametrize("d,m,q", [(2, 2, 127), (2, 2, 131), (2, 2, 151), (3, 2, 5), (3, 3, 5)])
+def test_nilpotent_enumeration_matches_batch_first_reference(d, m, q):
+    """Past the full enumeration's reach, on both sides of the int16 bound,
+    the batch-last kernel returns exactly what the (count, d, d) kernel with
+    batched matmul products did."""
+    got = enumerate_nilpotent(d, m, q)
+    want = nilpotent_reference.enumerate_nilpotent_batch_first(d, m, q)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
         assert g.shape == w.shape

@@ -432,7 +432,9 @@ def test_engine_matches_dense_reference_on_formula_cases():
         cs = _system(pres, case.p, case.q)
         matrix = dense_reference.assemble(pres, ja)[0]
         [rel] = pres.relations
-        assert cs.matrix == [[_scale(rel) * x for x in row] for row in matrix]
+        scale = _scale(rel)
+        assert cs.n_rows == len(matrix) and cs.ambient_dim == len(matrix[0])
+        assert cs.rows == [{c: scale * x for c, x in enumerate(row) if x} for row in matrix]
         bad += _assert_same_ranks([cs], matrix)
     assert bad > 0  # lambda = 1/2 cases cannot reduce mod 2
 

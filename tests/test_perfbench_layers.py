@@ -6,19 +6,24 @@ The list is read with ``ast`` rather than imported, and the traced run
 imports ``tracing`` in a child process, so the tests leave ``perfbench/``
 and this process untouched."""
 import ast
+import csv
 import importlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.formulas import build_case, formula_cases
 from quiverstrata.linsys import assemble_system
+from quiverstrata.quiver import serialize_presentation
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
-# installs a Tracer, runs one CLI command through it and prints the summary
+# installs a Tracer, runs one CLI command through it and prints the
+# summary with the command's stdout
 TRACED_RUN = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -26,10 +31,18 @@ import quiverstrata.cli
 import tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     code = quiverstrata.cli.main(sys.argv[3:])
-print(json.dumps({"code": code, "summary": tracer.summary()}))
+print(json.dumps({"code": code, "summary": tracer.summary(), "stdout": out.getvalue()}))
 """
+
+
+def _traced_run(*argv):
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "perfbench"), *argv],
+        capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
 
 
 def _layers():
@@ -51,11 +64,7 @@ def test_traced_layers_resolve():
 
 def test_traced_run_counts_the_linear_systems():
     # the tracer reads ConstraintSystem.n_rows, ambient_dim and matrix
-    done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "perfbench"),
-         "verify-formulas", "--item", "3", "--p-max", "3", "--format", "csv"],
-        capture_output=True, text=True, timeout=60, check=True)
-    result = json.loads(done.stdout)
+    result = _traced_run("verify-formulas", "--item", "3", "--p-max", "3", "--format", "csv")
     assert result["code"] == 0
     summary = result["summary"]
     for name in ("linsys.assemble_system.calls", "linsys.rows", "linsys.cols",
@@ -69,3 +78,20 @@ def test_traced_run_counts_the_linear_systems():
     assert summary["linsys.nnz"] == nnz
     # every exact rank goes through the traced kernel, so it is live code
     assert summary["kernels.exact_rank_int.calls"] == summary["linsys.rank_exact.calls"] > 0
+
+
+def test_traced_run_counts_the_loop_candidates(tmp_path):
+    # the tracer reads the number of matrices from enumerate_nilpotent's
+    # (count, d, d) result and the points kept from the tally
+    path = tmp_path / "truncpoly3.txt"
+    path.write_text(serialize_presentation(build_family(parse_family_spec("truncpoly(3)"))),
+                    encoding="utf-8")
+    result = _traced_run("oracle-count", "--algebra", str(path), "--dim", "3", "--q", "2")
+    assert result["code"] == 0
+    summary = result["summary"]
+    # nilpotent 3 x 3 matrices over F_2 number q^(d^2 - d) (Fine-Herstein)
+    assert summary["kernels.enumerate_nilpotent.calls"] == 1
+    assert summary["kernels.nilpotent.kept"] == 2 ** (3 * 3 - 3) == 64
+    rows = list(csv.DictReader(io.StringIO(result["stdout"])))
+    assert [row["pass"] for row in rows] == ["pass"] * 3
+    assert summary["kernels.tally.points_kept"] == sum(int(row["count"]) for row in rows)
