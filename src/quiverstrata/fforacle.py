@@ -96,11 +96,16 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     dim_of = dict(zip(quiver.vertices, dims))
     order_of = pres.order_map
     # the point caps come before the Jordan types, whose number grows
-    # faster than any cap can admit
+    # faster than any cap can admit; they compare exponents, so no count
+    # past the cap is formed, and one of up to 10,000 bits prints in full
+    top = 0  # the largest e with q^e <= max_points
+    while q ** (top + 1) <= max_points:
+        top += 1
     for a in quiver.arrows:
-        count = q ** (dim_of[a.target] * dim_of[a.source])
-        if count <= max_points:
+        e = dim_of[a.target] * dim_of[a.source]
+        if e <= top:
             continue
+        count = q ** e if e * q.bit_length() <= 10_000 else f"{q}^{e}"
         if a.is_loop:
             raise EnumerationCapExceeded(
                 f"loop enumeration at {a.source!r} needs {count} points, "

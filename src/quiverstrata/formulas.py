@@ -24,10 +24,11 @@ of the induced linear system:
 
 Here a, b are linearly independent arrow combinations and c, c1, c2 are
 arbitrary ones; the sweep instantiates them as the distinct arrows 0, 1, 2
-of the h arrows 1 -> 0.  It states each term as the split term
-``(coefficient, eps0 power, arrow index, eps1 power)``, made integer once
-per case shape by ``linsys.integer_terms`` for ``linsys.assemble_system``,
-and builds no quiver, path or relation.
+of the h arrows 1 -> 0.  It states each term as the integer split term
+``(coefficient, eps0 power, arrow index, eps1 power)`` that
+``linsys.assemble_system`` reads, and builds no quiver, path or relation.
+The arrows past the item's ``symbols`` are in no term, so the h of a case
+changes no row: each case shape is assembled and ranked once, for every h.
 The rules that are not side conditions (which items take l and lambda,
 which fix q, how many arrows each needs) are the table ``_ITEMS``;
 ``c_closed_form``, ``formula_cases``, ``single_case`` and ``build_case``
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .linsys import Term, assemble_system, integer_terms, rank_exact
+from .linsys import Term, assemble_system, rank_exact
 
 __all__ = [
     "SideConditionError",
@@ -125,9 +126,15 @@ def c_closed_form(item: int, p: Optional[int] = None, q: Optional[int] = None,
 
 
 def _term_shapes(item: int, p: int, q: int, l: Optional[int],
-                 lam: Optional[Fraction]) -> list[tuple[Fraction, int, int, int]]:
-    """(rational coefficient, eps0 power, arrow index, eps1 power) per term."""
-    one = Fraction(1)
+                 lam: Optional[Fraction]) -> list[Term]:
+    """(integer coefficient, eps0 power, arrow index, eps1 power) per term:
+    the relation times lambda's denominator, for the items that take
+    lambda, so a coefficient 1 is that denominator and lambda its
+    numerator, as ``integer_terms`` would make them."""
+    one = 1
+    if _ITEMS[item].takes_lambda:
+        lam = Fraction(lam)
+        one, lam = lam.denominator, lam.numerator
     if item == 1:
         return [(one, l, 0, 0)]
     if item == 2:
@@ -141,20 +148,20 @@ def _term_shapes(item: int, p: int, q: int, l: Optional[int],
     if item == 6:
         return [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
     if item == 7:
-        return [(one, p - 1, 0, q - 2), (Fraction(lam), p - 2, 0, q - 1),
+        return [(one, p - 1, 0, q - 2), (lam, p - 2, 0, q - 1),
                 (one, p - 1, 1, q - 1)]
     if item == 8:
         return [(one, p - 1, 0, q - 2), (one, p - 2, 1, q - 1),
                 (one, p - 1, 2, q - 1)]
     if item == 9:
         return [(one, p - 1, 0, q - 3), (one, p - 2, 0, q - 2),
-                (Fraction(lam), p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
+                (lam, p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
                 (one, p - 1, 2, q - 1)]
     if item == 10:
         base = [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
         return base + [(one, p - 2, 1, q - 1), (one, p - 1, 2, q - 1)]
     base = [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
-    return base + [(Fraction(lam), p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
+    return base + [(lam, p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
                    (one, p - 1, 2, q - 1)]
 
 
@@ -173,7 +180,7 @@ def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]
     """(closed form, integer split terms) of an admissible case, whatever
     its h; raises :class:`SideConditionError` otherwise."""
     expected = c_closed_form(item, p, q, l, lam)
-    terms = tuple(integer_terms(_term_shapes(item, p, q, l, lam)))
+    terms = tuple(_term_shapes(item, p, q, l, lam))
     if any(a + 1 + b < 2 for _, a, _k, b in terms):
         raise SideConditionError("a term would be a bare arrow (length < 2)")
     return expected, terms
@@ -192,13 +199,23 @@ def build_case(case: FormulaCase) -> tuple[int, tuple[Term, ...], int]:
     return case.h, terms, expected
 
 
+@functools.lru_cache(maxsize=4096)
+def _rank(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]) -> int:
+    """The exact rank of an admissible case's system, whatever its h: an
+    arrow whose index is at least the item's ``symbols`` is in no term, so
+    h changes only the ambient dimension, never a row."""
+    _, terms = _shaped(item, p, q, l, lam)
+    return rank_exact(assemble_system(_ITEMS[item].symbols, [terms], p, q))
+
+
 def evaluate_case(case: FormulaCase) -> tuple[int, int]:
     """(expected closed form, computed exact rank) for one case.
 
     Both Jordan types are single parts, so the relation system is the one
-    block pair (p) at 0 and (q) at 1, ranked as it is assembled."""
-    h, terms, expected = build_case(case)
-    return expected, rank_exact(assemble_system(h, [terms], case.p, case.q))
+    block pair (p) at 0 and (q) at 1, ranked as it is assembled, once for
+    every h of the same case shape."""
+    _, _, expected = build_case(case)
+    return expected, _rank(case.item, case.p, case.q, case.l, case.lam)
 
 
 _HS = (1, 2, 3)  # the numbers of arrows 1 -> 0 that the sweep tries

@@ -2,20 +2,71 @@
 replaced, kept verbatim as the reference of their differential tests:
 they check the side conditions of every case anew, and ``build_case``
 builds a fresh quiver, fresh paths and fresh partitions for every case.
+
+``_term_shapes`` is the rational form of the terms that the package now
+states as integers, and ``evaluate_case_per_h`` the ``evaluate_case``
+that assembled and ranked every case anew, once per h; both are kept
+verbatim, the latter under a name that does not clash with the reference
+``build_case`` (it calls the package's).
 """
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from path_reference import path_of
 
+from quiverstrata import formulas
 from quiverstrata.formulas import (_LAMBDAS, FormulaCase, SideConditionError,
-                                   _term_shapes, c_closed_form)
+                                   c_closed_form)
+from quiverstrata.linsys import assemble_system, rank_exact
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 
 # the per-item rules as the replaced code stated them
 _SYMBOLS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 3, 11: 3}
 _HAS_LAMBDA = {7, 9, 11}
+
+
+def _term_shapes(item: int, p: int, q: int, l: Optional[int],
+                 lam: Optional[Fraction]) -> list[tuple[Fraction, int, int, int]]:
+    """(rational coefficient, eps0 power, arrow index, eps1 power) per term."""
+    one = Fraction(1)
+    if item == 1:
+        return [(one, l, 0, 0)]
+    if item == 2:
+        return [(one, l, 0, 0), (one, l - 1, 0, 1)]
+    if item == 3:
+        return [(one, 1, 0, 0), (one, 0, 0, 1)]
+    if item == 4:
+        return [(one, 1, 0, 0), (one, 0, 1, 1)]
+    if item == 5:
+        return [(one, 1, 0, 0), (one, 0, 0, 1), (one, 0, 1, q - 1)]
+    if item == 6:
+        return [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
+    if item == 7:
+        return [(one, p - 1, 0, q - 2), (Fraction(lam), p - 2, 0, q - 1),
+                (one, p - 1, 1, q - 1)]
+    if item == 8:
+        return [(one, p - 1, 0, q - 2), (one, p - 2, 1, q - 1),
+                (one, p - 1, 2, q - 1)]
+    if item == 9:
+        return [(one, p - 1, 0, q - 3), (one, p - 2, 0, q - 2),
+                (Fraction(lam), p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
+                (one, p - 1, 2, q - 1)]
+    if item == 10:
+        base = [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
+        return base + [(one, p - 2, 1, q - 1), (one, p - 1, 2, q - 1)]
+    base = [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
+    return base + [(Fraction(lam), p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
+                   (one, p - 1, 2, q - 1)]
+
+
+def evaluate_case_per_h(case: FormulaCase) -> tuple[int, int]:
+    """(expected closed form, computed exact rank) for one case.
+
+    Both Jordan types are single parts, so the relation system is the one
+    block pair (p) at 0 and (q) at 1, ranked as it is assembled."""
+    h, terms, expected = formulas.build_case(case)
+    return expected, rank_exact(assemble_system(h, [terms], case.p, case.q))
 
 
 def build_case(case):

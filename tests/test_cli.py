@@ -273,6 +273,51 @@ def test_single_case_entry_bound_exits_2_at_once(tmp_path):
     assert seconds < 1 and megabytes < 150
 
 
+def _family_file(tmp_path, spec):
+    path = tmp_path / f"{spec}.bq"
+    assert main(["family", spec, "-o", str(path)]) == 0
+    return path.name
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["reduce-scan", "--dim", "1200,1"], ["d=(1200, 1): no certificate"]),
+    (["strata", "--dim", "990,1", "--format", "csv"], None)])
+def test_more_parts_than_the_recursion_limit(tmp_path, argv, lines):
+    """Jordan types of 990 and 1200 parts: listing them recursively ended
+    in a RecursionError."""
+    algebra = ["--algebra", _family_file(tmp_path, "A(1,2,2,1)")]
+    code, out, err, _, _ = _measured(argv[:1] + algebra + argv[1:], tmp_path)
+    assert (code, err) == (0, "")
+    if lines is not None:
+        assert out.splitlines() == lines
+    else:  # the partitions of 990 into parts <= 2, times the one of 1
+        rows = out.splitlines()
+        assert len(rows) == 1 + 496 and rows[-1].startswith('"' + "1," * 989 + '1|1"')
+
+
+def test_oracle_count_huge_loop_exits_2_at_once(tmp_path):
+    """2^(10^10) loop candidates at (100000, 1): the cap compares exponents,
+    so the count is never formed (it ended in a MemoryError)."""
+    argv = ["oracle-count", "--algebra", _family_file(tmp_path, "A(1,4,4,2)"),
+            "--dim", "100000,1", "--q", "2"]
+    code, out, err, seconds, megabytes = _measured(argv, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == "error: loop enumeration at '0' needs 2^10000000000 points, cap is 2000000\n"
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
+def test_reduce_scan_max_total_bound_exits_2_at_once(tmp_path):
+    """5,000,150,001 vectors to total 100000 are counted, not listed (the
+    listing ended in a MemoryError)."""
+    argv = ["reduce-scan", "--algebra", _family_file(tmp_path, "A(1,4,4,2)"),
+            "--max-total", "100000"]
+    code, out, err, seconds, megabytes = _measured(argv, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == ("error: 5000150001 dimension vectors with entry sum <= 100000 "
+                   "exceed the bound 1000000\n")
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
 LOOP_POWER = "vertex 0\nvertex 1\nloop e 0 order {m}\narrow a 1 -> 0\nrelation e^{k}*a\n"
 
 

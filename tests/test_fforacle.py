@@ -126,6 +126,20 @@ def test_enumeration_caps():
         enumerate_and_classify(pres, (1, 1), 4)
 
 
+def test_per_arrow_cap_compares_exponents():
+    """The cap admits q^e exactly up to itself; a refused count prints in
+    full up to 10,000 bits (e * bit length of q) and as q^e past them."""
+    pres = parse_presentation("vertex 0\nvertex 1\narrow a 1 -> 0\n")
+    table = enumerate_and_classify(pres, (2, 2), 3, max_points=81)
+    assert table.total == 81
+    for dims, q, count in [((2, 2), 3, "81"), ((1, 5000), 2, str(2 ** 5000)),
+                           ((1, 5001), 2, "2^5001"), ((1, 2500), 3, str(3 ** 2500)),
+                           ((50, 101), 3, "3^5050")]:
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            enumerate_and_classify(pres, dims, q, max_points=80)
+        assert str(exc.value) == f"arrow 'a' needs {count} points, cap is 80", dims
+
+
 def test_bad_prime_coefficient():
     text = """
 vertex 0
@@ -271,6 +285,12 @@ relation e0*a1
 
 SLOW_DIMS = ((1, 3), (2, 2), (3, 1))  # A(2,3,3,1) at q = 3, 531,441 points each
 
+# the reference's counts of FOUR_TERM_LINEAR at q = 7, by assignment; it
+# takes seconds on each, so tier-1 checks the tally against these and the
+# slow test checks them against the reference
+FOUR_TERM_Q7 = {(2, 1): {"2|1": 16464, "1,1|1": 2401},
+                (1, 2): {"1|2": 16464, "1|1,1": 2401}}
+
 
 def _dim_vectors(n, total):
     return [d for d in itertools.product(range(total + 1), repeat=n)
@@ -305,7 +325,8 @@ def _differential_cases():
     pres = parse_presentation(FOUR_TERM_LINEAR)
     for q in (2, 3, 5, 7):
         for dims in ((1, 1), (2, 1), (3, 1), (1, 2), (0, 1)):
-            yield "four-term", pres, dims, q
+            if q != 7 or dims not in FOUR_TERM_Q7:
+                yield "four-term", pres, dims, q
     pres = parse_presentation("vertex 0\n")
     for d in range(4):
         for q in (2, 3):
@@ -331,6 +352,25 @@ def test_tally_matches_reference_odometer():
             bad_prime.add((name, q))
     assert bad_prime == {(name, q) for name in ("three-vertex", "four-term")
                          for q in (2, 3)} | {("three-vertex", 5)}
+
+
+def _serialized(table):
+    return table.q, table.dims, {ja.serialize(): c for ja, c in table.counts.items()}
+
+
+@pytest.mark.parametrize("dims", FOUR_TERM_Q7)
+def test_tally_matches_recorded_reference_counts(dims):
+    """The four-term cases at q = 7 that the reference takes seconds on,
+    against its counts recorded in ``FOUR_TERM_Q7``."""
+    table = enumerate_and_classify(parse_presentation(FOUR_TERM_LINEAR), dims, 7)
+    assert _serialized(table) == (7, dims, FOUR_TERM_Q7[dims])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dims", FOUR_TERM_Q7)
+def test_recorded_reference_counts_match_reference(dims):
+    table = reference_enumerate_and_classify(parse_presentation(FOUR_TERM_LINEAR), dims, 7)
+    assert _serialized(table) == (7, dims, FOUR_TERM_Q7[dims])
 
 
 @pytest.mark.parametrize("text, line, path", [(THREE_VERTEX, 10, "a*b"),

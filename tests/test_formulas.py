@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from quiverstrata import formulas
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases,
                                    single_case)
-from quiverstrata.linsys import PartPairTable, assemble_system, codim_table
+from quiverstrata.linsys import (PartPairTable, assemble_system, codim_table,
+                                 integer_terms)
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
 
@@ -183,6 +185,36 @@ def test_build_case_rejects_what_replaced_rejected():
                 assert _outcome(build_case, case) == want, case
             else:
                 _assert_matches_reference(case, want)
+
+
+def test_sweep_ranks_each_shape_once_as_per_h_did(monkeypatch):
+    """On every case of the p <= 8 sweep, and its lambda cases at lambda =
+    0 (item 11 refuses it), evaluate_case equals the replaced per-h
+    assembly and rank, the integer terms are ``integer_terms`` of the
+    replaced rational ones, and each (item, p, q, l, lambda) is assembled
+    once, whatever its h.  The ranks do not vary with lambda on admissible
+    cases, so only the count of assemblies sees a shape key without it."""
+    cases = formula_cases(p_max=8)
+    zero = list(dict.fromkeys(replace(c, lam=Fraction(0)) for c in cases
+                              if c.lam is not None and c.item != 11))
+    assert len(cases) == 1205 and zero
+    calls = []
+    assemble = formulas.assemble_system
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(formulas, "assemble_system", counted)
+    formulas._rank.cache_clear()
+    for case in cases + zero:
+        _, terms, _ = build_case(case)
+        rational = formulas_reference._term_shapes(case.item, case.p, case.q,
+                                                   case.l, case.lam)
+        assert list(terms) == integer_terms(rational), case
+        assert evaluate_case(case) == formulas_reference.evaluate_case_per_h(case), case
+    shapes = {(c.item, c.p, c.q, c.l, c.lam) for c in cases + zero}
+    assert len(calls) == len(shapes) < len(cases)
 
 
 @st.composite

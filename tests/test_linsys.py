@@ -535,7 +535,7 @@ def _assert_same_as_last(args, rational) -> ConstraintSystem:
 def test_assembly_and_rank_match_last_on_formula_cases():
     """Every case of the sweep to p = 8, and its lambda cases at lambda = 0,
     whose zero term puts no entry into the system (item 11 refuses it)."""
-    from quiverstrata.formulas import _term_shapes, build_case, formula_cases
+    from quiverstrata.formulas import build_case, formula_cases
 
     cases = formula_cases(p_max=8)
     zero = list(dict.fromkeys(replace(c, lam=Fraction(0)) for c in cases
@@ -543,7 +543,8 @@ def test_assembly_and_rank_match_last_on_formula_cases():
     assert len(cases) == 1205 and zero
     for case in cases + zero:
         h, terms, _ = build_case(case)
-        rational = _term_shapes(case.item, case.p, case.q, case.l, case.lam)
+        rational = formulas_reference._term_shapes(case.item, case.p, case.q,
+                                                   case.l, case.lam)
         _assert_same_as_last((h, [terms], case.p, case.q), [rational])
 
 

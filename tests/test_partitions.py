@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import partitions_reference
 from jordan_reference import (commutant_dim_oracle, hom_dim, jordan_matrix,
                               maximal_partition)
 from quiverstrata.partitions import (JordanAssignment, Partition,
@@ -33,6 +34,25 @@ def test_partitions_bounded_examples():
 @pytest.mark.parametrize("d,m", [(d, m) for d in range(0, 9) for m in (1, 2, 3, 4, 8)])
 def test_partitions_bounded_against_brute_force(d, m):
     assert [p.parts for p in partitions_bounded(d, m)] == brute_partitions(d, m)
+
+
+def test_partitions_bounded_matches_recursive_reference():
+    for d in range(31):
+        for m in range(1, 9):
+            assert partitions_bounded(d, m) == partitions_reference.partitions_bounded(d, m), (d, m)
+    for d, m in ((-1, 2), (2, 0)):
+        with pytest.raises(ValueError) as exc:
+            partitions_bounded(d, m)
+        with pytest.raises(ValueError) as ref:
+            partitions_reference.partitions_bounded(d, m)
+        assert str(exc.value) == str(ref.value)
+
+
+def test_partitions_bounded_lists_more_parts_than_the_recursion_limit():
+    plist = partitions_bounded(1200, 2)
+    assert len(plist) == 601 == count_partitions_bounded(1200, 2)
+    assert plist[0].parts == (2,) * 600 and plist[-1].parts == (1,) * 1200
+    assert [p.parts.count(2) for p in plist] == list(range(600, -1, -1))
 
 
 def test_count_partitions_bounded_matches_listing():

@@ -70,9 +70,13 @@ def test_traced_run_counts_the_linear_systems():
     for name in ("linsys.assemble_system.calls", "linsys.rows", "linsys.cols",
                  "linsys.nnz"):
         assert summary[name] > 0, name
-    # nnz counted through the dense integer view is the sparse rows' length
+    # the sweep assembles each case shape once, whatever its h; nnz counted
+    # through the dense integer view is the sparse rows' length
+    shapes = {(c.item, c.p, c.q, c.l, c.lam): c for c in formula_cases(p_max=3, items=[3])}
+    assert len(shapes) < len(formula_cases(p_max=3, items=[3]))
+    assert summary["linsys.assemble_system.calls"] == len(shapes)
     nnz = 0
-    for case in formula_cases(p_max=3, items=[3]):
+    for case in shapes.values():
         h, terms, _ = build_case(case)
         nnz += sum(map(len, assemble_system(h, [terms], case.p, case.q).rows))
     assert summary["linsys.nnz"] == nnz

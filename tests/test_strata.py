@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import pytest
 from paper_checks import build_nooverlap_presentation, nooverlap_dims, split_gap_test
 
+from quiverstrata import strata
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import parse_presentation
@@ -225,6 +227,20 @@ def test_dim_vectors_up_to():
             want = [v for v in itertools.product(range(total + 1), repeat=n)
                     if sum(v) <= total]
             assert dim_vectors_up_to(n, total) == want, (n, total)
+
+
+def test_dim_vectors_are_counted_before_they_are_listed(monkeypatch):
+    # C(total + n, n) vectors; a bound equal to the count passes, one less refuses
+    assert len(dim_vectors_up_to(3, 6)) == math.comb(9, 3) == 84
+    monkeypatch.setattr(strata, "_MAX_VECTORS", 84)
+    assert len(dim_vectors_up_to(3, 6)) == 84
+    monkeypatch.setattr(strata, "_MAX_VECTORS", 83)
+    with pytest.raises(ValueError, match="^84 dimension vectors with entry sum <= 6 "
+                                         "exceed the bound 83$"):
+        dim_vectors_up_to(3, 6)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^5000150001 dimension vectors"):
+        dim_vectors_up_to(2, 100_000)
 
 
 def test_ambient_arrow_dim():
