@@ -5,8 +5,8 @@ Jordan data, stratum dimensions, reducibility certificates, and exhaustive
 finite-field oracles, with a batch CLI.
 """
 
-from .quiver import (Arrow, BoundQuiverPresentation, Path, PresentationError,
-                     Quiver, Relation, parse_presentation, serialize_presentation)
+from .quiver import (Arrow, BoundQuiverPresentation, PresentationError, Quiver,
+                     Relation, parse_presentation, serialize_presentation)
 from .partitions import (JordanAssignment, Partition, end_dim, orbit_count,
                          orbit_count_ff, orbit_dim, partitions_bounded)
 from .linsys import (ConstraintSystem, PartPairTable, assemble_system,

@@ -6,9 +6,11 @@ relations, and classifies each point by the Jordan types of its loop
 actions.  It enumerates the candidates of the arrows and loops that some
 relation reads; every other arrow or loop multiplies the count by its
 candidates, per Jordan type, without being enumerated.  Only this layer
-reduces coefficients mod a prime, and it calls no rank routine.  Nothing
-here feeds back into the exact engine; the counting identity ties the two
-together:
+reduces coefficients mod a prime, and it calls no rank routine.  It
+writes each relation term out as the word ``lt^pre x ls^post`` of its
+stored split, which the engine reads too; the tests check that split
+against an independent word-model parse.  Nothing here feeds back into
+the exact engine; the counting identity ties the two together:
 
     |stratum| = (product of loop orbit counts) * q^(N - c)
 
@@ -158,19 +160,19 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
     if work >= 2 ** 63:
         raise ValueError(f"{work} points overflow the int64 tally")
 
-    # relations as (coeff mod q, slot word) terms, written out from the
-    # runs; a relation with an empty equation grid holds trivially, and a
-    # term with a loop run k >= d vanishes, since X^d = 0 for every
-    # nilpotent d x d loop matrix X
+    # relations as (coeff mod q, slot word) terms, the word lt^pre x ls^post
+    # of each split term written out; a relation with an empty equation
+    # grid holds trivially, and a term with a loop power k >= d vanishes,
+    # since X^d = 0 for every nilpotent d x d loop matrix X
     relations = []
     for rel in pres.relations:
         if dim_of[rel.target] and dim_of[rel.source]:
-            terms = []
-            for coeff, path in rel.terms:
+            (lt, ls), terms = rel.loops, []
+            for coeff, pre, name, post in rel.terms:
                 coeff = _fraction_mod(coeff, q)  # every coefficient, kept or not
-                runs = [(quiver.arrow(name), k) for name, k in path.runs]
-                if all(k < dim_of[a.source] for a, k in runs if a.is_loop):
-                    terms.append((coeff, [slot_of[a.name] for a, k in runs for _ in range(k)]))
+                if pre < dim_of[rel.target] and post < dim_of[rel.source]:
+                    word = [lt] * pre + [name] + [ls] * post
+                    terms.append((coeff, [slot_of[x] for x in word]))
             if terms:
                 relations.append(terms)
     for s in {s for terms in relations for _, word in terms for s in word}:

@@ -220,6 +220,9 @@ def evaluate_case(case: FormulaCase) -> tuple[int, int]:
 
 _HS = (1, 2, 3)  # the numbers of arrows 1 -> 0 that the sweep tries
 _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
+# (item, p, q, l, lambda) shapes one sweep tries: --p-max 29 tries 47,995
+# and took 7.8 s on a 2-CPU host
+_MAX_SHAPES = 5 * 10 ** 4
 _MAX_UNKNOWNS = 10 ** 6  # of the one block-pair system of a single case
 # entries of that system: item 3 at p = q = 1000, h = 1 assembles 1,998,000
 # and peaks near 600 MB, the most that any case of at most three terms
@@ -270,8 +273,17 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
 
 def formula_cases(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
     """Every admissible case with q <= p <= p_max, h in ``_HS`` and, for the
-    items that take it, lambda in ``_LAMBDAS``, in a deterministic order."""
+    items that take it, lambda in ``_LAMBDAS``, in a deterministic order.
+    The shapes it tries are counted before any is; more than
+    ``_MAX_SHAPES`` raise ``ValueError``."""
     wanted = set(items) if items is not None else set(_ITEMS)
+    # sum over p <= p_max of p^k, for k the number of q and l ranges up to p
+    sums = (p_max, p_max * (p_max + 1) // 2, p_max * (p_max + 1) * (2 * p_max + 1) // 6)
+    shapes = sum((len(_LAMBDAS) if _ITEMS[i].takes_lambda else 1)
+                 * sums[(_ITEMS[i].fixed_q is None) + _ITEMS[i].takes_l] for i in wanted)
+    if shapes > _MAX_SHAPES:
+        raise ValueError(f"the sweep to p = {p_max} tries {shapes} relation shapes, "
+                         f"more than the bound {_MAX_SHAPES}")
     cases: list[FormulaCase] = []
     for item in sorted(wanted):
         rules = _ITEMS[item]

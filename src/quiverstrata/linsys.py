@@ -10,9 +10,10 @@ ranks.  The engine reads a relation as integer split terms,
 ``(coefficient, loop power before, arrow index, loop power after)``:
 ``integer_terms`` scales a relation's rational terms once by the lcm of
 their denominators, which changes no rank, and ``split_terms`` makes them
-from a ``Relation`` once per presentation.  Rows are sparse integer
-vectors; ``assemble_system`` builds them in one pass, deleting each entry
-that cancels as it is added, and keeps empty rows.  One sparse
+once per presentation from the split terms a ``Relation`` stores, by
+numbering their arrows.  Rows are sparse integer vectors;
+``assemble_system`` builds them in one pass, deleting each entry that
+cancels as it is added, and keeps empty rows.  One sparse
 fraction-free elimination, ``_kernels.exact_rank_int``, ranks them over
 Q: it skips empty rows, updates each row in place, divides a row by its
 gcd only when that exceeds 1, and uses no floats.
@@ -77,12 +78,11 @@ def integer_terms(terms: Sequence[tuple]) -> list[Term]:
 
 
 def split_terms(rel: Relation, arrows: Sequence[str]) -> list[Term]:
-    """The integer terms of ``rel``, a relation of a presentation, so every
-    term has its split, each arrow by its index in ``arrows``, the non-loop
-    arrows from its source to its target."""
+    """The integer terms of ``rel``, each arrow by its index in
+    ``arrows``, the non-loop arrows from its source to its target."""
     index = {name: k for k, name in enumerate(arrows)}
     return integer_terms([(coeff, pre, index[name], post)
-                          for coeff, path in rel.terms for pre, name, post in [path.split]])
+                          for coeff, pre, name, post in rel.terms])
 
 
 def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],

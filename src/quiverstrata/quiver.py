@@ -1,16 +1,17 @@
-"""Quivers, paths, relations, and bound quiver presentations.  Their
-constructors check every rule; the file parser adds syntax and line numbers."""
+"""Quivers, relations, and bound quiver presentations.  A relation term is
+stored as its split, loop power, arrow and loop power, the one shape the
+engine ranks.  The constructors check every rule; the file parser adds
+syntax and line numbers."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "Arrow",
     "Quiver",
-    "Path",
     "Relation",
     "BoundQuiverPresentation",
     "PresentationError",
@@ -60,6 +61,9 @@ class Quiver:
                 if v not in seen:
                     raise PresentationError(f"arrow {a.name!r} references unknown vertex {v!r}")
         object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
+        # the loop of each vertex, for the split of relation terms
+        object.__setattr__(self, "_loop_at",
+                           {a.source: a.name for a in self.arrows if a.source == a.target})
 
     def arrow(self, name: str) -> Arrow:
         try:
@@ -71,112 +75,100 @@ class Quiver:
     def non_loop_arrows(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if not a.is_loop)
 
-    def path(self, runs: Sequence[tuple[str, int]]) -> "Path":
-        """Path from arrow runs ``(name, k)``, each the arrow ``name`` k >= 0
-        times, in composition order (leftmost applied last); adjacent runs
-        of one arrow merge, and a run of 0 is dropped."""
-        merged: list[tuple[str, int]] = []
-        for name, k in runs:
-            if merged and merged[-1][0] == name:
-                merged[-1] = (name, merged[-1][1] + k)
-            elif k:
-                merged.append((name, k))
-        if not merged:
-            raise PresentationError("empty arrow word")
-        arrows = [self.arrow(name) for name, _ in merged]
-        for a, (_, k) in zip(arrows, merged):
-            if k > 1 and not a.is_loop:
-                raise PresentationError(f"arrows {a.name!r} and {a.name!r} do not compose")
-        for left, right in zip(arrows, arrows[1:]):
-            if left.source != right.target:
-                raise PresentationError(
-                    f"arrows {left.name!r} and {right.name!r} do not compose"
-                )
-        moves = [i for i, a in enumerate(arrows) if not a.is_loop]
-        split = None
-        if len(moves) == 1:
-            i = moves[0]
-            split = (sum(k for _, k in merged[:i]), arrows[i].name,
-                     sum(k for _, k in merged[i + 1:]))
-        return Path(tuple(merged), arrows[-1].source, arrows[0].target,
-                    len(moves), split)
+
+Runs = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class Path:
-    """Composable path as its maximal arrow runs ``(name, k)``; ``runs[0]``
-    is applied last (target side).  A non-loop arrow runs once, so the
-    degree, the number of non-loop arrows, is the number of their runs."""
+def _compose(quiver: Quiver, runs: Iterable[tuple[str, int]]) -> tuple[Runs, list[Arrow]]:
+    """The maximal runs of the path of arrow runs ``(name, k)``, and their
+    arrows; adjacent runs of one arrow merge, and a run of 0 is dropped."""
+    merged: list[tuple[str, int]] = []
+    for name, k in runs:
+        if merged and merged[-1][0] == name:
+            merged[-1] = (name, merged[-1][1] + k)
+        elif k:
+            merged.append((name, k))
+    if not merged:
+        raise PresentationError("empty arrow word")
+    arrows = [quiver.arrow(name) for name, _ in merged]
+    for a, (_, k) in zip(arrows, merged):
+        if k > 1 and not a.is_loop:
+            raise PresentationError(f"arrows {a.name!r} and {a.name!r} do not compose")
+    for left, right in zip(arrows, arrows[1:]):
+        if left.source != right.target:
+            raise PresentationError(
+                f"arrows {left.name!r} and {right.name!r} do not compose"
+            )
+    return tuple(merged), arrows
 
-    runs: tuple[tuple[str, int], ...]
-    source: str
-    target: str
-    degree: int = field(compare=False)
-    # (loops before, arrow, loops after) when exactly one arrow is not a loop
-    split: Optional[tuple[int, str, int]] = field(default=None, compare=False)
 
-    @property
-    def length(self) -> int:
-        return sum(k for _, k in self.runs)
-
-    def __str__(self) -> str:
-        return _format_runs(self.runs)
-
-
-def _term_key(p: Path):
+def _term_key(runs: Runs):
     """Length, then the arrow word, compared run by run: where two words
     part inside runs of one arrow, the shorter run meets the arrow of the
     next run ("" past the end), so it sorts first exactly when that arrow
     comes before its own."""
-    after = [name for name, _ in p.runs[1:]] + [""]
-    return (p.length, tuple((name, nxt > name, -k if nxt > name else k)
-                            for (name, k), nxt in zip(p.runs, after)))
-
-
-Combo = list[tuple[Fraction, Path]]
-
-
-def _normalize_combo(terms: Iterable[tuple[Fraction | int, Path]]) -> Combo:
-    """Combine equal paths, drop zero coefficients, sort by length then word."""
-    combined: dict[Path, Fraction] = {}
-    for coeff, p in terms:
-        if p in combined:
-            combined[p] += coeff
-        else:
-            combined[p] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-    out = [(c, p) for p, c in combined.items() if c != 0]
-    out.sort(key=lambda t: _term_key(t[1]))
-    return out
+    after = [name for name, _ in runs[1:]] + [""]
+    return (sum(k for _, k in runs), tuple((name, nxt > name, -k if nxt > name else k)
+                                           for (name, k), nxt in zip(runs, after)))
 
 
 @dataclass(frozen=True)
 class Relation:
-    """Normalized linear combination of length >= 2 paths with common endpoints."""
+    """Normalized linear combination of paths of length >= 2 from
+    ``source`` to ``target``, each with exactly one non-loop arrow, stored
+    as its split: a term ``(c, i, a, j)`` is ``c * lt^i * a * ls^j`` with
+    ``loops = (lt, ls)``, the loops at the target and the source (None
+    where a vertex has none)."""
 
-    terms: tuple[tuple[Fraction, Path], ...]
+    terms: tuple[tuple[Fraction, int, str, int], ...]
     source: str
     target: str
+    loops: tuple[Optional[str], Optional[str]]
 
     @classmethod
-    def make(cls, terms: Iterable[tuple[Fraction | int, Path]],
+    def make(cls, quiver: Quiver,
+             terms: Iterable[tuple[Fraction | int, Iterable[tuple[str, int]]]],
              source: Optional[str] = None, target: Optional[str] = None) -> "Relation":
-        kept = _normalize_combo(terms)
-        if kept:
-            src = kept[0][1].source
-            tgt = kept[0][1].target
-            if source is not None and source != src:
-                raise PresentationError("relation source does not match its paths")
-            if target is not None and target != tgt:
-                raise PresentationError("relation target does not match its paths")
-            source, target = src, tgt
+        """The relation of ``terms``, each ``(coefficient, arrow runs)`` in
+        composition order (leftmost applied last), composed as they are
+        drawn: equal paths combine, zero coefficients drop, and the rest sort
+        by length, then word.  The endpoints default to the first term's."""
+        combined: dict[Runs, Fraction | int] = {}
+        arrows_of: dict[Runs, list[Arrow]] = {}
+        for coeff, runs in terms:
+            runs, arrows_of[runs] = _compose(quiver, runs)
+            source = arrows_of[runs][-1].source if source is None else source
+            target = arrows_of[runs][0].target if target is None else target
+            combined[runs] = combined.get(runs, 0) + coeff
+        kept = sorted((runs for runs, c in combined.items() if c), key=_term_key)
         if source is None or target is None:
             raise PresentationError("zero relation needs explicit endpoints")
-        for c, p in kept:
-            if p.length < 2:
-                raise PresentationError(f"relation path {p} has length < 2")
-            if p.source != source or p.target != target:
+        ends = [(arrows_of[r][-1].source, arrows_of[r][0].target) for r in kept]
+        if kept and ends[0][0] != source:
+            raise PresentationError("relation source does not match its paths")
+        if kept and ends[0][1] != target:
+            raise PresentationError("relation target does not match its paths")
+        for runs, end in zip(kept, ends):
+            if sum(k for _, k in runs) < 2:
+                raise PresentationError(f"relation path {_format_runs(runs)} has length < 2")
+            if end != (source, target):
                 raise PresentationError("relation paths have mismatched endpoints")
-        return cls(tuple(kept), source, target)
+        moves = [[i for i, a in enumerate(arrows_of[r]) if not a.is_loop] for r in kept]
+        if not all(moves):
+            raise PresentationError("degree-0 relation; use a loop order instead")
+        for runs, at in zip(kept, moves):
+            if len(at) > 1:
+                raise PresentationError(
+                    f"path {_format_runs(runs)} has degree {len(at)}; the linear engine "
+                    "supports exactly one non-loop arrow per term")
+        loops = (quiver._loop_at.get(target), quiver._loop_at.get(source))
+        split = [(Fraction(combined[runs]), sum(k for _, k in runs[:i]), runs[i][0],
+                  sum(k for _, k in runs[i + 1:])) for runs, [i] in zip(kept, moves)]
+        for runs, term in zip(kept, split):
+            if _term_runs(loops, term) != runs:  # the split names one loop per vertex
+                raise PresentationError(
+                    f"path {_format_runs(runs)} meets two loops at a vertex")
+        return cls(tuple(split), source, target, loops)
 
     @property
     def is_zero(self) -> bool:
@@ -186,15 +178,22 @@ class Relation:
         if not self.terms:
             return "0"
         parts = []
-        for i, (c, p) in enumerate(self.terms):
+        for i, term in enumerate(self.terms):
+            c, p = term[0], _format_runs(_term_runs(self.loops, term))
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            body = str(p) if mag == 1 else f"{mag}*{p}"
+            body = p if mag == 1 else f"{mag}*{p}"
             if i == 0:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
+
+
+def _term_runs(loops: tuple[Optional[str], Optional[str]], term: tuple) -> Runs:
+    """The arrow runs of a term of a relation with the loops ``loops``."""
+    (lt, ls), (_, pre, name, post) = loops, term
+    return tuple((x, k) for x, k in ((lt, pre), (name, 1), (ls, post)) if k)
 
 
 def _format_runs(runs: Sequence[tuple[str, int]]) -> str:
@@ -217,9 +216,8 @@ class BoundQuiverPresentation:
 
     Order 1 at a vertex means the vertex carries no loop (the induced loop
     action is the zero map); a physical loop forces order >= 2.  Every
-    relation term has exactly one non-loop arrow, the only shape the
-    engine ranks, and lives in the monomial basis: no path may contain a
-    loop power at or above the order of its vertex.
+    relation term lives in the monomial basis: no path may contain a loop
+    power at or above the order of its vertex.
     """
 
     quiver: Quiver
@@ -246,14 +244,8 @@ class BoundQuiverPresentation:
         for rel in self.relations:
             if rel.is_zero:
                 raise PresentationError("relation cancels to zero")
-            if any(p.degree == 0 for _, p in rel.terms):
-                raise PresentationError("degree-0 relation; use a loop order instead")
-            for _, p in rel.terms:  # paths stay in the monomial basis
-                _refuse_forbidden_power(q, order_of, p.runs)
-                if p.degree > 1:
-                    raise PresentationError(
-                        f"path {p} has degree {p.degree}; the linear engine "
-                        "supports exactly one non-loop arrow per term")
+            for term in rel.terms:  # paths stay in the monomial basis
+                _refuse_forbidden_power(q, order_of, _term_runs(rel.loops, term))
 
     def __hash__(self) -> int:
         # cached: ``codim_table`` looks a presentation up once per dimension
@@ -356,13 +348,11 @@ def _declared(decls) -> BoundQuiverPresentation:
     relations = []
     for _, term_runs, _ in decls:
         if isinstance(term_runs, list):
-            terms = []
-            for coeff, factors in term_runs:
-                # a forbidden power is named before the path checks its arrows
-                _refuse_forbidden_power(quiver, order_of, factors)
-                terms.append((coeff, quiver.path(factors)))
-            first = terms[0][1]
-            relations.append(Relation.make(terms, source=first.source, target=first.target))
+            # drawn lazily, so a term's forbidden power is named before
+            # ``Relation.make`` checks the term's arrows, term by term
+            relations.append(Relation.make(quiver, (
+                (coeff, _refuse_forbidden_power(quiver, order_of, factors) or factors)
+                for coeff, factors in term_runs)))
     return BoundQuiverPresentation(quiver, tuple(order_of.get(v, 1) for v in vertices),
                                    tuple(relations))
 

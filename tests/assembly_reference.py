@@ -28,8 +28,7 @@ def split_terms(rel, arrows: Sequence[str]) -> list[RationalTerm]:
     rational coefficients, each arrow by its index in ``arrows``."""
     index = {name: k for k, name in enumerate(arrows)}
     out = []
-    for coeff, path in rel.terms:
-        pre, name, post = path.split
+    for coeff, pre, name, post in rel.terms:
         out.append((coeff, pre, index[name], post))
     return out
 

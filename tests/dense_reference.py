@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from jordan_reference import jordan_matrix
-from path_reference import word_of
+from path_reference import word_of, word_path
 from quiverstrata.fforacle import BadPrimeError
 
 
@@ -58,12 +58,13 @@ def _as_rows(mat):
 
 
 def _decompose_term(pres, path):
-    """Split a degree-1 path into loop-power prefix, arrow, loop-power suffix."""
+    """Split a degree-1 word-model path into loop-power prefix, arrow,
+    loop-power suffix."""
     quiver = pres.quiver
     pre = 0
     arrow_name = None
     post = 0
-    for name in word_of(path):
+    for name in path.arrows:
         a = quiver.arrow(name)
         if a.is_loop:
             if arrow_name is None:
@@ -89,7 +90,8 @@ def _evaluate_at(pres, rel, loop_mats, dims):
     grid = [[dict() for _ in range(ds)] for _ in range(dt)]
     if rel.is_zero:
         return grid
-    for coeff, path in rel.terms:
+    for term in rel.terms:
+        coeff, path = term[0], word_path(quiver, word_of(rel, term))
         pre, arrow_name, post = _decompose_term(pres, path)
         arrow = quiver.arrow(arrow_name)
         A = _mat_pow(loop_mats[arrow.target], pre, dims[arrow.target])

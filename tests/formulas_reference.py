@@ -94,8 +94,8 @@ def build_case(case):
     terms = []
     for coeff, a, sym, b in shapes:
         word = ["e0"] * a + [arrow_names[sym]] + ["e1"] * b
-        terms.append((coeff, path_of(quiver, word)))
-    rel = Relation.make(terms)
+        terms.append((coeff, path_of(word)))
+    rel = Relation.make(quiver, terms)
     pres = BoundQuiverPresentation(quiver, (m0, m1), (rel,))
     ja = JordanAssignment.for_presentation(
         pres, [Partition((case.p,), m0), Partition((case.q,), m1)]

@@ -140,12 +140,13 @@ def reference_enumerate_and_classify(pres: BoundQuiverPresentation,
             continue
         rel_rows.append(d_t)
         rel_cols.append(d_s)
-        for coeff, path in rel.terms:
+        for term in rel.terms:
+            coeff = term[0]
             den = coeff.denominator % q
             if den == 0:
                 raise BadPrimeError(f"coefficient {coeff} cannot reduce mod {q}")
             term_coeff.append((coeff.numerator % q) * pow(den, q - 2, q) % q)
-            path_slots.extend(slot_of[name] for name in word_of(path))
+            path_slots.extend(slot_of[name] for name in word_of(rel, term))
             term_path_start.append(len(path_slots))
         rel_term_start.append(len(term_coeff))
 

@@ -19,7 +19,7 @@ from quiverstrata.linsys import codim_table
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 from quiverstrata.strata import assignments_for, stratum_dim
-from path_reference import path_of
+from path_reference import word_path
 from substitution import relation_mod_orders
 
 
@@ -74,8 +74,7 @@ def _match_standard_relation(pres: BoundQuiverPresentation, rel: Relation,
     h = len(arrow_names)
     by_i: dict[int, list[Fraction]] = {}
     n: Optional[int] = None
-    for coeff, path in rel.terms:
-        a, mid, b = path.split
+    for coeff, a, mid, b in rel.terms:
         if n is None:
             n = a + b
         elif n != a + b:
@@ -306,7 +305,7 @@ def build_nooverlap_presentation(h: int, l: int, n1: int, n2: int, m: int,
     terms1 = []
     for i in range(n1 + 1):
         word = ["e0"] * i + ["a1"] + ["e1"] * (n1 - i)
-        terms1.append((Fraction(1), path_of(quiver, word)))
+        terms1.append((Fraction(1), word_path(quiver, word)))
     rel1 = relation_mod_orders(quiver, orders, terms1)
 
     # powers of the reparameterized middle loop, truncated at e1^m
@@ -324,7 +323,7 @@ def build_nooverlap_presentation(h: int, l: int, n1: int, n2: int, m: int,
     for j in range(n2 + 1):
         for deg, c in powers[j].items():
             word = ["e1"] * deg + ["b1"] + ["e2"] * (n2 - j)
-            terms2.append((c, path_of(quiver, word)))
+            terms2.append((c, word_path(quiver, word)))
     rel2 = relation_mod_orders(quiver, orders, terms2)
 
     return BoundQuiverPresentation(quiver, (m, m, m), (rel1, rel2))

@@ -4,25 +4,28 @@ helpers that state test paths as arrow words.
 ``Quiver.path`` once took the expanded arrow word and ``Path`` stored it;
 ``WordPath``, ``word_path``, ``_runs``, ``_term_key`` and
 ``_normalize_combo`` below are that code, kept verbatim in substance as
-the reference of the differential test of run-built paths and relations.
-``path_of`` builds the run-built path of a word (each arrow a run of one,
-which ``Quiver.path`` merges) and ``word_of`` writes a path's runs out.
+the reference of the differential tests of relations, which store each
+term as its split.  ``path_of`` hands a word to ``Relation.make`` (each
+arrow a run of one, which ``Relation.make`` merges) and ``word_of``
+writes a relation term out as its arrow word.
 """
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from quiverstrata.quiver import Path, PresentationError, Quiver, _format_runs
+from quiverstrata.quiver import PresentationError, Quiver, Relation, _format_runs
 
 
-def path_of(quiver: Quiver, word: Sequence[str]) -> Path:
-    """The path of a composition-ordered arrow word (leftmost applied last)."""
-    return quiver.path([(name, 1) for name in word])
+def path_of(word: Sequence[str]) -> list[tuple[str, int]]:
+    """The arrow runs of a composition-ordered arrow word (leftmost
+    applied last), as ``Relation.make`` takes a term's path."""
+    return [(name, 1) for name in word]
 
 
-def word_of(path: Path) -> tuple[str, ...]:
-    """The arrow word of a path, its runs written out."""
-    return tuple(name for name, k in path.runs for _ in range(k))
+def word_of(rel: Relation, term) -> tuple[str, ...]:
+    """The arrow word ``lt^pre x ls^post`` of a term of ``rel``."""
+    (lt, ls), (_, pre, name, post) = rel.loops, term
+    return (lt,) * pre + (name,) + (ls,) * post
 
 
 def word_path(quiver: Quiver, arrow_names: Sequence[str]) -> "WordPath":

@@ -4,14 +4,17 @@ differential test: it builds the presentation declared so far after every
 declaration line, and a presentation of each relation alone, so its cost
 grows with the square of the input.  ``_expand_factors``, which wrote each
 term out as its arrow word, and its ``_forbidden_power`` are kept verbatim
-too; the word goes to ``Quiver.path`` as runs of one arrow each.
+too; the word goes to ``Relation.make`` as runs of one arrow each.
+``word_model_relations`` builds the relations of the same text in the
+word model of ``path_reference``, as the reference of the split terms
+that ``Relation.make`` stores.
 """
 import re
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from path_reference import path_of
+from path_reference import _normalize_combo, path_of, word_path
 
 from quiverstrata.quiver import (_ARROW_RE, _FACTOR_RE, _RATIONAL_RE, Arrow,
                                  BoundQuiverPresentation, PresentationError, Quiver,
@@ -78,13 +81,30 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
     relations = []
     for lineno, term_words in relation_specs:
         with _on_line(lineno):
-            terms = [(coeff, path_of(quiver, _expand_factors(quiver, order_map, factors)))
-                     for coeff, factors in term_words]
-            first = terms[0][1]
-            rel = Relation.make(terms, source=first.source, target=first.target)
+            # drawn as Relation.make composes them: each term's forbidden
+            # power and arrows are checked before the next term's
+            terms = ((coeff, path_of(_expand_factors(quiver, order_map, factors)))
+                     for coeff, factors in term_words)
+            rel = Relation.make(quiver, terms)
             BoundQuiverPresentation(quiver, pres.orders, (rel,))
         relations.append(rel)
     return BoundQuiverPresentation(quiver, pres.orders, tuple(relations))
+
+
+def word_model_relations(text: str):
+    """The relations of ``text``, which :func:`parse_presentation`
+    accepts, each a list of ``(coefficient, WordPath)`` terms, combined and
+    ordered by ``path_reference._normalize_combo``."""
+    pres = parse_presentation(text)
+    quiver, order_map = pres.quiver, pres.order_map
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        keyword, _, rest = raw.split("#", 1)[0].strip().partition(" ")
+        if keyword == "relation":
+            out.append(_normalize_combo(
+                (coeff, word_path(quiver, _expand_factors(quiver, order_map, factors)))
+                for coeff, factors in _parse_relation_terms(rest.strip(), lineno)))
+    return out
 
 
 @contextmanager

@@ -40,8 +40,8 @@ def presentations(draw):
             mid = draw(st.sampled_from(parallel)).name
             coeff = Fraction(draw(st.integers(min_value=-5, max_value=5).filter(bool)),
                              draw(st.integers(min_value=1, max_value=6)))
-            terms.append((coeff, path_of(quiver, loop_t * pre + [mid] + loop_s * post)))
-        rel = Relation.make(terms, source=first.source, target=first.target)
+            terms.append((coeff, path_of(loop_t * pre + [mid] + loop_s * post)))
+        rel = Relation.make(quiver, terms, source=first.source, target=first.target)
         if not rel.is_zero:
             relations.append(rel)
     return BoundQuiverPresentation(quiver, orders, tuple(relations))

@@ -318,6 +318,44 @@ def test_reduce_scan_max_total_bound_exits_2_at_once(tmp_path):
     assert seconds < 1 and megabytes < 150, (seconds, megabytes)
 
 
+@pytest.mark.parametrize("spec, command, dim", [
+    ("A(1,2,2,1)", "strata", "10000000000,1"),
+    ("A(1,2,2,1)", "reduce-scan", "10000000000,1"),
+    ("A(1,2,2,1)", "strata", "100000000,1"),
+    ("Aprime(1,1,1)", "strata", "100000000,1"),
+    ("Aprime(1,1,1)", "reduce-scan", "100000000,0"),
+])
+def test_huge_dimension_exits_2_at_once(tmp_path, spec, command, dim):
+    """A dimension above the bound is refused before the Jordan types are
+    counted (the count's table of d + 1 integers ended in a MemoryError) or
+    listed (the one type of 10^8 parts at order 1 did too)."""
+    argv = [command, "--algebra", _family_file(tmp_path, spec), "--dim", dim]
+    code, out, err, seconds, megabytes = _measured(argv, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: dimension {max(map(int, dim.split(',')))} exceeds the bound 10000000\n"
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
+def test_family_huge_h_exits_2_at_once(tmp_path):
+    """10^7 arrows are refused before any is built (building them ended in a
+    MemoryError)."""
+    code, out, err, seconds, megabytes = _measured(["family", "A(10000000,2,2,1)"], tmp_path)
+    assert (code, out) == (2, "")
+    assert err == "error: h = 10000000 arrows exceed the bound 1000000\n"
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
+def test_verify_formulas_sweep_bound_exits_2_at_once(tmp_path):
+    """The shapes of the sweep to p = 100000 are counted, not tried (trying
+    them ran past 30 s)."""
+    code, out, err, seconds, megabytes = _measured(["verify-formulas", "--p-max", "100000"],
+                                                   tmp_path)
+    assert (code, out) == (2, "")
+    assert err == ("error: the sweep to p = 100000 tries 1666751667350000 relation shapes, "
+                   "more than the bound 50000\n")
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
 LOOP_POWER = "vertex 0\nvertex 1\nloop e 0 order {m}\narrow a 1 -> 0\nrelation e^{k}*a\n"
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 from paper_checks import product_decomposition_check, recognize_family
-from path_reference import path_of, word_of
+from path_reference import path_of, word_of, word_path
 from substitution import apply_arrow_substitution, relation_mod_orders
 
+from quiverstrata import families
 from quiverstrata.families import FamilyTag, build_family, parse_family_spec
 from quiverstrata.quiver import parse_presentation
 
@@ -13,11 +14,11 @@ from quiverstrata.quiver import parse_presentation
 def test_build_standard_relation():
     pres = build_family(FamilyTag("A", h=1, m0=2, m1=2, n=1))
     (rel,) = pres.relations
-    assert {word_of(p) for _, p in rel.terms} == {("e0", "a1"), ("a1", "e1")}
+    assert {word_of(rel, t) for t in rel.terms} == {("e0", "a1"), ("a1", "e1")}
 
     pres = build_family(FamilyTag("A", h=2, m0=3, m1=3, n=2))
     (rel,) = pres.relations
-    assert {word_of(p) for _, p in rel.terms} == {
+    assert {word_of(rel, t) for t in rel.terms} == {
         ("e0", "e0", "a1"), ("e0", "a1", "e1"), ("a1", "e1", "e1")}
     assert [a.name for a in pres.quiver.non_loop_arrows] == ["a1", "a2"]
 
@@ -26,7 +27,7 @@ def test_build_truncates_high_powers():
     # order bound 2 on both sides kills the middle of the n = 2 relation
     pres = build_family(FamilyTag("A", h=1, m0=3, m1=2, n=2))
     (rel,) = pres.relations
-    assert {word_of(p) for _, p in rel.terms} == {
+    assert {word_of(rel, t) for t in rel.terms} == {
         ("e0", "e0", "a1"), ("e0", "a1", "e1")}
     # truncating everything leaves no relation at all
     pres = build_family(FamilyTag("A", h=1, m0=2, m1=2, n=3))
@@ -38,7 +39,7 @@ def test_relation_sums_only_terms_below_the_orders():
     for m0, m1 in itertools.product(range(2, 6), repeat=2):
         for n in range(1, m0 + m1 + 1):
             pres = build_family(FamilyTag("A", h=1, m0=m0, m1=m1, n=n))
-            terms = [(1, path_of(pres.quiver, ["e0"] * (n - i) + ["a1"] + ["e1"] * i))
+            terms = [(1, word_path(pres.quiver, ["e0"] * (n - i) + ["a1"] + ["e1"] * i))
                      for i in range(n + 1)]
             want = relation_mod_orders(pres.quiver, {"0": m0, "1": m1}, terms,
                                        source="1", target="0")
@@ -50,7 +51,7 @@ def test_degree_one_members_survive():
         for n in (1, m - 1):
             pres = build_family(FamilyTag("A", h=1, m0=m, m1=m, n=n))
             assert len(pres.relations) == 1
-            assert {p.degree for _, p in pres.relations[0].terms} == {1}
+            assert {name for _, _, name, _ in pres.relations[0].terms} == {"a1"}
             assert len(pres.relations[0].terms) == n + 1
 
 
@@ -75,6 +76,11 @@ def test_tag_validation_and_spec_strings():
         parse_family_spec("A'(1,2,2)")  # the spelling is Aprime
     tag = parse_family_spec("A(2,3,3,2)")
     assert tag.spec_string() == "A(2,3,3,2)"
+    # h up to the bound, checked before any arrow is built
+    assert FamilyTag("A", h=families._MAX_H, m0=2, m1=2, n=1).h == 10 ** 6
+    for spec in (f"A({10 ** 6 + 1},2,2,1)", f"Aprime({10 ** 6 + 1},1,1)"):
+        with pytest.raises(ValueError, match="^h = 1000001 arrows exceed the bound 1000000$"):
+            parse_family_spec(spec)
     assert parse_family_spec("truncpoly(4)").m == 4
 
 
@@ -121,18 +127,18 @@ def test_recognize_modulo_rescale_and_substitution():
     q = base.quiver
     # global rescale plus a geometric loop rescale pattern
     rel = base.relations[0]
-    scaled_terms = [(c * Fraction(3) * Fraction(2) ** sum(1 for x in word_of(p) if x == "e1"), p)
-                    for c, p in rel.terms]
+    scaled_terms = [(t[0] * Fraction(3) * Fraction(2) ** word_of(rel, t).count("e1"),
+                     path_of(word_of(rel, t))) for t in rel.terms]
     from quiverstrata.quiver import BoundQuiverPresentation, Relation
 
     scaled = BoundQuiverPresentation(q, base.orders,
-                                     (Relation.make(scaled_terms),))
+                                     (Relation.make(q, scaled_terms),))
     tag = recognize_family(scaled)
     assert tag == FamilyTag("A", h=2, m0=3, m1=3, n=2)
 
     # renaming a1 <- a1 + a2 keeps the shape recognizable
     mixed = apply_arrow_substitution(base, "a1",
-                                     [(1, path_of(q, ["a1"])), (1, path_of(q, ["a2"]))])
+                                     [(1, word_path(q, ["a1"])), (1, word_path(q, ["a2"]))])
     tag = recognize_family(mixed)
     assert tag == FamilyTag("A", h=2, m0=3, m1=3, n=2)
 

@@ -200,9 +200,9 @@ def test_random_presentations_match_same_field_prediction():
                     else:
                         continue
                 word = ["e0"] * a + [rng.choice(names)] + ["e1"] * b
-                terms.append((rng.choice([1, -1]), path_of(quiver, word)))
+                terms.append((rng.choice([1, -1]), path_of(word)))
             if terms:
-                rel = Relation.make(terms, source="1", target="0")
+                rel = Relation.make(quiver, terms, source="1", target="0")
                 if not rel.is_zero:
                     rels.append(rel)
         pres = BoundQuiverPresentation(quiver, (m0, m1), tuple(rels))

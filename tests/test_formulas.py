@@ -146,10 +146,9 @@ def _assert_matches_reference(case, ref):
         a.name for a in ref_pres.quiver.non_loop_arrows], case
     assert all(type(coeff) is int for coeff, *_ in terms), case
     [ref_rel] = ref_pres.relations
-    scale = math.lcm(*(coeff.denominator for coeff, _ in ref_rel.terms))
+    scale = math.lcm(*(coeff.denominator for coeff, *_ in ref_rel.terms))
     ref_terms = []
-    for coeff, path in ref_rel.terms:
-        pre, name, post = path.split
+    for coeff, pre, name, post in ref_rel.terms:
         ref_terms.append((coeff * scale, pre, int(name[1:]) - 1, post))
     assert _linear_form(terms) == _linear_form(ref_terms), case
     assert expected == ref_expected, case
@@ -273,6 +272,29 @@ def test_formula_cases_default_sweep_matches_replaced():
                 == formulas_reference.formula_cases(p_max, hs, lambdas)), p_max
 
 
+@pytest.mark.parametrize("items", [None, [1], [2, 7], [11], [3, 6, 9]])
+@pytest.mark.parametrize("lambdas", [formulas._LAMBDAS, (Fraction(0), Fraction(1))])
+def test_sweep_shapes_are_counted_before_they_are_tried(items, lambdas, monkeypatch):
+    """The count is the number of shapes the sweep tries: a bound equal to
+    it lists the same cases, and one less refuses before any is tried."""
+    monkeypatch.setattr(formulas, "_LAMBDAS", lambdas)
+    shaped, tried = formulas._shaped, []
+    monkeypatch.setattr(formulas, "_shaped", lambda *key: tried.append(key) or shaped(*key))
+    for p_max in range(1, 9):
+        monkeypatch.setattr(formulas, "_MAX_SHAPES", 10 ** 9)
+        want, tried[:] = formula_cases(p_max, items), []
+        assert formula_cases(p_max, items) == want
+        count = len(tried)
+        monkeypatch.setattr(formulas, "_MAX_SHAPES", count)
+        assert formula_cases(p_max, items) == want
+        monkeypatch.setattr(formulas, "_MAX_SHAPES", count - 1)
+        tried.clear()
+        with pytest.raises(ValueError, match=f"^the sweep to p = {p_max} tries {count} "
+                                             f"relation shapes, more than the bound {count - 1}$"):
+            formula_cases(p_max, items)
+        assert tried == []
+
+
 def test_case_sweep_is_deterministic_and_nonempty():
     cases = formula_cases(p_max=4)
     assert cases == formula_cases(p_max=4)
@@ -311,8 +333,8 @@ def test_unified_remark_formula_reported_not_relied_on(capsys):
                     word = ["e0"] * (l - i) + ["a1"] + ["e1"] * i
                     if len(word) < 2:
                         continue
-                    terms.append((1, path_of(quiver, word)))
-                rel = Relation.make(terms)
+                    terms.append((1, path_of(word)))
+                rel = Relation.make(quiver, terms)
                 pres = BoundQuiverPresentation(quiver, (max(p, l + 1), max(q, 2) if q >= 2 else 1), (rel,))
                 ja = JordanAssignment.for_presentation(
                     pres, [Partition((p,), pres.orders[0]),

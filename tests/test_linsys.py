@@ -13,7 +13,7 @@ import dense_reference
 import formulas_reference
 import rank_reference
 from block_pairs import block_systems
-from path_reference import path_of
+from path_reference import path_of, word_path
 from strategies import presentations
 
 from quiverstrata import _kernels, linsys
@@ -41,7 +41,7 @@ def _two_vertex(m0, m1, h, relation_words):
     q = Quiver(("0", "1"), tuple(arrows))
     rels = []
     for words in relation_words:
-        rels.append(Relation.make([(c, path_of(q, w)) for c, w in words]))
+        rels.append(Relation.make(q, [(c, path_of(w)) for c, w in words]))
     return BoundQuiverPresentation(q, (m0, m1), tuple(rels))
 
 
@@ -74,7 +74,7 @@ def _system(pres, a, b):
 def _scale(rel):
     """The lcm of the relation's denominators: its integer terms, and so
     its assembled rows, are its rational ones times this."""
-    return math.lcm(*(coeff.denominator for coeff, _ in rel.terms))
+    return math.lcm(*(coeff.denominator for coeff, *_ in rel.terms))
 
 
 def _grid(pres, rel, a, b):
@@ -107,22 +107,21 @@ def test_evaluate_shifted_copies():
 def test_evaluate_zero_relation_and_truncation():
     pres = _two_vertex(3, 1, 1, [])
     q = pres.quiver
-    zero = Relation.make([], source="1", target="0")
+    zero = Relation.make(q, [], source="1", target="0")
     grid = _grid(pres, zero, 2, 1)
     assert all(form == {} for row in grid for form in row)
     # e0^2 * a evaluates to zero once the Jordan type is (2): J^2 = 0
-    rel = Relation.make([(1, path_of(q, ["e0", "e0", "a1"]))])
+    rel = Relation.make(q, [(1, path_of(["e0", "e0", "a1"]))])
     grid = _grid(pres, rel, 2, 1)
     assert all(form == {} for row in grid for form in row)
 
 
 def test_evaluate_rejects_higher_degree():
-    # the presentation refuses the term, so no table is ever built on it
+    # no relation holds the term, so no table is ever built on it
     q = Quiver(("0", "1", "2"),
                (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
     with pytest.raises(PresentationError, match="^path a\\*b has degree 2;"):
-        BoundQuiverPresentation(q, (1, 1, 1),
-                                (Relation.make([(1, path_of(q, ["a", "b"]))]),))
+        Relation.make(q, [(1, path_of(["a", "b"]))])
 
 
 def test_split_terms_index_the_arrows_and_refuse_other_degrees():
@@ -131,13 +130,11 @@ def test_split_terms_index_the_arrows_and_refuse_other_degrees():
     terms = split_terms(pres.relations[0], ["a1", "a2"])
     assert terms == [(1, 1, 1, 0), (2, 0, 0, 2)]
     assert all(type(c) is int for c, *_ in terms)
-    # a path through a third vertex has no split; the presentation, not
+    # a path through a third vertex has no split; Relation.make, not
     # split_terms, refuses it, by its degree
     q = Quiver(("0", "1", "2"), (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
-    path = path_of(q, ["a", "b"])
-    assert path.split is None
     with pytest.raises(PresentationError, match="^path a\\*b has degree 2;"):
-        BoundQuiverPresentation(q, (1, 1, 1), (Relation.make([(1, path)]),))
+        Relation.make(q, [(1, path_of(["a", "b"]))])
 
 
 def test_zero_coefficient_term_leaves_no_entry():
@@ -687,12 +684,11 @@ def test_scan_matches_brute_force(spec):
 
 
 def test_table_raises_where_assembly_raises():
-    """The presentation refuses a degree-2 term with the message the dense
+    """Relation.make refuses a degree-2 term with the message the dense
     reference assembly gives for it, so no table or scan ever reads it."""
     q = Quiver(("0", "1", "2"), (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
-    path = path_of(q, ["a", "b"])
     with pytest.raises(ValueError) as want:
-        dense_reference._decompose_term(SimpleNamespace(quiver=q), path)
+        dense_reference._decompose_term(SimpleNamespace(quiver=q), word_path(q, ["a", "b"]))
     with pytest.raises(PresentationError) as got:
-        BoundQuiverPresentation(q, (1, 1, 1), (Relation.make([(1, path)]),))
+        Relation.make(q, [(1, path_of(["a", "b"]))])
     assert str(got.value) == str(want.value)

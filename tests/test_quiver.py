@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import os
 import pickle
 import re
@@ -18,15 +19,14 @@ from hypothesis import strategies as st
 import path_reference
 import quiver_reference
 from paper_checks import check_cycle_conditions, detect_shortcuts
-from path_reference import path_of, word_of
+from path_reference import path_of, word_of, word_path
 from strategies import presentations
 from substitution import (SubstitutionError, apply_arrow_substitution,
                           invert_substitution)
 
 from quiverstrata import cli
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
-                                 Quiver, Relation, _normalize_combo, parse_presentation,
-                                 serialize_presentation)
+                                 Quiver, Relation, parse_presentation, serialize_presentation)
 
 A1221_TEXT = """
 # two vertices, two loops, one arrow
@@ -46,8 +46,8 @@ def test_parse_a1221():
     assert len(pres.relations) == 1
     rel = pres.relations[0]
     assert rel.source == "1" and rel.target == "0"
-    assert {word_of(p) for _, p in rel.terms} == {("e0", "a1"), ("a1", "e1")}
-    assert all(c == 1 for c, _ in rel.terms)
+    assert {word_of(rel, t) for t in rel.terms} == {("e0", "a1"), ("a1", "e1")}
+    assert all(c == 1 for c, *_ in rel.terms)
 
 
 def test_parse_one_vertex_truncated_polynomial():
@@ -151,6 +151,40 @@ def test_parse_matches_replaced(lines):
     assert outcome(parse_presentation) == outcome(quiver_reference.parse_presentation)
 
 
+def _assert_split_terms_match_reference_words(text):
+    """Each stored term of the relations of ``text``, written out as the
+    word lt^pre x ls^post that the engine's split and the oracle read, has
+    the coefficient and the word of the same term in the word model, built
+    from the text by the reference parser; so the oracle checks the split
+    independently.  Returns the number of terms compared."""
+    try:
+        pres = parse_presentation(text)
+    except PresentationError:
+        return 0
+    got = [[(t[0], word_of(rel, t)) for t in rel.terms] for rel in pres.relations]
+    assert got == [[(c, p.arrows) for c, p in terms]
+                   for terms in quiver_reference.word_model_relations(text)]
+    return sum(map(len, got))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_split_terms_match_reference_words(pres):
+    _assert_split_terms_match_reference_words(serialize_presentation(pres))
+
+
+def test_split_terms_match_reference_words_on_parse_lines():
+    """Every ordered pair of the pool's relation lines, under two heads of
+    the pool's declarations."""
+    heads = [["vertex 0", "vertex 1", "loop e 0 order 3", "loop f 1 order 2",
+              "arrow a 1 -> 0", "arrow b 1 -> 0"],
+             ["vertex 0", "vertex 1", "vertex 2", "loop e 1 order 2", "arrow a 2 -> 1"]]
+    relations = [line for line in PARSE_LINES if line.startswith("relation")]
+    compared = sum(_assert_split_terms_match_reference_words("\n".join(head + list(pair)))
+                   for head in heads for pair in itertools.product(relations, repeat=2))
+    assert compared > 100
+
+
 def test_parse_is_linear_in_the_arrows():
     """4,000 parallel arrows and 200 relations parse at once; building the
     presentation after every line took seconds."""
@@ -174,6 +208,20 @@ def test_parse_rejects_forbidden_subword():
         with pytest.raises(PresentationError) as exc:
             parse_presentation(text)
         assert str(exc.value) == f"line 5: path {path} contains the forbidden power {power}"
+
+
+@pytest.mark.parametrize("relation, message", [
+    ("a*e0 + e0^2*a", "arrows 'a' and 'e0' do not compose"),
+    ("e0^2*a + a*e0", "path e0^2*a contains the forbidden power e0^2")])
+def test_term_errors_come_in_input_order(relation, message):
+    """Each term is checked whole, its forbidden power and then its arrows,
+    before the next term: a compose error comes before a later term's
+    forbidden power, and a forbidden power before a later compose error."""
+    text = f"vertex 0\nvertex 1\nloop e0 0 order 2\narrow a 1 -> 0\nrelation {relation}\n"
+    for parse in (parse_presentation, quiver_reference.parse_presentation):
+        with pytest.raises(PresentationError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line 5: {message}"
 
 
 def test_parse_rejects_degree_zero_relation():
@@ -230,47 +278,54 @@ def test_unpickled_presentation_hashes_as_parsed_under_another_hash_seed():
 
 
 def test_path_degree():
+    """A path of degree 1 is stored as its split; Relation.make refuses
+    one of degree 0 or 2."""
     q = Quiver(("0", "1", "2"),
                (Arrow("e0", "0", "0"), Arrow("e1", "1", "1"),
                 Arrow("a1", "1", "0"), Arrow("b1", "2", "1")))
-    assert path_of(q, ["e0", "e0", "a1", "e1"]).degree == 1
-    assert path_of(q, ["e0", "e0", "e0"]).degree == 0
-    assert path_of(q, ["a1", "e1", "b1"]).degree == 2
+    rel = Relation.make(q, [(1, path_of(["e0", "e0", "a1", "e1"]))])
+    assert rel.terms == ((1, 2, "a1", 1),) and rel.loops == ("e0", "e1")
+    with pytest.raises(PresentationError, match="^degree-0 relation"):
+        Relation.make(q, [(1, path_of(["e0", "e0", "e0"]))])
+    with pytest.raises(PresentationError, match="^path a1\\*e1\\*b1 has degree 2;"):
+        Relation.make(q, [(1, path_of(["a1", "e1", "b1"]))])
 
 
 def test_relation_degree():
-    """A relation builds into a presentation only when every term has
-    exactly one non-loop arrow."""
+    """A relation builds only when every term has exactly one non-loop
+    arrow."""
     q = Quiver(("0", "1", "2"),
                (Arrow("e0", "0", "0"), Arrow("a1", "1", "0"), Arrow("b1", "2", "1")))
-    mixed = Relation.make([(1, path_of(q, ["e0", "a1"])), (1, path_of(q, ["e0", "e0", "a1"]))])
+    mixed = Relation.make(q, [(1, path_of(["e0", "a1"])), (1, path_of(["e0", "e0", "a1"]))])
     assert BoundQuiverPresentation(q, (4, 1, 1), (mixed,)).relations == (mixed,)
-    loops = Relation.make([(1, path_of(q, ["e0", "e0", "e0"]))])
     with pytest.raises(PresentationError, match="^degree-0 relation; use a loop order instead$"):
-        BoundQuiverPresentation(q, (4, 1, 1), (loops,))
-    deep = Relation.make([(1, path_of(q, ["e0", "a1", "b1"])), (1, path_of(q, ["a1", "b1"]))])
+        Relation.make(q, [(1, path_of(["e0", "e0", "e0"]))])
     with pytest.raises(PresentationError, match=(
             "^path a1\\*b1 has degree 2; the linear engine supports exactly one "
             "non-loop arrow per term$")):
-        BoundQuiverPresentation(q, (4, 1, 1), (deep,))
+        Relation.make(q, [(1, path_of(["e0", "a1", "b1"])), (1, path_of(["a1", "b1"]))])
 
 
 def test_relation_rejects_incompatible_paths():
     q = Quiver(("0", "1", "2"),
                (Arrow("a", "1", "0"), Arrow("b", "2", "1")))
     with pytest.raises(PresentationError):
-        path_of(q, ["b", "a"])  # does not compose
+        Relation.make(q, [(1, path_of(["b", "a"]))])  # does not compose
     with pytest.raises(PresentationError):
-        Relation.make([(1, path_of(q, ["a", "b"])), (1, path_of(q, ["b", "b"]))])
+        Relation.make(q, [(1, path_of(["a", "b"])), (1, path_of(["b", "b"]))])
+    # a split names one loop per vertex
+    two = Quiver(("0", "1"), (Arrow("e", "0", "0"), Arrow("f", "0", "0"), Arrow("a", "1", "0")))
+    with pytest.raises(PresentationError, match="^path e\\*a meets two loops at a vertex$"):
+        Relation.make(two, [(1, path_of(["e", "a"]))])
 
 
 def test_normalization_idempotent_and_cancellation():
     q = Quiver(("0", "1"), (Arrow("e0", "0", "0"), Arrow("a", "1", "0")))
-    p1 = path_of(q, ["e0", "a"])
-    rel = Relation.make([(Fraction(1, 2), p1), (Fraction(1, 2), p1)])
-    assert rel.terms == ((Fraction(1), p1),)
-    assert Relation.make(rel.terms) == rel
-    cancelled = Relation.make([(1, p1), (-1, p1)], source="1", target="0")
+    p1 = path_of(["e0", "a"])
+    rel = Relation.make(q, [(Fraction(1, 2), p1), (Fraction(1, 2), p1)])
+    assert rel.terms == ((Fraction(1), 1, "a", 0),)
+    assert Relation.make(q, [(t[0], path_of(word_of(rel, t))) for t in rel.terms]) == rel
+    cancelled = Relation.make(q, [(1, p1), (-1, p1)], source="1", target="0")
     assert cancelled.is_zero
 
 
@@ -345,9 +400,10 @@ def test_cycle_conditions_match_brute_force(quiver):
 @settings(max_examples=100, deadline=None)
 @given(small_quivers())
 def test_relation_degree_matches_min_over_terms(quiver):
-    """The presentation refuses a relation with a degree-0 term, then one
-    with a term of degree 2 or more, naming the first such term, and
-    builds every other; all length-2 paths, grouped by their ends."""
+    """Relation.make refuses a relation with a degree-0 term, then one
+    with a term of degree 2 or more, naming the first such term in the
+    word model's order, and builds every other; all length-2 paths,
+    grouped by their ends."""
     loops = [a.source for a in quiver.arrows if a.is_loop]
     assume(len(loops) == len(set(loops)))
     orders = tuple(3 if v in loops else 1 for v in quiver.vertices)
@@ -355,21 +411,23 @@ def test_relation_degree_matches_min_over_terms(quiver):
     for a in quiver.arrows:
         for b in quiver.arrows:
             if a.source == b.target:
-                p = path_of(quiver, [a.name, b.name])
+                p = word_path(quiver, [a.name, b.name])
                 groups.setdefault((p.source, p.target), []).append(p)
     for ps in groups.values():
-        rel = Relation.make([(1, p) for p in ps])
-        deep = [p for _, p in rel.terms if p.degree > 1]
-        if min(p.degree for _, p in rel.terms) == 0:
+        ref = path_reference._normalize_combo([(1, p) for p in ps])
+        deep = [p for _, p in ref if p.degree > 1]
+        if min(p.degree for _, p in ref) == 0:
             want = "degree-0 relation; use a loop order instead"
         elif deep:
             want = (f"path {deep[0]} has degree {deep[0].degree}; the linear "
                     "engine supports exactly one non-loop arrow per term")
         else:
+            rel = Relation.make(quiver, [(1, path_of(p.arrows)) for p in ps])
+            assert [(t[0], word_of(rel, t)) for t in rel.terms] == [(c, p.arrows) for c, p in ref]
             assert BoundQuiverPresentation(quiver, orders, (rel,)).relations == (rel,)
             continue
         with pytest.raises(PresentationError) as exc:
-            BoundQuiverPresentation(quiver, orders, (rel,))
+            Relation.make(quiver, [(1, path_of(p.arrows)) for p in ps])
         assert str(exc.value) == want
 
 
@@ -387,6 +445,16 @@ def _run_lists(draw, quiver):
     return runs
 
 
+@st.composite
+def _split_runs(draw, quiver):
+    """Runs of a non-loop arrow between powers 0 to 3 of the loops at its
+    ends, where they have one."""
+    x = draw(st.sampled_from(quiver.non_loop_arrows))
+    loop = {a.source: a.name for a in quiver.arrows if a.is_loop}
+    return ([(loop[x.target], draw(st.integers(0, 3)))] if x.target in loop else []) + [
+        (x.name, 1)] + ([(loop[x.source], draw(st.integers(0, 3)))] if x.source in loop else [])
+
+
 def _built(build, *args):
     try:
         return build(*args)
@@ -397,30 +465,43 @@ def _built(build, *args):
 @settings(max_examples=300, deadline=None)
 @given(small_quivers(), st.data())
 def test_run_paths_match_word_model(quiver, data):
-    """Paths built from runs against the word model they replaced: the same
-    paths exist, with the same str, ends, degree, split and length, and the
-    same equality, hash and term order."""
+    """Relations built from arrow runs against the word model of paths they
+    replaced: a term builds exactly where its word path does and has length
+    >= 2 and one non-loop arrow, with the word path's str, ends, split and
+    word, and equal exactly where the word paths are; and the terms of
+    several such paths combine and order as the word model combines and
+    orders them."""
     assume(quiver.arrows)
-    pairs = []
-    for runs in data.draw(st.lists(_run_lists(quiver), min_size=1, max_size=8)):
+    loops = [a.source for a in quiver.arrows if a.is_loop]
+    assume(len(loops) == len(set(loops)))
+    built = []
+    shapes = _run_lists(quiver)
+    if quiver.non_loop_arrows:
+        shapes = st.one_of(shapes, _split_runs(quiver))
+    for runs in data.draw(st.lists(shapes, min_size=1, max_size=8)):
         word = [name for name, k in runs for _ in range(k)]
-        new, old = _built(quiver.path, runs), _built(path_reference.word_path, quiver, word)
-        assert (new is None) == (old is None), runs
-        if new is None:
+        rel, old = _built(Relation.make, quiver, [(1, runs)]), _built(word_path, quiver, word)
+        assert (rel is None) == (old is None or old.length < 2 or old.degree != 1), runs
+        if rel is None:
             continue
-        assert new.runs == tuple(path_reference._runs(word)) and word_of(new) == old.arrows
-        assert (str(new), new.source, new.target, new.degree, new.split, new.length) == (
-            str(old), old.source, old.target, old.degree, old.split, old.length)
-        pairs.append((new, old))
-    for new, old in pairs:
-        for other_new, other_old in pairs:
-            assert (new == other_new) == (old == other_old)
-            if new == other_new:
-                assert hash(new) == hash(other_new)
-    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(pairs), max_size=len(pairs)))
-    got = _normalize_combo([(c, new) for c, (new, _) in zip(coeffs, pairs)])
-    want = path_reference._normalize_combo([(c, old) for c, (_, old) in zip(coeffs, pairs)])
-    assert [(c, word_of(p)) for c, p in got] == [(c, p.arrows) for c, p in want]
+        (term,) = rel.terms
+        assert (str(rel), rel.source, rel.target, term[1:]) == (
+            str(old), old.source, old.target, old.split)
+        assert word_of(rel, term) == old.arrows
+        built.append((runs, old, rel))
+    for _, old, rel in built:
+        for _, other_old, other in built:
+            assert (rel == other) == (old == other_old)
+            if rel == other:
+                assert hash(rel) == hash(other)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(built), max_size=len(built)))
+    groups = {}
+    for c, (runs, old, _) in zip(coeffs, built):
+        groups.setdefault((old.source, old.target), []).append((c, runs, old))
+    for group in groups.values():
+        got = Relation.make(quiver, [(c, runs) for c, runs, _ in group])
+        want = path_reference._normalize_combo([(c, old) for c, _, old in group])
+        assert [(t[0], word_of(got, t)) for t in got.terms] == [(c, p.arrows) for c, p in want]
 
 
 @settings(max_examples=300, deadline=None)
@@ -435,12 +516,12 @@ def test_relation_term_order_matches_word_model(names, length, data):
                             Arrow(a1, "1", "0"), Arrow(a2, "1", "0")))
     terms = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, length - 1),
                                          st.sampled_from([a1, a2])), min_size=1, max_size=8))
-    got = Relation.make([(c, q.path([(e0, i), (a, 1), (e1, length - 1 - i)]))
-                         for c, i, a in terms], source="1", target="0")
+    got = Relation.make(q, [(c, [(e0, i), (a, 1), (e1, length - 1 - i)])
+                            for c, i, a in terms], source="1", target="0")
     want = path_reference._normalize_combo(
-        [(c, path_reference.word_path(q, [e0] * i + [a] + [e1] * (length - 1 - i)))
+        [(c, word_path(q, [e0] * i + [a] + [e1] * (length - 1 - i)))
          for c, i, a in terms])
-    assert [(c, word_of(p)) for c, p in got.terms] == [(c, p.arrows) for c, p in want]
+    assert [(t[0], word_of(got, t)) for t in got.terms] == [(c, p.arrows) for c, p in want]
 
 
 SUBST_BASE = """
@@ -456,17 +537,19 @@ relation e0^2*a1
 def test_substitution_scalar_rescale():
     pres = parse_presentation("vertex 0\nvertex 1\nloop e0 0 order 2\n"
                               "arrow a1 1 -> 0\nrelation e0*a1\n")
-    out = apply_arrow_substitution(pres, "a1", [(2, path_of(pres.quiver, ["a1"]))])
-    (coeff, path), = out.relations[0].terms
-    assert coeff == Fraction(1, 2) and word_of(path) == ("e0", "a1")
+    out = apply_arrow_substitution(pres, "a1", [(2, word_path(pres.quiver, ["a1"]))])
+    (rel,) = out.relations
+    (term,) = rel.terms
+    assert term[0] == Fraction(1, 2) and word_of(rel, term) == ("e0", "a1")
 
 
 def test_substitution_shear_expected_expansion():
     pres = parse_presentation(SUBST_BASE)
     q = pres.quiver
-    repl = [(1, path_of(q, ["a1"])), (1, path_of(q, ["e0", "a2"]))]
+    repl = [(1, word_path(q, ["a1"])), (1, word_path(q, ["e0", "a2"]))]
     out = apply_arrow_substitution(pres, "a1", repl)
-    got = {(c, word_of(p)) for c, p in out.relations[0].terms}
+    (rel,) = out.relations
+    got = {(t[0], word_of(rel, t)) for t in rel.terms}
     assert got == {(Fraction(1), ("e0", "e0", "a1")),
                    (Fraction(-1), ("e0", "e0", "e0", "a2"))}
 
@@ -476,10 +559,11 @@ def test_substitution_loop_reparameterization_keeps_order():
             "arrow a1 1 -> 0\nrelation e0*a1 + a1*e1\n")
     pres = parse_presentation(text)
     q = pres.quiver
-    repl = [(1, path_of(q, ["e1"])), (Fraction(1, 3), path_of(q, ["e1"] * 3))]
+    repl = [(1, word_path(q, ["e1"])), (Fraction(1, 3), word_path(q, ["e1"] * 3))]
     out = apply_arrow_substitution(pres, "e1", repl)
     assert out.orders == pres.orders
-    words = {word_of(p) for _, p in out.relations[0].terms}
+    (rel,) = out.relations
+    words = {word_of(rel, t) for t in rel.terms}
     assert ("a1", "e1", "e1", "e1") in words
 
 
@@ -487,9 +571,9 @@ def test_substitution_round_trip():
     pres = parse_presentation(SUBST_BASE)
     q = pres.quiver
     for repl in (
-        [(1, path_of(q, ["a1"])), (1, path_of(q, ["e0", "a2"]))],
-        [(Fraction(-3), path_of(q, ["a1"])), (Fraction(1, 2), path_of(q, ["e0", "e0", "a1"]))],
-        [(2, path_of(q, ["a1"])), (1, path_of(q, ["a2"]))],
+        [(1, word_path(q, ["a1"])), (1, word_path(q, ["e0", "a2"]))],
+        [(Fraction(-3), word_path(q, ["a1"])), (Fraction(1, 2), word_path(q, ["e0", "e0", "a1"]))],
+        [(2, word_path(q, ["a1"])), (1, word_path(q, ["a2"]))],
     ):
         forward = apply_arrow_substitution(pres, "a1", repl)
         back = apply_arrow_substitution(forward, "a1",
@@ -504,14 +588,15 @@ def test_substitution_with_self_referencing_tail():
             "arrow a1 1 -> 0\nrelation e0*a1 + a1*e1\n")
     pres = parse_presentation(text)
     q = pres.quiver
-    repl = [(1, path_of(q, ["a1"])), (Fraction(1, 2), path_of(q, ["e0", "a1", "e1"]))]
+    repl = [(1, word_path(q, ["a1"])), (Fraction(1, 2), word_path(q, ["e0", "a1", "e1"]))]
     inv = invert_substitution(pres, "a1", repl)
-    assert {(str(c), word_of(p)) for c, p in inv} == {
+    assert {(str(c), p.arrows) for c, p in inv} == {
         ("1", ("a1",)),
         ("-1/2", ("e0", "a1", "e1")),
         ("1/4", ("e0", "e0", "a1", "e1", "e1"))}
     fwd = apply_arrow_substitution(pres, "a1", repl)
-    words = {word_of(p) for _, p in fwd.relations[0].terms}
+    (rel,) = fwd.relations
+    words = {word_of(rel, t) for t in rel.terms}
     assert ("e0", "e0", "a1", "e1") in words and ("e0", "a1", "e1", "e1") in words
     back = apply_arrow_substitution(fwd, "a1", inv)
     assert back.relations == pres.relations
@@ -521,9 +606,9 @@ def test_substitution_requires_invertible_lead():
     pres = parse_presentation(SUBST_BASE)
     q = pres.quiver
     with pytest.raises(SubstitutionError):
-        apply_arrow_substitution(pres, "a1", [(1, path_of(q, ["a2"]))])
+        apply_arrow_substitution(pres, "a1", [(1, word_path(q, ["a2"]))])
     with pytest.raises(SubstitutionError):
-        apply_arrow_substitution(pres, "a1", [(1, path_of(q, ["e0", "a1"]))])
+        apply_arrow_substitution(pres, "a1", [(1, word_path(q, ["e0", "a1"]))])
 
 
 @settings(max_examples=200, deadline=None)

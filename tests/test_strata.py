@@ -243,6 +243,19 @@ def test_dim_vectors_are_counted_before_they_are_listed(monkeypatch):
         dim_vectors_up_to(2, 100_000)
 
 
+def test_dimensions_are_bounded_before_types_are_counted(monkeypatch):
+    # a bound equal to the largest dimension passes, one less refuses,
+    # before count_partitions_bounded builds its table
+    pres = build_family(parse_family_spec("A(1,2,2,1)"))
+    monkeypatch.setattr(strata, "_MAX_DIM", 990)
+    assert len(assignments_for(pres, (990, 1), cap=496)) == 496
+    monkeypatch.setattr(strata, "count_partitions_bounded", None)
+    with pytest.raises(ValueError, match="^dimension 991 exceeds the bound 990$"):
+        assignments_for(pres, (1, 991), cap=10 ** 9)
+    with pytest.raises(ValueError, match="^dimension 991 exceeds the bound 990$"):
+        reducibility_scan(pres, (991, 0))
+
+
 def test_ambient_arrow_dim():
     pres = build_family(parse_family_spec("Aprime(3,2,2)"))
     assert ambient_arrow_dim(pres, (2, 3)) == 3 * 6
