@@ -10,7 +10,7 @@ from .quiver import (Arrow, BoundQuiverPresentation, PresentationError, Quiver,
 from .partitions import (JordanAssignment, Partition, end_dim, orbit_count,
                          orbit_count_ff, orbit_dim, partitions_bounded)
 from .linsys import (ConstraintSystem, PartPairTable, assemble_system,
-                     codim_table, integer_terms, rank_exact, split_terms)
+                     integer_terms, rank_exact, split_terms)
 from .formulas import (FormulaCase, SideConditionError, c_closed_form,
                        evaluate_case, formula_cases)
 from .strata import (ReducibilityCertificate, ScanCapExceeded, StratumReport,

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .families import build_family, parse_family_spec
 from .fforacle import enumerate_and_classify, verify_count_identity
 from .formulas import evaluate_case, formula_cases, single_case
+from .linsys import PartPairTable
 from .quiver import parse_presentation, serialize_presentation
 from .strata import (ScanCapExceeded, assignments_for, dim_vectors_up_to,
                      reducibility_scan, stratum_dim)
@@ -57,25 +58,11 @@ def _dims_for(args, n_vertices: int) -> list[tuple[int, ...]]:
     return dim_vectors_up_to(n_vertices, args.max_total)
 
 
-def _map(fn, items: Sequence, jobs: int) -> list:
-    """``fn`` over ``items`` in order, in worker processes when more than one
-    would run: never more than asked, than there are CPUs, or than there
-    are items."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers > 1:
-        # imported here: a one-process run need not load the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def cmd_strata(args) -> int:
     pres = _read_presentation(args.algebra)
     dims = _parse_dim(args.dim)
-    reports = [stratum_dim(pres, ja) for ja in assignments_for(pres, dims, args.cap)]
+    table = PartPairTable(pres)
+    reports = [stratum_dim(table, ja) for ja in assignments_for(pres, dims, args.cap)]
     header = ["assignment", "orbit_dims", "N", "c", "dim", "maximal"]
     rows = [[r.assignment.serialize(),
              "|".join(str(o) for o in r.orbit_dims),
@@ -93,17 +80,36 @@ def cmd_strata(args) -> int:
 def cmd_reduce_scan(args) -> int:
     pres = _read_presentation(args.algebra)
     dim_list = _dims_for(args, len(pres.quiver.vertices))
-    for block in _map(_scan_one, [(pres, d, args.cap) for d in dim_list], args.jobs):
-        print(block)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    # one task per worker process, never more than asked, than CPUs or than
+    # vectors; task k scans every n-th vector from the k-th, so tasks cost alike
+    n = min(args.jobs, os.cpu_count() or 1, len(dim_list))
+    tasks = [(pres, dim_list[k::n], args.cap) for k in range(n)]
+    if n > 1:  # imported here: a one-process run need not load the pool
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            slices = list(pool.map(_scan_slice, tasks))
+    else:
+        slices = [_scan_slice(tasks[0])]
+    for i in range(len(dim_list)):
+        print(slices[i % n][i // n])
     return 0
 
 
-def _scan_one(work) -> str:
+def _scan_slice(task) -> list[str]:
+    """The reports that ``reduce-scan`` prints for some dimension vectors,
+    all from one part-pair table."""
+    pres, dim_list, cap = task
+    table = PartPairTable(pres)
+    return [_scan_one(table, dims, cap) for dims in dim_list]
+
+
+def _scan_one(table: PartPairTable, dims: tuple[int, ...], cap: int) -> str:
     """The report that ``reduce-scan`` prints for one dimension vector."""
-    pres, dims, cap = work
     label = f"d=({', '.join(str(x) for x in dims)})"
     try:
-        cert = reducibility_scan(pres, dims, cap=cap)
+        cert = reducibility_scan(table, dims, cap=cap)
     except ScanCapExceeded as exc:
         return f"{label}: scan cap exceeded ({exc.count} assignments > cap {exc.cap})"
     if cert is None:
@@ -151,22 +157,23 @@ def cmd_verify_formulas(args) -> int:
 def cmd_oracle_count(args) -> int:
     pres = _read_presentation(args.algebra)
     dims = _parse_dim(args.dim)
+    table = PartPairTable(pres)
     # every prime's counts and identity rows first: an error prints nothing
     results = []
     for q in _parse_primes(args.q):
-        table = enumerate_and_classify(pres, dims, q, max_points=args.cap)
-        results.append((q, table, verify_count_identity(table, pres)))
+        counts = enumerate_and_classify(pres, dims, q, max_points=args.cap)
+        results.append((q, counts, verify_count_identity(counts, table)))
     failures = 0
-    for q, table, rows in results:
+    for q, counts, rows in results:
         _emit_csv(["assignment", "count", "q", "predicted", "pass"],
                   [[r.assignment.serialize(), r.count, q, r.predicted,
                     "pass" if r.ok else "fail"] for r in rows])
         bad = [r for r in rows if not r.ok]
         failures += len(bad)
         covered = sum(r.count for r in rows)
-        if covered != table.total:
+        if covered != counts.total:
             failures += 1
-            print(f"# q={q}: stratum counts cover {covered} of {table.total} points")
+            print(f"# q={q}: stratum counts cover {covered} of {counts.total} points")
     return 1 if failures else 0
 
 

@@ -21,6 +21,9 @@ __all__ = [
 # arrows 1 -> 0 a family builds: A(10^6,2,2,1) took the family command
 # 3.0 s and 360 MB on a 2-CPU host
 _MAX_H = 10 ** 6
+# terms of the mixed relation a family builds: A(1,200000,200000,100000),
+# 10^5 terms, took the family command 2.8-3.9 s and 144 MB on a 2-CPU host
+_MAX_TERMS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,18 @@ class FamilyTag:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind != "truncpoly" and self.h > _MAX_H:
             raise ValueError(f"h = {self.h} arrows exceed the bound {_MAX_H}")
+        if self.kind == "A":  # not len(), which overflows past 2^63 terms
+            terms = self.term_powers.stop - self.term_powers.start
+            if terms > _MAX_TERMS:
+                raise ValueError(f"the relation of {self.spec_string()} has {terms} "
+                                 f"terms, more than the bound {_MAX_TERMS}")
+
+    @property
+    def term_powers(self) -> range:
+        """The powers i of ``e1`` in the terms ``e0^(n-i) a1 e1^i`` of the
+        mixed relation of kind A: those whose loop powers stay below the
+        orders, counted without being listed."""
+        return range(max(0, self.n - self.m0 + 1), min(self.n, self.m1 - 1) + 1)
 
     @property
     def in_classified_list(self) -> bool:
@@ -114,8 +129,7 @@ def build_family(tag: FamilyTag) -> BoundQuiverPresentation:
     quiver = Quiver(("0", "1"), (*loops, *(Arrow(f"a{i + 1}", "1", "0") for i in range(tag.h))))
     relations: tuple[Relation, ...] = ()
     if tag.kind == "A":
-        terms = [(1, [("e0", tag.n - i), ("a1", 1), ("e1", i)])
-                 for i in range(max(0, tag.n - tag.m0 + 1), min(tag.n, tag.m1 - 1) + 1)]
+        terms = [(1, [("e0", tag.n - i), ("a1", 1), ("e1", i)]) for i in tag.term_powers]
         rel = Relation.make(quiver, terms, source="1", target="0")
         if not rel.is_zero:
             relations = (rel,)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .linsys import codim_table
+from .linsys import PartPairTable
 from .partitions import (JordanAssignment, _is_prime, orbit_count,
                          partition_from_ranks, partitions_bounded)
 from .quiver import BoundQuiverPresentation
@@ -68,6 +68,15 @@ class StratumCountTable:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
+
+
+# bits of |GL_d(F_q)|, about d * d * q.bit_length(), that the identity
+# check may form at one vertex.  Every point cap bounds a vertex with a loop
+# or an arrow to a nonzero dimension to a few thousand bits; this bounds the
+# others.  At 10^6 bits orbit_count took 0.28 s at (d, q) = (707, 2) and
+# 0.40 s at (200, 1999993); at 8 * 10^6 bits, (2000, 2), oracle-count took
+# 14.8 s, on a 2-CPU host
+_MAX_GL_BITS = 10 ** 6
 
 
 def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
@@ -116,6 +125,10 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
         raise EnumerationCapExceeded(
             f"arrow {a.name!r} needs {count} points, cap is {max_points}"
         )
+    for v, d in dim_of.items():
+        if (bits := d * d * q.bit_length()) > _MAX_GL_BITS:
+            raise ValueError(f"|GL_{d}(F_{q})| at vertex {v!r} has about {bits} bits, "
+                             f"more than the bound {_MAX_GL_BITS}")
     per_vertex = [partitions_bounded(d, m) for d, m in zip(dims, pres.orders)]
 
     # mixed-radix layout of the tally keys, one digit per vertex, so a key
@@ -198,21 +211,19 @@ class IdentityRow:
         return self.count == self.predicted
 
 
-def verify_count_identity(table: StratumCountTable,
-                          pres: BoundQuiverPresentation) -> list[IdentityRow]:
-    """Per-stratum check of count = (orbit counts) * q^(N - c).
+def verify_count_identity(counts: StratumCountTable,
+                          table: PartPairTable) -> list[IdentityRow]:
+    """Per-stratum check of count = (orbit counts) * q^(N - c), c from table.
 
     A failure at desk scale means either the prime is bad for the exact
     rank or the engine miscounts; both are reportable findings.
     """
-    q = table.q
-    n = ambient_arrow_dim(pres, table.dims)
-    codims = codim_table(pres)
+    q = counts.q
+    n = ambient_arrow_dim(table.pres, counts.dims)
     rows = []
-    for ja in assignments_for(pres, table.dims):
-        c = codims.codim(ja)
-        pred = q ** (n - c)
+    for ja in assignments_for(table.pres, counts.dims):
+        pred = q ** (n - table.codim(ja))
         for p in ja.partitions:
             pred *= orbit_count(p, q)
-        rows.append(IdentityRow(ja, table.counts.get(ja, 0), pred))
+        rows.append(IdentityRow(ja, counts.counts.get(ja, 0), pred))
     return rows

@@ -6,7 +6,9 @@ of the stacked system is the codimension of its solution space inside the
 ambient arrow space.  A Jordan block only shifts indices within itself, so
 the system splits into one part per (target block, source block) pair:
 ``assemble_system`` builds one such part and ``PartPairTable`` sums their
-ranks.  The engine reads a relation as integer split terms,
+ranks, ranking each part once; its caller builds one table per
+presentation and hands it to every query, and no module keeps one.  The
+engine reads a relation as integer split terms,
 ``(coefficient, loop power before, arrow index, loop power after)``:
 ``integer_terms`` scales a relation's rational terms once by the lcm of
 their denominators, which changes no rank, and ``split_terms`` makes them
@@ -20,7 +22,6 @@ gcd only when that exceeds 1, and uses no floats.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,7 +37,6 @@ __all__ = [
     "assemble_system",
     "rank_exact",
     "PartPairTable",
-    "codim_table",
 ]
 
 
@@ -179,8 +179,3 @@ class PartPairTable:
         return self.codim_of_types([ja.partition(v).multiplicities
                                     for v in self.pres.quiver.vertices])
 
-
-@functools.lru_cache(maxsize=64)
-def codim_table(pres: BoundQuiverPresentation) -> PartPairTable:
-    """The part-pair table of ``pres``, built once per presentation."""
-    return PartPairTable(pres)

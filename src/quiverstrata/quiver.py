@@ -247,20 +247,6 @@ class BoundQuiverPresentation:
             for term in rel.terms:  # paths stay in the monomial basis
                 _refuse_forbidden_power(q, order_of, _term_runs(rel.loops, term))
 
-    def __hash__(self) -> int:
-        # cached: ``codim_table`` looks a presentation up once per dimension
-        # vector, and the field hash walks every path and coefficient
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.quiver, self.orders, self.relations))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # a string's hash depends on the process's hash seed, so a copy in
-        # another process computes its own
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     def order(self, vertex: str) -> int:
         return self.orders[self.quiver.vertices.index(vertex)]
 

@@ -9,6 +9,8 @@ conjugation equivariance, so
 
 A non-maximal stratum whose dimension reaches the maximal stratum's proves
 that the representation scheme is reducible; the scan searches for one.
+Both read codimensions from a ``PartPairTable``, which the caller builds
+once per presentation and passes in; ``table.pres`` is the presentation.
 Given a cap, ``assignments_for`` and the scan count the Jordan assignments
 before they list any.
 """
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linsys import codim_table
+from .linsys import PartPairTable
 from .partitions import (JordanAssignment, Partition, count_partitions_bounded,
                          orbit_dim, partitions_bounded)
 from .quiver import BoundQuiverPresentation
@@ -134,11 +136,10 @@ def ambient_arrow_dim(pres: BoundQuiverPresentation, dims: Sequence[int]) -> int
     return sum(of[a.target] * of[a.source] for a in pres.quiver.non_loop_arrows)
 
 
-def stratum_dim(pres: BoundQuiverPresentation, ja: JordanAssignment) -> StratumReport:
-    """Report for one stratum; requires degree-1 relations."""
-    dims = ja.dims
-    n = ambient_arrow_dim(pres, dims)
-    c = codim_table(pres).codim(ja)
+def stratum_dim(table: PartPairTable, ja: JordanAssignment) -> StratumReport:
+    """Report for one stratum of ``table.pres``."""
+    n = ambient_arrow_dim(table.pres, ja.dims)
+    c = table.codim(ja)
     orbits = tuple(orbit_dim(p) for p in ja.partitions)
     is_max = all(p.is_maximal for p in ja.partitions)
     return StratumReport(ja, orbits, n, c, is_max)
@@ -163,7 +164,7 @@ def _type_data(d: int, m: int) -> tuple[tuple[Partition, int, tuple], ...]:
     return tuple((p, orbit_dim(p), p.multiplicities) for p in partitions_bounded(d, m))
 
 
-def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
+def reducibility_scan(table: PartPairTable, dims: Sequence[int],
                       cap: int = 100_000) -> ReducibilityCertificate | None:
     """The first non-maximal stratum at least as large as the maximal one.
 
@@ -171,16 +172,16 @@ def reducibility_scan(pres: BoundQuiverPresentation, dims: Sequence[int],
     dimension vector is reducible; ``None`` proves nothing.  N is
     fixed, so the scan compares orbit dims - codimension (from the table).
     """
+    pres = table.pres
     dims = _check_dims(pres, dims, cap)
     data = [_type_data(d, m) for d, m in zip(dims, pres.orders)]
-    table = codim_table(pres)
 
     def size(combo) -> int:
         return (sum(o for _, o, _ in combo)
                 - table.codim_of_types([m for _, _, m in combo]))
 
     def report(combo) -> StratumReport:
-        return stratum_dim(pres, JordanAssignment.for_presentation(
+        return stratum_dim(table, JordanAssignment.for_presentation(
             pres, [p for p, _, _ in combo]))
 
     it = itertools.product(*data)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from quiverstrata import _kernels
 from quiverstrata.families import FamilyTag
 from quiverstrata.fforacle import enumerate_and_classify
-from quiverstrata.linsys import codim_table
+from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 from quiverstrata.strata import assignments_for, stratum_dim
@@ -266,7 +266,7 @@ def split_gap_test(pres: BoundQuiverPresentation, dims: Sequence[int],
     witness_parts = list(ja_max.partitions)
     witness_parts[ja_max.vertices.index(vertex)] = Partition((p - 1, 1), pres.order(vertex))
     ja_wit = JordanAssignment.for_presentation(pres, witness_parts)
-    table = codim_table(pres)
+    table = PartPairTable(pres)
     gap = table.codim(ja_max) - table.codim(ja_wit)
     return gap >= 2, gap
 
@@ -346,4 +346,5 @@ def nooverlap_dims(h: int, l: int, n1: int, n2: int, m: int,
     ja_v = JordanAssignment.for_presentation(
         pres, [one, Partition((n2, 1), m), one]
     )
-    return stratum_dim(pres, ja_u).dim, stratum_dim(pres, ja_v).dim
+    table = PartPairTable(pres)
+    return stratum_dim(table, ja_u).dim, stratum_dim(table, ja_v).dim

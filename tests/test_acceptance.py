@@ -13,7 +13,7 @@ from rank_reference import rank_mod
 from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
 from quiverstrata.formulas import evaluate_case, formula_cases
-from quiverstrata.linsys import rank_exact
+from quiverstrata.linsys import PartPairTable, rank_exact
 from quiverstrata.partitions import Partition, end_dim, orbit_dim, partitions_bounded
 from quiverstrata.quiver import parse_presentation
 from quiverstrata.strata import dim_vectors_up_to, reducibility_scan
@@ -55,7 +55,7 @@ def test_criterion_3a_two_monomial_relations():
                 f"relation e0^{a1}*x1\nrelation e0^{a2}*x2\n"
             )
             pres = parse_presentation(text)
-            cert = reducibility_scan(pres, (a2 + 1, 1))
+            cert = reducibility_scan(PartPairTable(pres), (a2 + 1, 1))
             assert cert is not None, (a1, a2)
             assert cert.witness.assignment.partitions[0].parts == (a2, 1)
             assert cert.witness.assignment.partitions[1].parts == (1,)
@@ -69,7 +69,7 @@ def test_criterion_3b_chain_relation_certificates():
     for n in (2, 3):
         m = n + 2  # smallest order with m > n + 1
         pres = build_family(FamilyTag("A", h=1, m0=m, m1=m, n=n))
-        cert = reducibility_scan(pres, (n + 2, 2))
+        cert = reducibility_scan(PartPairTable(pres), (n + 2, 2))
         assert cert is not None
         assert cert.maximal.codim == 4
         assert cert.witness.codim == 2
@@ -80,7 +80,7 @@ def test_criterion_3b_chain_relation_certificates():
 def test_criterion_3c_unequal_orders_certificate():
     n, m0, m1 = 2, 3, 2
     pres = build_family(FamilyTag("A", h=1, m0=m0, m1=m1, n=n))
-    cert = reducibility_scan(pres, (m0 - m1 + 1, 2 * m1))
+    cert = reducibility_scan(PartPairTable(pres), (m0 - m1 + 1, 2 * m1))
     assert cert is not None
     assert cert.maximal.codim == 2
     assert cert.witness.codim == 0
@@ -90,7 +90,7 @@ def test_criterion_3c_unequal_orders_certificate():
 def test_criterion_3d_two_term_relation_certificate():
     m0, m1 = 3, 2
     pres = build_family(FamilyTag("A", h=1, m0=m0, m1=m1, n=1))
-    cert = reducibility_scan(pres, (m0, 2 * m1))
+    cert = reducibility_scan(PartPairTable(pres), (m0, 2 * m1))
     assert cert is not None
     assert cert.maximal.codim == 2 * m0 * m1 - 2 * m1
     assert cert.witness.codim == 2 * m0 * m1 - 2 * m1 - 2
@@ -110,9 +110,9 @@ def test_criterion_4_no_certificate_regression():
                 specs.append(FamilyTag("Aprime", h=h, m0=m0, m1=m1))
     scans = 0
     for tag in specs:
-        pres = build_family(tag)
+        table = PartPairTable(build_family(tag))
         for dims in dim_vectors_up_to(2, 6):
-            cert = reducibility_scan(pres, dims)
+            cert = reducibility_scan(table, dims)
             assert cert is None, (tag.spec_string(), dims, cert and cert.to_text())
             scans += 1
     elapsed = time.monotonic() - start
@@ -125,10 +125,11 @@ def test_criterion_5_oracle_identity(a1221, aprime122):
     start = time.monotonic()
     strata_checked = 0
     for pres in (a1221, aprime122):
+        codims = PartPairTable(pres)
         for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
             for q in (2, 3):
                 table = enumerate_and_classify(pres, dims, q)
-                rows = verify_count_identity(table, pres)
+                rows = verify_count_identity(table, codims)
                 for row in rows:
                     assert row.ok, (dims, q, row.assignment.serialize())
                 assert sum(r.count for r in rows) == table.total

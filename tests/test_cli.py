@@ -345,6 +345,36 @@ def test_family_huge_h_exits_2_at_once(tmp_path):
     assert seconds < 1 and megabytes < 150, (seconds, megabytes)
 
 
+def test_family_term_bound_exits_2_at_once(tmp_path):
+    """The 10^6 terms of this relation are counted, not built (building
+    them took 32 s and 1.2 GB)."""
+    code, out, err, seconds, megabytes = _measured(["family", "A(1,2000000,2000000,1000000)"],
+                                                   tmp_path)
+    assert (code, out) == (2, "")
+    assert err == ("error: the relation of A(1,2000000,2000000,1000000) has 1000001 terms, "
+                   "more than the bound 100000\n")
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
+@pytest.mark.parametrize("spec, dim, q, message", [
+    ("truncpoly(1)", "1000000", "2", "|GL_1000000(F_2)| at vertex '0' has about "
+                                     "2000000000000 bits"),
+    ("truncpoly(1)", "2000", "2", "|GL_2000(F_2)| at vertex '0' has about 8000000 bits"),
+    ("Aprime(1,1,1)", "0,1500", "2", "|GL_1500(F_2)| at vertex '1' has about 4500000 bits"),
+    ("Aprime(1,1,1)", "0,300", "1999993", "|GL_300(F_1999993)| at vertex '1' has about "
+                                          "1890000 bits"),
+])
+def test_oracle_count_group_order_bound_exits_2_at_once(tmp_path, spec, dim, q, message):
+    """No point cap reaches a vertex without a loop whose arrows meet only
+    dimension 0, so the group order of the identity check is bounded by its
+    bits (forming it took 14.8 s at (2000, 2), cubic in d)."""
+    argv = ["oracle-count", "--algebra", _family_file(tmp_path, spec), "--dim", dim, "--q", q]
+    code, out, err, seconds, megabytes = _measured(argv, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, more than the bound 1000000\n"
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
 def test_verify_formulas_sweep_bound_exits_2_at_once(tmp_path):
     """The shapes of the sweep to p = 100000 are counted, not tried (trying
     them ran past 30 s)."""
@@ -466,12 +496,56 @@ def test_reduce_scan_cap_checked_before_listing_types(tmp_path, capsys):
     assert out == "d=(60, 60): scan cap exceeded (930028784400 assignments > cap 10)\n"
 
 
-def test_reduce_scan_jobs_match_sequential(algebra_file, capsys):
-    _, seq, _ = run_cli(["reduce-scan", "--algebra", algebra_file,
-                         "--max-total", "4"], capsys)
-    _, par, _ = run_cli(["reduce-scan", "--algebra", algebra_file,
-                         "--max-total", "4", "--jobs", "2"], capsys)
-    assert seq == par
+def test_reduce_scan_jobs_match_sequential(algebra_file, capsys, monkeypatch):
+    """Each worker scans every n-th of the 15 vectors, and the blocks print
+    in the order of the vectors.  With four CPUs reported, --jobs 3 runs
+    three workers; one vector runs in this process whatever --jobs is."""
+    import concurrent.futures
+
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["reduce-scan", "--algebra", algebra_file, "--max-total", "4"]
+    _, seq, _ = run_cli(argv, capsys)
+    assert len(seq.splitlines()) == 15
+    for jobs in ("2", "3"):
+        _, par, _ = run_cli(argv + ["--jobs", jobs], capsys)
+        assert seq == par
+    single = ["reduce-scan", "--algebra", algebra_file, "--dim", "3,2"]
+    _, one, _ = run_cli(single, capsys)
+    _, par, _ = run_cli(single + ["--jobs", "2"], capsys)
+    assert one == par == "d=(3, 2): no certificate\n"
+    assert pools == [2, 3]
+
+
+def test_commands_keep_no_presentation(tmp_path):
+    """Each command builds its part-pair table and drops it with its
+    presentation: after strata, reduce-scan and oracle-count in one process,
+    the garbage collector finds no presentation."""
+    script = ("import contextlib, gc, io, sys\n"
+              "from quiverstrata.cli import main\n"
+              "from quiverstrata.quiver import BoundQuiverPresentation\n"
+              "alg = ['--algebra', sys.argv[1]]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [main(['strata', *alg, '--dim', '2,2']),\n"
+              "             main(['reduce-scan', *alg, '--max-total', '4']),\n"
+              "             main(['oracle-count', *alg, '--dim', '2,1', '--q', '2,3'])]\n"
+              "gc.collect()\n"
+              "print(codes, sum(isinstance(x, BoundQuiverPresentation)\n"
+              "                 for x in gc.get_objects()))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, _family_file(tmp_path, "A(1,4,4,2)")],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0] 0\n"
 
 
 def test_verify_formulas_single_instance(capsys):
@@ -699,7 +773,7 @@ def test_oracle_count_checks_each_prime_once(algebra_file, capsys, monkeypatch):
     calls = []
     original = cli.verify_count_identity
     monkeypatch.setattr(cli, "verify_count_identity",
-                        lambda table, pres: calls.append(table.q) or original(table, pres))
+                        lambda counts, table: calls.append(counts.q) or original(counts, table))
     code, _, _ = run_cli(["oracle-count", "--algebra", algebra_file,
                           "--dim", "1,1", "--q", "2,3"], capsys)
     assert code == 0 and calls == [2, 3]
@@ -870,3 +944,16 @@ def test_readme_cli_flags_are_accepted():
         flags = [w.strip("[]") for w in words[2:] if w.strip("[]").startswith("-")]
         for flag in flags:
             assert flag in accepted, (words[1], flag)
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    """README's python block runs as written, in a fresh interpreter."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library sketch$.*?^```python$(.*?)^```$", readme, re.M | re.S).group(1)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", block], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "margin: 0" in done.stdout

@@ -84,6 +84,22 @@ def test_tag_validation_and_spec_strings():
     assert parse_family_spec("truncpoly(4)").m == 4
 
 
+def test_relation_terms_are_counted_before_they_are_built():
+    """A(h,m0,m1,n) has min(n, m1-1) - max(0, n-m0+1) + 1 terms; the tag
+    refuses more than the bound without listing them."""
+    for spec, terms in (("A(1,3,3,2)", 3), ("A(1,2,2,99999999999)", 0),
+                        ("A(1,10000000,3,5000000)", 3), ("A(1,5,3,3)", 3)):
+        tag = parse_family_spec(spec)
+        built = sum(len(rel.terms) for rel in build_family(tag).relations)
+        assert len(tag.term_powers) == terms == built, spec
+    assert len(FamilyTag("A", h=1, m0=10 ** 5, m1=10 ** 5, n=10 ** 5 - 1).term_powers) == 10 ** 5
+    with pytest.raises(ValueError, match=r"^the relation of A\(1,100001,100001,100000\) has "
+                                         r"100001 terms, more than the bound 100000$"):
+        parse_family_spec("A(1,100001,100001,100000)")
+    with pytest.raises(ValueError, match=f"has {10 ** 30 + 1} terms"):
+        parse_family_spec(f"A(1,{2 * 10 ** 30},{2 * 10 ** 30},{10 ** 30})")
+
+
 def test_in_classified_list_flag():
     assert FamilyTag("A", h=1, m0=3, m1=3, n=1).in_classified_list
     assert FamilyTag("A", h=1, m0=3, m1=3, n=2).in_classified_list

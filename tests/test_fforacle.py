@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from oracle_reference import reference_enumerate_and_classify
+from quiverstrata import fforacle
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classify,
                                    verify_count_identity)
 from quiverstrata.fforacle import BadPrimeError
+from quiverstrata.linsys import PartPairTable
 from quiverstrata.quiver import PresentationError, parse_presentation
 
 
@@ -46,17 +48,18 @@ def test_counts_match_hand_enumeration(a1221):
 
 def test_count_identity_rows(a1221, aprime122):
     for pres in (a1221, aprime122):
+        codims = PartPairTable(pres)
         for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
             for q in (2, 3):
                 table = enumerate_and_classify(pres, dims, q)
-                rows = verify_count_identity(table, pres)
+                rows = verify_count_identity(table, codims)
                 assert all(r.ok for r in rows), (dims, q)
                 assert sum(r.count for r in rows) == table.total
 
 
 def test_no_relation_identity_is_pure_power(aprime122):
     table = enumerate_and_classify(aprime122, (1, 1), 3)
-    rows = verify_count_identity(table, aprime122)
+    rows = verify_count_identity(table, PartPairTable(aprime122))
     (row,) = rows
     assert row.predicted == 3  # q^N with N = 1, loops forced to zero
     assert row.ok
@@ -138,6 +141,21 @@ def test_per_arrow_cap_compares_exponents():
         with pytest.raises(EnumerationCapExceeded) as exc:
             enumerate_and_classify(pres, dims, q, max_points=80)
         assert str(exc.value) == f"arrow 'a' needs {count} points, cap is 80", dims
+
+
+def test_group_order_bits_are_bounded_at_every_vertex(monkeypatch):
+    """|GL_d(F_q)| has about d * d * q.bit_length() bits; a vertex past the
+    bound is refused before anything is enumerated, one at it is counted."""
+    monkeypatch.setattr(fforacle, "_MAX_GL_BITS", 200)
+    pres = parse_presentation("vertex 0\nvertex 1\narrow a 1 -> 0\n")
+    assert enumerate_and_classify(pres, (0, 10), 3).total == 1
+    assert enumerate_and_classify(pres, (10, 0), 2).total == 1
+    monkeypatch.setattr(fforacle, "partitions_bounded", None)  # nothing is listed
+    for dims, q, vertex in (((0, 10), 5, "1"), ((11, 0), 2, "0")):
+        with pytest.raises(ValueError, match=rf"^\|GL_{max(dims)}\(F_{q}\)\| at vertex "
+                                             rf"'{vertex}' has about \d+ bits, more than "
+                                             r"the bound 200$"):
+            enumerate_and_classify(pres, dims, q)
 
 
 def test_bad_prime_coefficient():

@@ -13,8 +13,7 @@ from quiverstrata import formulas
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases,
                                    single_case)
-from quiverstrata.linsys import (PartPairTable, assemble_system, codim_table,
-                                 integer_terms)
+from quiverstrata.linsys import PartPairTable, assemble_system, integer_terms
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
 
@@ -340,7 +339,7 @@ def test_unified_remark_formula_reported_not_relied_on(capsys):
                     pres, [Partition((p,), pres.orders[0]),
                            Partition((q,), pres.orders[1])]
                 )
-                got = codim_table(pres).codim(ja)
+                got = PartPairTable(pres).codim(ja)
                 if got != q * (p - l):
                     mismatches.append((p, q, l, got, q * (p - l)))
     print("unified-rule mismatches:", mismatches)

@@ -20,7 +20,7 @@ from quiverstrata import _kernels, linsys
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.linsys import (ConstraintSystem, PartPairTable, assemble_system,
-                                 codim_table, integer_terms, rank_exact, split_terms)
+                                 integer_terms, rank_exact, split_terms)
 from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
                                  Quiver, Relation, parse_presentation)
@@ -182,12 +182,12 @@ def test_codim_examples():
     for p in range(1, 6):
         for l in range(1, p + 1):
             pres = _two_vertex(max(p, l + 1), 1, 1, [[(1, ["e0"] * l + ["a1"])]])
-            assert codim_table(pres).codim(_ja(pres, (p,), (1,))) == p - l
+            assert PartPairTable(pres).codim(_ja(pres, (p,), (1,))) == p - l
     for p in range(1, 6):
         for q in range(1, p + 1):
             pres = _two_vertex(max(p, 2), max(q, 2), 1,
                                [[(1, ["e0", "a1"]), (1, ["a1", "e1"])]])
-            assert codim_table(pres).codim(_ja(pres, (p,), (q,))) == q * (p - 1)
+            assert PartPairTable(pres).codim(_ja(pres, (p,), (q,))) == q * (p - 1)
     # three-term shape with a second arrow: rank 2 regardless of lambda
     p = q = 3
     lam = Fraction(1, 2)
@@ -195,12 +195,12 @@ def test_codim_examples():
              (lam, ["e0"] * (p - 2) + ["a1"] + ["e1"] * (q - 1)),
              (1, ["e0"] * (p - 1) + ["a2"] + ["e1"] * (q - 1))]
     pres = _two_vertex(p, q, 2, [words])
-    assert codim_table(pres).codim(_ja(pres, (p,), (q,))) == 2
+    assert PartPairTable(pres).codim(_ja(pres, (p,), (q,))) == 2
 
 
 def _part_pair_split(pres, ja):
     """{(i, j): table entry for part i at vertex 0 and part j at vertex 1}."""
-    table = codim_table(pres)
+    table = PartPairTable(pres)
     return {(i, j): table.entry(0, 1, a, b)
             for i, a in enumerate(ja.partitions[0].parts)
             for j, b in enumerate(ja.partitions[1].parts)}
@@ -277,7 +277,7 @@ def test_disjoint_arrow_relations_add_up():
         ja = JordanAssignment.for_presentation(
             pres, [maximal_partition(d0, m0), maximal_partition(d1, m1)]
         )
-        total = codim_table(pres).codim(ja)
+        total = PartPairTable(pres).codim(ja)
         parts = sum(PartPairTable(replace(pres, relations=(r,))).codim(ja)
                     for r in pres.relations)
         assert total == parts == dense_reference.codim(pres, ja)
@@ -290,7 +290,7 @@ def test_rank_bounds_and_monotonicity():
     ])
     ja = _ja(pres, (3, 2), (3, 1))
     matrix = dense_reference.assemble(pres, ja)[0]
-    c_all = codim_table(pres).codim(ja)
+    c_all = PartPairTable(pres).codim(ja)
     assert 0 <= c_all <= min(len(matrix), len(matrix[0]))
     c_one = PartPairTable(replace(pres, relations=pres.relations[:1])).codim(ja)
     assert c_one <= c_all
@@ -347,7 +347,7 @@ def _conjugated_systems():
 def test_conjugation_invariance():
     for pres, ja, loop_mats, dims in _conjugated_systems():
         matrix, _, _ = dense_reference.assemble_at(pres, pres.relations, loop_mats, dims)
-        assert dense_reference.rank(matrix) == codim_table(pres).codim(ja)
+        assert dense_reference.rank(matrix) == PartPairTable(pres).codim(ja)
 
 
 def test_cross_field_rank_stability_sample():
@@ -461,7 +461,7 @@ def test_table_matches_codim_c_on_families(spec):
     """The codimension c of every assignment up to total 9, against the
     rank of the dense reference system."""
     pres = build_family(parse_family_spec(spec))
-    table = codim_table(pres)
+    table = PartPairTable(pres)
     for dims in dim_vectors_up_to(2, 9):
         for ja in assignments_for(pres, dims):
             assert table.codim(ja) == dense_reference.codim(pres, ja), \
@@ -646,7 +646,7 @@ relation e1*c - 5/4*c*e0^2
 @example(parse_presentation(BOTH_WAYS), [2, 2, 0])
 def test_table_and_rank_mod_on_random_presentations(pres, dims):
     dims = dims[:len(pres.quiver.vertices)]
-    table = codim_table(pres)
+    table = PartPairTable(pres)
     for ja in assignments_for(pres, dims):
         systems = list(block_systems(pres, ja))
         rank = dense_reference.codim(pres, ja)
@@ -662,8 +662,9 @@ def _brute_force_scan(pres, dims):
     """Every certificate of ``dims``, from the table entry sum of each
     assignment."""
     n = ambient_arrow_dim(pres, dims)
+    table = PartPairTable(pres)
     reports = [StratumReport(ja, tuple(orbit_dim(p) for p in ja.partitions), n,
-                             codim_table(pres).codim(ja),
+                             table.codim(ja),
                              all(p.is_maximal for p in ja.partitions))
                for ja in assignments_for(pres, dims)]
     return [ReducibilityCertificate(tuple(dims), reports[0], r)
@@ -674,10 +675,11 @@ def _brute_force_scan(pres, dims):
                                   "A(2,3,3,1)", "A(1,3,3,2)", "Aprime(1,2,2)"])
 def test_scan_matches_brute_force(spec):
     pres = build_family(parse_family_spec(spec))
+    table = PartPairTable(pres)
     certified = 0
     for dims in dim_vectors_up_to(2, 8):
         want = _brute_force_scan(pres, dims)
-        assert reducibility_scan(pres, dims) == (want[0] if want else None)
+        assert reducibility_scan(table, dims) == (want[0] if want else None)
         certified += bool(want)
     if spec in ("A(1,4,4,2)", "A(1,5,5,3)"):
         assert certified > 0  # the reducible families are not vacuous

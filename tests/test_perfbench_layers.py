@@ -22,8 +22,8 @@ from quiverstrata.quiver import serialize_presentation
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
-# installs a Tracer, runs one CLI command through it and prints the
-# summary with the command's stdout
+# installs a Tracer, runs CLI commands through it and prints their exit
+# codes and the summary with their stdout
 TRACED_RUN = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -33,15 +33,17 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = quiverstrata.cli.main(sys.argv[3:])
-print(json.dumps({"code": code, "summary": tracer.summary(), "stdout": out.getvalue()}))
+    codes = [quiverstrata.cli.main(argv) for argv in json.loads(sys.argv[3])]
+print(json.dumps({"codes": codes, "summary": tracer.summary(), "stdout": out.getvalue()}))
 """
 
 
-def _traced_run(*argv):
+def _traced_run(*commands):
+    """Exit codes, summary and stdout of the command lines ``commands``,
+    each a list of arguments, run in one traced child process."""
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "perfbench"), *argv],
-        capture_output=True, text=True, timeout=60, check=True)
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "perfbench"),
+         json.dumps(commands)], capture_output=True, text=True, timeout=60, check=True)
     return json.loads(done.stdout)
 
 
@@ -64,8 +66,8 @@ def test_traced_layers_resolve():
 
 def test_traced_run_counts_the_linear_systems():
     # the tracer reads ConstraintSystem.n_rows, ambient_dim and matrix
-    result = _traced_run("verify-formulas", "--item", "3", "--p-max", "3", "--format", "csv")
-    assert result["code"] == 0
+    result = _traced_run(["verify-formulas", "--item", "3", "--p-max", "3", "--format", "csv"])
+    assert result["codes"] == [0]
     summary = result["summary"]
     for name in ("linsys.assemble_system.calls", "linsys.rows", "linsys.cols",
                  "linsys.nnz"):
@@ -90,8 +92,8 @@ def test_traced_run_counts_the_loop_candidates(tmp_path):
     path = tmp_path / "truncpoly3.txt"
     path.write_text(serialize_presentation(build_family(parse_family_spec("truncpoly(3)"))),
                     encoding="utf-8")
-    result = _traced_run("oracle-count", "--algebra", str(path), "--dim", "3", "--q", "2")
-    assert result["code"] == 0
+    result = _traced_run(["oracle-count", "--algebra", str(path), "--dim", "3", "--q", "2"])
+    assert result["codes"] == [0]
     summary = result["summary"]
     # nilpotent 3 x 3 matrices over F_2 number q^(d^2 - d) (Fine-Herstein)
     assert summary["kernels.enumerate_nilpotent.calls"] == 1
@@ -99,3 +101,21 @@ def test_traced_run_counts_the_loop_candidates(tmp_path):
     rows = list(csv.DictReader(io.StringIO(result["stdout"])))
     assert [row["pass"] for row in rows] == ["pass"] * 3
     assert summary["kernels.tally.points_kept"] == sum(int(row["count"]) for row in rows)
+
+
+def test_traced_commands_count_their_work(tmp_path):
+    """The traced run of ``perfbench/run.py --trace 1`` reads the layers'
+    arguments and results: a strata, a verify-formulas and an oracle-count
+    command on a presentation with a loop and a read arrow each feed the
+    counters they should."""
+    path = tmp_path / "a1221.txt"
+    path.write_text(serialize_presentation(build_family(parse_family_spec("A(1,2,2,1)"))),
+                    encoding="utf-8")
+    result = _traced_run(["strata", "--algebra", str(path), "--dim", "2,2"],
+                         ["verify-formulas", "--item", "1", "--p", "3", "--l", "1"],
+                         ["oracle-count", "--algebra", str(path), "--dim", "2,2", "--q", "2"])
+    assert result["codes"] == [0, 0, 0]
+    summary = result["summary"]
+    for name in ("strata.part_pairs", "linsys.rows", "kernels.tally.points_kept",
+                 "kernels.nilpotent.kept"):
+        assert summary[name] > 0, name

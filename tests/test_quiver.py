@@ -257,9 +257,9 @@ def test_equal_presentations_hash_alike_and_pickle_without_the_cached_hash():
 
 
 def test_unpickled_presentation_hashes_as_parsed_under_another_hash_seed():
-    """A presentation pickled after its hash was taken, as ``--jobs``
-    hands it to a worker, hashes in a process with another hash seed as
-    one parsed there does, so the worker's cache lookups find it."""
+    """A presentation pickled after its hash was taken hashes in a process
+    with another hash seed as one parsed there does: no hash computed under
+    one seed travels with the pickle."""
     pres = parse_presentation(A1221_TEXT)
     hash(pres)
     script = ("import pickle, sys\n"

@@ -6,6 +6,7 @@ from paper_checks import build_nooverlap_presentation, nooverlap_dims, split_gap
 
 from quiverstrata import strata
 from quiverstrata.families import build_family, parse_family_spec
+from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import parse_presentation
 from quiverstrata.strata import (ScanCapExceeded, ambient_arrow_dim,
@@ -22,7 +23,7 @@ def _ja(pres, *parts_per_vertex):
 
 
 def test_stratum_dim_with_relation(a1221):
-    rep = stratum_dim(a1221, _ja(a1221, (2,), (2,)))
+    rep = stratum_dim(PartPairTable(a1221), _ja(a1221, (2,), (2,)))
     assert rep.orbit_dims == (2, 2)
     assert rep.ambient_dim == 4
     assert rep.codim == 2
@@ -31,13 +32,13 @@ def test_stratum_dim_with_relation(a1221):
 
 
 def test_stratum_dim_no_relations(aprime122):
-    rep = stratum_dim(aprime122, _ja(aprime122, (2,), (2,)))
+    rep = stratum_dim(PartPairTable(aprime122), _ja(aprime122, (2,), (2,)))
     assert rep.codim == 0
     assert rep.dim == 2 + 2 + 4
 
 
 def test_stratum_dim_all_ones(aprime122):
-    rep = stratum_dim(aprime122, _ja(aprime122, (1, 1), (1, 1)))
+    rep = stratum_dim(PartPairTable(aprime122), _ja(aprime122, (1, 1), (1, 1)))
     assert rep.orbit_dims == (0, 0)
     assert rep.dim == rep.ambient_dim == 4
     assert not rep.is_maximal
@@ -46,15 +47,15 @@ def test_stratum_dim_all_ones(aprime122):
 def test_max_stratum_examples():
     for m in (2, 3):
         pres = build_family(parse_family_spec(f"A(1,{m},{m},1)"))
-        rep = stratum_dim(pres, assignments_for(pres, (m, 2 * m))[0])
+        rep = stratum_dim(PartPairTable(pres), assignments_for(pres, (m, 2 * m))[0])
         assert rep.assignment.partitions[0].parts == (m,)
         assert rep.assignment.partitions[1].parts == (m, m)
         assert rep.is_maximal
 
     pres = build_family(parse_family_spec("A(1,2,2,1)"))
-    rep = stratum_dim(pres, assignments_for(pres, (0, 0))[0])
+    rep = stratum_dim(PartPairTable(pres), assignments_for(pres, (0, 0))[0])
     assert rep.dim == 0 and rep.assignment.dims == (0, 0)
-    rep = stratum_dim(pres, assignments_for(pres, (3, 1))[0])
+    rep = stratum_dim(PartPairTable(pres), assignments_for(pres, (3, 1))[0])
     assert rep.assignment.partitions[0].parts == (2, 1)
     assert rep.assignment.partitions[1].parts == (1,)
 
@@ -63,7 +64,7 @@ def test_assignments_order_and_cap(a1221):
     jas = assignments_for(a1221, (2, 2))
     assert [j.serialize() for j in jas] == ["2|2", "2|1,1", "1,1|2", "1,1|1,1"]
     with pytest.raises(ScanCapExceeded):
-        reducibility_scan(a1221, (2, 2), cap=3)
+        reducibility_scan(PartPairTable(a1221), (2, 2), cap=3)
     assert assignments_for(a1221, (2, 2), cap=4) == jas
     with pytest.raises(ScanCapExceeded, match="^4 Jordan assignments exceed the cap 3$"):
         assignments_for(a1221, (2, 2), cap=3)
@@ -80,7 +81,7 @@ relation e0^1*x1
 relation e0^2*x2
 """
     pres = parse_presentation(text)
-    cert = reducibility_scan(pres, (3, 1))
+    cert = reducibility_scan(PartPairTable(pres), (3, 1))
     assert cert is not None
     assert cert.witness.assignment.serialize() == "2,1|1"
     assert cert.witness.codim == 1  # a2 - a1
@@ -89,13 +90,13 @@ relation e0^2*x2
 
 
 def test_scan_certificate_soundness_and_decomposition():
-    pres = build_family(parse_family_spec("A(1,4,4,2)"))
+    table = PartPairTable(build_family(parse_family_spec("A(1,4,4,2)")))
     certs = [c for dims in dim_vectors_up_to(2, 8)
-             if (c := reducibility_scan(pres, dims)) is not None]
+             if (c := reducibility_scan(table, dims)) is not None]
     assert len(certs) > 1
     for cert in certs:
-        fresh_max = stratum_dim(pres, cert.maximal.assignment)
-        fresh_wit = stratum_dim(pres, cert.witness.assignment)
+        fresh_max = stratum_dim(table, cert.maximal.assignment)
+        fresh_wit = stratum_dim(table, cert.witness.assignment)
         assert fresh_max == cert.maximal
         assert fresh_wit == cert.witness
         assert not cert.witness.is_maximal
@@ -104,16 +105,16 @@ def test_scan_certificate_soundness_and_decomposition():
 
 
 def test_scan_deterministic(a1221):
-    pres = build_family(parse_family_spec("A(1,4,4,2)"))
-    first = reducibility_scan(pres, (4, 2))
-    second = reducibility_scan(pres, (4, 2))
+    table = PartPairTable(build_family(parse_family_spec("A(1,4,4,2)")))
+    first = reducibility_scan(table, (4, 2))
+    second = reducibility_scan(table, (4, 2))
     assert first == second
-    assert reducibility_scan(a1221, (2, 2)) is None
+    assert reducibility_scan(PartPairTable(a1221), (2, 2)) is None
 
 
 def test_certificate_text_fields():
     pres = build_family(parse_family_spec("A(1,4,4,2)"))
-    cert = reducibility_scan(pres, (4, 2))
+    cert = reducibility_scan(PartPairTable(pres), (4, 2))
     text = cert.to_text()
     assert "dimension vector: (4, 2)" in text
     assert "maximal assignment: 4|2" in text
@@ -128,19 +129,18 @@ def test_dense_loop_pair_splitting_certificate():
         text = (f"vertex 0\nvertex 1\nloop e0 0 order {m}\nloop e1 1 order 2\n"
                 "arrow a1 1 -> 0\narrow a2 1 -> 0\nrelation e0*a1 + a2*e1\n")
         pres = parse_presentation(text)
-        maximal = stratum_dim(pres, _ja(pres, (m, m), (2,)))
-        witness = stratum_dim(pres, _ja(pres, (m, m), (1, 1)))
+        table = PartPairTable(pres)
+        maximal = stratum_dim(table, _ja(pres, (m, m), (2,)))
+        witness = stratum_dim(table, _ja(pres, (m, m), (1, 1)))
         assert maximal.codim == 4 * m - 2
         assert witness.codim == 4 * m - 4
         assert witness.dim == maximal.dim
-        assert reducibility_scan(pres, (2 * m, 2)) is not None
+        assert reducibility_scan(table, (2 * m, 2)) is not None
 
 
 def test_three_term_relation_codim_pairs():
     # eps0 a1 + a1 eps1 + a2 eps1^(p-1) on types ((m, m), (p)) versus
     # ((m, m), (p-1, 1)): 2(p(m-1) + 1) against 2((p-1)(m-1) + (m-1))
-    from quiverstrata.linsys import codim_table
-
     for m0, p in ((3, 2), (3, 3), (4, 3)):
         text = (f"vertex 0\nvertex 1\nloop e0 0 order {m0}\nloop e1 1 order {p}\n"
                 "arrow a1 1 -> 0\narrow a2 1 -> 0\n"
@@ -150,7 +150,7 @@ def test_three_term_relation_codim_pairs():
             pres, [Partition((m0,) * 2, m0), Partition((p,), p)])
         ja_wit = JordanAssignment.for_presentation(
             pres, [Partition((m0,) * 2, m0), Partition((p - 1, 1), p)])
-        table = codim_table(pres)
+        table = PartPairTable(pres)
         assert table.codim(ja_max) == 2 * (p * (m0 - 1) + 1)
         assert table.codim(ja_wit) == 2 * ((p - 1) * (m0 - 1) + (m0 - 1))
 
@@ -210,7 +210,7 @@ def test_chain_scan_finds_middle_split_certificate():
     # margin-zero certificate at d = (1, n2+1, 1)
     for h, l, n1, n2, m in [(1, 1, 1, 2, 4), (2, 1, 1, 1, 3), (1, 2, 2, 3, 4)]:
         chain = build_nooverlap_presentation(h, l, n1, n2, m)
-        cert = reducibility_scan(chain, (1, n2 + 1, 1))
+        cert = reducibility_scan(PartPairTable(chain), (1, n2 + 1, 1))
         assert cert is not None
         assert cert.margin == 0
         mid = cert.witness.assignment.partitions[1]
@@ -253,7 +253,7 @@ def test_dimensions_are_bounded_before_types_are_counted(monkeypatch):
     with pytest.raises(ValueError, match="^dimension 991 exceeds the bound 990$"):
         assignments_for(pres, (1, 991), cap=10 ** 9)
     with pytest.raises(ValueError, match="^dimension 991 exceeds the bound 990$"):
-        reducibility_scan(pres, (991, 0))
+        reducibility_scan(PartPairTable(pres), (991, 0))
 
 
 def test_ambient_arrow_dim():
