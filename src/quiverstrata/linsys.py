@@ -164,18 +164,24 @@ class PartPairTable:
             self._ranks[t, s, a, b] = rank
         return rank
 
-    def codim_of_types(self, multiplicities: Sequence[Sequence[tuple[int, int]]]) -> int:
-        """Codimension of the Jordan types whose (part, count) pairs at
-        vertex position k are ``multiplicities[k]``."""
+    def codim_of_types(self, types: Sequence[Sequence]) -> int:
+        """Codimension of the Jordan types at the vertex positions, with
+        ``types[k][0]`` the (part, count) pairs at position k: the layout
+        of the scan's entries (pairs, orbit dim, type).  A rank already in
+        the table is read in this frame; ``entry`` ranks the others."""
+        ranks = self._ranks
         total = 0
         for t, s in self._pairs:
-            for a, ma in multiplicities[t]:
-                for b, mb in multiplicities[s]:
-                    total += ma * mb * self.entry(t, s, a, b)
+            at_s = types[s][0]
+            for a, ma in types[t][0]:
+                for b, mb in at_s:
+                    rank = ranks.get((t, s, a, b))
+                    if rank is None:
+                        rank = self.entry(t, s, a, b)
+                    total += ma * mb * rank
         return total
 
     def codim(self, ja: JordanAssignment) -> int:
         """Codimension of the arrow solution space on the Jordan types ``ja``."""
-        return self.codim_of_types([ja.partition(v).multiplicities
+        return self.codim_of_types([(ja.partition(v).multiplicities,)
                                     for v in self.pres.quiver.vertices])
-

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -48,8 +48,9 @@ class Partition:
 
     @property
     def multiplicities(self) -> tuple[tuple[int, int], ...]:
-        """(part, number of parts of that size), largest part first."""
-        return tuple(Counter(self.parts).items())
+        """(part, number of parts of that size), largest part first: one
+        Python step per distinct part size."""
+        return tuple((a, len(list(run))) for a, run in groupby(self.parts))
 
     @property
     def is_maximal(self) -> bool:
@@ -110,11 +111,17 @@ def end_dim(p: Partition) -> int:
 
     Computed as the sum of the squared conjugate parts: the pair (i, j)
     counts once for each k <= min(p_i, p_j), and the number of parts
-    >= k is the conjugate part p'_k.
+    >= k is the conjugate part p'_k.  Over the distinct part sizes
+    a_1 > a_2 > ... > a_r with multiplicities m_i, and a_(r+1) = 0,
+    p'_k = m_1 + ... + m_i for a_(i+1) < k <= a_i, so the sum is
+    sum_i (a_i - a_(i+1)) * (m_1 + ... + m_i)^2, one step per size.
     """
-    top = p.parts[0] if p.parts else 0
-    return sum(sum(1 for part in p.parts if part >= k) ** 2
-               for k in range(1, top + 1))
+    total = above = 0
+    mults = p.multiplicities
+    for (a, m), (below, _) in zip(mults, mults[1:] + ((0, 0),)):
+        above += m
+        total += (a - below) * above * above
+    return total
 
 
 def orbit_dim(p: Partition) -> int:
@@ -170,7 +177,7 @@ def orbit_count(p: Partition, q: int) -> int:
         raise ValueError("q must be prime")
     d = p.weight
     gl = math.prod(q ** d - q ** k for k in range(d))
-    mults = Counter(p.parts).values()
+    mults = [m for _, m in p.multiplicities]
     centralizer = q ** (end_dim(p) - sum(m * (m + 1) // 2 for m in mults))
     for m in mults:
         centralizer *= math.prod(q ** k - 1 for k in range(1, m + 1))

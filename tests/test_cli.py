@@ -336,6 +336,23 @@ def test_huge_dimension_exits_2_at_once(tmp_path, spec, command, dim):
     assert seconds < 1 and megabytes < 150, (seconds, megabytes)
 
 
+@pytest.mark.parametrize("command, dim, parts", [
+    ("strata", "100000,1", 5000100001),
+    ("reduce-scan", "100000,1", 5000100001),
+    ("reduce-scan", "20000,1", 200020001)])
+def test_jordan_type_parts_bound_exits_2_at_once(tmp_path, command, dim, parts):
+    """50,001 types of up to 10^5 parts at (100000, 1), under the default
+    cap: the parts are bounded before any type is listed (listing them
+    ended in a MemoryError after 15.9 s; at (20000, 1) reduce-scan took
+    52 s and 1.4 GB)."""
+    argv = [command, "--algebra", _family_file(tmp_path, "A(1,2,2,1)"), "--dim", dim]
+    code, out, err, seconds, megabytes = _measured(argv, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the Jordan types at d = ({dim.replace(',', ', ')}) may hold "
+                   f"{parts} parts, more than the bound 20000000\n")
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
 def test_family_huge_h_exits_2_at_once(tmp_path):
     """10^7 arrows are refused before any is built (building them ended in a
     MemoryError)."""

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import partitions_reference
+import scan_reference
 from jordan_reference import (commutant_dim_oracle, hom_dim, jordan_matrix,
                               maximal_partition)
 from quiverstrata.partitions import (JordanAssignment, Partition,
@@ -223,3 +226,29 @@ def test_jordan_assignment_bounds_checked(a1221):
     )
     assert ja.dims == (2, 2)
     assert ja.serialize() == "2|1,1"
+
+
+@st.composite
+def jordan_types(draw):
+    """Bounded types with up to 8 distinct part sizes, each repeated up to
+    400 times, so some hold more than 1,000 parts."""
+    bound = draw(st.integers(1, 60))
+    sizes = sorted(draw(st.sets(st.integers(1, bound), max_size=8)), reverse=True)
+    parts = []
+    for a in sizes:
+        parts += [a] * draw(st.one_of(st.integers(1, 4), st.integers(1, 400)))
+    return Partition(tuple(parts), bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jordan_types())
+@example(Partition((), 1))
+@example(Partition((7,), 7))
+@example(Partition((3,) * 400 + (2,) * 400 + (1,) * 400, 3))
+@example(Partition((1,) * 1500, 1))
+def test_jordan_helpers_match_replaced(p):
+    """One step per distinct part size gives what the replaced per-part
+    loops gave."""
+    assert p.multiplicities == scan_reference.multiplicities(p)
+    assert end_dim(p) == scan_reference.end_dim(p)
+    assert orbit_dim(p) == scan_reference.orbit_dim(p)

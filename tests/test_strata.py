@@ -1,10 +1,15 @@
 import itertools
 import math
+import re
 
 import pytest
+import scan_reference
+from hypothesis import HealthCheck, given, settings
 from paper_checks import build_nooverlap_presentation, nooverlap_dims, split_gap_test
+from strategies import presentations
 
-from quiverstrata import strata
+from quiverstrata import cli, strata
+from quiverstrata.cli import main
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import JordanAssignment, Partition
@@ -260,3 +265,102 @@ def test_ambient_arrow_dim():
     pres = build_family(parse_family_spec("Aprime(3,2,2)"))
     assert ambient_arrow_dim(pres, (2, 3)) == 3 * 6
     assert ambient_arrow_dim(pres, (0, 5)) == 0
+
+
+def test_parts_are_bounded_after_the_cap(monkeypatch):
+    # (types at v)·d_v summed over the vertices: 496·990 + 1·1 at (990, 1);
+    # a bound equal to it passes, one less refuses, and the cap comes first
+    pres = build_family(parse_family_spec("A(1,2,2,1)"))
+    monkeypatch.setattr(strata, "_MAX_PARTS", 491041)
+    assert len(assignments_for(pres, (990, 1), cap=496)) == 496
+    monkeypatch.setattr(strata, "_MAX_PARTS", 491040)
+    message = "the Jordan types at d = (990, 1) may hold 491041 parts, more than the bound 491040"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        assignments_for(pres, (990, 1), cap=496)
+    with pytest.raises(ValueError, match="^the Jordan types at d"):
+        reducibility_scan(PartPairTable(pres), (990, 1))
+    with pytest.raises(ScanCapExceeded):
+        assignments_for(pres, (990, 1), cap=495)
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the lean scan against the per-assignment path it
+# replaced (tests/scan_reference.py), witness for witness
+# ---------------------------------------------------------------------------
+
+# the seven families of the benchmark's scan workload, then A(2,3,3,1)
+# (two arrows) and Aprime(1,2,2) (no relation)
+SCAN_SPECS = [
+    "A(1,3,3,2)", "A(1,4,4,1)", "A(1,4,4,3)", "A(1,5,5,4)",
+    "A(1,4,4,2)", "A(1,5,5,3)", "A(1,6,6,4)",
+    "A(2,3,3,1)", "Aprime(1,2,2)",
+]
+
+
+def _same_certificates(pres, vectors, cap=100_000):
+    """The lean and the replaced scan give equal certificates, or the same
+    cap refusal, on every vector, each from its own table; the number of
+    certificates."""
+    table, ref_table = PartPairTable(pres), PartPairTable(pres)
+    found = 0
+    for dims in vectors:
+        try:
+            want = scan_reference.reducibility_scan(ref_table, dims, cap)
+        except ScanCapExceeded as exc:
+            with pytest.raises(ScanCapExceeded, match=f"^{exc.count} "):
+                reducibility_scan(table, dims, cap)
+            continue
+        got = reducibility_scan(table, dims, cap)
+        assert got == want, dims
+        found += got is not None
+    return found
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS)
+def test_scan_matches_replaced_on_families(spec):
+    found = _same_certificates(build_family(parse_family_spec(spec)),
+                               dim_vectors_up_to(2, 9))
+    assert (found > 0) == (spec in ("A(1,4,4,2)", "A(1,5,5,3)", "A(1,6,6,4)"))
+
+
+def test_scan_matches_replaced_on_nooverlap_chains():
+    """The 24 chains of the chain dimension check, to total 4 and at the
+    vector (1, n2 + 1, 1) of their margin-zero certificate."""
+    found = 0
+    for h, l in itertools.product((1, 2), repeat=2):
+        for n1 in (1, 2, 3):
+            for n2 in range(n1, 4):
+                chain = build_nooverlap_presentation(h, l, n1, n2, 4)
+                found += _same_certificates(chain, dim_vectors_up_to(3, 4) + [(1, n2 + 1, 1)])
+    assert found >= 24
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(presentations().filter(lambda pres: len(pres.quiver.vertices) == 3))
+def test_scan_matches_replaced_on_three_vertices(pres):
+    _same_certificates(pres, dim_vectors_up_to(3, 5), cap=2_000)
+
+
+@pytest.mark.parametrize("spec", ["A(1,5,5,4)", "A(1,6,6,4)"])
+def test_scan_ranks_what_the_replaced_scan_ranks(spec, tmp_path, monkeypatch, capsys):
+    """reduce-scan ranks the same (t, s, a, b) entries as the replaced scan,
+    in the same order, so the benchmark's traced system counts still
+    describe the same work."""
+    tables = []
+
+    class Recorded(PartPairTable):
+        def __init__(self, pres):
+            super().__init__(pres)
+            tables.append(self)
+
+    path = str(tmp_path / "family.bq")
+    assert main(["family", spec, "-o", path]) == 0
+    monkeypatch.setattr(cli, "PartPairTable", Recorded)
+    assert main(["reduce-scan", "--algebra", path, "--max-total", "9"]) == 0
+    capsys.readouterr()
+    [table] = tables
+    ref_table = PartPairTable(build_family(parse_family_spec(spec)))
+    for dims in dim_vectors_up_to(2, 9):
+        scan_reference.reducibility_scan(ref_table, dims)
+    assert list(table._ranks.items()) == list(ref_table._ranks.items())
+    assert len(table._ranks) > 10
