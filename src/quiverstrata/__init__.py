@@ -7,7 +7,7 @@ finite-field oracles, with a batch CLI.
 
 from .quiver import (Arrow, BoundQuiverPresentation, PresentationError, Quiver,
                      Relation, parse_presentation, serialize_presentation)
-from .partitions import (JordanAssignment, Partition, end_dim, orbit_count,
+from .partitions import (JordanAssignment, Partition, end_dim, jordan_types, orbit_count,
                          orbit_count_ff, orbit_dim, partitions_bounded)
 from .linsys import (ConstraintSystem, PartPairTable, assemble_system,
                      integer_terms, rank_exact, split_terms)

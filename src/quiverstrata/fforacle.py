@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .linsys import PartPairTable
-from .partitions import (JordanAssignment, _is_prime, orbit_count,
-                         partition_from_ranks, partitions_bounded)
+from .partitions import (JordanAssignment, _is_prime, count_partitions_bounded,
+                         jordan_types, orbit_count, partition_from_ranks)
 from .quiver import BoundQuiverPresentation
 from .strata import _check_dims, ambient_arrow_dim, assignments_for
 
@@ -129,16 +129,11 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
         if (bits := d * d * q.bit_length()) > _MAX_GL_BITS:
             raise ValueError(f"|GL_{d}(F_{q})| at vertex {v!r} has about {bits} bits, "
                              f"more than the bound {_MAX_GL_BITS}")
-    per_vertex = [partitions_bounded(d, m) for d, m in zip(dims, pres.orders)]
-
     # mixed-radix layout of the tally keys, one digit per vertex, so a key
     # is the index of its assignment in the order of ``assignments_for``
-    weights = [0] * len(per_vertex)
-    w = 1
-    for i in range(len(per_vertex) - 1, -1, -1):
-        weights[i] = w
-        w *= len(per_vertex[i])
-    n_keys = w
+    radices = list(map(count_partitions_bounded, dims, pres.orders))
+    weights = [math.prod(radices[i + 1:]) for i in range(len(radices))]
+    n_keys = math.prod(radices)
 
     slot_of = {a.name: s for s, a in enumerate(quiver.arrows)}
     cand_mats: list = []  # an arrow's matrices are built once a relation reads them
@@ -158,10 +153,10 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
             # rank rows packed in base d + 1: equal rows, and only they, share a key
             keys = ranks @ (d + 1) ** np.arange(ranks.shape[1])
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            index = {p.parts: k for k, p in enumerate(per_vertex[vi])}
-            types = np.array([index[partition_from_ranks(d, ranks[k].tolist(), m).parts]
-                              for k in first], np.int64)[inverse]
-            cand_keys.append(weights[vi] * types)
+            index = {pairs: k for k, pairs in enumerate(jordan_types(d, m))}
+            types = [index[partition_from_ranks(d, ranks[k].tolist(), m).multiplicities]
+                     for k in first]
+            cand_keys.append(weights[vi] * np.array(types, np.int64)[inverse])
         else:
             cand_keys.append(np.zeros(q ** (d_t * d_s), np.int64))
         cand_mats.append(mats)

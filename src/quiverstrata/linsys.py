@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels
-from .partitions import JordanAssignment
+from .partitions import JordanAssignment, _end_dim, jordan_types
 from .quiver import BoundQuiverPresentation, Relation
 
 __all__ = [
@@ -154,6 +154,7 @@ class PartPairTable:
             names = arrows.get(ts, ())
             self._pairs.setdefault(ts, (len(names), []))[1].append(split_terms(rel, names))
         self._ranks: dict[tuple[int, int, int, int], int] = {}
+        self._types: dict[tuple[int, int], tuple[tuple[tuple, int], ...]] = {}
 
     def entry(self, t: int, s: int, a: int, b: int) -> int:
         """r_ts(a, b), with t and s vertex positions."""
@@ -164,11 +165,20 @@ class PartPairTable:
             self._ranks[t, s, a, b] = rank
         return rank
 
+    def types(self, d: int, m: int) -> tuple[tuple[tuple, int], ...]:
+        """A record (pairs, orbit dim) for each Jordan type of weight d and
+        order m, in the order of ``jordan_types``, listed on first use and
+        kept with the table, so no module keeps a listing."""
+        if (d, m) not in self._types:
+            self._types[d, m] = tuple((pairs, d * d - _end_dim(pairs))
+                                      for pairs in jordan_types(d, m))
+        return self._types[d, m]
+
     def codim_of_types(self, types: Sequence[Sequence]) -> int:
         """Codimension of the Jordan types at the vertex positions, with
         ``types[k][0]`` the (part, count) pairs at position k: the layout
-        of the scan's entries (pairs, orbit dim, type).  A rank already in
-        the table is read in this frame; ``entry`` ranks the others."""
+        of the records of ``types``.  A rank already in the table is read
+        in this frame; ``entry`` ranks the others."""
         ranks = self._ranks
         total = 0
         for t, s in self._pairs:
@@ -183,5 +193,4 @@ class PartPairTable:
 
     def codim(self, ja: JordanAssignment) -> int:
         """Codimension of the arrow solution space on the Jordan types ``ja``."""
-        return self.codim_of_types([(ja.partition(v).multiplicities,)
-                                    for v in self.pres.quiver.vertices])
+        return self.codim_of_types([(p.multiplicities,) for p in ja.partitions])

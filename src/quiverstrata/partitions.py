@@ -4,8 +4,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable
+from itertools import chain, groupby, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .quiver import BoundQuiverPresentation, PresentationError
 __all__ = [
     "Partition",
     "JordanAssignment",
+    "jordan_types",
     "partitions_bounded",
     "count_partitions_bounded",
     "end_dim",
@@ -42,6 +43,11 @@ class Partition:
         if self.parts and (self.parts[-1] < 1 or self.parts[0] > self.bound):
             raise ValueError(f"parts {self.parts} violate the bound {self.bound}")
 
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]], bound: int) -> "Partition":
+        """The type of the (part, count) pairs, largest part first."""
+        return cls(tuple(chain.from_iterable(repeat(a, count) for a, count in pairs)), bound)
+
     @property
     def weight(self) -> int:
         return sum(self.parts)
@@ -55,10 +61,7 @@ class Partition:
     @property
     def is_maximal(self) -> bool:
         """True for (m, ..., m, r); the dense Jordan type of its weight."""
-        if not self.parts:
-            return True
-        head, tail = self.parts[:-1], self.parts[-1]
-        return all(p == self.bound for p in head) and 1 <= tail <= self.bound
+        return all(p == self.bound for p in self.parts[:-1])
 
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "-"
@@ -67,36 +70,41 @@ class Partition:
         return self.serialize()
 
 
-@functools.cache
-def partitions_bounded(d: int, m: int) -> tuple[Partition, ...]:
-    """All partitions of d with parts <= m, descending-lex (maximal first).
-
-    Iterative, so the number of parts is not bounded by the recursion
-    limit: each step lowers the last part above 1 by one and refills the
-    units freed from it and the trailing 1s greedily with parts no larger."""
+def jordan_types(d: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The partitions of d with parts <= m as (part, count) pairs, largest part
+    first, descending-lex (maximal first): each step lowers a part of the least
+    size above 1, refills it and the 1s greedily, and holds min(m, d) pairs at most."""
     if d < 0:
         raise ValueError("d must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    full, rest = divmod(d, m)
-    parts = [m] * full + ([rest] if rest else [])
-    out = [Partition(tuple(parts), m)]
-    while parts and parts[0] > 1:
-        freed = 0
-        while parts[-1] == 1:
-            parts.pop()
-            freed += 1
-        top = parts.pop() - 1
-        full, rest = divmod(freed + 1 + top, top)
-        parts += [top] * full + ([rest] if rest else [])
-        out.append(Partition(tuple(parts), m))
-    return tuple(out)
+    pairs: list[tuple[int, int]] = []
+    units, size = d, min(m, d)
+    while True:
+        while units:  # refill greedily with parts <= size
+            full, units = divmod(units, size)
+            pairs.append((size, full))
+            size = units
+        yield tuple(pairs)
+        ones = pairs.pop()[1] if pairs and pairs[-1][0] == 1 else 0
+        if not pairs:
+            return
+        size, count = pairs.pop()
+        if count > 1:
+            pairs.append((size, count - 1))
+        units, size = size + ones, size - 1
+
+
+def partitions_bounded(d: int, m: int) -> tuple[Partition, ...]:
+    """All partitions of d with parts <= m, descending-lex (maximal first):
+    the types of :func:`jordan_types` with every part listed."""
+    return tuple(Partition.from_pairs(pairs, m) for pairs in jordan_types(d, m))
 
 
 @functools.cache
 def count_partitions_bounded(d: int, m: int) -> int:
-    """``len(partitions_bounded(d, m))`` without listing them: the
-    O(d·m) recurrence that adds the parts 1, ..., m one size at a time."""
+    """The number of types ``jordan_types(d, m)`` lists, without listing them:
+    the O(d·min(d, m)) recurrence that adds the parts 1, ..., min(d, m) in turn."""
     if d < 0 or m < 1:
         raise ValueError("need d >= 0 and m >= 1")
     ways = [1] + [0] * d
@@ -107,18 +115,19 @@ def count_partitions_bounded(d: int, m: int) -> int:
 
 
 def end_dim(p: Partition) -> int:
-    """Endomorphism algebra dimension: sum of min(p_i, p_j) over all pairs.
+    """Endomorphism algebra dimension: sum of min(p_i, p_j) over all pairs."""
+    return _end_dim(p.multiplicities)
 
-    Computed as the sum of the squared conjugate parts: the pair (i, j)
-    counts once for each k <= min(p_i, p_j), and the number of parts
-    >= k is the conjugate part p'_k.  Over the distinct part sizes
-    a_1 > a_2 > ... > a_r with multiplicities m_i, and a_(r+1) = 0,
-    p'_k = m_1 + ... + m_i for a_(i+1) < k <= a_i, so the sum is
-    sum_i (a_i - a_(i+1)) * (m_1 + ... + m_i)^2, one step per size.
-    """
+
+def _end_dim(pairs: Sequence[tuple[int, int]]) -> int:
+    """``end_dim`` of the type with these (part, count) pairs, computed as
+    the sum of the squared conjugate parts: the pair (i, j) counts once for
+    each k <= min(p_i, p_j), and the number of parts >= k is the conjugate
+    part p'_k.  Over the distinct part sizes a_1 > a_2 > ... > a_r with
+    multiplicities m_i, and a_(r+1) = 0, p'_k = m_1 + ... + m_i for a_(i+1)
+    < k <= a_i, so the sum is sum_i (a_i - a_(i+1)) * (m_1 + ... + m_i)^2."""
     total = above = 0
-    mults = p.multiplicities
-    for (a, m), (below, _) in zip(mults, mults[1:] + ((0, 0),)):
+    for (a, m), (below, _) in zip(pairs, (*pairs[1:], (0, 0))):
         above += m
         total += (a - below) * above * above
     return total
@@ -126,8 +135,7 @@ def end_dim(p: Partition) -> int:
 
 def orbit_dim(p: Partition) -> int:
     """Conjugation orbit dimension of the Jordan matrix: d^2 - end_dim."""
-    d = p.weight
-    return d * d - end_dim(p)
+    return p.weight ** 2 - end_dim(p)
 
 
 def rank_sequence(p: Partition) -> list[int]:
@@ -142,9 +150,8 @@ def partition_from_ranks(d: int, ranks: Iterable[int], bound: int) -> Partition:
     ``ranks[k]`` is rank(X^(k+1)); the count of blocks of size >= k is the
     k-th difference of the padded sequence.
     """
-    seq = [d] + list(ranks)
-    while len(seq) < d + 2:
-        seq.append(0)
+    seq = [d, *ranks]
+    seq += [0] * (d + 2 - len(seq))
     parts: list[int] = []
     for size in range(d, 0, -1):
         mult = seq[size - 1] - 2 * seq[size] + seq[size + 1]
@@ -224,11 +231,10 @@ class JordanAssignment:
         parts = tuple(assignment)
         if len(parts) != len(verts):
             raise ValueError("one partition per vertex required")
-        for v, p in zip(verts, parts):
-            if p.bound != pres.order(v):
+        for v, p, m in zip(verts, parts, pres.orders):
+            if p.bound != m:
                 raise PresentationError(
-                    f"partition bound {p.bound} at {v!r} differs from order {pres.order(v)}"
-                )
+                    f"partition bound {p.bound} at {v!r} differs from order {m}")
         return cls(verts, parts)
 
     def partition(self, vertex: str) -> Partition:

@@ -16,10 +16,8 @@ before they list any.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,13 +108,13 @@ class ReducibilityCertificate:
 # strata took 1.7 s and 411 MB to count the types of A(1,2,2,1), and 4.3 s
 # and 813 MB to list the one type of Aprime(1,1,1), on a 2-CPU host
 _MAX_DIM = 10 ** 7
-# the parts that the Jordan types of one dimension vector may list: each
-# type at a vertex v has at most d_v parts, so the sum over v of (types at
-# v)·d_v bounds them.  Just below the bound, strata took 6.6 s and 218 MB
-# on A(1,2,2,1) at (6323, 1); just above it, 8.6 s and 224 MB on
-# truncpoly(3) at 620 (2.005·10^7); at 5·10^7, 21 s and 494 MB on
-# A(1,2,2,1) at (10000, 1); at 9.2·10^7, 40 s and 992 MB on truncpoly(3)
-# at 1092; one process each on a 2-CPU host
+# the parts that ``assignments_for`` may list, given a cap: each type at a
+# vertex v has at most d_v parts, so the sum over v of (types at v)·d_v
+# bounds them.  strata prints every part of every row.  Just below the
+# bound, strata took 6.6 s and 218 MB on A(1,2,2,1) at (6323, 1); just
+# above it, 8.6 s and 224 MB on truncpoly(3) at 620 (2.005·10^7); at
+# 5·10^7, 21 s and 494 MB on A(1,2,2,1) at (10000, 1); at 9.2·10^7, 40 s
+# and 992 MB on truncpoly(3) at 1092; one process each on a 2-CPU host
 _MAX_PARTS = 2 * 10 ** 7
 
 
@@ -124,9 +122,7 @@ def _check_dims(pres: BoundQuiverPresentation, dims: Sequence[int],
                 cap: int | None = None) -> tuple[int, ...]:
     """The checked dimension vector.  Given a cap, its Jordan assignments
     are counted, not listed, so a vector far over the cap fails at once,
-    and a dimension above ``_MAX_DIM`` fails before they are counted; so
-    does one whose types at the vertices may hold more than ``_MAX_PARTS``
-    parts, after the cap."""
+    and a dimension above ``_MAX_DIM`` fails before they are counted."""
     dims = tuple(map(int, dims))
     if len(dims) != len(pres.quiver.vertices):
         raise ValueError("dimension vector length must match the vertex count")
@@ -135,14 +131,9 @@ def _check_dims(pres: BoundQuiverPresentation, dims: Sequence[int],
     if cap is not None:
         if max(dims, default=0) > _MAX_DIM:
             raise ValueError(f"dimension {max(dims)} exceeds the bound {_MAX_DIM}")
-        counts = tuple(map(count_partitions_bounded, dims, pres.orders))
-        count = math.prod(counts)
+        count = math.prod(map(count_partitions_bounded, dims, pres.orders))
         if count > cap:
             raise ScanCapExceeded(count, cap)
-        parts = sum(map(operator.mul, counts, dims))
-        if parts > _MAX_PARTS:
-            raise ValueError(f"the Jordan types at d = {dims} may hold {parts} parts, "
-                             f"more than the bound {_MAX_PARTS}")
     return dims
 
 
@@ -166,19 +157,17 @@ def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int],
     """All Jordan assignments in canonical order, the product of the
     Jordan types at each vertex with the last vertex fastest; the maximal
     assignment is first.  More than ``cap`` of them raise
-    :class:`ScanCapExceeded` before any is listed."""
-    per_vertex = [partitions_bounded(d, m)
-                  for d, m in zip(_check_dims(pres, dims, cap), pres.orders)]
+    :class:`ScanCapExceeded` before any is listed, and then types that
+    may hold more than ``_MAX_PARTS`` parts raise ``ValueError``."""
+    dims = _check_dims(pres, dims, cap)
+    if cap is not None:
+        parts = sum(count_partitions_bounded(d, m) * d for d, m in zip(dims, pres.orders))
+        if parts > _MAX_PARTS:
+            raise ValueError(f"the Jordan types at d = {dims} may hold {parts} parts, "
+                             f"more than the bound {_MAX_PARTS}")
+    per_vertex = [partitions_bounded(d, m) for d, m in zip(dims, pres.orders)]
     return [JordanAssignment.for_presentation(pres, combo)
             for combo in itertools.product(*per_vertex)]
-
-
-@functools.cache
-def _type_data(d: int, m: int) -> tuple[tuple[tuple, int, Partition], ...]:
-    """(part multiplicities, orbit dim, Jordan type) for each type of
-    weight d with parts <= m, in canonical order; the multiplicities come
-    first, where ``PartPairTable.codim_of_types`` reads them."""
-    return tuple((p.multiplicities, orbit_dim(p), p) for p in partitions_bounded(d, m))
 
 
 def reducibility_scan(table: PartPairTable, dims: Sequence[int],
@@ -187,23 +176,24 @@ def reducibility_scan(table: PartPairTable, dims: Sequence[int],
 
     A returned certificate proves the representation scheme of this
     dimension vector is reducible; ``None`` proves nothing.  N is
-    fixed, so the scan compares orbit dims - codimension (from the table).
+    fixed, so the scan compares orbit dims - codimension, both read from
+    the table's records; a ``Partition`` is built only for the reports.
     """
     pres = table.pres
     dims = _check_dims(pres, dims, cap)
-    data = [_type_data(d, m) for d, m in zip(dims, pres.orders)]
+    data = [table.types(d, m) for d, m in zip(dims, pres.orders)]
 
     codim_of_types = table.codim_of_types
 
     def size(combo) -> int:
         orbits = 0
-        for _, o, _ in combo:
+        for _, o in combo:
             orbits += o
         return orbits - codim_of_types(combo)
 
     def report(combo) -> StratumReport:
         return stratum_dim(table, JordanAssignment.for_presentation(
-            pres, [p for _, _, p in combo]))
+            pres, map(Partition.from_pairs, (pairs for pairs, _ in combo), pres.orders)))
 
     it = itertools.product(*data)
     first = next(it)

@@ -1,7 +1,9 @@
-"""The recursive ``partitions_bounded`` that the iterative one replaced,
-kept verbatim apart from the cache as the reference of its differential
-test.  Its recursion depth is the number of parts, so it fails past the
-interpreter's recursion limit."""
+"""The two listings of bounded partitions that ``jordan_types`` replaced,
+kept verbatim apart from their caches as the references of differential
+tests: the recursive ``partitions_bounded``, whose recursion depth is the
+number of parts, so it fails past the interpreter's recursion limit, and
+the iterative one that followed it, which lists every type as a full
+``parts`` tuple."""
 from quiverstrata.partitions import Partition
 
 
@@ -21,4 +23,29 @@ def partitions_bounded(d: int, m: int) -> tuple[Partition, ...]:
             rec(remaining - first, first, acc + (first,))
 
     rec(d, m, ())
+    return tuple(out)
+
+
+def iterative_partitions_bounded(d: int, m: int) -> tuple[Partition, ...]:
+    """All partitions of d with parts <= m, descending-lex (maximal first).
+
+    Iterative, so the number of parts is not bounded by the recursion
+    limit: each step lowers the last part above 1 by one and refills the
+    units freed from it and the trailing 1s greedily with parts no larger."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    full, rest = divmod(d, m)
+    parts = [m] * full + ([rest] if rest else [])
+    out = [Partition(tuple(parts), m)]
+    while parts and parts[0] > 1:
+        freed = 0
+        while parts[-1] == 1:
+            parts.pop()
+            freed += 1
+        top = parts.pop() - 1
+        full, rest = divmod(freed + 1 + top, top)
+        parts += [top] * full + ([rest] if rest else [])
+        out.append(Partition(tuple(parts), m))
     return tuple(out)

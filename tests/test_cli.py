@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quiverstrata
-from quiverstrata import formulas
+from quiverstrata import formulas, strata
 from quiverstrata.cli import build_parser, main
 from quiverstrata.quiver import parse_presentation
 
@@ -337,20 +337,56 @@ def test_huge_dimension_exits_2_at_once(tmp_path, spec, command, dim):
 
 
 @pytest.mark.parametrize("command, dim, parts", [
-    ("strata", "100000,1", 5000100001),
-    ("reduce-scan", "100000,1", 5000100001),
-    ("reduce-scan", "20000,1", 200020001)])
+    ("strata", "100000,1", 5000100001)])
 def test_jordan_type_parts_bound_exits_2_at_once(tmp_path, command, dim, parts):
     """50,001 types of up to 10^5 parts at (100000, 1), under the default
-    cap: the parts are bounded before any type is listed (listing them
-    ended in a MemoryError after 15.9 s; at (20000, 1) reduce-scan took
-    52 s and 1.4 GB)."""
+    cap: strata prints every part, so the parts are bounded before any type
+    is listed (listing them ended in a MemoryError after 15.9 s)."""
     argv = [command, "--algebra", _family_file(tmp_path, "A(1,2,2,1)"), "--dim", dim]
     code, out, err, seconds, megabytes = _measured(argv, tmp_path)
     assert (code, out) == (2, "")
     assert err == (f"error: the Jordan types at d = ({dim.replace(',', ', ')}) may hold "
                    f"{parts} parts, more than the bound 20000000\n")
     assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
+def test_reduce_scan_lists_jordan_types_as_pairs(tmp_path):
+    """The scan lists each Jordan type as its (part, count) pairs, so it
+    needs no bound on the parts: at (5000, 1) it took 1.3-2.2 s when it
+    listed every part, and at (100000, 1) it exited 2 on the parts bound."""
+    algebra = ["--algebra", _family_file(tmp_path, "A(1,2,2,1)")]
+    code, out, err, seconds, _ = _measured(["reduce-scan", *algebra, "--dim", "5000,1"],
+                                           tmp_path)
+    assert (code, out, err) == (0, "d=(5000, 1): no certificate\n", "")
+    assert seconds < 1, seconds
+    code, out, err, _, _ = _measured(["reduce-scan", *algebra, "--dim", "100000,1"], tmp_path)
+    assert (code, out, err) == (0, "d=(100000, 1): no certificate\n", "")
+
+
+def test_reduce_scan_reports_every_vector_past_the_parts_bound(tmp_path, capsys,
+                                                                monkeypatch):
+    """The parts bound covers the full types that strata lists, not the
+    scan: with it at 400 parts, far below the types at total 40, the scan
+    still reports each of the 861 vectors (it printed one error line)."""
+    monkeypatch.setattr(strata, "_MAX_PARTS", 400)
+    argv = ["reduce-scan", "--algebra", str(tmp_path / _family_file(tmp_path, "A(1,2,2,1)")),
+            "--max-total", "40"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("d=(") for line in out.splitlines()) == 861
+
+
+@pytest.mark.slow
+def test_reduce_scan_long_run_memory(tmp_path):
+    """No Jordan-type listing outlives its table: to total 100 on
+    A(1,4,4,2) the scan peaked at 220 MB when module caches kept every
+    listing of the run."""
+    argv = ["reduce-scan", "--algebra", _family_file(tmp_path, "A(1,4,4,2)"),
+            "--max-total", "100"]
+    code, out, err, _, megabytes = _measured(argv, tmp_path)
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("d=(") for line in out.splitlines()) == 5151
+    assert megabytes < 160, megabytes
 
 
 def test_family_huge_h_exits_2_at_once(tmp_path):
@@ -543,10 +579,12 @@ def test_reduce_scan_jobs_match_sequential(algebra_file, capsys, monkeypatch):
 
 def test_commands_keep_no_presentation(tmp_path):
     """Each command builds its part-pair table and drops it with its
-    presentation: after strata, reduce-scan and oracle-count in one process,
-    the garbage collector finds no presentation."""
+    presentation and its Jordan-type records: after strata, reduce-scan and
+    oracle-count in one process, the garbage collector finds no
+    presentation and no Jordan type."""
     script = ("import contextlib, gc, io, sys\n"
               "from quiverstrata.cli import main\n"
+              "from quiverstrata.partitions import Partition\n"
               "from quiverstrata.quiver import BoundQuiverPresentation\n"
               "alg = ['--algebra', sys.argv[1]]\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -555,14 +593,15 @@ def test_commands_keep_no_presentation(tmp_path):
               "             main(['oracle-count', *alg, '--dim', '2,1', '--q', '2,3'])]\n"
               "gc.collect()\n"
               "print(codes, sum(isinstance(x, BoundQuiverPresentation)\n"
-              "                 for x in gc.get_objects()))\n")
+              "                 for x in gc.get_objects()),\n"
+              "      sum(isinstance(x, Partition) for x in gc.get_objects()))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, _family_file(tmp_path, "A(1,4,4,2)")],
                           env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0, 0] 0\n"
+    assert done.stdout == "[0, 0, 0] 0 0\n"
 
 
 def test_verify_formulas_single_instance(capsys):

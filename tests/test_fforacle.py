@@ -150,7 +150,7 @@ def test_group_order_bits_are_bounded_at_every_vertex(monkeypatch):
     pres = parse_presentation("vertex 0\nvertex 1\narrow a 1 -> 0\n")
     assert enumerate_and_classify(pres, (0, 10), 3).total == 1
     assert enumerate_and_classify(pres, (10, 0), 2).total == 1
-    monkeypatch.setattr(fforacle, "partitions_bounded", None)  # nothing is listed
+    monkeypatch.setattr(fforacle, "count_partitions_bounded", None)  # nothing is counted
     for dims, q, vertex in (((0, 10), 5, "1"), ((11, 0), 2, "0")):
         with pytest.raises(ValueError, match=rf"^\|GL_{max(dims)}\(F_{q}\)\| at vertex "
                                              rf"'{vertex}' has about \d+ bits, more than "

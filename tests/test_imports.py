@@ -1,6 +1,7 @@
 """Every module-level import in the package and in the test modules is
 used in its module, the formula sweep builds on the exact engine alone,
-and the exact engine imports nothing from ``fractions``.
+the exact engine imports nothing from ``fractions``, and the package
+memoizes only the functions on a short list.
 
 The package re-exports its public names from ``__init__``, so that file is
 skipped, as are ``from __future__`` imports.  A name listed in a module's
@@ -137,3 +138,48 @@ def test_exact_engine_imports_no_fractions(name):
     integers before they reach it, so it needs no ``Fraction``."""
     source = (PACKAGE / name).read_text(encoding="utf-8")
     assert "fractions" not in {m.split(".")[0] for m in _imported_modules(source)}
+
+
+# the functions the package may memoize: each holds small values, or is
+# bounded, and none holds a Jordan-type listing, which a command's
+# ``PartPairTable`` keeps for as long as the command runs
+CACHED = {"partitions.count_partitions_bounded", "cli.build_parser",
+          "formulas._shaped", "formulas._rank"}
+
+
+def cached_functions(source: str) -> set[str]:
+    """The functions in ``source`` decorated with ``functools.cache`` or
+    ``functools.lru_cache``, called or not, under any import of them."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else \
+                    getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.add(node.name)
+    return found
+
+
+def test_cache_finder():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@functools.cache\n"
+              "def a(): pass\n"
+              "@functools.lru_cache(maxsize=4)\n"
+              "def b(): pass\n"
+              "class C:\n"
+              "    @cache\n"
+              "    def c(self): pass\n"
+              "@lru_cache\n"
+              "def d(): pass\n"
+              "@property\n"
+              "def e(): pass\n")
+    assert cached_functions(source) == {"a", "b", "c", "d"}
+
+
+def test_package_memoizes_only_the_listed_functions():
+    found = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+             for name in cached_functions(path.read_text(encoding="utf-8"))}
+    assert found <= CACHED, sorted(found - CACHED)

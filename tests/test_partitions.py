@@ -9,11 +9,14 @@ import partitions_reference
 import scan_reference
 from jordan_reference import (commutant_dim_oracle, hom_dim, jordan_matrix,
                               maximal_partition)
+from quiverstrata import partitions
+from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import (JordanAssignment, Partition,
                                      count_partitions_bounded, end_dim,
                                      orbit_count, orbit_count_ff, orbit_dim,
                                      partition_from_ranks, partitions_bounded,
                                      rank_sequence)
+from quiverstrata.quiver import parse_presentation
 
 
 def brute_partitions(d, m):
@@ -56,6 +59,55 @@ def test_partitions_bounded_lists_more_parts_than_the_recursion_limit():
     assert len(plist) == 601 == count_partitions_bounded(1200, 2)
     assert plist[0].parts == (2,) * 600 and plist[-1].parts == (1,) * 1200
     assert [p.parts.count(2) for p in plist] == list(range(600, -1, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30), st.one_of(st.integers(1, 10), st.just(10 ** 9)))
+@example(0, 1)
+@example(0, 5)
+@example(7, 1)
+@example(3, 10 ** 9)
+@example(6, 9)
+@example(1000, 1)
+@example(1200, 2)
+def test_jordan_types_match_the_listings_they_replace(d, m):
+    """The (part, count) pairs, expanded, list the types of the iterative
+    listing they replaced, in its order, and those of the brute-force
+    oracle; order 10^9 lists no more than order d does."""
+    types = list(partitions.jordan_types(d, m))
+    listed = [Partition.from_pairs(pairs, m) for pairs in types]
+    assert listed == list(partitions_reference.iterative_partitions_bounded(d, m))
+    assert [p.multiplicities for p in listed] == types
+    assert len(types) == count_partitions_bounded(d, m)
+    for pairs in types:
+        assert all(count >= 1 for _, count in pairs)
+        assert all(a > b for (a, _), (b, _) in zip(pairs, pairs[1:]))
+        assert len(pairs) <= min(m, d)
+    if d <= 6:
+        assert [p.parts for p in listed] == brute_partitions(d, min(m, max(d, 1)))
+
+
+def test_jordan_types_refuse_what_the_listing_refused():
+    for d, m in ((-1, 2), (2, 0)):
+        with pytest.raises(ValueError) as exc:
+            list(partitions.jordan_types(d, m))
+        with pytest.raises(ValueError) as ref:
+            partitions_reference.iterative_partitions_bounded(d, m)
+        assert str(exc.value) == str(ref.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 8))
+@example(0, 1)
+@example(1200, 2)
+def test_table_records_hold_the_orbit_dims(d, m):
+    """A table lists the types of each (d, m) once, as (pairs, orbit dim)
+    records whose orbit dims are those of the full types."""
+    table = PartPairTable(parse_presentation("vertex 0\n"))
+    records = table.types(d, m)
+    assert [pairs for pairs, _ in records] == list(partitions.jordan_types(d, m))
+    assert [o for _, o in records] == [orbit_dim(p) for p in partitions_bounded(d, m)]
+    assert table.types(d, m) is records
 
 
 def test_count_partitions_bounded_matches_listing():
