@@ -337,30 +337,37 @@ def test_huge_dimension_exits_2_at_once(tmp_path, spec, command, dim):
 
 
 @pytest.mark.parametrize("command, dim, parts", [
-    ("strata", "100000,1", 5000100001)])
+    ("strata", "100000,1", 5000100001),
+    ("reduce-scan", "100000,1", 5000100001),
+    ("reduce-scan", "20000,1", 200020001)])
 def test_jordan_type_parts_bound_exits_2_at_once(tmp_path, command, dim, parts):
-    """50,001 types of up to 10^5 parts at (100000, 1), under the default
-    cap: strata prints every part, so the parts are bounded before any type
-    is listed (listing them ended in a MemoryError after 15.9 s)."""
+    """50,001 types of up to 10^5 parts at (100000, 1), over the default
+    bound: strata prints every part, so the parts are bounded before any
+    type is listed (listing them ended in a MemoryError after 15.9 s).  The
+    bound covers only the types strata prints: reduce-scan lists each type
+    as its (part, count) pairs and finishes at once past it (at (20000, 1)
+    it took 52 s and 1.4 GB when it listed every part)."""
+    assert parts > strata._MAX_PARTS
     argv = [command, "--algebra", _family_file(tmp_path, "A(1,2,2,1)"), "--dim", dim]
     code, out, err, seconds, megabytes = _measured(argv, tmp_path)
-    assert (code, out) == (2, "")
-    assert err == (f"error: the Jordan types at d = ({dim.replace(',', ', ')}) may hold "
-                   f"{parts} parts, more than the bound 20000000\n")
+    dims = dim.replace(",", ", ")
+    if command == "strata":
+        assert (code, out) == (2, "")
+        assert err == (f"error: the Jordan types at d = ({dims}) may hold "
+                       f"{parts} parts, more than the bound 20000000\n")
+    else:
+        assert (code, out, err) == (0, f"d=({dims}): no certificate\n", "")
     assert seconds < 1 and megabytes < 150, (seconds, megabytes)
 
 
 def test_reduce_scan_lists_jordan_types_as_pairs(tmp_path):
-    """The scan lists each Jordan type as its (part, count) pairs, so it
-    needs no bound on the parts: at (5000, 1) it took 1.3-2.2 s when it
-    listed every part, and at (100000, 1) it exited 2 on the parts bound."""
-    algebra = ["--algebra", _family_file(tmp_path, "A(1,2,2,1)")]
-    code, out, err, seconds, _ = _measured(["reduce-scan", *algebra, "--dim", "5000,1"],
-                                           tmp_path)
+    """The scan lists each Jordan type as its (part, count) pairs: at
+    (5000, 1) it took 1.3-2.2 s when it listed every part."""
+    argv = ["reduce-scan", "--algebra", _family_file(tmp_path, "A(1,2,2,1)"),
+            "--dim", "5000,1"]
+    code, out, err, seconds, _ = _measured(argv, tmp_path)
     assert (code, out, err) == (0, "d=(5000, 1): no certificate\n", "")
     assert seconds < 1, seconds
-    code, out, err, _, _ = _measured(["reduce-scan", *algebra, "--dim", "100000,1"], tmp_path)
-    assert (code, out, err) == (0, "d=(100000, 1): no certificate\n", "")
 
 
 def test_reduce_scan_reports_every_vector_past_the_parts_bound(tmp_path, capsys,
