@@ -19,7 +19,7 @@ with N the ambient arrow dimension and c the exact codimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,6 +64,10 @@ class StratumCountTable:
     q: int
     dims: tuple[int, ...]
     counts: dict[JordanAssignment, int]
+    # every Jordan assignment in the order of ``assignments_for``, when the
+    # count listed them, so the identity check need not list them again
+    assignments: list[JordanAssignment] | None = field(default=None, compare=False,
+                                                       repr=False)
 
     @property
     def total(self) -> int:
@@ -192,7 +196,7 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
 
     assignments = assignments_for(pres, dims)
     counts = {assignments[key]: int(tally[key]) for key in np.nonzero(tally)[0]}
-    return StratumCountTable(q, dims, counts)
+    return StratumCountTable(q, dims, counts, assignments)
 
 
 @dataclass(frozen=True)
@@ -211,14 +215,20 @@ def verify_count_identity(counts: StratumCountTable,
     """Per-stratum check of count = (orbit counts) * q^(N - c), c from table.
 
     A failure at desk scale means either the prime is bad for the exact
-    rank or the engine miscounts; both are reportable findings.
+    rank or the engine miscounts; both are reportable findings.  The rows
+    run over ``counts.assignments``, the listing the count made, or over
+    ``assignments_for(table.pres, counts.dims)`` when it made none; each
+    distinct Jordan type's orbit count is formed once.
     """
     q = counts.q
     n = ambient_arrow_dim(table.pres, counts.dims)
+    orbits: dict = {}
     rows = []
-    for ja in assignments_for(table.pres, counts.dims):
+    for ja in counts.assignments or assignments_for(table.pres, counts.dims):
         pred = q ** (n - table.codim(ja))
         for p in ja.partitions:
-            pred *= orbit_count(p, q)
+            if p not in orbits:
+                orbits[p] = orbit_count(p, q)
+            pred *= orbits[p]
         rows.append(IdentityRow(ja, counts.counts.get(ja, 0), pred))
     return rows

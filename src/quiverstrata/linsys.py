@@ -119,6 +119,18 @@ def assemble_system(n_arrows: int, relations: Sequence[Sequence[Term]],
     return ConstraintSystem(rows, n_arrows * a * b)
 
 
+# the type records a table keeps across its listings: storing a listing
+# that would pass it first drops every listing kept, so the table holds at
+# most this many records plus one listing.  A record took about 276 bytes
+# (tracemalloc, truncpoly(3) at d = 400..420), so the bound is about 140 MB.
+# Whole scans keep far fewer: 17,338 records for A(1,5,5,4) to total 40 and
+# 8,547 for A(2,6,6,5) to total 30.  reduce-scan on truncpoly(3) to total
+# 620 lists 6,732,908 records, none reused: unbounded it peaked at 1,978 MB
+# in 31.9 s, and with this bound at 183 MB in 27.5 s, with the same stdout;
+# one process each on a 2-CPU host
+_MAX_RECORDS = 5 * 10 ** 5
+
+
 def rank_exact(cs: ConstraintSystem) -> int:
     """Rank over the rationals, by sparse fraction-free integer elimination."""
     return _kernels.exact_rank_int(cs.rows)
@@ -168,10 +180,14 @@ class PartPairTable:
     def types(self, d: int, m: int) -> tuple[tuple[tuple, int], ...]:
         """A record (pairs, orbit dim) for each Jordan type of weight d and
         order m, in the order of ``jordan_types``, listed on first use and
-        kept with the table, so no module keeps a listing."""
+        kept with the table, so no module keeps a listing.  A listing that
+        would take the records kept past ``_MAX_RECORDS`` first drops every
+        listing kept; a dropped one is listed again when asked for."""
         if (d, m) not in self._types:
-            self._types[d, m] = tuple((pairs, d * d - _end_dim(pairs))
-                                      for pairs in jordan_types(d, m))
+            records = tuple((pairs, d * d - _end_dim(pairs)) for pairs in jordan_types(d, m))
+            if sum(map(len, self._types.values())) + len(records) > _MAX_RECORDS:
+                self._types.clear()
+            self._types[d, m] = records
         return self._types[d, m]
 
     def codim_of_types(self, types: Sequence[Sequence]) -> int:

@@ -383,6 +383,65 @@ def test_reduce_scan_reports_every_vector_past_the_parts_bound(tmp_path, capsys,
     assert sum(line.startswith("d=(") for line in out.splitlines()) == 861
 
 
+@pytest.mark.parametrize("spec", ["truncpoly(3)", "A(1,4,4,2)"])
+def test_reduce_scan_type_records_budget(tmp_path, capsys, monkeypatch, spec):
+    """With the records budget at 40, far below the listings to total 30,
+    the table drops its listings again and again and the scan prints what
+    it prints unbounded; it never holds more than the budget plus the
+    listing it just stored."""
+    from quiverstrata import linsys
+
+    argv = ["reduce-scan", "--algebra", str(tmp_path / _family_file(tmp_path, spec)),
+            "--max-total", "30"]
+    code, want, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    held, drops = [], []
+    original = linsys.PartPairTable.types
+
+    def types(table, d, m):
+        before = sum(map(len, table._types.values()))
+        records = original(table, d, m)
+        held.append((sum(map(len, table._types.values())), len(records)))
+        drops.append(held[-1][0] < before)
+        return records
+
+    monkeypatch.setattr(linsys, "_MAX_RECORDS", 40)
+    monkeypatch.setattr(linsys.PartPairTable, "types", types)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, want, "")
+    assert all(total <= 40 + last for total, last in held)
+    assert sum(drops) > 1
+
+
+def test_oracle_count_lists_assignments_once_per_prime(algebra_file, capsys, monkeypatch):
+    """The identity check reads the listing the count made: one
+    ``assignments_for`` call per prime, where there were two, and the rows
+    it gives equal those of a count table that carries no listing, as
+    tests/oracle_reference.py builds."""
+    import dataclasses
+
+    from quiverstrata import fforacle
+    from quiverstrata.linsys import PartPairTable
+
+    calls = []
+    original = fforacle.assignments_for
+    monkeypatch.setattr(fforacle, "assignments_for",
+                        lambda *args: calls.append(args[1]) or original(*args))
+    code, out, _ = run_cli(["oracle-count", "--algebra", algebra_file,
+                            "--dim", "2,2", "--q", "2,3"], capsys)
+    assert code == 0 and calls == [(2, 2), (2, 2)]
+    rows = [r for r in csv.DictReader(io.StringIO(out)) if r["q"] != "q"]  # one header a prime
+    assert [r["q"] for r in rows] == ["2"] * 4 + ["3"] * 4
+    assert all(r["pass"] == "pass" for r in rows)
+    pres = parse_presentation(A1332)
+    table = PartPairTable(pres)
+    for q in (2, 3):
+        counts = fforacle.enumerate_and_classify(pres, (2, 2), q)
+        unlisted = dataclasses.replace(counts, assignments=None)
+        assert (fforacle.verify_count_identity(counts, table)
+                == fforacle.verify_count_identity(unlisted, table))
+
+
 @pytest.mark.slow
 def test_reduce_scan_long_run_memory(tmp_path):
     """No Jordan-type listing outlives its table: to total 100 on

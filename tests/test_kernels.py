@@ -2,8 +2,9 @@
 elimination over Q and against the sparse elimination it replaced, and the
 finite-field kernels against plain-python
 elimination over F_p, a brute-force nilpotency filter, the enumeration
-that the trace-zero kernel replaced and the batch-first kernels that the
-batch-last ones replaced."""
+that the trace-zero kernel replaced, the batch-first kernels that the
+batch-last ones replaced, the full-power enumeration that the column
+screen replaced, and the transpose symmetry of the nilpotent set."""
 import copy
 import itertools
 import random
@@ -225,28 +226,45 @@ REFERENCE_CASES = [(d, m, q) for q in (2, 3, 5, 7, 11, 13) for d in range(5)
 
 @pytest.mark.parametrize("d,m,q", REFERENCE_CASES)
 def test_nilpotent_enumeration_matches_reference(d, m, q):
-    """The kernel returns exactly what the full enumeration and the
-    batch-first trace-zero kernel did."""
+    """The kernel returns exactly what the full enumeration, the
+    batch-first trace-zero kernel and the full-power batch-last kernel did."""
     got = enumerate_nilpotent(d, m, q)
     for reference in (nilpotent_reference.enumerate_nilpotent,
-                      nilpotent_reference.enumerate_nilpotent_batch_first):
+                      nilpotent_reference.enumerate_nilpotent_batch_first,
+                      nilpotent_reference.enumerate_nilpotent_full_powers):
         for g, w in zip(got, reference(d, m, q)):
             assert g.dtype == w.dtype == np.int64
             assert g.shape == w.shape
             assert (g == w).all()
 
 
-@pytest.mark.parametrize("d,m,q", [(2, 2, 127), (2, 2, 131), (2, 2, 151), (3, 2, 5), (3, 3, 5)])
+@pytest.mark.parametrize("d,m,q", [(2, 2, 127), (2, 2, 131), (2, 2, 151), (3, 2, 5), (3, 3, 5),
+                                   (4, 4, 2)])
 def test_nilpotent_enumeration_matches_batch_first_reference(d, m, q):
     """Past the full enumeration's reach, on both sides of the int16 bound,
-    the batch-last kernel returns exactly what the (count, d, d) kernel with
-    batched matmul products did."""
+    the column-screen kernel returns exactly what the (count, d, d) kernel
+    with batched matmul products and the full-power batch-last kernel did."""
     got = enumerate_nilpotent(d, m, q)
-    want = nilpotent_reference.enumerate_nilpotent_batch_first(d, m, q)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.int64
-        assert g.shape == w.shape
-        assert (g == w).all()
+    for reference in (nilpotent_reference.enumerate_nilpotent_batch_first,
+                      nilpotent_reference.enumerate_nilpotent_full_powers):
+        for g, w in zip(got, reference(d, m, q)):
+            assert g.dtype == w.dtype == np.int64
+            assert g.shape == w.shape
+            assert (g == w).all()
+
+
+@pytest.mark.parametrize("d,m,q", REFERENCE_CASES + [(3, 3, 5), (4, 4, 2)])
+def test_nilpotent_set_closed_under_transpose(d, m, q):
+    """With no reference: (X^T)^m = (X^m)^T, so X^m = 0 iff (X^T)^m = 0,
+    and rank((X^T)^k) = rank(X^k).  So the matrices are closed under
+    transpose, and X and X^T have equal rank rows."""
+    mats, ranks = enumerate_nilpotent(d, m, q)
+    if d == 0:
+        assert mats.shape == (1, 0, 0) and ranks.shape == (1, 0)
+        return
+    codes, flipped = _codes(mats, q), _codes(mats.transpose(0, 2, 1), q)
+    assert (np.diff(codes) > 0).all() and np.isin(flipped, codes).all()
+    assert (ranks[np.searchsorted(codes, flipped)] == ranks).all()
 
 
 def _codes(mats, q):
