@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .families import build_family, parse_family_spec
 from .fforacle import enumerate_and_classify, verify_count_identity
-from .formulas import evaluate_case, formula_cases, single_case
+from .formulas import evaluate_case, formula_sweep, single_case
 from .linsys import PartPairTable
 from .quiver import parse_presentation, serialize_presentation
 from .strata import (ScanCapExceeded, assignments_for, dim_vectors_up_to,
@@ -125,27 +125,18 @@ def cmd_verify_formulas(args) -> int:
             raise ValueError("--p, --q, --l, --lambda and --h need --item")
         if args.p_max is not None:
             raise ValueError("--p-max is for the sweep, not a single case")
-        cases = [single_case(args.item, *single)]
+        case = single_case(args.item, *single)
+        swept = [(case.item, case.p, case.q, case.l, case.lam, case.h, *evaluate_case(case))]
     else:
-        items = [args.item] if args.item is not None else None
-        if args.p_max is None:
-            cases = formula_cases(items=items)
-        elif args.p_max < 1:
+        if args.p_max is not None and args.p_max < 1:
             raise ValueError(f"--p-max must be at least 1, got {args.p_max}")
-        else:
-            cases = formula_cases(p_max=args.p_max, items=items)
+        swept = formula_sweep(6 if args.p_max is None else args.p_max,
+                              None if args.item is None else [args.item])
     header = ["item", "p", "q", "l", "lambda", "h", "closed_form", "computed", "match"]
-    rows = []
-    mismatches = 0
-    for case in cases:
-        expected, computed = evaluate_case(case)
-        match = expected == computed
-        if not match:
-            mismatches += 1
-        rows.append([case.item, case.p, case.q,
-                     case.l if case.l is not None else "",
-                     str(case.lam) if case.lam is not None else "",
-                     case.h, expected, computed, "ok" if match else "MISMATCH"])
+    rows = [[item, p, q, "" if l is None else l, "" if lam is None else str(lam), h,
+             expected, computed, "ok" if expected == computed else "MISMATCH"]
+            for item, p, q, l, lam, h, expected, computed in swept]
+    mismatches = sum(row[-1] != "ok" for row in rows)
     if args.format == "csv":
         _emit_csv(header, rows)
     else:

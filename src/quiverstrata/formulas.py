@@ -28,18 +28,20 @@ of the h arrows 1 -> 0.  It states each term as the integer split term
 ``(coefficient, eps0 power, arrow index, eps1 power)`` that
 ``linsys.assemble_system`` reads, and builds no quiver, path or relation.
 The arrows past the item's ``symbols`` are in no term, so the h of a case
-changes no row: each case shape is assembled and ranked once, for every h.
+changes no row: ``formula_sweep`` walks the shapes (item, p, q, l, lambda)
+and checks, assembles and ranks each once, for every h, with no memo cache.
 The rules that are not side conditions (which items take l and lambda,
-which fix q, how many arrows each needs) are the table ``_ITEMS``;
-``c_closed_form``, ``formula_cases``, ``single_case`` and ``build_case``
-all read it.
+which fix q, how many arrows each needs) are the table ``_ITEMS``, which
+the sweep, ``c_closed_form``, ``single_case`` and ``build_case`` read.
 """
 from __future__ import annotations
 
-import functools
+import itertools
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linsys import Term, assemble_system, rank_exact
 
@@ -48,6 +50,7 @@ __all__ = [
     "FormulaCase",
     "c_closed_form",
     "formula_cases",
+    "formula_sweep",
     "single_case",
     "build_case",
     "evaluate_case",
@@ -99,30 +102,23 @@ def c_closed_form(item: int, p: Optional[int] = None, q: Optional[int] = None,
         if not 2 <= q <= p:
             raise SideConditionError("item 5 needs 2 <= q <= p")
         return q * (p - 1) + 1
-    if item == 6:
-        if l is None or not 1 <= l <= min(p, q):
-            raise SideConditionError("item 6 needs 1 <= l <= min(p, q)")
-        return l
+    if item in (6, 10, 11):
+        low = {6: 1, 10: 3, 11: 4}[item]
+        if l is None or not low <= l <= min(p, q):
+            raise SideConditionError(f"item {item} needs {low} <= l <= min(p, q)")
+        if item == 11 and lam == 0:
+            raise SideConditionError("item 11 needs lambda != 0")
+        return l + (item != 6)
     if item in (7, 8):
         if p < 2 or q < 2:
             raise SideConditionError("items 7 and 8 need p, q >= 2")
         return 2 if item == 7 else 3
-    if item == 9:
-        if p < 3 or q < 3:
-            raise SideConditionError("item 9 needs p, q >= 3")
-        if lam == 1:
-            raise SideConditionError("item 9 needs lambda != 1")
-        return 4
-    if item == 10:
-        if l is None or not 3 <= l <= min(p, q):
-            raise SideConditionError("item 10 needs 3 <= l <= min(p, q)")
-        return l + 1
-    # item 11
-    if l is None or not 4 <= l <= min(p, q):
-        raise SideConditionError("item 11 needs 4 <= l <= min(p, q)")
-    if lam == 0:
-        raise SideConditionError("item 11 needs lambda != 0")
-    return l + 1
+    # item 9
+    if p < 3 or q < 3:
+        raise SideConditionError("item 9 needs p, q >= 3")
+    if lam == 1:
+        raise SideConditionError("item 9 needs lambda != 1")
+    return 4
 
 
 def _term_shapes(item: int, p: int, q: int, l: Optional[int],
@@ -145,24 +141,18 @@ def _term_shapes(item: int, p: int, q: int, l: Optional[int],
         return [(one, 1, 0, 0), (one, 0, 1, 1)]
     if item == 5:
         return [(one, 1, 0, 0), (one, 0, 0, 1), (one, 0, 1, q - 1)]
-    if item == 6:
-        return [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
     if item == 7:
         return [(one, p - 1, 0, q - 2), (lam, p - 2, 0, q - 1),
                 (one, p - 1, 1, q - 1)]
+    # items 6, 10 and 11 start with the l terms of item 6, items 8 to 11
+    # end with the terms of b and c, and items 9 and 11 have the lambda term
+    b_c = [] if item == 6 else [(one, p - 2, 1, q - 1), (one, p - 1, 2, q - 1)]
     if item == 8:
-        return [(one, p - 1, 0, q - 2), (one, p - 2, 1, q - 1),
-                (one, p - 1, 2, q - 1)]
+        return [(one, p - 1, 0, q - 2)] + b_c
     if item == 9:
-        return [(one, p - 1, 0, q - 3), (one, p - 2, 0, q - 2),
-                (lam, p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
-                (one, p - 1, 2, q - 1)]
-    if item == 10:
-        base = [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
-        return base + [(one, p - 2, 1, q - 1), (one, p - 1, 2, q - 1)]
-    base = [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)]
-    return base + [(lam, p - 3, 0, q - 1), (one, p - 2, 1, q - 1),
-                   (one, p - 1, 2, q - 1)]
+        return [(one, p - 1, 0, q - 3), (one, p - 2, 0, q - 2), (lam, p - 3, 0, q - 1)] + b_c
+    lam_term = [(lam, p - 3, 0, q - 1)] if item == 11 else []
+    return [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)] + lam_term + b_c
 
 
 @dataclass(frozen=True)
@@ -175,7 +165,6 @@ class FormulaCase:
     h: int
 
 
-@functools.lru_cache(maxsize=4096)
 def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]):
     """(closed form, integer split terms) of an admissible case, whatever
     its h; raises :class:`SideConditionError` otherwise."""
@@ -193,29 +182,16 @@ def build_case(case: FormulaCase) -> tuple[int, tuple[Term, ...], int]:
     expected, terms = _shaped(case.item, case.p, case.q, case.l, case.lam)
     n_sym = _ITEMS[case.item].symbols
     if case.h < n_sym:
-        raise SideConditionError(
-            f"item {case.item} needs {n_sym} distinct arrows, h={case.h}"
-        )
+        raise SideConditionError(f"item {case.item} needs {n_sym} distinct arrows, h={case.h}")
     return case.h, terms, expected
 
 
-@functools.lru_cache(maxsize=4096)
-def _rank(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]) -> int:
-    """The exact rank of an admissible case's system, whatever its h: an
-    arrow whose index is at least the item's ``symbols`` is in no term, so
-    h changes only the ambient dimension, never a row."""
-    _, terms = _shaped(item, p, q, l, lam)
-    return rank_exact(assemble_system(_ITEMS[item].symbols, [terms], p, q))
-
-
 def evaluate_case(case: FormulaCase) -> tuple[int, int]:
-    """(expected closed form, computed exact rank) for one case.
-
-    Both Jordan types are single parts, so the relation system is the one
-    block pair (p) at 0 and (q) at 1, ranked as it is assembled, once for
-    every h of the same case shape."""
-    _, _, expected = build_case(case)
-    return expected, _rank(case.item, case.p, case.q, case.l, case.lam)
+    """(expected closed form, computed exact rank) for one case: the one
+    block pair (p) at 0 and (q) at 1, on the item's ``symbols`` arrows."""
+    _, terms, expected = build_case(case)
+    return expected, rank_exact(assemble_system(_ITEMS[case.item].symbols, [terms],
+                                                case.p, case.q))
 
 
 _HS = (1, 2, 3)  # the numbers of arrows 1 -> 0 that the sweep tries
@@ -228,6 +204,28 @@ _MAX_UNKNOWNS = 10 ** 6  # of the one block-pair system of a single case
 # and peaks near 600 MB, the most that any case of at most three terms
 # within the unknowns bound reaches
 _MAX_ENTRIES = 2 * 10 ** 6
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # as Fraction reads it
+
+
+def _read_lambda(lam: str | Fraction) -> Fraction:
+    """``Fraction(lam)`` if its numerator and denominator have at most
+    ``sys.get_int_max_str_digits()`` digits, as a row prints them.  Fraction
+    builds 10^|e| for a text's exponent e unchecked, so e is read first:
+    n/d != 0 times 10^e has a numerator >= 10^e / d and a denominator
+    >= 10^-e / |n|, so past |e| = ``bound`` the digits only grow."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300  # CPython's default
+    exp = _EXPONENT.search(lam) if isinstance(lam, str) else None
+    try:  # the text with exponent 0, so that Fraction checks its syntax
+        value = Fraction(lam if exp is None else f"{lam[:exp.start(1)]}0{lam[exp.end(1):]}")
+        scale = 0 if exp is None else int(exp[1])
+    except (ValueError, ZeroDivisionError):
+        raise SideConditionError(f"bad lambda {lam!r}") from None
+    if value:
+        bound = limit + value.numerator.bit_length() + value.denominator.bit_length()
+        value *= Fraction(10) ** max(-bound, min(scale, bound))
+    if max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise SideConditionError(f"bad lambda {lam!r}: more than {limit} digits")
+    return value
 
 
 def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
@@ -235,7 +233,7 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
                 h: Optional[int] = None) -> FormulaCase:
     """One case from the given parameters, ``None`` meaning not given:
     p defaults to 1, h to 3, q to the item's fixed q, and lambda (any value
-    ``Fraction`` reads) to 2 for the items that take it.  A case whose
+    ``_read_lambda`` reads) to 2 for the items that take it.  A case whose
     block-pair system has more than ``_MAX_UNKNOWNS`` unknowns (h*p*q), or
     would assemble more than ``_MAX_ENTRIES`` entries, is refused before
     anything is built: a term (c, pre, k, post) with c != 0 puts
@@ -244,10 +242,7 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
     A case that breaks a side condition is left for ``build_case`` to
     refuse."""
     if _ITEMS[item].takes_lambda:
-        try:
-            lam = Fraction(2) if lam is None else Fraction(lam)
-        except (ValueError, ZeroDivisionError):
-            raise SideConditionError(f"bad lambda {lam!r}") from None
+        lam = Fraction(2) if lam is None else _read_lambda(lam)
     elif lam is not None:
         raise SideConditionError(f"item {item} takes no lambda")
     if l is not None and not _ITEMS[item].takes_l:
@@ -271,36 +266,50 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
     return FormulaCase(item, p, q, l, lam, h)
 
 
-def formula_cases(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
-    """Every admissible case with q <= p <= p_max, h in ``_HS`` and, for the
-    items that take it, lambda in ``_LAMBDAS``, in a deterministic order.
-    The shapes it tries are counted before any is; more than
-    ``_MAX_SHAPES`` raise ``ValueError``."""
+def _shapes(p_max: int, items: Optional[Iterable[int]]) -> Iterator[tuple]:
+    """(item, p, q, lambda, the h in ``_HS`` the item admits, [(l, closed
+    form, integer split terms) per admissible l]), each shape tried once;
+    more than ``_MAX_SHAPES`` shapes raise ``ValueError`` before any is."""
     wanted = set(items) if items is not None else set(_ITEMS)
     # sum over p <= p_max of p^k, for k the number of q and l ranges up to p
     sums = (p_max, p_max * (p_max + 1) // 2, p_max * (p_max + 1) * (2 * p_max + 1) // 6)
-    shapes = sum((len(_LAMBDAS) if _ITEMS[i].takes_lambda else 1)
-                 * sums[(_ITEMS[i].fixed_q is None) + _ITEMS[i].takes_l] for i in wanted)
-    if shapes > _MAX_SHAPES:
-        raise ValueError(f"the sweep to p = {p_max} tries {shapes} relation shapes, "
+    count = sum((len(_LAMBDAS) if _ITEMS[i].takes_lambda else 1)
+                * sums[(_ITEMS[i].fixed_q is None) + _ITEMS[i].takes_l] for i in wanted)
+    if count > _MAX_SHAPES:
+        raise ValueError(f"the sweep to p = {p_max} tries {count} relation shapes, "
                          f"more than the bound {_MAX_SHAPES}")
-    cases: list[FormulaCase] = []
     for item in sorted(wanted):
         rules = _ITEMS[item]
+        hs = [h for h in _HS if h >= rules.symbols]
         lams: Sequence[Optional[Fraction]] = _LAMBDAS if rules.takes_lambda else (None,)
         for p in range(1, p_max + 1):
             qs = range(1, p + 1) if rules.fixed_q is None else (rules.fixed_q,)
             ls = range(1, p + 1) if rules.takes_l else (None,)
-            for q in qs:
-                for lam in lams:
-                    # _shaped decides which l are admissible, whatever h
-                    ok = []
-                    for l in ls:
-                        try:
-                            _shaped(item, p, q, l, lam)
-                        except SideConditionError:
-                            continue
-                        ok.append(l)
-                    cases += [FormulaCase(item, p, q, l, lam, h) for h in _HS
-                              if h >= rules.symbols for l in ok]
-    return cases
+            for q, lam in itertools.product(qs, lams):
+                shapes = []
+                for l in ls:
+                    try:
+                        shapes.append((l, *_shaped(item, p, q, l, lam)))
+                    except SideConditionError:
+                        pass
+                yield item, p, q, lam, hs, shapes
+
+
+def formula_cases(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
+    """Every admissible case with q <= p <= p_max, h in ``_HS`` and, for the
+    items that take it, lambda in ``_LAMBDAS``; l varies within each h."""
+    return [FormulaCase(item, p, q, l, lam, h)
+            for item, p, q, lam, hs, shapes in _shapes(p_max, items)
+            for h in hs for l, _, _ in shapes]
+
+
+def formula_sweep(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[tuple]:
+    """The row (item, p, q, l, lambda, h, closed form, exact rank) of each
+    case of ``formula_cases``, in its order, each shape ranked once."""
+    rows = []
+    for item, p, q, lam, hs, shapes in _shapes(p_max, items):
+        ranked = [(l, expected, rank_exact(assemble_system(_ITEMS[item].symbols, [terms], p, q)))
+                  for l, expected, terms in shapes]
+        rows += [(item, p, q, l, lam, h, expected, rank)
+                 for h in hs for l, expected, rank in ranked]
+    return rows

@@ -8,7 +8,17 @@ states as integers, and ``evaluate_case_per_h`` the ``evaluate_case``
 that assembled and ranked every case anew, once per h; both are kept
 verbatim, the latter under a name that does not clash with the reference
 ``build_case`` (it calls the package's).
+
+``sweep_per_case`` is the per-case path that ``formulas.formula_sweep``
+replaced: list every case with ``formula_cases_per_case``, then evaluate
+each through the memo caches ``_shaped_cached`` and ``_rank_cached``,
+keyed by its shape.  They are the replaced ``formula_cases``,
+``_shaped``, ``_rank`` and ``evaluate_case``, renamed, with two changes:
+the sweep bound is left out, and the terms are the ``integer_terms`` of
+this module's rational ``_term_shapes``, which the package's integer
+terms equal.
 """
+import functools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -17,7 +27,7 @@ from path_reference import path_of
 from quiverstrata import formulas
 from quiverstrata.formulas import (_LAMBDAS, FormulaCase, SideConditionError,
                                    c_closed_form)
-from quiverstrata.linsys import assemble_system, rank_exact
+from quiverstrata.linsys import assemble_system, integer_terms, rank_exact
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 
@@ -133,3 +143,66 @@ def formula_cases(p_max: int = 6, hs: Sequence[int] = (1, 2, 3),
                                 continue
                             cases.append(case)
     return cases
+
+
+@functools.lru_cache(maxsize=4096)
+def _shaped_cached(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]):
+    """(closed form, integer split terms) of an admissible case, whatever
+    its h; raises :class:`SideConditionError` otherwise."""
+    expected = c_closed_form(item, p, q, l, lam)
+    terms = tuple(integer_terms(_term_shapes(item, p, q, l, lam)))
+    if any(a + 1 + b < 2 for _, a, _k, b in terms):
+        raise SideConditionError("a term would be a bare arrow (length < 2)")
+    return expected, terms
+
+
+@functools.lru_cache(maxsize=4096)
+def _rank_cached(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]) -> int:
+    """The exact rank of an admissible case's system, whatever its h: an
+    arrow whose index is at least the item's ``symbols`` is in no term, so
+    h changes only the ambient dimension, never a row."""
+    _, terms = _shaped_cached(item, p, q, l, lam)
+    return rank_exact(assemble_system(formulas._ITEMS[item].symbols, [terms], p, q))
+
+
+def evaluate_case_cached(case: FormulaCase) -> tuple[int, int]:
+    """(expected closed form, computed exact rank) for one case, ranked
+    once for every h of the same case shape."""
+    _, _, expected = formulas.build_case(case)
+    return expected, _rank_cached(case.item, case.p, case.q, case.l, case.lam)
+
+
+def formula_cases_per_case(p_max: int = 6,
+                           items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
+    """Every admissible case with q <= p <= p_max, h in ``formulas._HS``
+    and, for the items that take it, lambda in ``formulas._LAMBDAS``, in
+    a deterministic order."""
+    wanted = set(items) if items is not None else set(formulas._ITEMS)
+    cases: list[FormulaCase] = []
+    for item in sorted(wanted):
+        rules = formulas._ITEMS[item]
+        lams: Sequence[Optional[Fraction]] = (formulas._LAMBDAS if rules.takes_lambda
+                                              else (None,))
+        for p in range(1, p_max + 1):
+            qs = range(1, p + 1) if rules.fixed_q is None else (rules.fixed_q,)
+            ls = range(1, p + 1) if rules.takes_l else (None,)
+            for q in qs:
+                for lam in lams:
+                    # _shaped decides which l are admissible, whatever h
+                    ok = []
+                    for l in ls:
+                        try:
+                            _shaped_cached(item, p, q, l, lam)
+                        except SideConditionError:
+                            continue
+                        ok.append(l)
+                    cases += [FormulaCase(item, p, q, l, lam, h) for h in formulas._HS
+                              if h >= rules.symbols for l in ok]
+    return cases
+
+
+def sweep_per_case(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[tuple]:
+    """The rows (item, p, q, l, lambda, h, closed form, exact rank) that
+    ``verify-formulas`` printed, case by case."""
+    return [(c.item, c.p, c.q, c.l, c.lam, c.h, *evaluate_case_cached(c))
+            for c in formula_cases_per_case(p_max, items)]

@@ -2,9 +2,10 @@
 
 The recognizer of the named two-vertex families and the product check of
 their relation-free members, the no-shortcut and cycle conditions on the
-quiver, the split-gap criterion, and the three-vertex no-overlap chain
-whose two middle strata have equal dimension.  No CLI command runs these;
-the tests use them to check the package against the paper.
+quiver, the split-gap criterion, the three-vertex no-overlap chain whose
+two middle strata have equal dimension, and the opposite presentation.
+No CLI command runs these; the tests use them to check the package
+against the paper.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 from quiverstrata.strata import assignments_for, stratum_dim
-from path_reference import word_path
+from path_reference import path_of, word_path
 from substitution import relation_mod_orders
 
 
@@ -348,3 +349,24 @@ def nooverlap_dims(h: int, l: int, n1: int, n2: int, m: int,
     )
     table = PartPairTable(pres)
     return stratum_dim(table, ja_u).dim, stratum_dim(table, ja_v).dim
+
+
+# ---------------------------------------------------------------------------
+# transpose duality
+# ---------------------------------------------------------------------------
+
+def opposite(pres: BoundQuiverPresentation) -> BoundQuiverPresentation:
+    """The opposite presentation: every arrow reversed, and each relation
+    term ``c * lt^i * a * ls^j`` from s to t written ``c * ls^j * a * lt^i``
+    from t to s.  The vertices keep their order and their loop orders.
+    Transposing every matrix, with each Jordan block reversed, carries the
+    representations of the one onto those of the other."""
+    q = pres.quiver
+    quiver = Quiver(q.vertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
+    relations = []
+    for rel in pres.relations:
+        lt, ls = rel.loops
+        terms = [(c, path_of([ls] * post + [name] + [lt] * pre))
+                 for c, pre, name, post in rel.terms]
+        relations.append(Relation.make(quiver, terms, source=rel.target, target=rel.source))
+    return BoundQuiverPresentation(quiver, pres.orders, tuple(relations))

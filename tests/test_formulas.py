@@ -12,7 +12,7 @@ from path_reference import path_of
 from quiverstrata import formulas
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
                                    c_closed_form, evaluate_case, formula_cases,
-                                   single_case)
+                                   formula_sweep, single_case)
 from quiverstrata.linsys import PartPairTable, assemble_system, integer_terms
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
@@ -188,31 +188,50 @@ def test_build_case_rejects_what_replaced_rejected():
 def test_sweep_ranks_each_shape_once_as_per_h_did(monkeypatch):
     """On every case of the p <= 8 sweep, and its lambda cases at lambda =
     0 (item 11 refuses it), evaluate_case equals the replaced per-h
-    assembly and rank, the integer terms are ``integer_terms`` of the
-    replaced rational ones, and each (item, p, q, l, lambda) is assembled
-    once, whatever its h.  The ranks do not vary with lambda on admissible
-    cases, so only the count of assemblies sees a shape key without it."""
+    assembly and rank, and the integer terms are ``integer_terms`` of the
+    replaced rational ones.  formula_sweep gives every case its row with
+    that rank, and assembles each (item, p, q, l, lambda) once, whatever
+    its h."""
     cases = formula_cases(p_max=8)
     zero = list(dict.fromkeys(replace(c, lam=Fraction(0)) for c in cases
                               if c.lam is not None and c.item != 11))
     assert len(cases) == 1205 and zero
-    calls = []
-    assemble = formulas.assemble_system
-
-    def counted(*args):
-        calls.append(args)
-        return assemble(*args)
-
-    monkeypatch.setattr(formulas, "assemble_system", counted)
-    formulas._rank.cache_clear()
     for case in cases + zero:
         _, terms, _ = build_case(case)
         rational = formulas_reference._term_shapes(case.item, case.p, case.q,
                                                    case.l, case.lam)
         assert list(terms) == integer_terms(rational), case
         assert evaluate_case(case) == formulas_reference.evaluate_case_per_h(case), case
-    shapes = {(c.item, c.p, c.q, c.l, c.lam) for c in cases + zero}
+    want = [(c.item, c.p, c.q, c.l, c.lam, c.h, *evaluate_case(c)) for c in cases]
+    calls = _count_assemblies(monkeypatch)
+    assert formula_sweep(8) == want
+    shapes = {(c.item, c.p, c.q, c.l, c.lam) for c in cases}
     assert len(calls) == len(shapes) < len(cases)
+
+
+def _count_assemblies(monkeypatch) -> list:
+    """The argument tuples of every ``assemble_system`` call that the
+    formulas module makes from now on."""
+    calls, assemble = [], formulas.assemble_system
+    monkeypatch.setattr(formulas, "assemble_system",
+                        lambda *args: calls.append(args) or assemble(*args))
+    return calls
+
+
+@pytest.mark.parametrize("items", [None, [1], [2, 7], [11], [3, 6, 9], [4, 5, 8, 10]])
+@pytest.mark.parametrize("lambdas", [formulas._LAMBDAS, (Fraction(0), Fraction(1)),
+                                     (Fraction(1), Fraction(-3, 2), Fraction(0))])
+def test_formula_sweep_matches_per_case_reference(items, lambdas, monkeypatch):
+    """The shape walk gives the rows of the replaced per-case sweep, in its
+    order, under each lambda setting (lambda = 1 is refused by item 9 and
+    lambda = 0 by item 11), and assembles each shape exactly once."""
+    monkeypatch.setattr(formulas, "_LAMBDAS", lambdas)
+    calls = _count_assemblies(monkeypatch)
+    for p_max in range(1, 9):
+        calls.clear()
+        want = formulas_reference.sweep_per_case(p_max, items)
+        assert formula_sweep(p_max, items) == want, p_max
+        assert len(calls) == len({row[:5] for row in want}), p_max
 
 
 @st.composite

@@ -143,8 +143,7 @@ def test_exact_engine_imports_no_fractions(name):
 # the functions the package may memoize: each holds small values, or is
 # bounded, and none holds a Jordan-type listing, which a command's
 # ``PartPairTable`` keeps for as long as the command runs
-CACHED = {"partitions.count_partitions_bounded", "cli.build_parser",
-          "formulas._shaped", "formulas._rank"}
+CACHED = {"partitions.count_partitions_bounded", "cli.build_parser"}
 
 
 def cached_functions(source: str) -> set[str]:

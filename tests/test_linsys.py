@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -5,7 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import assembly_reference
@@ -13,6 +14,7 @@ import dense_reference
 import formulas_reference
 import rank_reference
 from block_pairs import block_systems
+from paper_checks import opposite
 from path_reference import path_of, word_path
 from strategies import presentations
 
@@ -21,7 +23,7 @@ from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.linsys import (ConstraintSystem, PartPairTable, assemble_system,
                                  integer_terms, rank_exact, split_terms)
-from quiverstrata.partitions import JordanAssignment, Partition, orbit_dim
+from quiverstrata.partitions import JordanAssignment, Partition, jordan_types, orbit_dim
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
                                  Quiver, Relation, parse_presentation)
 from quiverstrata.strata import (ReducibilityCertificate, StratumReport,
@@ -694,3 +696,21 @@ def test_table_raises_where_assembly_raises():
     with pytest.raises(PresentationError) as got:
         Relation.make(q, [(1, path_of(["a", "b"]))])
     assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(presentations().filter(lambda pres: len(pres.quiver.vertices) == 2))
+def test_part_pair_table_is_transpose_dual(pres):
+    """r^op_st(b, a) = r_ts(a, b) for both vertex pairs and all part sizes
+    up to the orders, and the codimensions of all Jordan types up to
+    dimension 3 agree: transposition is an isomorphism of the module
+    varieties of A and of its opposite, and J^T is similar to J."""
+    table, dual = PartPairTable(pres), PartPairTable(opposite(pres))
+    m = pres.orders
+    for t, s in ((0, 1), (1, 0)):
+        for a, b in itertools.product(range(1, m[t] + 1), range(1, m[s] + 1)):
+            assert dual.entry(s, t, b, a) == table.entry(t, s, a, b), (t, s, a, b)
+    for d0, d1 in itertools.product(range(4), repeat=2):
+        for types in itertools.product(jordan_types(d0, m[0]), jordan_types(d1, m[1])):
+            records = [(pairs,) for pairs in types]
+            assert dual.codim_of_types(records) == table.codim_of_types(records), types

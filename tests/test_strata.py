@@ -211,9 +211,15 @@ def test_nooverlap_nontrivial_lambda_vector():
 
 
 def test_chain_scan_finds_middle_split_certificate():
-    # the dimension tie between middle types (n2+1) and (n2, 1) is a
-    # margin-zero certificate at d = (1, n2+1, 1)
-    for h, l, n1, n2, m in [(1, 1, 1, 2, 4), (2, 1, 1, 1, 3), (1, 2, 2, 3, 4)]:
+    """The dimension tie between middle types (n2+1) and (n2, 1) is a
+    margin-zero certificate at d = (1, n2+1, 1), on the 24 chains of the
+    chain dimension check and one of order 3: the paper's second result
+    says a minimal geometrically irreducible algebra without shortcuts has
+    at most two simple modules."""
+    chains = [(h, l, n1, n2, 4) for h, l in itertools.product((1, 2), repeat=2)
+              for n1 in (1, 2, 3) for n2 in range(n1, 4)]
+    assert len(chains) == 24
+    for h, l, n1, n2, m in chains + [(2, 1, 1, 1, 3)]:
         chain = build_nooverlap_presentation(h, l, n1, n2, m)
         cert = reducibility_scan(PartPairTable(chain), (1, n2 + 1, 1))
         assert cert is not None
