@@ -11,8 +11,7 @@ from .partitions import (JordanAssignment, Partition, end_dim, jordan_types, orb
                          orbit_count_ff, orbit_dim, partitions_bounded)
 from .linsys import (ConstraintSystem, PartPairTable, assemble_system,
                      integer_terms, rank_exact, split_terms)
-from .formulas import (FormulaCase, SideConditionError, c_closed_form,
-                       evaluate_case, formula_cases)
+from .formulas import FormulaCase, SideConditionError, c_closed_form, evaluate_case
 from .strata import (ReducibilityCertificate, ScanCapExceeded, StratumReport,
                      ambient_arrow_dim, assignments_for, dim_vectors_up_to,
                      reducibility_scan, stratum_dim)

@@ -82,16 +82,18 @@ def cmd_reduce_scan(args) -> int:
     dim_list = _dims_for(args, len(pres.quiver.vertices))
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    n = min(args.jobs, os.cpu_count() or 1, len(dim_list))
+    if n == 1:  # each report is printed as soon as it is scanned
+        table = PartPairTable(pres)
+        for dims in dim_list:
+            print(_scan_one(table, dims, args.cap))
+        return 0
     # one task per worker process, never more than asked, than CPUs or than
     # vectors; task k scans every n-th vector from the k-th, so tasks cost alike
-    n = min(args.jobs, os.cpu_count() or 1, len(dim_list))
     tasks = [(pres, dim_list[k::n], args.cap) for k in range(n)]
-    if n > 1:  # imported here: a one-process run need not load the pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            slices = list(pool.map(_scan_slice, tasks))
-    else:
-        slices = [_scan_slice(tasks[0])]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        slices = list(pool.map(_scan_slice, tasks))
     for i in range(len(dim_list)):
         print(slices[i % n][i // n])
     return 0

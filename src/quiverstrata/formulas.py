@@ -28,11 +28,11 @@ of the h arrows 1 -> 0.  It states each term as the integer split term
 ``(coefficient, eps0 power, arrow index, eps1 power)`` that
 ``linsys.assemble_system`` reads, and builds no quiver, path or relation.
 The arrows past the item's ``symbols`` are in no term, so the h of a case
-changes no row: ``formula_sweep`` walks the shapes (item, p, q, l, lambda)
-and checks, assembles and ranks each once, for every h, with no memo cache.
-The rules that are not side conditions (which items take l and lambda,
-which fix q, how many arrows each needs) are the table ``_ITEMS``, which
-the sweep, ``c_closed_form``, ``single_case`` and ``build_case`` read.
+changes no row.  One builder, ``build_case``, checks a shape (item, p, q,
+l, lambda) and gives its closed form and terms to ``formula_sweep``, which
+ranks each shape once for every h with no memo cache, to ``single_case``'s
+entry bound and to ``evaluate_case``.  ``_ITEMS`` holds the rules that are
+not side conditions: which items take l or lambda or fix q, their arrows.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ __all__ = [
     "SideConditionError",
     "FormulaCase",
     "c_closed_form",
-    "formula_cases",
     "formula_sweep",
     "single_case",
     "build_case",
@@ -165,9 +164,11 @@ class FormulaCase:
     h: int
 
 
-def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]):
-    """(closed form, integer split terms) of an admissible case, whatever
-    its h; raises :class:`SideConditionError` otherwise."""
+def build_case(item: int, p: int, q: int, l: Optional[int],
+               lam: Optional[Fraction]) -> tuple[int, tuple[Term, ...]]:
+    """(closed form, integer split terms) of an admissible shape, whatever
+    its h; raises :class:`SideConditionError` otherwise.  A lambda = 0 term
+    stays in the terms; it puts no entry into the system."""
     expected = c_closed_form(item, p, q, l, lam)
     terms = tuple(_term_shapes(item, p, q, l, lam))
     if any(a + 1 + b < 2 for _, a, _k, b in terms):
@@ -175,23 +176,15 @@ def _shaped(item: int, p: int, q: int, l: Optional[int], lam: Optional[Fraction]
     return expected, terms
 
 
-def build_case(case: FormulaCase) -> tuple[int, tuple[Term, ...], int]:
-    """The number h of arrows 1 -> 0, the integer split terms of the
-    relation, and the expected codimension of a case.  A lambda = 0 term
-    stays in the terms; it puts no entry into the system."""
-    expected, terms = _shaped(case.item, case.p, case.q, case.l, case.lam)
+def evaluate_case(case: FormulaCase) -> tuple[int, int]:
+    """(expected closed form, computed exact rank) for one case: the one
+    block pair (p) at 0 and (q) at 1, on the item's ``symbols`` arrows.
+    A side condition is checked before the number h of arrows 1 -> 0."""
+    expected, terms = build_case(case.item, case.p, case.q, case.l, case.lam)
     n_sym = _ITEMS[case.item].symbols
     if case.h < n_sym:
         raise SideConditionError(f"item {case.item} needs {n_sym} distinct arrows, h={case.h}")
-    return case.h, terms, expected
-
-
-def evaluate_case(case: FormulaCase) -> tuple[int, int]:
-    """(expected closed form, computed exact rank) for one case: the one
-    block pair (p) at 0 and (q) at 1, on the item's ``symbols`` arrows."""
-    _, terms, expected = build_case(case)
-    return expected, rank_exact(assemble_system(_ITEMS[case.item].symbols, [terms],
-                                                case.p, case.q))
+    return expected, rank_exact(assemble_system(n_sym, [terms], case.p, case.q))
 
 
 _HS = (1, 2, 3)  # the numbers of arrows 1 -> 0 that the sweep tries
@@ -200,7 +193,7 @@ _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
 # and took 7.8 s on a 2-CPU host
 _MAX_SHAPES = 5 * 10 ** 4
 _MAX_UNKNOWNS = 10 ** 6  # of the one block-pair system of a single case
-# entries of that system: item 3 at p = q = 1000, h = 1 assembles 1,998,000
+# entries of that system: item 3 at p = q = 1000 assembles 1,998,000
 # and peaks near 600 MB, the most that any case of at most three terms
 # within the unknowns bound reaches
 _MAX_ENTRIES = 2 * 10 ** 6
@@ -234,13 +227,13 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
     """One case from the given parameters, ``None`` meaning not given:
     p defaults to 1, h to 3, q to the item's fixed q, and lambda (any value
     ``_read_lambda`` reads) to 2 for the items that take it.  A case whose
-    block-pair system has more than ``_MAX_UNKNOWNS`` unknowns (h*p*q), or
-    would assemble more than ``_MAX_ENTRIES`` entries, is refused before
-    anything is built: a term (c, pre, k, post) with c != 0 puts
-    max(0, p - pre) * max(0, q - post) entries into the system, so items
-    6, 10 and 11 with a large l grow with l*p*q within the unknowns bound.
-    A case that breaks a side condition is left for ``build_case`` to
-    refuse."""
+    system has more than ``_MAX_UNKNOWNS`` unknowns (symbols*p*q: it is on
+    the item's ``symbols`` arrows, whatever h), or would assemble more than
+    ``_MAX_ENTRIES`` entries, is refused before anything is built: a term
+    (c, pre, k, post) with c != 0 puts max(0, p - pre) * max(0, q - post)
+    entries into the system, so items 6, 10 and 11 with a large l grow with
+    l*p*q within the unknowns bound.  A case that breaks a side condition
+    is left for ``build_case`` to refuse."""
     if _ITEMS[item].takes_lambda:
         lam = Fraction(2) if lam is None else _read_lambda(lam)
     elif lam is not None:
@@ -251,11 +244,11 @@ def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
     if q is None:
         raise SideConditionError("this item needs an explicit --q")
     p, h = 1 if p is None else p, 3 if h is None else h
-    if min(p, q) >= 1 and h * p * q > _MAX_UNKNOWNS:
-        raise SideConditionError(
-            f"h*p*q = {h * p * q} unknowns exceed the single-case bound {_MAX_UNKNOWNS}")
+    if min(p, q) >= 1 and (unknowns := _ITEMS[item].symbols * p * q) > _MAX_UNKNOWNS:
+        raise SideConditionError(f"symbols*p*q = {unknowns} unknowns exceed the "
+                                 f"single-case bound {_MAX_UNKNOWNS}")
     try:
-        _, terms = _shaped(item, p, q, l, lam)
+        _, terms = build_case(item, p, q, l, lam)
     except SideConditionError:
         terms = ()
     entries = sum(max(0, p - pre) * max(0, q - post) for c, pre, _k, post in terms if c)
@@ -289,23 +282,16 @@ def _shapes(p_max: int, items: Optional[Iterable[int]]) -> Iterator[tuple]:
                 shapes = []
                 for l in ls:
                     try:
-                        shapes.append((l, *_shaped(item, p, q, l, lam)))
+                        shapes.append((l, *build_case(item, p, q, l, lam)))
                     except SideConditionError:
                         pass
                 yield item, p, q, lam, hs, shapes
 
 
-def formula_cases(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[FormulaCase]:
-    """Every admissible case with q <= p <= p_max, h in ``_HS`` and, for the
-    items that take it, lambda in ``_LAMBDAS``; l varies within each h."""
-    return [FormulaCase(item, p, q, l, lam, h)
-            for item, p, q, lam, hs, shapes in _shapes(p_max, items)
-            for h in hs for l, _, _ in shapes]
-
-
 def formula_sweep(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list[tuple]:
-    """The row (item, p, q, l, lambda, h, closed form, exact rank) of each
-    case of ``formula_cases``, in its order, each shape ranked once."""
+    """The row (item, p, q, l, lambda, h, closed form, exact rank) of every
+    admissible case with q <= p <= p_max, h in ``_HS`` and lambda in
+    ``_LAMBDAS`` where the item takes it, l inner to h; each shape ranked once."""
     rows = []
     for item, p, q, lam, hs, shapes in _shapes(p_max, items):
         ranked = [(l, expected, rank_exact(assemble_system(_ITEMS[item].symbols, [terms], p, q)))

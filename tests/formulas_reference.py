@@ -75,8 +75,8 @@ def evaluate_case_per_h(case: FormulaCase) -> tuple[int, int]:
 
     Both Jordan types are single parts, so the relation system is the one
     block pair (p) at 0 and (q) at 1, ranked as it is assembled."""
-    h, terms, expected = formulas.build_case(case)
-    return expected, rank_exact(assemble_system(h, [terms], case.p, case.q))
+    expected, terms = formulas.build_case(case.item, case.p, case.q, case.l, case.lam)
+    return expected, rank_exact(assemble_system(case.h, [terms], case.p, case.q))
 
 
 def build_case(case):
@@ -168,7 +168,7 @@ def _rank_cached(item: int, p: int, q: int, l: Optional[int], lam: Optional[Frac
 def evaluate_case_cached(case: FormulaCase) -> tuple[int, int]:
     """(expected closed form, computed exact rank) for one case, ranked
     once for every h of the same case shape."""
-    _, _, expected = formulas.build_case(case)
+    expected, _ = formulas.build_case(case.item, case.p, case.q, case.l, case.lam)
     return expected, _rank_cached(case.item, case.p, case.q, case.l, case.lam)
 
 

@@ -12,7 +12,7 @@ from paper_checks import nooverlap_dims
 from rank_reference import rank_mod
 from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
-from quiverstrata.formulas import evaluate_case, formula_cases
+from quiverstrata.formulas import FormulaCase, evaluate_case, formula_sweep
 from quiverstrata.linsys import PartPairTable, rank_exact
 from quiverstrata.partitions import Partition, end_dim, orbit_dim, partitions_bounded
 from quiverstrata.quiver import parse_presentation
@@ -25,17 +25,18 @@ def _report(name, detail):
 
 def test_criterion_1_formula_suite():
     start = time.monotonic()
-    cases = formula_cases(p_max=6)
-    assert cases
-    for case in cases:
+    rows = formula_sweep(p_max=6)
+    assert rows
+    for row in rows:
+        case = FormulaCase(*row[:6])
         pres, ja, expected = formulas_reference.build_case(case)
         [cs] = block_systems(pres, ja)  # single parts: one block pair
         computed = rank_exact(cs)
         assert computed == expected, case
-        assert evaluate_case(case) == (expected, computed), case
+        assert row[6:] == evaluate_case(case) == (expected, computed), case
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    _report("1 formula suite", f"{len(cases)} cases exact, {elapsed:.1f}s")
+    _report("1 formula suite", f"{len(rows)} cases exact, {elapsed:.1f}s")
 
 
 def test_criterion_2_orbit_gap():
@@ -154,7 +155,7 @@ def test_criterion_6_chain_dimension_equality():
 def test_criterion_7_cross_field_rank_stability():
     mismatches = 0
     total = 0
-    for case in formula_cases(p_max=6):
+    for case in formulas_reference.formula_cases(p_max=6):
         pres, ja, _ = formulas_reference.build_case(case)
         [cs] = block_systems(pres, ja)  # single parts: one block pair
         r = rank_exact(cs)

@@ -1,8 +1,11 @@
 import argparse
+import bisect
 import csv
 import importlib
 import inspect
 import io
+import itertools
+import math
 import os
 import pkgutil
 import re
@@ -667,6 +670,53 @@ def test_reduce_scan_jobs_match_sequential(algebra_file, capsys, monkeypatch):
     assert pools == [2, 3]
 
 
+def test_reduce_scan_prints_each_report_as_it_is_scanned(algebra_file, capsys, monkeypatch):
+    """Without --jobs, each report is on stdout before the next vector is
+    scanned: when ``_scan_one`` sees the k-th of the 15 vectors, the k - 1
+    reports before it are printed (none was until the last was scanned)."""
+    from quiverstrata import cli
+
+    argv = ["reduce-scan", "--algebra", algebra_file, "--max-total", "4"]
+    _, want, _ = run_cli(argv, capsys)
+    printed, scan_one = [], cli._scan_one
+
+    def spy(table, dims, cap):
+        printed.append(capsys.readouterr().out)
+        return scan_one(table, dims, cap)
+
+    monkeypatch.setattr(cli, "_scan_one", spy)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert "".join(printed) + out == want
+    assert len(printed) == len(want.splitlines()) == 15
+    seen = list(itertools.accumulate(printed))
+    assert [len(text.splitlines()) for text in seen] == list(range(15))
+    assert all(want.startswith(text) for text in seen)
+
+
+@pytest.mark.parametrize("spec, total", [("truncpoly(3)", 300), ("A(1,4,4,2)", 20)])
+def test_reduce_scan_cap_is_the_only_per_vector_refusal(tmp_path, capsys, spec, total):
+    """A --max-total run prints each report as it is scanned, so a vector
+    refused part-way would leave stdout half-written.  None is: over the
+    cap, a vector prints its own line; the parts bound covers only the
+    types strata lists; and every vector that ``dim_vectors_up_to`` admits
+    has entries at most its total, below the dimension bound."""
+    from quiverstrata.strata import _MAX_DIM, _MAX_VECTORS
+
+    for n in range(1, 5):
+        top = bisect.bisect(range(_MAX_VECTORS + 1), _MAX_VECTORS,
+                            key=lambda t: math.comb(t + n, n)) - 1
+        assert top < _MAX_DIM, n
+    argv = ["reduce-scan", "--algebra", str(tmp_path / _family_file(tmp_path, spec)),
+            "--max-total", str(total), "--cap", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    reports = [line for line in out.splitlines() if line.startswith("d=(")]
+    vertices = 1 if spec.startswith("truncpoly") else 2
+    assert len(reports) == math.comb(total + vertices, vertices)
+    assert sum("scan cap exceeded" in line for line in reports) > len(reports) // 2
+
+
 def test_commands_keep_no_presentation(tmp_path):
     """Each command builds its part-pair table and drops it with its
     presentation and its Jordan-type records: after strata, reduce-scan and
@@ -779,15 +829,27 @@ def test_verify_formulas_p_max_is_for_the_sweep(capsys):
     assert default == six and default.endswith("63 cases, 0 mismatches\n")
 
 
-@pytest.mark.parametrize("flags", [["--item", "1", "--p", "100000000", "--l", "1"],
-                                   ["--item", "3", "--p", "3", "--q", "2",
-                                    "--h", "100000000"]], ids=["p", "h"])
-def test_verify_formulas_huge_single_case_exits_2_at_once(capsys, flags):
+@pytest.mark.parametrize("flags, unknowns", [
+    (["--item", "1", "--p", "100000000", "--l", "1"], 100000000),
+    (["--item", "8", "--p", "578", "--q", "578", "--h", "100000000"], 1002252)],
+    ids=["p", "h"])
+def test_verify_formulas_huge_single_case_exits_2_at_once(capsys, flags, unknowns):
+    # the bound counts the arrows the item reads (item 8 reads 3), not h
     start = time.monotonic()
     code, out, err = run_cli(["verify-formulas", *flags], capsys)
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error: h*p*q = ") and "single-case bound 1000000" in err
+    assert err == (f"error: symbols*p*q = {unknowns} unknowns exceed the single-case "
+                   f"bound 1000000\n")
+
+
+def test_verify_formulas_huge_h_is_accepted(capsys):
+    """h changes no row of the system, which is on the item's own arrows:
+    with 2*10^6 arrows 1 -> 0, item 3 at p = q = 2 still has 4 unknowns."""
+    code, out, _ = run_cli(["verify-formulas", "--item", "3", "--p", "2", "--q", "2",
+                            "--h", "2000000", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["3,2,2,,,2000000,2,2,ok"]
 
 
 def _package_exception_classes():

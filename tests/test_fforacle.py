@@ -1,9 +1,15 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracle_reference import reference_enumerate_and_classify
+from paper_checks import opposite
+from strategies import presentations
 from quiverstrata import fforacle
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classify,
@@ -11,6 +17,7 @@ from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classif
 from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.linsys import PartPairTable
 from quiverstrata.quiver import PresentationError, parse_presentation
+from quiverstrata.strata import dim_vectors_up_to
 
 
 def _counts_by_key(table):
@@ -409,3 +416,32 @@ def test_tally_matches_reference_odometer_slow(dims):
     pres = build_family(parse_family_spec("A(2,3,3,1)"))
     want = _outcome(reference_enumerate_and_classify, pres, dims, 3)
     assert _outcome(enumerate_and_classify, pres, dims, 3) == want
+
+
+def _integral(pres):
+    """``pres`` with each relation times the lcm of its denominators, so
+    that it reduces mod every prime."""
+    relations = []
+    for rel in pres.relations:
+        scale = math.lcm(*(c.denominator for c, *_ in rel.terms))
+        relations.append(dataclasses.replace(rel, terms=tuple(
+            (c * scale, *rest) for c, *rest in rel.terms)))
+    return dataclasses.replace(pres, relations=tuple(relations))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(presentations().filter(lambda pres: len(pres.quiver.vertices) >= 2 and pres.relations)
+       .map(_integral), st.data())
+def test_oracle_counts_are_transpose_dual(pres, data):
+    """Transposing every matrix is a bijection between the F_q-points of A
+    and of A^op, and J^T is similar to J, so each stratum, types carried
+    across, has as many points for both, on two and three vertices, at
+    q = 2 and 3.  Neither count reads the exact engine."""
+    n = len(pres.quiver.vertices)
+    dims = data.draw(st.sampled_from([d for d in dim_vectors_up_to(n, 4) if all(d)]))
+    for q in (2, 3):
+        try:
+            counts = enumerate_and_classify(pres, dims, q, max_points=200_000).counts
+        except EnumerationCapExceeded:
+            continue
+        assert enumerate_and_classify(opposite(pres), dims, q).counts == counts, (dims, q)

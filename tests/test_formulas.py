@@ -11,8 +11,8 @@ import formulas_reference
 from path_reference import path_of
 from quiverstrata import formulas
 from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
-                                   c_closed_form, evaluate_case, formula_cases,
-                                   formula_sweep, single_case)
+                                   c_closed_form, evaluate_case, formula_sweep,
+                                   single_case)
 from quiverstrata.linsys import PartPairTable, assemble_system, integer_terms
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
@@ -77,13 +77,17 @@ def test_single_case_rejects_l_where_the_item_takes_none():
 
 
 def test_single_case_bounds_its_unknowns():
-    # h*p*q unknowns in the one block-pair system; the bound is 10^6
+    # symbols*p*q unknowns in the one block-pair system, whatever h, since
+    # it is assembled on the item's symbols arrows; the bound is 10^6
     assert single_case(3, p=1000, q=1000, h=1).h == 1
-    for kwargs in ({"p": 1000, "q": 1000, "h": 2}, {"p": 10 ** 8, "q": 1},
-                   {"p": 3, "q": 2, "h": 10 ** 8}):
+    assert single_case(3, p=1000, q=1000).h == 3
+    assert single_case(3, p=2, q=2, h=2 * 10 ** 6).h == 2 * 10 ** 6
+    assert single_case(8, p=577, q=577, h=1).p == 577   # 3 * 577^2 < 10^6
+    for item, kwargs in ((3, {"p": 1001, "q": 1000, "h": 1}), (3, {"p": 10 ** 8, "q": 1}),
+                         (8, {"p": 578, "q": 578, "h": 3})):
         with pytest.raises(SideConditionError, match="exceed the single-case bound"):
-            single_case(3, **kwargs)
-    with pytest.raises(SideConditionError, match="^h\\*p\\*q = 300000000 unknowns"):
+            single_case(item, **kwargs)
+    with pytest.raises(SideConditionError, match="^symbols\\*p\\*q = 100000000 unknowns"):
         single_case(1, p=10 ** 8, l=1)
     # a side condition, not the bound, rejects nonpositive sizes
     assert single_case(3, p=-2000, q=-2000, h=1).p == -2000
@@ -97,8 +101,8 @@ def test_single_case_bounds_its_entries(item, kwargs, monkeypatch):
     """The bound counts the entries that the assembly puts in, before it
     runs: a case with exactly the bound passes and one above it does not."""
     case = single_case(item, **kwargs)
-    h, terms, _ = build_case(case)
-    entries = sum(map(len, assemble_system(h, [terms], case.p, case.q).rows))
+    _, terms = build_case(item, case.p, case.q, case.l, case.lam)
+    entries = sum(map(len, assemble_system(case.h, [terms], case.p, case.q).rows))
     assert entries > 0
     monkeypatch.setattr(formulas, "_MAX_ENTRIES", entries)
     assert single_case(item, **kwargs) == case
@@ -119,10 +123,18 @@ def test_single_case_entry_bound_refuses_long_item_6():
 
 
 def test_build_case_requires_enough_arrows():
-    with pytest.raises(SideConditionError):
-        build_case(FormulaCase(4, 3, 2, None, None, 1))
-    with pytest.raises(SideConditionError):
-        build_case(FormulaCase(9, 3, 3, None, Fraction(2), 2))
+    """A shape is built whatever its h; ``evaluate_case`` refuses a case
+    with fewer arrows 1 -> 0 than the item reads, but a broken side
+    condition first."""
+    assert build_case(4, 3, 2, None, None) == (5, ((1, 1, 0, 0), (1, 0, 1, 1)))
+    with pytest.raises(SideConditionError, match="^item 4 needs 2 distinct arrows, h=1$"):
+        evaluate_case(FormulaCase(4, 3, 2, None, None, 1))
+    with pytest.raises(SideConditionError, match="^item 9 needs 3 distinct arrows, h=2$"):
+        evaluate_case(FormulaCase(9, 3, 3, None, Fraction(2), 2))
+    with pytest.raises(SideConditionError, match="^q <= p required$"):
+        evaluate_case(FormulaCase(4, 2, 3, None, None, 1))
+    with pytest.raises(SideConditionError, match="^item 9 needs lambda != 1$"):
+        evaluate_case(FormulaCase(9, 3, 3, None, Fraction(1), 0))
 
 
 def _linear_form(terms):
@@ -140,7 +152,8 @@ def _assert_matches_reference(case, ref):
     k, times the lcm of the relation's denominators, and evaluate_case the
     codimension of its part-pair table."""
     ref_pres, ref_ja, ref_expected = ref
-    h, terms, expected = build_case(case)
+    h = case.h
+    expected, terms = build_case(case.item, case.p, case.q, case.l, case.lam)
     assert [f"a{k + 1}" for k in range(h)] == [
         a.name for a in ref_pres.quiver.non_loop_arrows], case
     assert all(type(coeff) is int for coeff, *_ in terms), case
@@ -157,7 +170,7 @@ def _assert_matches_reference(case, ref):
 def test_build_case_matches_replaced_on_sweep():
     """On every case of the p <= 8 sweep the reference builds a
     presentation, and the direct build_case and evaluate_case agree with it."""
-    cases = formula_cases(p_max=8)
+    cases = formulas_reference.formula_cases(p_max=8)
     assert len(cases) == 1205
     for case in cases:
         _assert_matches_reference(case, formulas_reference.build_case(case))
@@ -172,7 +185,9 @@ def _outcome(build, case):
 
 def test_build_case_rejects_what_replaced_rejected():
     """On a grid of cases on and off the sweep, both versions accept the
-    same cases and agree on them, or fail alike with the same message."""
+    same cases and agree on them, or fail alike with the same message: the
+    replaced build_case checked the side conditions before h, and
+    evaluate_case does too."""
     lams = (None, Fraction(0), Fraction(1), Fraction(2))
     for item, p, q, h in itertools.product(range(1, 12), range(1, 4), range(1, 4),
                                            range(1, 4)):
@@ -180,7 +195,7 @@ def test_build_case_rejects_what_replaced_rejected():
             case = FormulaCase(item, p, q, l, lam, h)
             want = _outcome(formulas_reference.build_case, case)
             if isinstance(want[0], type):
-                assert _outcome(build_case, case) == want, case
+                assert _outcome(evaluate_case, case) == want, case
             else:
                 _assert_matches_reference(case, want)
 
@@ -192,12 +207,12 @@ def test_sweep_ranks_each_shape_once_as_per_h_did(monkeypatch):
     replaced rational ones.  formula_sweep gives every case its row with
     that rank, and assembles each (item, p, q, l, lambda) once, whatever
     its h."""
-    cases = formula_cases(p_max=8)
+    cases = formulas_reference.formula_cases(p_max=8)
     zero = list(dict.fromkeys(replace(c, lam=Fraction(0)) for c in cases
                               if c.lam is not None and c.item != 11))
     assert len(cases) == 1205 and zero
     for case in cases + zero:
-        _, terms, _ = build_case(case)
+        _, terms = build_case(case.item, case.p, case.q, case.l, case.lam)
         rational = formulas_reference._term_shapes(case.item, case.p, case.q,
                                                    case.l, case.lam)
         assert list(terms) == integer_terms(rational), case
@@ -270,60 +285,42 @@ def test_single_cases_match_reference(args):
     assert _outcome(evaluate_case, case) == _outcome(reference, case)
 
 
-@pytest.mark.parametrize("hs", [(1, 2, 3), (1,), (2, 1)])
-@pytest.mark.parametrize("lambdas", [(Fraction(2), Fraction(-1), Fraction(1, 2)),
-                                     (Fraction(0), Fraction(1))])
-def test_formula_cases_match_replaced(hs, lambdas, monkeypatch):
-    """The sweep over h and lambda is set by module constants; under each
-    setting it lists the reference's cases in the reference's order."""
-    monkeypatch.setattr(formulas, "_HS", hs)
-    monkeypatch.setattr(formulas, "_LAMBDAS", lambdas)
-    for p_max in range(9):
-        assert (formula_cases(p_max)
-                == formulas_reference.formula_cases(p_max, hs, lambdas)), p_max
-
-
-def test_formula_cases_default_sweep_matches_replaced():
-    hs, lambdas = (1, 2, 3), (Fraction(2), Fraction(-1), Fraction(1, 2))
-    for p_max in range(9):
-        assert (formula_cases(p_max)
-                == formulas_reference.formula_cases(p_max, hs, lambdas)), p_max
-
-
 @pytest.mark.parametrize("items", [None, [1], [2, 7], [11], [3, 6, 9]])
 @pytest.mark.parametrize("lambdas", [formulas._LAMBDAS, (Fraction(0), Fraction(1))])
 def test_sweep_shapes_are_counted_before_they_are_tried(items, lambdas, monkeypatch):
-    """The count is the number of shapes the sweep tries: a bound equal to
-    it lists the same cases, and one less refuses before any is tried."""
+    """The count is the number of shapes the sweep tries, each built once
+    through ``build_case``: a bound equal to it walks the same shapes, and
+    one less refuses before any is tried."""
     monkeypatch.setattr(formulas, "_LAMBDAS", lambdas)
-    shaped, tried = formulas._shaped, []
-    monkeypatch.setattr(formulas, "_shaped", lambda *key: tried.append(key) or shaped(*key))
+    build, tried = formulas.build_case, []
+    monkeypatch.setattr(formulas, "build_case", lambda *key: tried.append(key) or build(*key))
     for p_max in range(1, 9):
         monkeypatch.setattr(formulas, "_MAX_SHAPES", 10 ** 9)
-        want, tried[:] = formula_cases(p_max, items), []
-        assert formula_cases(p_max, items) == want
+        want, tried[:] = list(formulas._shapes(p_max, items)), []
+        assert list(formulas._shapes(p_max, items)) == want
         count = len(tried)
+        assert len(set(tried)) == count
         monkeypatch.setattr(formulas, "_MAX_SHAPES", count)
-        assert formula_cases(p_max, items) == want
+        assert list(formulas._shapes(p_max, items)) == want
         monkeypatch.setattr(formulas, "_MAX_SHAPES", count - 1)
         tried.clear()
         with pytest.raises(ValueError, match=f"^the sweep to p = {p_max} tries {count} "
                                              f"relation shapes, more than the bound {count - 1}$"):
-            formula_cases(p_max, items)
+            formula_sweep(p_max, items)
         assert tried == []
 
 
 def test_case_sweep_is_deterministic_and_nonempty():
-    cases = formula_cases(p_max=4)
-    assert cases == formula_cases(p_max=4)
-    assert len(cases) > 100
-    items = {c.item for c in cases}
+    rows = formula_sweep(p_max=4)
+    assert rows == formula_sweep(p_max=4)
+    assert len(rows) > 100
+    items = {row[0] for row in rows}
     assert items == set(range(1, 12))
 
 
 @pytest.mark.parametrize("item", range(1, 12))
 def test_each_item_matches_engine_on_a_sample(item):
-    sample = [c for c in formula_cases(p_max=4, items=[item])][:12]
+    sample = [FormulaCase(*row[:6]) for row in formula_sweep(p_max=4, items=[item])][:12]
     assert sample
     for case in sample:
         expected, computed = evaluate_case(case)

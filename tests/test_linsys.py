@@ -421,9 +421,7 @@ def test_engine_matches_dense_reference_on_formula_cases():
     """A formula case has single parts at both vertices, so its system is
     one block pair, entry for entry the dense reference's times the lcm of
     the relation's denominators."""
-    from quiverstrata.formulas import formula_cases
-
-    cases = formula_cases(p_max=8)
+    cases = formulas_reference.formula_cases(p_max=8)
     assert len(cases) == 1205
     bad = 0
     for case in cases:
@@ -480,9 +478,7 @@ def _assert_same_as_replaced(cs):
 
 
 def test_sparse_rank_matches_replaced_on_formula_cases():
-    from quiverstrata.formulas import formula_cases
-
-    for case in formula_cases(p_max=8):
+    for case in formulas_reference.formula_cases(p_max=8):
         pres, _, _ = formulas_reference.build_case(case)
         _assert_same_as_replaced(_system(pres, case.p, case.q))
 
@@ -534,17 +530,17 @@ def _assert_same_as_last(args, rational) -> ConstraintSystem:
 def test_assembly_and_rank_match_last_on_formula_cases():
     """Every case of the sweep to p = 8, and its lambda cases at lambda = 0,
     whose zero term puts no entry into the system (item 11 refuses it)."""
-    from quiverstrata.formulas import build_case, formula_cases
+    from quiverstrata.formulas import build_case
 
-    cases = formula_cases(p_max=8)
+    cases = formulas_reference.formula_cases(p_max=8)
     zero = list(dict.fromkeys(replace(c, lam=Fraction(0)) for c in cases
                               if c.lam is not None and c.item != 11))
     assert len(cases) == 1205 and zero
     for case in cases + zero:
-        h, terms, _ = build_case(case)
+        _, terms = build_case(case.item, case.p, case.q, case.l, case.lam)
         rational = formulas_reference._term_shapes(case.item, case.p, case.q,
                                                    case.l, case.lam)
-        _assert_same_as_last((h, [terms], case.p, case.q), [rational])
+        _assert_same_as_last((case.h, [terms], case.p, case.q), [rational])
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from quiverstrata.families import build_family, parse_family_spec
-from quiverstrata.formulas import build_case, formula_cases
+from quiverstrata import formulas
+from quiverstrata.formulas import build_case, formula_sweep
 from quiverstrata.linsys import assemble_system
 from quiverstrata.quiver import serialize_presentation
 
@@ -64,7 +65,7 @@ def test_traced_layers_resolve():
         assert callable(getattr(module, fn, None)), f"quiverstrata.{mod}.{fn}"
 
 
-def test_traced_run_counts_the_linear_systems():
+def test_traced_run_counts_the_linear_systems(monkeypatch):
     # the tracer reads ConstraintSystem.n_rows, ambient_dim and matrix
     result = _traced_run(["verify-formulas", "--item", "3", "--p-max", "3", "--format", "csv"])
     assert result["codes"] == [0]
@@ -72,15 +73,20 @@ def test_traced_run_counts_the_linear_systems():
     for name in ("linsys.assemble_system.calls", "linsys.rows", "linsys.cols",
                  "linsys.nnz"):
         assert summary[name] > 0, name
-    # the sweep assembles each case shape once, whatever its h; nnz counted
-    # through the dense integer view is the sparse rows' length
-    shapes = {(c.item, c.p, c.q, c.l, c.lam): c for c in formula_cases(p_max=3, items=[3])}
-    assert len(shapes) < len(formula_cases(p_max=3, items=[3]))
+    # the sweep builds every shape it tries through the traced build_case,
+    # once, and assembles each admissible one once, whatever its h; nnz
+    # counted through the dense integer view is the sparse rows' length
+    tried = []
+    monkeypatch.setattr(formulas, "build_case", lambda *key: tried.append(key) or build_case(*key))
+    rows = formula_sweep(p_max=3, items=[3])
+    shapes = list(dict.fromkeys(row[:5] for row in rows))
+    assert len(shapes) < len(rows)
+    assert summary["formulas.build_case.calls"] == len(tried) == len(set(tried)) == len(shapes)
     assert summary["linsys.assemble_system.calls"] == len(shapes)
     nnz = 0
-    for case in shapes.values():
-        h, terms, _ = build_case(case)
-        nnz += sum(map(len, assemble_system(h, [terms], case.p, case.q).rows))
+    for item, p, q, l, lam in shapes:
+        _, terms = build_case(item, p, q, l, lam)
+        nnz += sum(map(len, assemble_system(1, [terms], p, q).rows))
     assert summary["linsys.nnz"] == nnz
     # every exact rank goes through the traced kernel, so it is live code
     assert summary["kernels.exact_rank_int.calls"] == summary["linsys.rank_exact.calls"] > 0

@@ -5,15 +5,17 @@ import re
 import pytest
 import scan_reference
 from hypothesis import HealthCheck, given, settings
-from paper_checks import build_nooverlap_presentation, nooverlap_dims, split_gap_test
+from hypothesis import strategies as st
+from paper_checks import (build_nooverlap_presentation, nooverlap_dims, opposite,
+                          split_gap_test)
 from strategies import presentations
 
 from quiverstrata import cli, strata
 from quiverstrata.cli import main
-from quiverstrata.families import build_family, parse_family_spec
+from quiverstrata.families import FamilyTag, build_family, parse_family_spec
 from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import JordanAssignment, Partition
-from quiverstrata.quiver import parse_presentation
+from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, parse_presentation
 from quiverstrata.strata import (ScanCapExceeded, ambient_arrow_dim,
                                  assignments_for, dim_vectors_up_to,
                                  reducibility_scan, stratum_dim)
@@ -370,3 +372,124 @@ def test_scan_ranks_what_the_replaced_scan_ranks(spec, tmp_path, monkeypatch, ca
         scan_reference.reducibility_scan(ref_table, dims)
     assert list(table._ranks.items()) == list(ref_table._ranks.items())
     assert len(table._ranks) > 10
+
+
+# ---------------------------------------------------------------------------
+# two symmetries as gates: free arrows and transpose duality
+# ---------------------------------------------------------------------------
+
+def _with_free_arrow(pres, source, target):
+    """``pres`` with one more arrow ``source -> target`` that no relation reads."""
+    q = pres.quiver
+    quiver = Quiver(q.vertices, (*q.arrows, Arrow("free", source, target)))
+    return BoundQuiverPresentation(quiver, pres.orders, pres.relations)
+
+
+def _a_families(m_max, m0_le_m1=False):
+    """The tags A(1,m0,m1,n) with 2 <= m0, m1 <= m_max and 1 <= n <= m0 + m1 - 2:
+    past that n every relation term has a loop power at an order, so the
+    relation is zero and the algebra is Aprime(1,m0,m1)."""
+    return [FamilyTag("A", h=1, m0=m0, m1=m1, n=n)
+            for m0, m1 in itertools.product(range(2, m_max + 1), repeat=2)
+            if m0 <= m1 or not m0_le_m1 for n in range(1, m0 + m1 - 1)]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(presentations().filter(lambda pres: len(pres.quiver.vertices) >= 2))
+def test_strata_and_certificates_are_transpose_dual(pres):
+    """Transposition carries the representations of A onto those of A^op and
+    J^T is similar to J, so each stratum, types carried across, has the same
+    dimension for both, on two and three vertices, and a vector has a
+    certificate for A exactly when it has one for A^op, with the same
+    maximal stratum."""
+    table, dual = PartPairTable(pres), PartPairTable(opposite(pres))
+    n = len(pres.quiver.vertices)
+    for dims in dim_vectors_up_to(n, 6 if n == 2 else 4):
+        for ja in assignments_for(pres, dims):
+            assert stratum_dim(dual, ja) == stratum_dim(table, ja), ja.serialize()
+        cert, cert_op = reducibility_scan(table, dims), reducibility_scan(dual, dims)
+        assert (cert is None) == (cert_op is None), dims
+        if cert is not None:
+            assert cert_op.maximal == cert.maximal, dims
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(presentations().filter(lambda pres: len(pres.quiver.vertices) >= 2),
+       st.data())
+def test_free_arrow_changes_no_table_entry(pres, data):
+    """An arrow that no relation reads, parallel to a related one or not,
+    adds no row, so every r_ts(a, b) up to the orders stays as it was."""
+    source, target = data.draw(st.lists(st.sampled_from(pres.quiver.vertices), min_size=2,
+                                        max_size=2, unique=True))
+    table, freed = PartPairTable(pres), PartPairTable(_with_free_arrow(pres, source, target))
+    m = pres.orders
+    for t, s in itertools.permutations(range(len(m)), 2):
+        for a, b in itertools.product(range(1, m[t] + 1), range(1, m[s] + 1)):
+            assert freed.entry(t, s, a, b) == table.entry(t, s, a, b), (t, s, a, b)
+
+
+def test_free_arrow_and_transpose_keep_family_certificates():
+    """A(2,m0,m1,n) adds the free arrow a2 to A(1,m0,m1,n): both have a
+    certificate at the same vectors, with the same assignments and
+    codimensions, and N and both dimensions larger by d0*d1.  A(1,m1,m0,n)
+    is A(1,m0,m1,n)^op with the vertices swapped: it has a certificate at
+    (d1, d0) exactly when A(1,m0,m1,n) has one at (d0, d1)."""
+    certified = 0
+    for tag in _a_families(4):
+        one, two, swapped = (PartPairTable(build_family(t)) for t in (
+            tag, FamilyTag("A", h=2, m0=tag.m0, m1=tag.m1, n=tag.n),
+            FamilyTag("A", h=1, m0=tag.m1, m1=tag.m0, n=tag.n)))
+        for d0, d1 in dim_vectors_up_to(2, 10):
+            cert, cert2 = reducibility_scan(one, (d0, d1)), reducibility_scan(two, (d0, d1))
+            assert (cert is None) == (cert2 is None) \
+                == (reducibility_scan(swapped, (d1, d0)) is None), (tag, d0, d1)
+            if cert is None:
+                continue
+            certified += 1
+            for rep, rep2 in ((cert.maximal, cert2.maximal), (cert.witness, cert2.witness)):
+                assert rep2.assignment.serialize() == rep.assignment.serialize()
+                assert rep2.codim == rep.codim
+                assert rep2.ambient_dim == rep.ambient_dim + d0 * d1
+                assert rep2.dim == rep.dim + d0 * d1
+    assert certified > 100
+
+
+def _classification_gate(m_max, total):
+    """Each family A(1,m0,m1,n) with 2 <= m0 <= m1 <= m_max, scanned vector
+    by vector to the first certificate: (family, first certified vector or
+    None) per family, and the families where the iff fails."""
+    found, wrong = [], []
+    for tag in _a_families(m_max, m0_le_m1=True):
+        table = PartPairTable(build_family(tag))
+        first = next((dims for dims in dim_vectors_up_to(2, total)
+                      if reducibility_scan(table, dims, cap=10 ** 6) is not None), None)
+        found.append((tag.spec_string(), first))
+        if (first is None) != tag.in_classified_list:
+            wrong.append((tag.spec_string(), first))
+    return found, wrong
+
+
+def test_classification_gate_to_total_16():
+    """The paper's two-vertex classification: A(h,m0,m1,n) gets a
+    certificate by total 16 if and only if it is off the classified list,
+    for 2 <= m0 <= m1 <= 5 and every n that gives a nonzero relation.
+
+    Scanning h = 1 and m0 <= m1 only rests on two gates above: the free
+    arrows a2..ah change no certificate
+    (``test_free_arrow_and_transpose_keep_family_certificates``,
+    ``test_free_arrow_changes_no_table_entry``), and A(h,m1,m0,n) is the
+    opposite of A(h,m0,m1,n), which has the same certificates
+    (``test_strata_and_certificates_are_transpose_dual``)."""
+    found, wrong = _classification_gate(5, 16)
+    assert len(found) == 50 and wrong == []
+    assert sum(first is not None for _, first in found) > 30
+
+
+@pytest.mark.slow
+def test_classification_gate_to_total_24():
+    """As ``test_classification_gate_to_total_16`` for m1 <= 8 at total 24:
+    224 families; the latest first certificate is A(1,8,8,14) at (8, 16)."""
+    found, wrong = _classification_gate(8, 24)
+    assert len(found) == 224 and wrong == []
+    latest = max((first for _, first in found if first is not None), key=sum)
+    assert ("A(1,8,8,14)", (8, 16)) in found and sum(latest) == 24
