@@ -2,8 +2,8 @@
 
 Exact rank over Q is pure python fraction-free elimination on sparse
 integer rows: big integers never overflow, and the block-pair systems it
-sees have a few dozen rows, many of them empty.  Empty rows are skipped,
-each row is updated in place, and a row is divided by the gcd of its
+sees have a few dozen rows, many of them empty.  It reduces the rows it
+is given in place, with no copy, and divides a row by the gcd of its
 entries only when that exceeds 1.  The oracle's kernels (ranks over F_p of
 matrix stacks and the exhaustive enumerations) are numpy, batched in
 chunks of about ``CHUNK`` so memory stays bounded.  The point tally
@@ -40,20 +40,21 @@ CHUNK = 1 << 14
 def exact_rank_int(rows) -> int:
     """Rank over Q of integer rows given as ``{column: value}`` dicts.
 
-    One pivot row is kept per leading (smallest) column.  Empty rows are
-    skipped; every other row is copied once without its zero values and
+    The rows are spent: they are reduced in place, each row becoming a
+    pivot or empty, so afterwards they hold the same row space over Q but
+    need not have the same rank over any F_p.  Each row must be its own
+    dict.  One pivot row is kept per leading (smallest) column.  A row is
     divided by the gcd of its entries when that exceeds 1.  A row whose
-    lead already has a pivot becomes, in place, the fraction-free
-    combination ``row * pivot[lead] - pivot * row[lead]``, which clears
-    the lead and deletes every entry it cancels, and is divided again by
-    its gcd when that exceeds 1, so python integers stay small.  No
-    division by a pivot occurs.  The input rows are not modified.
+    lead already has a pivot becomes the fraction-free combination
+    ``row * pivot[lead] - pivot * row[lead]``, which clears the lead and
+    drops every entry it cancels, and is divided again by its gcd when
+    that exceeds 1, so python integers stay small.  No division by a pivot
+    occurs.  Rows are not scanned for zero values: a lead of value 0 is
+    deleted rather than kept as a pivot, and a zero elsewhere is carried
+    along, which changes no rank.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        if not row:
-            continue
-        row = {c: v for c, v in row.items() if v}
         while row:
             g = math.gcd(*row.values())
             if g > 1:
@@ -62,8 +63,11 @@ def exact_rank_int(rows) -> int:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = row
-                break
+                if row[lead]:
+                    pivots[lead] = row
+                    break
+                del row[lead]
+                continue
             # the update cancels the lead exactly; leaving it out makes
             # every step raise the lead, so the loop ends
             f, g = row.pop(lead), pivot[lead]
@@ -76,7 +80,8 @@ def exact_rank_int(rows) -> int:
                     if v:
                         row[c] = v
                     else:
-                        del row[c]
+                        # a pivot may carry a zero in a column the row lacks
+                        row.pop(c, None)
     return len(pivots)
 
 

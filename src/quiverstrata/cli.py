@@ -12,7 +12,7 @@ import os
 import sys
 import time
 from pathlib import Path as FsPath
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .families import build_family, parse_family_spec
 from .fforacle import enumerate_and_classify, verify_count_identity
@@ -50,7 +50,7 @@ def _parse_primes(text: str) -> list[int]:
     return primes
 
 
-def _dims_for(args, n_vertices: int) -> list[tuple[int, ...]]:
+def _dims_for(args, n_vertices: int) -> Iterable[tuple[int, ...]]:
     if args.dim is not None:
         return [_parse_dim(args.dim)]
     if args.max_total < 0:
@@ -82,7 +82,10 @@ def cmd_reduce_scan(args) -> int:
     dim_list = _dims_for(args, len(pres.quiver.vertices))
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    n = min(args.jobs, os.cpu_count() or 1, len(dim_list))
+    n = min(args.jobs, os.cpu_count() or 1)
+    if n > 1:  # only a pooled run lists the vectors
+        dim_list = list(dim_list)
+        n = min(n, len(dim_list))
     if n == 1:  # each report is printed as soon as it is scanned
         table = PartPairTable(pres)
         for dims in dim_list:

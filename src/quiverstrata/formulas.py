@@ -194,8 +194,9 @@ _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
 _MAX_SHAPES = 5 * 10 ** 4
 _MAX_UNKNOWNS = 10 ** 6  # of the one block-pair system of a single case
 # entries of that system: item 3 at p = q = 1000 assembles 1,998,000
-# and peaks near 600 MB, the most that any case of at most three terms
-# within the unknowns bound reaches
+# and peaks at 382 MB, the most that any case of at most three terms
+# within the unknowns bound reaches (items 4 and 5 at p = q = 707 peak
+# at 206 MB)
 _MAX_ENTRIES = 2 * 10 ** 6
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # as Fraction reads it
 

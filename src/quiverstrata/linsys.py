@@ -17,8 +17,10 @@ numbering their arrows.  Rows are sparse integer vectors;
 ``assemble_system`` builds them in one pass, deleting each entry that
 cancels as it is added, and keeps empty rows.  One sparse
 fraction-free elimination, ``_kernels.exact_rank_int``, ranks them over
-Q: it skips empty rows, updates each row in place, divides a row by its
-gcd only when that exceeds 1, and uses no floats.
+Q: it reduces the rows in place, with no copy, divides a row by its gcd
+only when that exceeds 1, and uses no floats.  Ranking spends a system:
+its rows keep their row space over Q but not their values, so every
+system is assembled for the one rank taken of it.
 """
 from __future__ import annotations
 
@@ -132,7 +134,10 @@ _MAX_RECORDS = 5 * 10 ** 5
 
 
 def rank_exact(cs: ConstraintSystem) -> int:
-    """Rank over the rationals, by sparse fraction-free integer elimination."""
+    """Rank over the rationals, by sparse fraction-free integer elimination.
+
+    The system is spent: its rows are reduced in place and keep their row
+    space over Q, but not their values or their ranks over F_p."""
     return _kernels.exact_rank_int(cs.rows)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linsys import PartPairTable
 from .partitions import (JordanAssignment, Partition, count_partitions_bounded,
@@ -204,20 +204,29 @@ def reducibility_scan(table: PartPairTable, dims: Sequence[int],
     return None
 
 
-# dimension vectors one call lists: 10^6 took reduce-scan --cap 1 about
-# 6 s and 315 MB on a 2-CPU host (A(1,4,4,2), total 1413)
+# dimension vectors one call yields, a bound on the time a scan of them
+# takes: 998,991 took reduce-scan --cap 1 about 9 s at 30 MB peak on a
+# 2-CPU host (A(1,4,4,2), total 1412)
 _MAX_VECTORS = 10 ** 6
 
 
-def dim_vectors_up_to(n_vertices: int, total: int) -> list[tuple[int, ...]]:
-    """Dimension vectors with entry sum <= total, lexicographic order.
-    There are C(total + n_vertices, n_vertices) of them, counted before any
-    is listed; more than ``_MAX_VECTORS`` raise ``ValueError``."""
+def dim_vectors_up_to(n_vertices: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Dimension vectors with entry sum <= total, lexicographic order,
+    yielded one at a time.  There are C(total + n_vertices, n_vertices) of
+    them, counted when this is called, before any is yielded; more than
+    ``_MAX_VECTORS`` raise ``ValueError``."""
     count = math.comb(total + n_vertices, n_vertices) if total >= 0 else 0
     if count > _MAX_VECTORS:
         raise ValueError(f"{count} dimension vectors with entry sum <= {total} "
                          f"exceed the bound {_MAX_VECTORS}")
+    return _dim_vectors(n_vertices, total)
+
+
+def _dim_vectors(n_vertices: int, total: int) -> Iterator[tuple[int, ...]]:
     if n_vertices == 0:
-        return [()] if total >= 0 else []
-    return [(k, *rest) for k in range(total + 1)
-            for rest in dim_vectors_up_to(n_vertices - 1, total - k)]
+        if total >= 0:
+            yield ()
+        return
+    for k in range(total + 1):
+        for rest in _dim_vectors(n_vertices - 1, total - k):
+            yield (k, *rest)

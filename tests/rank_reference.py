@@ -17,6 +17,10 @@ rank over Q.
 (count, m, n) stacks, the batch axis first, before the kernel moved the
 batch axis last; ``rank_mod_p`` and ``nilpotent_reference`` use this copy,
 not the kernel under test.
+
+``copying_rank_int`` is ``_kernels.exact_rank_int`` as it was before it
+reduced the rows it is given in place: it copies every nonempty row once
+without its zero values and leaves the input rows as they were.
 """
 import math
 import sys
@@ -62,6 +66,49 @@ def sparse_rank_int(rows) -> int:
                 if c != lead:
                     merged[c] = merged.get(c, 0) - f * v
             row = _reduced(merged)
+    return len(pivots)
+
+
+def copying_rank_int(rows) -> int:
+    """Rank over Q of integer rows given as ``{column: value}`` dicts.
+
+    One pivot row is kept per leading (smallest) column.  Empty rows are
+    skipped; every other row is copied once without its zero values and
+    divided by the gcd of its entries when that exceeds 1.  A row whose
+    lead already has a pivot becomes, in place, the fraction-free
+    combination ``row * pivot[lead] - pivot * row[lead]``, which clears
+    the lead and deletes every entry it cancels, and is divided again by
+    its gcd when that exceeds 1, so python integers stay small.  No
+    division by a pivot occurs.  The input rows are not modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if not row:
+            continue
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            g = math.gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            # the update cancels the lead exactly; leaving it out makes
+            # every step raise the lead, so the loop ends
+            f, g = row.pop(lead), pivot[lead]
+            if g != 1:
+                for c in row:
+                    row[c] *= g
+            for c, v in pivot.items():
+                if c != lead:
+                    v = row.get(c, 0) - f * v
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
     return len(pivots)
 
 

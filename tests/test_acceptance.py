@@ -158,11 +158,10 @@ def test_criterion_7_cross_field_rank_stability():
     for case in formulas_reference.formula_cases(p_max=6):
         pres, ja, _ = formulas_reference.build_case(case)
         [cs] = block_systems(pres, ja)  # single parts: one block pair
-        r = rank_exact(cs)
-        for prime in (101, 997):
-            total += 1
-            if rank_mod(cs, prime) != r:
-                mismatches += 1
+        mod = [rank_mod(cs, prime) for prime in (101, 997)]
+        r = rank_exact(cs)  # last: ranking spends the rows
+        total += len(mod)
+        mismatches += sum(m != r for m in mod)
     assert mismatches == 0
     _report("7 cross-field rank stability", f"{total} modular ranks")
 

@@ -694,6 +694,30 @@ def test_reduce_scan_prints_each_report_as_it_is_scanned(algebra_file, capsys, m
     assert all(want.startswith(text) for text in seen)
 
 
+def test_reduce_scan_draws_each_vector_as_it_is_scanned(algebra_file, capsys, monkeypatch):
+    """Without --jobs, the dimension vectors are not listed: when
+    ``_scan_one`` sees the k-th of the 15 vectors, k have been drawn."""
+    from quiverstrata import cli
+
+    drawn, seen = [], []
+    vectors, scan_one = cli.dim_vectors_up_to, cli._scan_one
+
+    def counted(n_vertices, total):
+        for dims in vectors(n_vertices, total):
+            drawn.append(dims)
+            yield dims
+
+    def spy(table, dims, cap):
+        seen.append(len(drawn))
+        return scan_one(table, dims, cap)
+
+    monkeypatch.setattr(cli, "dim_vectors_up_to", counted)
+    monkeypatch.setattr(cli, "_scan_one", spy)
+    code, _, err = run_cli(["reduce-scan", "--algebra", algebra_file, "--max-total", "4"], capsys)
+    assert (code, err) == (0, "")
+    assert seen == list(range(1, 16))
+
+
 @pytest.mark.parametrize("spec, total", [("truncpoly(3)", 300), ("A(1,4,4,2)", 20)])
 def test_reduce_scan_cap_is_the_only_per_vector_refusal(tmp_path, capsys, spec, total):
     """A --max-total run prints each report as it is scanned, so a vector

@@ -135,11 +135,17 @@ def sparse_rows(draw):
 @example([])
 @example([{}, {0: 0, 3: 0}, {}])
 @example([{}, {2: 0, 5: 4}, {5: -8, 2: 0}, {}])
+@example([{0: 3, 2: 0}, {0: 1}])
 def test_exact_rank_matches_replaced_sparse_rank(rows):
-    """Same rank as the replaced elimination; the input rows stay as they were."""
-    before = copy.deepcopy(rows)
-    assert exact_rank_int(rows) == rank_reference.sparse_rank_int(rows)
-    assert rows == before
+    """Same rank as the two replaced eliminations, each on its own copy of
+    the rows.  The kernel spends its rows: each ends a pivot or empty, one
+    pivot per leading column, and they keep their rank."""
+    want = rank_reference.sparse_rank_int(copy.deepcopy(rows))
+    assert rank_reference.copying_rank_int(copy.deepcopy(rows)) == want
+    assert exact_rank_int(rows) == want
+    leads = [min(row) for row in rows if row]
+    assert len(set(leads)) == len(leads) == want
+    assert rank_reference.copying_rank_int(rows) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -231,22 +231,23 @@ def test_chain_scan_finds_middle_split_certificate():
 
 
 def test_dim_vectors_up_to():
-    vecs = dim_vectors_up_to(2, 2)
+    vecs = list(dim_vectors_up_to(2, 2))
     assert vecs == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-    assert dim_vectors_up_to(2, 0) == [(0, 0)]
+    assert list(dim_vectors_up_to(2, 0)) == [(0, 0)]
     # the filtered product the direct generation replaced, order included
     for n in range(4):
         for total in range(-1, 9):
             want = [v for v in itertools.product(range(total + 1), repeat=n)
                     if sum(v) <= total]
-            assert dim_vectors_up_to(n, total) == want, (n, total)
+            assert list(dim_vectors_up_to(n, total)) == want, (n, total)
 
 
 def test_dim_vectors_are_counted_before_they_are_listed(monkeypatch):
-    # C(total + n, n) vectors; a bound equal to the count passes, one less refuses
-    assert len(dim_vectors_up_to(3, 6)) == math.comb(9, 3) == 84
+    # C(total + n, n) vectors; a bound equal to the count passes, one less
+    # refuses at the call, before any vector is asked for
+    assert len(list(dim_vectors_up_to(3, 6))) == math.comb(9, 3) == 84
     monkeypatch.setattr(strata, "_MAX_VECTORS", 84)
-    assert len(dim_vectors_up_to(3, 6)) == 84
+    assert len(list(dim_vectors_up_to(3, 6))) == 84
     monkeypatch.setattr(strata, "_MAX_VECTORS", 83)
     with pytest.raises(ValueError, match="^84 dimension vectors with entry sum <= 6 "
                                          "exceed the bound 83$"):
@@ -339,7 +340,7 @@ def test_scan_matches_replaced_on_nooverlap_chains():
         for n1 in (1, 2, 3):
             for n2 in range(n1, 4):
                 chain = build_nooverlap_presentation(h, l, n1, n2, 4)
-                found += _same_certificates(chain, dim_vectors_up_to(3, 4) + [(1, n2 + 1, 1)])
+                found += _same_certificates(chain, [*dim_vectors_up_to(3, 4), (1, n2 + 1, 1)])
     assert found >= 24
 
 
@@ -454,25 +455,44 @@ def test_free_arrow_and_transpose_keep_family_certificates():
     assert certified > 100
 
 
+def _first_certified(tag):
+    """The first vector, in ``dim_vectors_up_to`` order, at which the scan
+    certifies the off-list family A(h,m0,m1,n) with m0 <= m1, by the closed
+    form observed on the gates' ranges (not a theorem of the paper)."""
+    m0, m1, n = tag.m0, tag.m1, tag.n
+    if n == 1:
+        return m0 + 1, m0 + 1
+    if n <= m1 - 2:
+        return 2, n + 2
+    if n == m1 - 1:
+        return m0 + 1, m1
+    return n - m1 + 2, 2 * m1
+
+
 def _classification_gate(m_max, total):
     """Each family A(1,m0,m1,n) with 2 <= m0 <= m1 <= m_max, scanned vector
     by vector to the first certificate: (family, first certified vector or
-    None) per family, and the families where the iff fails."""
+    None) per family, and (family, first, want) where the first vector is
+    not the one wanted: None on the classified list, ``_first_certified``
+    off it."""
     found, wrong = [], []
     for tag in _a_families(m_max, m0_le_m1=True):
         table = PartPairTable(build_family(tag))
         first = next((dims for dims in dim_vectors_up_to(2, total)
                       if reducibility_scan(table, dims, cap=10 ** 6) is not None), None)
         found.append((tag.spec_string(), first))
-        if (first is None) != tag.in_classified_list:
-            wrong.append((tag.spec_string(), first))
+        want = None if tag.in_classified_list else _first_certified(tag)
+        if first != want:
+            wrong.append((tag.spec_string(), first, want))
     return found, wrong
 
 
 def test_classification_gate_to_total_16():
     """The paper's two-vertex classification: A(h,m0,m1,n) gets a
     certificate by total 16 if and only if it is off the classified list,
-    for 2 <= m0 <= m1 <= 5 and every n that gives a nonzero relation.
+    for 2 <= m0 <= m1 <= 5 and every n that gives a nonzero relation, and
+    each of the 43 off-list families first at the vector of
+    ``_first_certified``.
 
     Scanning h = 1 and m0 <= m1 only rests on two gates above: the free
     arrows a2..ah change no certificate
@@ -482,13 +502,15 @@ def test_classification_gate_to_total_16():
     (``test_strata_and_certificates_are_transpose_dual``)."""
     found, wrong = _classification_gate(5, 16)
     assert len(found) == 50 and wrong == []
-    assert sum(first is not None for _, first in found) > 30
+    assert sum(first is not None for _, first in found) == 43
 
 
 @pytest.mark.slow
 def test_classification_gate_to_total_24():
     """As ``test_classification_gate_to_total_16`` for m1 <= 8 at total 24:
-    224 families; the latest first certificate is A(1,8,8,14) at (8, 16)."""
+    224 families, each off-list one first certified at the vector of
+    ``_first_certified``; the latest first certificate is A(1,8,8,14) at
+    (8, 16)."""
     found, wrong = _classification_gate(8, 24)
     assert len(found) == 224 and wrong == []
     latest = max((first for _, first in found if first is not None), key=sum)
