@@ -19,8 +19,7 @@ from .fforacle import enumerate_and_classify, verify_count_identity
 from .formulas import evaluate_case, formula_sweep, single_case
 from .linsys import PartPairTable
 from .quiver import parse_presentation, serialize_presentation
-from .strata import (ScanCapExceeded, assignments_for, dim_vectors_up_to,
-                     reducibility_scan, stratum_dim)
+from .strata import ScanCapExceeded, dim_vectors_up_to, reducibility_scan, stratum_rows
 
 __all__ = ["main"]
 
@@ -61,13 +60,8 @@ def _dims_for(args, n_vertices: int) -> Iterable[tuple[int, ...]]:
 def cmd_strata(args) -> int:
     pres = _read_presentation(args.algebra)
     dims = _parse_dim(args.dim)
-    table = PartPairTable(pres)
-    reports = [stratum_dim(table, ja) for ja in assignments_for(pres, dims, args.cap)]
+    rows = stratum_rows(PartPairTable(pres), dims, args.cap)
     header = ["assignment", "orbit_dims", "N", "c", "dim", "maximal"]
-    rows = [[r.assignment.serialize(),
-             "|".join(str(o) for o in r.orbit_dims),
-             r.ambient_dim, r.codim, r.dim, "*" if r.is_maximal else ""]
-            for r in reports]
     if args.format == "csv":
         _emit_csv(header, rows)
     else:

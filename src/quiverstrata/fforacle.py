@@ -19,7 +19,7 @@ with N the ambient arrow dimension and c the exact codimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,10 +27,10 @@ import numpy as np
 
 from . import _kernels
 from .linsys import PartPairTable
-from .partitions import (JordanAssignment, _is_prime, count_partitions_bounded,
+from .partitions import (JordanAssignment, Partition, _is_prime, count_partitions_bounded,
                          jordan_types, orbit_count, partition_from_ranks)
 from .quiver import BoundQuiverPresentation
-from .strata import _check_dims, ambient_arrow_dim, assignments_for
+from .strata import _check_dims, ambient_arrow_dim, jordan_walk
 
 __all__ = [
     "StratumCountTable",
@@ -64,10 +64,6 @@ class StratumCountTable:
     q: int
     dims: tuple[int, ...]
     counts: dict[JordanAssignment, int]
-    # every Jordan assignment in the order of ``assignments_for``, when the
-    # count listed them, so the identity check need not list them again
-    assignments: list[JordanAssignment] | None = field(default=None, compare=False,
-                                                       repr=False)
 
     @property
     def total(self) -> int:
@@ -134,8 +130,9 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
             raise ValueError(f"|GL_{d}(F_{q})| at vertex {v!r} has about {bits} bits, "
                              f"more than the bound {_MAX_GL_BITS}")
     # mixed-radix layout of the tally keys, one digit per vertex, so a key
-    # is the index of its assignment in the order of ``assignments_for``
+    # is the index of its assignment in the order of ``jordan_walk``
     radices = list(map(count_partitions_bounded, dims, pres.orders))
+    types_at = [list(jordan_types(d, m)) for d, m in zip(dims, pres.orders)]
     weights = [math.prod(radices[i + 1:]) for i in range(len(radices))]
     n_keys = math.prod(radices)
 
@@ -157,7 +154,7 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
             # rank rows packed in base d + 1: equal rows, and only they, share a key
             keys = ranks @ (d + 1) ** np.arange(ranks.shape[1])
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            index = {pairs: k for k, pairs in enumerate(jordan_types(d, m))}
+            index = {pairs: k for k, pairs in enumerate(types_at[vi])}
             types = [index[partition_from_ranks(d, ranks[k].tolist(), m).multiplicities]
                      for k in first]
             cand_keys.append(weights[vi] * np.array(types, np.int64)[inverse])
@@ -194,9 +191,14 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
 
     tally = _kernels.tally_points(cand_mats, cand_keys, shape, relations, q, n_keys)
 
-    assignments = assignments_for(pres, dims)
-    counts = {assignments[key]: int(tally[key]) for key in np.nonzero(tally)[0]}
-    return StratumCountTable(q, dims, counts, assignments)
+    # only the keys of points found become Jordan assignments: a key's
+    # mixed-radix digits index the types at each vertex
+    built = [[Partition.from_pairs(pairs, m) for pairs in t] for t, m in zip(types_at, pres.orders)]
+    counts = {}
+    for key in np.flatnonzero(tally).tolist():
+        parts = tuple(b[key // w % r] for b, w, r in zip(built, weights, radices))
+        counts[JordanAssignment(quiver.vertices, parts)] = int(tally[key])
+    return StratumCountTable(q, dims, counts)
 
 
 @dataclass(frozen=True)
@@ -216,19 +218,14 @@ def verify_count_identity(counts: StratumCountTable,
 
     A failure at desk scale means either the prime is bad for the exact
     rank or the engine miscounts; both are reportable findings.  The rows
-    run over ``counts.assignments``, the listing the count made, or over
-    ``assignments_for(table.pres, counts.dims)`` when it made none; each
-    distinct Jordan type's orbit count is formed once.
+    follow ``jordan_walk``: each Jordan type's orbit count is formed once,
+    and each row's ``JordanAssignment`` once.
     """
-    q = counts.q
+    q, vertices = counts.q, table.pres.quiver.vertices
     n = ambient_arrow_dim(table.pres, counts.dims)
-    orbits: dict = {}
     rows = []
-    for ja in counts.assignments or assignments_for(table.pres, counts.dims):
-        pred = q ** (n - table.codim(ja))
-        for p in ja.partitions:
-            if p not in orbits:
-                orbits[p] = orbit_count(p, q)
-            pred *= orbits[p]
+    for combo in jordan_walk(table, counts.dims, lambda p: (p, orbit_count(p, q))):
+        pred = q ** (n - table.codim_of_types(combo)) * math.prod(o for _, _, (_, o) in combo)
+        ja = JordanAssignment(vertices, tuple(p for _, _, (p, _) in combo))
         rows.append(IdentityRow(ja, counts.counts.get(ja, 0), pred))
     return rows

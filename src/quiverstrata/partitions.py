@@ -16,7 +16,6 @@ __all__ = [
     "Partition",
     "JordanAssignment",
     "jordan_types",
-    "partitions_bounded",
     "count_partitions_bounded",
     "end_dim",
     "orbit_dim",
@@ -93,12 +92,6 @@ def jordan_types(d: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if count > 1:
             pairs.append((size, count - 1))
         units, size = size + ones, size - 1
-
-
-def partitions_bounded(d: int, m: int) -> tuple[Partition, ...]:
-    """All partitions of d with parts <= m, descending-lex (maximal first):
-    the types of :func:`jordan_types` with every part listed."""
-    return tuple(Partition.from_pairs(pairs, m) for pairs in jordan_types(d, m))
 
 
 @functools.cache

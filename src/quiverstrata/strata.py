@@ -11,19 +11,18 @@ A non-maximal stratum whose dimension reaches the maximal stratum's proves
 that the representation scheme is reducible; the scan searches for one.
 Both read codimensions from a ``PartPairTable``, which the caller builds
 once per presentation and passes in; ``table.pres`` is the presentation.
-Given a cap, ``assignments_for`` and the scan count the Jordan assignments
-before they list any.
+All walk a vector's Jordan assignments as the table's type records, by
+``jordan_walk``; given a cap, they are counted before any is listed.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .linsys import PartPairTable
-from .partitions import (JordanAssignment, Partition, count_partitions_bounded,
-                         orbit_dim, partitions_bounded)
+from .partitions import JordanAssignment, Partition, count_partitions_bounded, orbit_dim
 from .quiver import BoundQuiverPresentation
 
 __all__ = [
@@ -32,7 +31,8 @@ __all__ = [
     "ScanCapExceeded",
     "ambient_arrow_dim",
     "stratum_dim",
-    "assignments_for",
+    "jordan_walk",
+    "stratum_rows",
     "reducibility_scan",
     "dim_vectors_up_to",
 ]
@@ -108,7 +108,7 @@ class ReducibilityCertificate:
 # strata took 1.7 s and 411 MB to count the types of A(1,2,2,1), and 4.3 s
 # and 813 MB to list the one type of Aprime(1,1,1), on a 2-CPU host
 _MAX_DIM = 10 ** 7
-# the parts that ``assignments_for`` may list, given a cap: each type at a
+# the parts that ``stratum_rows`` may print: each type at a
 # vertex v has at most d_v parts, so the sum over v of (types at v)·d_v
 # bounds them.  strata prints every part of every row.  Just below the
 # bound, strata took 6.6 s and 218 MB on A(1,2,2,1) at (6323, 1); just
@@ -152,22 +152,40 @@ def stratum_dim(table: PartPairTable, ja: JordanAssignment) -> StratumReport:
     return StratumReport(ja, orbits, n, c, is_max)
 
 
-def assignments_for(pres: BoundQuiverPresentation, dims: Sequence[int],
-                    cap: int | None = None) -> list[JordanAssignment]:
-    """All Jordan assignments in canonical order, the product of the
-    Jordan types at each vertex with the last vertex fastest; the maximal
-    assignment is first.  More than ``cap`` of them raise
-    :class:`ScanCapExceeded` before any is listed, and then types that
-    may hold more than ``_MAX_PARTS`` parts raise ``ValueError``."""
+def jordan_walk(table: PartPairTable, dims: Sequence[int],
+                per_type: Callable[[Partition], object] | None = None) -> Iterator[tuple]:
+    """The Jordan assignments of the checked vector ``dims`` in canonical
+    order, the last vertex fastest and the maximal assignment first: each is
+    one record (pairs, orbit dim) of ``table.types`` per vertex; given
+    ``per_type``, a record also holds ``per_type(p)``, formed once per type p,
+    a ``Partition``."""
+    orders = table.pres.orders
+    types = [table.types(d, m) for d, m in zip(dims, orders)]
+    if per_type is not None:
+        types = [[(pairs, o, per_type(Partition.from_pairs(pairs, m))) for pairs, o in records]
+                 for records, m in zip(types, orders)]
+    return itertools.product(*types)
+
+
+def stratum_rows(table: PartPairTable, dims: Sequence[int], cap: int = 100_000) -> list[list]:
+    """The rows ``strata`` prints, one per Jordan assignment of ``dims`` in
+    canonical order: assignment, orbit dims, N, c, dim, and ``*`` on the
+    first, the maximal one.  More than ``cap`` assignments raise
+    :class:`ScanCapExceeded` before any is listed, and then types that may
+    hold more than ``_MAX_PARTS`` parts raise ``ValueError``."""
+    pres = table.pres
     dims = _check_dims(pres, dims, cap)
-    if cap is not None:
-        parts = sum(count_partitions_bounded(d, m) * d for d, m in zip(dims, pres.orders))
-        if parts > _MAX_PARTS:
-            raise ValueError(f"the Jordan types at d = {dims} may hold {parts} parts, "
-                             f"more than the bound {_MAX_PARTS}")
-    per_vertex = [partitions_bounded(d, m) for d, m in zip(dims, pres.orders)]
-    return [JordanAssignment.for_presentation(pres, combo)
-            for combo in itertools.product(*per_vertex)]
+    parts = sum(count_partitions_bounded(d, m) * d for d, m in zip(dims, pres.orders))
+    if parts > _MAX_PARTS:
+        raise ValueError(f"the Jordan types at d = {dims} may hold {parts} parts, "
+                         f"more than the bound {_MAX_PARTS}")
+    n, rows = ambient_arrow_dim(pres, dims), []
+    for combo in jordan_walk(table, dims, Partition.serialize):
+        orbits, c = sum(o for _, o, _ in combo), table.codim_of_types(combo)
+        rows.append(["|".join(text for _, _, text in combo),
+                     "|".join(str(o) for _, o, _ in combo), n, c, orbits + n - c, ""])
+    rows[0][-1] = "*"
+    return rows
 
 
 def reducibility_scan(table: PartPairTable, dims: Sequence[int],
@@ -181,8 +199,6 @@ def reducibility_scan(table: PartPairTable, dims: Sequence[int],
     """
     pres = table.pres
     dims = _check_dims(pres, dims, cap)
-    data = [table.types(d, m) for d, m in zip(dims, pres.orders)]
-
     codim_of_types = table.codim_of_types
 
     def size(combo) -> int:
@@ -195,7 +211,7 @@ def reducibility_scan(table: PartPairTable, dims: Sequence[int],
         return stratum_dim(table, JordanAssignment.for_presentation(
             pres, map(Partition.from_pairs, (pairs for pairs, _ in combo), pres.orders)))
 
-    it = itertools.product(*data)
+    it = jordan_walk(table, dims)
     first = next(it)
     target = size(first)
     for combo in it:

@@ -14,9 +14,9 @@ from path_reference import word_of
 from quiverstrata import _kernels
 from quiverstrata.fforacle import (BadPrimeError, EnumerationCapExceeded,
                                    StratumCountTable)
-from quiverstrata.partitions import (JordanAssignment, _is_prime,
-                                     partition_from_ranks, partitions_bounded)
+from quiverstrata.partitions import JordanAssignment, _is_prime, partition_from_ranks
 from quiverstrata.quiver import BoundQuiverPresentation
+from walk_reference import partitions_bounded
 
 
 def reference_enumerate_and_classify(pres: BoundQuiverPresentation,

@@ -19,9 +19,10 @@ from quiverstrata.fforacle import enumerate_and_classify
 from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
-from quiverstrata.strata import assignments_for, stratum_dim
+from quiverstrata.strata import stratum_dim
 from path_reference import path_of, word_path
 from substitution import relation_mod_orders
+from walk_reference import assignments_for
 
 
 # ---------------------------------------------------------------------------

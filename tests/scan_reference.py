@@ -12,9 +12,10 @@ from collections import Counter
 from typing import Sequence
 
 from quiverstrata.linsys import PartPairTable
-from quiverstrata.partitions import JordanAssignment, Partition, partitions_bounded
+from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.strata import (ReducibilityCertificate, StratumReport, _check_dims,
                                  stratum_dim)
+from walk_reference import partitions_bounded
 
 
 def multiplicities(self: Partition) -> tuple[tuple[int, int], ...]:

@@ -14,9 +14,10 @@ from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
 from quiverstrata.formulas import FormulaCase, evaluate_case, formula_sweep
 from quiverstrata.linsys import PartPairTable, rank_exact
-from quiverstrata.partitions import Partition, end_dim, orbit_dim, partitions_bounded
+from quiverstrata.partitions import Partition, end_dim, orbit_dim
 from quiverstrata.quiver import parse_presentation
 from quiverstrata.strata import dim_vectors_up_to, reducibility_scan
+from walk_reference import partitions_bounded
 
 
 def _report(name, detail):

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
+import walk_reference
 
 import quiverstrata
 from quiverstrata import strata
@@ -363,27 +364,31 @@ def test_huge_dimension_exits_2_at_once(tmp_path, spec, command, dim):
     assert seconds < 1 and megabytes < 150, (seconds, megabytes)
 
 
-@pytest.mark.parametrize("command, dim, parts", [
-    ("strata", "100000,1", 5000100001),
-    ("reduce-scan", "100000,1", 5000100001),
-    ("reduce-scan", "20000,1", 200020001)])
+@pytest.mark.parametrize("command, dim, parts", [("strata", "100000,1", 5000100001)])
 def test_jordan_type_parts_bound_exits_2_at_once(tmp_path, command, dim, parts):
     """50,001 types of up to 10^5 parts at (100000, 1), over the default
     bound: strata prints every part, so the parts are bounded before any
-    type is listed (listing them ended in a MemoryError after 15.9 s).  The
-    bound covers only the types strata prints: reduce-scan lists each type
-    as its (part, count) pairs and finishes at once past it (at (20000, 1)
-    it took 52 s and 1.4 GB when it listed every part)."""
+    type is listed (listing them ended in a MemoryError after 15.9 s)."""
     assert parts > strata._MAX_PARTS
     argv = [command, "--algebra", _family_file(tmp_path, "A(1,2,2,1)"), "--dim", dim]
     code, out, err, seconds, megabytes = _measured(argv, tmp_path)
     dims = dim.replace(",", ", ")
-    if command == "strata":
-        assert (code, out) == (2, "")
-        assert err == (f"error: the Jordan types at d = ({dims}) may hold "
-                       f"{parts} parts, more than the bound 20000000\n")
-    else:
-        assert (code, out, err) == (0, f"d=({dims}): no certificate\n", "")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the Jordan types at d = ({dims}) may hold "
+                   f"{parts} parts, more than the bound 20000000\n")
+    assert seconds < 1 and megabytes < 150, (seconds, megabytes)
+
+
+@pytest.mark.parametrize("dim, parts", [("100000,1", 5000100001), ("20000,1", 200020001)])
+def test_reduce_scan_exits_0_past_the_parts_bound(tmp_path, dim, parts):
+    """The parts bound covers only the types strata prints: reduce-scan
+    walks each type as its (part, count) pairs and finishes at once past
+    it (at (20000, 1) it took 52 s and 1.4 GB when it listed every part)."""
+    assert parts > strata._MAX_PARTS
+    argv = ["reduce-scan", "--algebra", _family_file(tmp_path, "A(1,2,2,1)"), "--dim", dim]
+    code, out, err, seconds, megabytes = _measured(argv, tmp_path)
+    dims = dim.replace(",", ", ")
+    assert (code, out, err) == (0, f"d=({dims}): no certificate\n", "")
     assert seconds < 1 and megabytes < 150, (seconds, megabytes)
 
 
@@ -440,33 +445,43 @@ def test_reduce_scan_type_records_budget(tmp_path, capsys, monkeypatch, spec):
     assert sum(drops) > 1
 
 
-def test_oracle_count_lists_assignments_once_per_prime(algebra_file, capsys, monkeypatch):
-    """The identity check reads the listing the count made: one
-    ``assignments_for`` call per prime, where there were two, and the rows
-    it gives equal those of a count table that carries no listing, as
-    tests/oracle_reference.py builds."""
+def test_oracle_count_identity_rows_match_reference_without_listing(algebra_file, capsys,
+                                                                    monkeypatch):
+    """The identity rows equal those of the replaced check
+    (tests/walk_reference.py), which lists every assignment, and
+    oracle-count builds no such listing: the count table carries none, the
+    count builds one ``JordanAssignment`` per stratum it found and the
+    check one per row, and ``orbit_count`` runs once per Jordan type at
+    each vertex."""
     import dataclasses
 
     from quiverstrata import fforacle
     from quiverstrata.linsys import PartPairTable
 
-    calls = []
-    original = fforacle.assignments_for
-    monkeypatch.setattr(fforacle, "assignments_for",
-                        lambda *args: calls.append(args[1]) or original(*args))
+    built, orbits = [], []
+    assignment, orbit_count = fforacle.JordanAssignment, fforacle.orbit_count
+    monkeypatch.setattr(fforacle, "JordanAssignment",
+                        lambda *args: built.append(args) or assignment(*args))
+    monkeypatch.setattr(fforacle, "orbit_count",
+                        lambda p, q: orbits.append(q) or orbit_count(p, q))
     code, out, _ = run_cli(["oracle-count", "--algebra", algebra_file,
                             "--dim", "2,2", "--q", "2,3"], capsys)
-    assert code == 0 and calls == [(2, 2), (2, 2)]
+    assert code == 0
     rows = [r for r in csv.DictReader(io.StringIO(out)) if r["q"] != "q"]  # one header a prime
     assert [r["q"] for r in rows] == ["2"] * 4 + ["3"] * 4
     assert all(r["pass"] == "pass" for r in rows)
+    # per prime: 4 strata counted and 4 rows; 2 types at each of 2 vertices
+    assert len(built) == 2 * (4 + 4) and orbits == [2] * 4 + [3] * 4
+    assert [f.name for f in dataclasses.fields(fforacle.StratumCountTable)] == [
+        "q", "dims", "counts"]
+    monkeypatch.undo()
     pres = parse_presentation(A1332)
-    table = PartPairTable(pres)
     for q in (2, 3):
         counts = fforacle.enumerate_and_classify(pres, (2, 2), q)
-        unlisted = dataclasses.replace(counts, assignments=None)
-        assert (fforacle.verify_count_identity(counts, table)
-                == fforacle.verify_count_identity(unlisted, table))
+        want = walk_reference.verify_count_identity(counts, PartPairTable(pres))
+        assert fforacle.verify_count_identity(counts, PartPairTable(pres)) == want
+        assert [[r.assignment.serialize(), str(r.count), str(r.predicted)] for r in want] == [
+            [r["assignment"], r["count"], r["predicted"]] for r in rows if r["q"] == str(q)]
 
 
 @pytest.mark.slow

@@ -196,7 +196,8 @@ def test_random_presentations_match_same_field_prediction():
     from quiverstrata.partitions import orbit_count
     from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver,
                                      Relation)
-    from quiverstrata.strata import ambient_arrow_dim, assignments_for
+    from quiverstrata.strata import ambient_arrow_dim
+    from walk_reference import assignments_for
 
     rng = random.Random(42)
     checked = 0

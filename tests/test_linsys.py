@@ -18,6 +18,7 @@ from block_pairs import block_systems
 from paper_checks import opposite
 from path_reference import path_of, word_path
 from strategies import presentations
+from walk_reference import assignments_for, partitions_bounded
 
 from quiverstrata import _kernels, linsys
 from quiverstrata.families import build_family, parse_family_spec
@@ -28,8 +29,7 @@ from quiverstrata.partitions import JordanAssignment, Partition, jordan_types, o
 from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, PresentationError,
                                  Quiver, Relation, parse_presentation)
 from quiverstrata.strata import (ReducibilityCertificate, StratumReport,
-                                 ambient_arrow_dim, assignments_for,
-                                 dim_vectors_up_to, reducibility_scan)
+                                 ambient_arrow_dim, dim_vectors_up_to, reducibility_scan)
 
 
 def _two_vertex(m0, m1, h, relation_words):
@@ -241,8 +241,6 @@ def test_additivity_over_parts_weight_bounded():
         5: [[(1, ["e0", "a1"]), (1, ["a1", "e1"]), (1, ["a2", "e1", "e1"])]],
         6: [[(1, ["e0", "e0", "a1", "e1"]), (1, ["e0", "a1", "e1", "e1"])]],
     }
-    from quiverstrata.partitions import partitions_bounded
-
     for item, words in shapes.items():
         pres = _two_vertex(3, 3, 2, words)
         for wp in range(1, 7):
@@ -324,7 +322,6 @@ def _conjugated_systems():
     """(pres, ja, loop_mats, dims): the Jordan data of ``ja`` conjugated by
     a random unipotent matrix at each vertex."""
     from jordan_reference import jordan_matrix
-    from quiverstrata.partitions import partitions_bounded
 
     rng = random.Random(7)
     pres = _two_vertex(2, 2, 1, [[(1, ["e0", "a1"]), (1, ["a1", "e1"])]])

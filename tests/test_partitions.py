@@ -14,9 +14,9 @@ from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import (JordanAssignment, Partition,
                                      count_partitions_bounded, end_dim,
                                      orbit_count, orbit_count_ff, orbit_dim,
-                                     partition_from_ranks, partitions_bounded,
-                                     rank_sequence)
+                                     partition_from_ranks, rank_sequence)
 from quiverstrata.quiver import parse_presentation
+from walk_reference import partitions_bounded
 
 
 def brute_partitions(d, m):

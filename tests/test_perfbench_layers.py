@@ -113,15 +113,20 @@ def test_traced_commands_count_their_work(tmp_path):
     """The traced run of ``perfbench/run.py --trace 1`` reads the layers'
     arguments and results: a strata, a verify-formulas and an oracle-count
     command on a presentation with a loop and a read arrow each feed the
-    counters they should."""
-    path = tmp_path / "a1221.txt"
-    path.write_text(serialize_presentation(build_family(parse_family_spec("A(1,2,2,1)"))),
-                    encoding="utf-8")
+    counters they should.  The part pairs are counted on ``stratum_dim``
+    reports, which strata's rows do not build; a reduce-scan certificate
+    builds two, of A(1,4,4,2) at its first certified vector (2, 4)."""
+    path, reducible = tmp_path / "a1221.txt", tmp_path / "a1442.txt"
+    for file, spec in ((path, "A(1,2,2,1)"), (reducible, "A(1,4,4,2)")):
+        file.write_text(serialize_presentation(build_family(parse_family_spec(spec))),
+                        encoding="utf-8")
     result = _traced_run(["strata", "--algebra", str(path), "--dim", "2,2"],
                          ["verify-formulas", "--item", "1", "--p", "3", "--l", "1"],
-                         ["oracle-count", "--algebra", str(path), "--dim", "2,2", "--q", "2"])
-    assert result["codes"] == [0, 0, 0]
+                         ["oracle-count", "--algebra", str(path), "--dim", "2,2", "--q", "2"],
+                         ["reduce-scan", "--algebra", str(reducible), "--dim", "2,4"])
+    assert result["codes"] == [0, 0, 0, 0]
     summary = result["summary"]
+    assert summary["strata.stratum_dim.calls"] == 2
     for name in ("strata.part_pairs", "linsys.rows", "kernels.tally.points_kept",
                  "kernels.nilpotent.kept"):
         assert summary[name] > 0, name

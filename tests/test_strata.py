@@ -1,10 +1,15 @@
+import contextlib
+import io
 import itertools
 import math
+import os
 import re
+import tempfile
 
 import pytest
 import scan_reference
-from hypothesis import HealthCheck, given, settings
+import walk_reference
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from paper_checks import (build_nooverlap_presentation, nooverlap_dims, opposite,
                           split_gap_test)
@@ -13,12 +18,13 @@ from strategies import presentations
 from quiverstrata import cli, strata
 from quiverstrata.cli import main
 from quiverstrata.families import FamilyTag, build_family, parse_family_spec
+from quiverstrata.fforacle import StratumCountTable, verify_count_identity
 from quiverstrata.linsys import PartPairTable
-from quiverstrata.partitions import JordanAssignment, Partition
-from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, parse_presentation
-from quiverstrata.strata import (ScanCapExceeded, ambient_arrow_dim,
-                                 assignments_for, dim_vectors_up_to,
-                                 reducibility_scan, stratum_dim)
+from quiverstrata.partitions import JordanAssignment, Partition, jordan_types
+from quiverstrata.quiver import (Arrow, BoundQuiverPresentation, Quiver, parse_presentation,
+                                serialize_presentation)
+from quiverstrata.strata import (ScanCapExceeded, ambient_arrow_dim, dim_vectors_up_to,
+                                 reducibility_scan, stratum_dim, stratum_rows)
 
 
 def _ja(pres, *parts_per_vertex):
@@ -54,27 +60,29 @@ def test_stratum_dim_all_ones(aprime122):
 def test_max_stratum_examples():
     for m in (2, 3):
         pres = build_family(parse_family_spec(f"A(1,{m},{m},1)"))
-        rep = stratum_dim(PartPairTable(pres), assignments_for(pres, (m, 2 * m))[0])
+        ja = walk_reference.assignments_for(pres, (m, 2 * m))[0]
+        rep = stratum_dim(PartPairTable(pres), ja)
         assert rep.assignment.partitions[0].parts == (m,)
         assert rep.assignment.partitions[1].parts == (m, m)
         assert rep.is_maximal
 
     pres = build_family(parse_family_spec("A(1,2,2,1)"))
-    rep = stratum_dim(PartPairTable(pres), assignments_for(pres, (0, 0))[0])
+    rep = stratum_dim(PartPairTable(pres), walk_reference.assignments_for(pres, (0, 0))[0])
     assert rep.dim == 0 and rep.assignment.dims == (0, 0)
-    rep = stratum_dim(PartPairTable(pres), assignments_for(pres, (3, 1))[0])
+    rep = stratum_dim(PartPairTable(pres), walk_reference.assignments_for(pres, (3, 1))[0])
     assert rep.assignment.partitions[0].parts == (2, 1)
     assert rep.assignment.partitions[1].parts == (1,)
 
 
 def test_assignments_order_and_cap(a1221):
-    jas = assignments_for(a1221, (2, 2))
-    assert [j.serialize() for j in jas] == ["2|2", "2|1,1", "1,1|2", "1,1|1,1"]
+    table = PartPairTable(a1221)
+    rows = stratum_rows(table, (2, 2))
+    assert [row[0] for row in rows] == ["2|2", "2|1,1", "1,1|2", "1,1|1,1"]
     with pytest.raises(ScanCapExceeded):
-        reducibility_scan(PartPairTable(a1221), (2, 2), cap=3)
-    assert assignments_for(a1221, (2, 2), cap=4) == jas
+        reducibility_scan(table, (2, 2), cap=3)
+    assert stratum_rows(table, (2, 2), cap=4) == rows
     with pytest.raises(ScanCapExceeded, match="^4 Jordan assignments exceed the cap 3$"):
-        assignments_for(a1221, (2, 2), cap=3)
+        stratum_rows(table, (2, 2), cap=3)
 
 
 def test_scan_two_monomial_relations():
@@ -262,10 +270,10 @@ def test_dimensions_are_bounded_before_types_are_counted(monkeypatch):
     # before count_partitions_bounded builds its table
     pres = build_family(parse_family_spec("A(1,2,2,1)"))
     monkeypatch.setattr(strata, "_MAX_DIM", 990)
-    assert len(assignments_for(pres, (990, 1), cap=496)) == 496
+    assert len(stratum_rows(PartPairTable(pres), (990, 1), cap=496)) == 496
     monkeypatch.setattr(strata, "count_partitions_bounded", None)
     with pytest.raises(ValueError, match="^dimension 991 exceeds the bound 990$"):
-        assignments_for(pres, (1, 991), cap=10 ** 9)
+        stratum_rows(PartPairTable(pres), (1, 991), cap=10 ** 9)
     with pytest.raises(ValueError, match="^dimension 991 exceeds the bound 990$"):
         reducibility_scan(PartPairTable(pres), (991, 0))
 
@@ -280,16 +288,16 @@ def test_parts_are_bounded_after_the_cap(monkeypatch):
     # (types at v)·d_v summed over the vertices: 496·990 + 1·1 at (990, 1);
     # a bound equal to it passes, one less refuses, and the cap comes first.
     # The scan lists (part, count) pairs, not parts, so the bound spares it
-    pres = build_family(parse_family_spec("A(1,2,2,1)"))
+    table = PartPairTable(build_family(parse_family_spec("A(1,2,2,1)")))
     monkeypatch.setattr(strata, "_MAX_PARTS", 491041)
-    assert len(assignments_for(pres, (990, 1), cap=496)) == 496
+    assert len(stratum_rows(table, (990, 1), cap=496)) == 496
     monkeypatch.setattr(strata, "_MAX_PARTS", 491040)
     message = "the Jordan types at d = (990, 1) may hold 491041 parts, more than the bound 491040"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        assignments_for(pres, (990, 1), cap=496)
-    assert reducibility_scan(PartPairTable(pres), (990, 1)) is None
+        stratum_rows(table, (990, 1), cap=496)
+    assert reducibility_scan(table, (990, 1)) is None
     with pytest.raises(ScanCapExceeded):
-        assignments_for(pres, (990, 1), cap=495)
+        stratum_rows(table, (990, 1), cap=495)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +384,73 @@ def test_scan_ranks_what_the_replaced_scan_ranks(spec, tmp_path, monkeypatch, ca
 
 
 # ---------------------------------------------------------------------------
+# differential gate: the one Jordan-assignment walk against the listing it
+# replaced (tests/walk_reference.py), row for row
+# ---------------------------------------------------------------------------
+
+# three vertices, the middle one of order 1 (no loop)
+THREE_VERTEX = parse_presentation("""
+vertex 0
+vertex 1
+vertex 2
+loop e0 0 order 3
+loop e2 2 order 2
+arrow a 1 -> 0
+arrow c 1 -> 0
+arrow b 2 -> 1
+relation 1/2*e0*a - 2/3*e0^2*c
+relation 3/5*b*e2
+""")
+
+
+def _printed(argv, pres):
+    """What ``main(argv)`` prints, with ``pres`` as the presentation file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.bq")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_presentation(pres))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([argv[0], "--algebra", path, *argv[1:]]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@example(THREE_VERTEX)
+@given(presentations())
+def test_walk_matches_the_replaced_listing(pres):
+    """``strata`` text and csv and the identity rows, from the walk over
+    the table's type records, equal those built from the listed
+    ``assignments_for`` and one ``stratum_dim`` report per assignment, on
+    one to three vertices, order-1 vertices and zero dimensions included;
+    the identity check reads a count table with every other stratum
+    empty, so each row's lookup and orbit counts are compared."""
+    table, ref_table = PartPairTable(pres), PartPairTable(pres)
+    n = len(pres.quiver.vertices)
+    header = ["assignment", "orbit_dims", "N", "c", "dim", "maximal"]
+    for dims in dim_vectors_up_to(n, (7, 5, 4)[n - 1]):
+        want = walk_reference.stratum_rows(ref_table, dims)
+        assert stratum_rows(table, dims) == want, dims
+        listing = walk_reference.assignments_for(pres, dims)
+        for q in (2, 3):
+            counts = StratumCountTable(q, dims, {ja: k + 1 for k, ja in enumerate(listing)
+                                                 if k % 2 == 0})
+            assert (verify_count_identity(counts, table)
+                    == walk_reference.verify_count_identity(counts, ref_table)), (dims, q)
+    dims = max(dim_vectors_up_to(n, (4, 3, 2)[n - 1]), key=lambda d: (sum(d), d))
+    csv_out, text_out = io.StringIO(), io.StringIO()
+    rows = walk_reference.stratum_rows(ref_table, dims)
+    with contextlib.redirect_stdout(csv_out):
+        cli._emit_csv(header, rows)
+    with contextlib.redirect_stdout(text_out):
+        cli._emit_table(header, rows)
+    dim_arg = ",".join(map(str, dims))
+    assert _printed(["strata", "--dim", dim_arg, "--format", "csv"], pres) == csv_out.getvalue()
+    text = _printed(["strata", "--dim", dim_arg], pres)
+    assert text.split("\n", 2)[2] == text_out.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # two symmetries as gates: free arrows and transpose duality
 # ---------------------------------------------------------------------------
 
@@ -406,7 +481,7 @@ def test_strata_and_certificates_are_transpose_dual(pres):
     table, dual = PartPairTable(pres), PartPairTable(opposite(pres))
     n = len(pres.quiver.vertices)
     for dims in dim_vectors_up_to(n, 6 if n == 2 else 4):
-        for ja in assignments_for(pres, dims):
+        for ja in walk_reference.assignments_for(pres, dims):
             assert stratum_dim(dual, ja) == stratum_dim(table, ja), ja.serialize()
         cert, cert_op = reducibility_scan(table, dims), reducibility_scan(dual, dims)
         assert (cert is None) == (cert_op is None), dims
@@ -469,21 +544,42 @@ def _first_certified(tag):
     return n - m1 + 2, 2 * m1
 
 
+def _predicted_strata(table, tag, dims):
+    """The maximal assignment of ``dims`` and the witness observed for the
+    off-list family A(h,m0,m1,n), m0 <= m1, on the gates' ranges (not a
+    theorem of the paper): the maximal assignment with the second Jordan
+    type in canonical order at vertex 1 when n < m1, at vertex 0 when
+    n >= m1."""
+    types = [list(jordan_types(d, m)) for d, m in zip(dims, table.pres.orders)]
+    at = 1 if tag.n < tag.m1 else 0
+    maximal = [t[0] for t in types]
+    witness = [t[1] if v == at else t[0] for v, t in enumerate(types)]
+    return [JordanAssignment.for_presentation(table.pres, map(
+        Partition.from_pairs, pairs, table.pres.orders)) for pairs in (maximal, witness)]
+
+
 def _classification_gate(m_max, total):
     """Each family A(1,m0,m1,n) with 2 <= m0 <= m1 <= m_max, scanned vector
     by vector to the first certificate: (family, first certified vector or
     None) per family, and (family, first, want) where the first vector is
     not the one wanted: None on the classified list, ``_first_certified``
-    off it."""
+    off it, or where the first certificate's witness is not the one of
+    ``_predicted_strata``."""
     found, wrong = [], []
     for tag in _a_families(m_max, m0_le_m1=True):
         table = PartPairTable(build_family(tag))
-        first = next((dims for dims in dim_vectors_up_to(2, total)
-                      if reducibility_scan(table, dims, cap=10 ** 6) is not None), None)
+        first, cert = next(((dims, cert) for dims in dim_vectors_up_to(2, total)
+                            if (cert := reducibility_scan(table, dims, cap=10 ** 6))),
+                           (None, None))
         found.append((tag.spec_string(), first))
         want = None if tag.in_classified_list else _first_certified(tag)
         if first != want:
             wrong.append((tag.spec_string(), first, want))
+        elif cert is not None:
+            witness = _predicted_strata(table, tag, first)[1]
+            if cert.witness.assignment != witness:
+                wrong.append((tag.spec_string(), cert.witness.assignment.serialize(),
+                              witness.serialize()))
     return found, wrong
 
 
@@ -492,7 +588,7 @@ def test_classification_gate_to_total_16():
     certificate by total 16 if and only if it is off the classified list,
     for 2 <= m0 <= m1 <= 5 and every n that gives a nonzero relation, and
     each of the 43 off-list families first at the vector of
-    ``_first_certified``.
+    ``_first_certified``, with the witness of ``_predicted_strata``.
 
     Scanning h = 1 and m0 <= m1 only rests on two gates above: the free
     arrows a2..ah change no certificate
@@ -509,9 +605,44 @@ def test_classification_gate_to_total_16():
 def test_classification_gate_to_total_24():
     """As ``test_classification_gate_to_total_16`` for m1 <= 8 at total 24:
     224 families, each off-list one first certified at the vector of
-    ``_first_certified``; the latest first certificate is A(1,8,8,14) at
+    ``_first_certified`` with the witness of ``_predicted_strata``; the latest first certificate is A(1,8,8,14) at
     (8, 16)."""
     found, wrong = _classification_gate(8, 24)
     assert len(found) == 224 and wrong == []
     latest = max((first for _, first in found if first is not None), key=sum)
     assert ("A(1,8,8,14)", (8, 16)) in found and sum(latest) == 24
+
+
+def _closed_form_margins(m_max):
+    """The margin of the predicted witness over the maximal stratum at
+    ``_first_certified``, from two ``stratum_dim`` calls, for each off-list
+    family A(1,m0,m1,n) with 2 <= m0 <= m1 <= m_max: no scan runs."""
+    margins = {}
+    for tag in _a_families(m_max, m0_le_m1=True):
+        if tag.in_classified_list:
+            continue
+        table = PartPairTable(build_family(tag))
+        maximal, witness = _predicted_strata(table, tag, _first_certified(tag))
+        margins[tag.spec_string()] = (stratum_dim(table, witness).dim
+                                      - stratum_dim(table, maximal).dim)
+    return margins
+
+
+def test_closed_form_certificates_to_m1_12():
+    """Every off-list A(1,m0,m1,n) with 2 <= m0 <= m1 <= 12 has a
+    certificate of margin 0 at ``_first_certified``, the predicted witness
+    against the maximal stratum: the "only if" half of the two-vertex
+    classification checked without a scan.  Families with m0 > m1 are the
+    opposites of these, with the same certificates
+    (``test_strata_and_certificates_are_transpose_dual``,
+    ``test_free_arrow_and_transpose_keep_family_certificates``)."""
+    margins = _closed_form_margins(12)
+    assert len(margins) == 771 and set(margins.values()) == {0}
+
+
+@pytest.mark.slow
+def test_closed_form_certificates_to_m1_20():
+    """As ``test_closed_form_certificates_to_m1_12`` for m1 <= 20: 3,763
+    families, m0 > m1 covered by the same transpose-duality gates."""
+    margins = _closed_form_margins(20)
+    assert len(margins) == 3763 and set(margins.values()) == {0}
