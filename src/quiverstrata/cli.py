@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .families import build_family, parse_family_spec
 from .fforacle import enumerate_and_classify, verify_count_identity
-from .formulas import evaluate_case, formula_sweep, single_case
+from .formulas import formula_sweep, single_case
 from .linsys import PartPairTable
 from .quiver import parse_presentation, serialize_presentation
 from .strata import ScanCapExceeded, dim_vectors_up_to, reducibility_scan, stratum_rows
@@ -124,8 +124,7 @@ def cmd_verify_formulas(args) -> int:
             raise ValueError("--p, --q, --l, --lambda and --h need --item")
         if args.p_max is not None:
             raise ValueError("--p-max is for the sweep, not a single case")
-        case = single_case(args.item, *single)
-        swept = [(case.item, case.p, case.q, case.l, case.lam, case.h, *evaluate_case(case))]
+        swept = [single_case(args.item, *single)]
     else:
         if args.p_max is not None and args.p_max < 1:
             raise ValueError(f"--p-max must be at least 1, got {args.p_max}")

@@ -24,6 +24,8 @@ _MAX_H = 10 ** 6
 # terms of the mixed relation a family builds: A(1,200000,200000,100000),
 # 10^5 terms, took the family command 2.8-3.9 s and 144 MB on a 2-CPU host
 _MAX_TERMS = 10 ** 5
+# each kind's parameters, in the order a spec gives them
+_PARAMS = {"A": ("h", "m0", "m1", "n"), "Aprime": ("h", "m0", "m1"), "truncpoly": ("m",)}
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,7 @@ class FamilyTag:
         return True
 
     def spec_string(self) -> str:
-        if self.kind == "A":
-            return f"A({self.h},{self.m0},{self.m1},{self.n})"
-        if self.kind == "Aprime":
-            return f"Aprime({self.h},{self.m0},{self.m1})"
-        return f"truncpoly({self.m})"
+        return f"{self.kind}({','.join(str(getattr(self, name)) for name in _PARAMS[self.kind])})"
 
 
 _SPEC_RE = re.compile(r"^\s*(A|Aprime|truncpoly)\s*\(([^)]*)\)\s*$")
@@ -101,17 +99,10 @@ def parse_family_spec(text: str) -> FamilyTag:
         params = [int(x) for x in m.group(2).split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"cannot parse family spec {text!r}") from None
-    if kind == "A":
-        if len(params) != 4:
-            raise ValueError("A takes (h, m0, m1, n)")
-        return FamilyTag("A", h=params[0], m0=params[1], m1=params[2], n=params[3])
-    if kind == "Aprime":
-        if len(params) != 3:
-            raise ValueError("Aprime takes (h, m0, m1)")
-        return FamilyTag("Aprime", h=params[0], m0=params[1], m1=params[2])
-    if len(params) != 1:
-        raise ValueError("truncpoly takes (m,)")
-    return FamilyTag("truncpoly", m=params[0])
+    names = _PARAMS[kind]
+    if len(params) != len(names):  # a one-tuple as Python writes it: (m,)
+        raise ValueError(f"{kind} takes ({', '.join(names)}{',' * (len(names) == 1)})")
+    return FamilyTag(kind, **dict(zip(names, params)))
 
 
 def build_family(tag: FamilyTag) -> BoundQuiverPresentation:

@@ -30,16 +30,16 @@ of the h arrows 1 -> 0.  It states each term as the integer split term
 The arrows past the item's ``symbols`` are in no term, so the h of a case
 changes no row.  One builder, ``build_case``, checks a shape (item, p, q,
 l, lambda) and gives its closed form and terms to ``formula_sweep``, which
-ranks each shape once for every h with no memo cache, to ``single_case``'s
-entry bound and to ``evaluate_case``.  ``_ITEMS`` holds the rules that are
-not side conditions: which items take l or lambda or fix q, their arrows.
+ranks each shape once for every h with no memo cache, and to
+``single_case``, which bounds its entries and ranks it; both give the same
+row.  ``_ITEMS`` holds the rules that are not side conditions: which items
+take l or lambda or fix q, their arrows.
 """
 from __future__ import annotations
 
 import itertools
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -47,12 +47,10 @@ from .linsys import Term, assemble_system, rank_exact
 
 __all__ = [
     "SideConditionError",
-    "FormulaCase",
     "c_closed_form",
     "formula_sweep",
     "single_case",
     "build_case",
-    "evaluate_case",
 ]
 
 
@@ -73,14 +71,18 @@ _ITEMS = {1: _Rules(1, takes_l=True, fixed_q=1), 2: _Rules(1, takes_l=True, fixe
           10: _Rules(3, takes_l=True), 11: _Rules(3, takes_l=True, takes_lambda=True)}
 
 
+def _rules(item: int) -> _Rules:
+    if item not in _ITEMS:
+        raise SideConditionError(f"unknown item {item}")
+    return _ITEMS[item]
+
+
 def c_closed_form(item: int, p: Optional[int] = None, q: Optional[int] = None,
                   l: Optional[int] = None, lam: Optional[Fraction] = None) -> int:
     """Closed-form codimension of the given item, checking side conditions."""
-    if item not in _ITEMS:
-        raise SideConditionError(f"unknown item {item}")
+    fixed_q = _rules(item).fixed_q
     if p is None or p < 1:
         raise SideConditionError("p >= 1 required")
-    fixed_q = _ITEMS[item].fixed_q
     if fixed_q is not None and q not in (None, fixed_q):
         raise SideConditionError(f"item {item} has q = {fixed_q}")
     if item == 1:
@@ -154,16 +156,6 @@ def _term_shapes(item: int, p: int, q: int, l: Optional[int],
     return [(one, p + q - l - i - 1, 0, i) for i in range(q - l, q)] + lam_term + b_c
 
 
-@dataclass(frozen=True)
-class FormulaCase:
-    item: int
-    p: int
-    q: int
-    l: Optional[int]
-    lam: Optional[Fraction]
-    h: int
-
-
 def build_case(item: int, p: int, q: int, l: Optional[int],
                lam: Optional[Fraction]) -> tuple[int, tuple[Term, ...]]:
     """(closed form, integer split terms) of an admissible shape, whatever
@@ -176,15 +168,10 @@ def build_case(item: int, p: int, q: int, l: Optional[int],
     return expected, terms
 
 
-def evaluate_case(case: FormulaCase) -> tuple[int, int]:
-    """(expected closed form, computed exact rank) for one case: the one
-    block pair (p) at 0 and (q) at 1, on the item's ``symbols`` arrows.
-    A side condition is checked before the number h of arrows 1 -> 0."""
-    expected, terms = build_case(case.item, case.p, case.q, case.l, case.lam)
-    n_sym = _ITEMS[case.item].symbols
-    if case.h < n_sym:
-        raise SideConditionError(f"item {case.item} needs {n_sym} distinct arrows, h={case.h}")
-    return expected, rank_exact(assemble_system(n_sym, [terms], case.p, case.q))
+def _rank(item: int, terms: tuple[Term, ...], p: int, q: int) -> int:
+    """The exact rank of the one block pair (p) at 0 and (q) at 1, on the
+    item's ``symbols`` arrows."""
+    return rank_exact(assemble_system(_ITEMS[item].symbols, [terms], p, q))
 
 
 _HS = (1, 2, 3)  # the numbers of arrows 1 -> 0 that the sweep tries
@@ -224,56 +211,57 @@ def _read_lambda(lam: str | Fraction) -> Fraction:
 
 def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
                 l: Optional[int] = None, lam: Optional[str | Fraction] = None,
-                h: Optional[int] = None) -> FormulaCase:
-    """One case from the given parameters, ``None`` meaning not given:
-    p defaults to 1, h to 3, q to the item's fixed q, and lambda (any value
-    ``_read_lambda`` reads) to 2 for the items that take it.  A case whose
-    system has more than ``_MAX_UNKNOWNS`` unknowns (symbols*p*q: it is on
-    the item's ``symbols`` arrows, whatever h), or would assemble more than
-    ``_MAX_ENTRIES`` entries, is refused before anything is built: a term
-    (c, pre, k, post) with c != 0 puts max(0, p - pre) * max(0, q - post)
-    entries into the system, so items 6, 10 and 11 with a large l grow with
-    l*p*q within the unknowns bound.  A case that breaks a side condition
-    is left for ``build_case`` to refuse."""
-    if _ITEMS[item].takes_lambda:
+                h: Optional[int] = None) -> tuple:
+    """The row (item, p, q, l, lambda, h, closed form, exact rank) of one
+    case, ``None`` meaning not given: p defaults to 1, h to 3, q to the
+    item's fixed q, and lambda (any value ``_read_lambda`` reads) to 2 for
+    the items that take it.  A case whose system has more than
+    ``_MAX_UNKNOWNS`` unknowns (symbols*p*q: it is on the item's
+    ``symbols`` arrows, whatever h) is refused before anything is built,
+    and one that would assemble more than ``_MAX_ENTRIES`` entries before
+    it is assembled: a term (c, pre, k, post) with c != 0 puts
+    max(0, p - pre) * max(0, q - post) entries into the system, so items 6,
+    10 and 11 with a large l grow with l*p*q within the unknowns bound.
+    ``build_case`` refuses a broken side condition, and then an h below the
+    item's ``symbols`` is refused."""
+    rules = _rules(item)
+    if rules.takes_lambda:
         lam = Fraction(2) if lam is None else _read_lambda(lam)
     elif lam is not None:
         raise SideConditionError(f"item {item} takes no lambda")
-    if l is not None and not _ITEMS[item].takes_l:
+    if l is not None and not rules.takes_l:
         raise SideConditionError(f"item {item} takes no l")
-    q = _ITEMS[item].fixed_q if q is None else q
+    q = rules.fixed_q if q is None else q
     if q is None:
         raise SideConditionError("this item needs an explicit --q")
     p, h = 1 if p is None else p, 3 if h is None else h
-    if min(p, q) >= 1 and (unknowns := _ITEMS[item].symbols * p * q) > _MAX_UNKNOWNS:
+    if min(p, q) >= 1 and (unknowns := rules.symbols * p * q) > _MAX_UNKNOWNS:
         raise SideConditionError(f"symbols*p*q = {unknowns} unknowns exceed the "
                                  f"single-case bound {_MAX_UNKNOWNS}")
-    try:
-        _, terms = build_case(item, p, q, l, lam)
-    except SideConditionError:
-        terms = ()
+    expected, terms = build_case(item, p, q, l, lam)
     entries = sum(max(0, p - pre) * max(0, q - post) for c, pre, _k, post in terms if c)
     if entries > _MAX_ENTRIES:
         raise SideConditionError(
             f"the case assembles {entries} entries, more than the single-case "
             f"bound {_MAX_ENTRIES}")
-    return FormulaCase(item, p, q, l, lam, h)
+    if h < rules.symbols:
+        raise SideConditionError(f"item {item} needs {rules.symbols} distinct arrows, h={h}")
+    return item, p, q, l, lam, h, expected, _rank(item, terms, p, q)
 
 
 def _shapes(p_max: int, items: Optional[Iterable[int]]) -> Iterator[tuple]:
     """(item, p, q, lambda, the h in ``_HS`` the item admits, [(l, closed
     form, integer split terms) per admissible l]), each shape tried once;
     more than ``_MAX_SHAPES`` shapes raise ``ValueError`` before any is."""
-    wanted = set(items) if items is not None else set(_ITEMS)
+    wanted = [(item, _rules(item)) for item in sorted(set(_ITEMS if items is None else items))]
     # sum over p <= p_max of p^k, for k the number of q and l ranges up to p
     sums = (p_max, p_max * (p_max + 1) // 2, p_max * (p_max + 1) * (2 * p_max + 1) // 6)
-    count = sum((len(_LAMBDAS) if _ITEMS[i].takes_lambda else 1)
-                * sums[(_ITEMS[i].fixed_q is None) + _ITEMS[i].takes_l] for i in wanted)
+    count = sum((len(_LAMBDAS) if rules.takes_lambda else 1)
+                * sums[(rules.fixed_q is None) + rules.takes_l] for _, rules in wanted)
     if count > _MAX_SHAPES:
         raise ValueError(f"the sweep to p = {p_max} tries {count} relation shapes, "
                          f"more than the bound {_MAX_SHAPES}")
-    for item in sorted(wanted):
-        rules = _ITEMS[item]
+    for item, rules in wanted:
         hs = [h for h in _HS if h >= rules.symbols]
         lams: Sequence[Optional[Fraction]] = _LAMBDAS if rules.takes_lambda else (None,)
         for p in range(1, p_max + 1):
@@ -295,8 +283,7 @@ def formula_sweep(p_max: int = 6, items: Optional[Iterable[int]] = None) -> list
     ``_LAMBDAS`` where the item takes it, l inner to h; each shape ranked once."""
     rows = []
     for item, p, q, lam, hs, shapes in _shapes(p_max, items):
-        ranked = [(l, expected, rank_exact(assemble_system(_ITEMS[item].symbols, [terms], p, q)))
-                  for l, expected, terms in shapes]
+        ranked = [(l, expected, _rank(item, terms, p, q)) for l, expected, terms in shapes]
         rows += [(item, p, q, l, lam, h, expected, rank)
                  for h in hs for l, expected, rank in ranked]
     return rows

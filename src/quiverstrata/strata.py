@@ -158,12 +158,14 @@ def jordan_walk(table: PartPairTable, dims: Sequence[int],
     order, the last vertex fastest and the maximal assignment first: each is
     one record (pairs, orbit dim) of ``table.types`` per vertex; given
     ``per_type``, a record also holds ``per_type(p)``, formed once per type p,
-    a ``Partition``."""
+    a ``Partition``, and shared by the vertices of the same (d, m)."""
     orders = table.pres.orders
     types = [table.types(d, m) for d, m in zip(dims, orders)]
     if per_type is not None:
-        types = [[(pairs, o, per_type(Partition.from_pairs(pairs, m))) for pairs, o in records]
-                 for records, m in zip(types, orders)]
+        shared = {(d, m): [(pairs, o, per_type(Partition.from_pairs(pairs, m)))
+                           for pairs, o in table.types(d, m)]
+                  for d, m in dict.fromkeys(zip(dims, orders))}
+        types = [shared[key] for key in zip(dims, orders)]
     return itertools.product(*types)
 
 

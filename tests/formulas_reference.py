@@ -17,16 +17,22 @@ keyed by its shape.  They are the replaced ``formula_cases``,
 the sweep bound is left out, and the terms are the ``integer_terms`` of
 this module's rational ``_term_shapes``, which the package's integer
 terms equal.
+
+``FormulaCase``, ``single_case`` and ``evaluate_case`` are the record,
+the defaults and bounds, and the evaluator that ``formulas.single_case``
+replaced, which now gives the row itself and builds its shape once; they
+are kept verbatim but for the package's names, which they read through
+``formulas`` since this module's ``build_case`` is another.
 """
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from path_reference import path_of
 
 from quiverstrata import formulas
-from quiverstrata.formulas import (_LAMBDAS, FormulaCase, SideConditionError,
-                                   c_closed_form)
+from quiverstrata.formulas import _LAMBDAS, SideConditionError, c_closed_form
 from quiverstrata.linsys import assemble_system, integer_terms, rank_exact
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
@@ -34,6 +40,65 @@ from quiverstrata.quiver import Arrow, BoundQuiverPresentation, Quiver, Relation
 # the per-item rules as the replaced code stated them
 _SYMBOLS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 3, 11: 3}
 _HAS_LAMBDA = {7, 9, 11}
+
+
+@dataclass(frozen=True)
+class FormulaCase:
+    item: int
+    p: int
+    q: int
+    l: Optional[int]
+    lam: Optional[Fraction]
+    h: int
+
+
+def evaluate_case(case: FormulaCase) -> tuple[int, int]:
+    """(expected closed form, computed exact rank) for one case: the one
+    block pair (p) at 0 and (q) at 1, on the item's ``symbols`` arrows.
+    A side condition is checked before the number h of arrows 1 -> 0."""
+    expected, terms = formulas.build_case(case.item, case.p, case.q, case.l, case.lam)
+    n_sym = formulas._ITEMS[case.item].symbols
+    if case.h < n_sym:
+        raise SideConditionError(f"item {case.item} needs {n_sym} distinct arrows, h={case.h}")
+    return expected, rank_exact(assemble_system(n_sym, [terms], case.p, case.q))
+
+
+def single_case(item: int, p: Optional[int] = None, q: Optional[int] = None,
+                l: Optional[int] = None, lam: Optional[str | Fraction] = None,
+                h: Optional[int] = None) -> FormulaCase:
+    """One case from the given parameters, ``None`` meaning not given:
+    p defaults to 1, h to 3, q to the item's fixed q, and lambda (any value
+    ``_read_lambda`` reads) to 2 for the items that take it.  A case whose
+    system has more than ``_MAX_UNKNOWNS`` unknowns (symbols*p*q: it is on
+    the item's ``symbols`` arrows, whatever h), or would assemble more than
+    ``_MAX_ENTRIES`` entries, is refused before anything is built: a term
+    (c, pre, k, post) with c != 0 puts max(0, p - pre) * max(0, q - post)
+    entries into the system, so items 6, 10 and 11 with a large l grow with
+    l*p*q within the unknowns bound.  A case that breaks a side condition
+    is left for ``build_case`` to refuse."""
+    if formulas._ITEMS[item].takes_lambda:
+        lam = Fraction(2) if lam is None else formulas._read_lambda(lam)
+    elif lam is not None:
+        raise SideConditionError(f"item {item} takes no lambda")
+    if l is not None and not formulas._ITEMS[item].takes_l:
+        raise SideConditionError(f"item {item} takes no l")
+    q = formulas._ITEMS[item].fixed_q if q is None else q
+    if q is None:
+        raise SideConditionError("this item needs an explicit --q")
+    p, h = 1 if p is None else p, 3 if h is None else h
+    if min(p, q) >= 1 and (unknowns := formulas._ITEMS[item].symbols * p * q) > formulas._MAX_UNKNOWNS:
+        raise SideConditionError(f"symbols*p*q = {unknowns} unknowns exceed the "
+                                 f"single-case bound {formulas._MAX_UNKNOWNS}")
+    try:
+        _, terms = formulas.build_case(item, p, q, l, lam)
+    except SideConditionError:
+        terms = ()
+    entries = sum(max(0, p - pre) * max(0, q - post) for c, pre, _k, post in terms if c)
+    if entries > formulas._MAX_ENTRIES:
+        raise SideConditionError(
+            f"the case assembles {entries} entries, more than the single-case "
+            f"bound {formulas._MAX_ENTRIES}")
+    return FormulaCase(item, p, q, l, lam, h)
 
 
 def _term_shapes(item: int, p: int, q: int, l: Optional[int],

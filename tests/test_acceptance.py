@@ -12,7 +12,7 @@ from paper_checks import nooverlap_dims
 from rank_reference import rank_mod
 from quiverstrata.families import FamilyTag, build_family
 from quiverstrata.fforacle import enumerate_and_classify, verify_count_identity
-from quiverstrata.formulas import FormulaCase, evaluate_case, formula_sweep
+from quiverstrata.formulas import formula_sweep, single_case
 from quiverstrata.linsys import PartPairTable, rank_exact
 from quiverstrata.partitions import Partition, end_dim, orbit_dim
 from quiverstrata.quiver import parse_presentation
@@ -29,12 +29,12 @@ def test_criterion_1_formula_suite():
     rows = formula_sweep(p_max=6)
     assert rows
     for row in rows:
-        case = FormulaCase(*row[:6])
+        case = formulas_reference.FormulaCase(*row[:6])
         pres, ja, expected = formulas_reference.build_case(case)
         [cs] = block_systems(pres, ja)  # single parts: one block pair
         computed = rank_exact(cs)
         assert computed == expected, case
-        assert row[6:] == evaluate_case(case) == (expected, computed), case
+        assert row == single_case(*row[:6]) and row[6:] == (expected, computed), case
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     _report("1 formula suite", f"{len(rows)} cases exact, {elapsed:.1f}s")

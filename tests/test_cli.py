@@ -451,8 +451,8 @@ def test_oracle_count_identity_rows_match_reference_without_listing(algebra_file
     (tests/walk_reference.py), which lists every assignment, and
     oracle-count builds no such listing: the count table carries none, the
     count builds one ``JordanAssignment`` per stratum it found and the
-    check one per row, and ``orbit_count`` runs once per Jordan type at
-    each vertex."""
+    check one per row, and ``orbit_count`` runs once per Jordan type of
+    each distinct (d, m): both vertices of A(2,3,3,1) at (2,2) share it."""
     import dataclasses
 
     from quiverstrata import fforacle
@@ -470,8 +470,8 @@ def test_oracle_count_identity_rows_match_reference_without_listing(algebra_file
     rows = [r for r in csv.DictReader(io.StringIO(out)) if r["q"] != "q"]  # one header a prime
     assert [r["q"] for r in rows] == ["2"] * 4 + ["3"] * 4
     assert all(r["pass"] == "pass" for r in rows)
-    # per prime: 4 strata counted and 4 rows; 2 types at each of 2 vertices
-    assert len(built) == 2 * (4 + 4) and orbits == [2] * 4 + [3] * 4
+    # per prime: 4 strata counted and 4 rows; 2 types at (d, m) = (2, 3)
+    assert len(built) == 2 * (4 + 4) and orbits == [2] * 2 + [3] * 2
     assert [f.name for f in dataclasses.fields(fforacle.StratumCountTable)] == [
         "q", "dims", "counts"]
     monkeypatch.undo()

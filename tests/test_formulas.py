@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formulas_reference
+from formulas_reference import FormulaCase
 from path_reference import path_of
 from quiverstrata import formulas
-from quiverstrata.formulas import (FormulaCase, SideConditionError, build_case,
-                                   c_closed_form, evaluate_case, formula_sweep,
-                                   single_case)
+from quiverstrata.formulas import (SideConditionError, build_case, c_closed_form,
+                                   formula_sweep, single_case)
 from quiverstrata.linsys import PartPairTable, assemble_system, integer_terms
 from quiverstrata.partitions import JordanAssignment, Partition
 from quiverstrata.quiver import BoundQuiverPresentation, Quiver, Arrow, Relation
@@ -52,12 +52,18 @@ def test_fixed_q_items_reject_other_q():
             c_closed_form(item, p=3, q=3, l=1)
 
 
+def _args(case):
+    """The arguments of ``single_case`` that give the row of ``case``."""
+    return case.item, case.p, case.q, case.l, case.lam, case.h
+
+
 def test_single_case_defaults_and_rules():
-    assert single_case(1, l=1) == FormulaCase(1, 1, 1, 1, None, 3)
-    assert single_case(2, p=3, l=1, h=1) == FormulaCase(2, 3, 2, 1, None, 1)
-    assert single_case(7, p=2, q=2) == FormulaCase(7, 2, 2, None, Fraction(2), 3)
-    assert single_case(11, p=4, q=4, l=4, lam="1/2").lam == Fraction(1, 2)
-    assert single_case(3, p=0, q=1, h=0) == FormulaCase(3, 0, 1, None, None, 0)
+    assert single_case(1, l=1) == (1, 1, 1, 1, None, 3, 0, 0)
+    assert single_case(2, p=3, l=1, h=1) == (2, 3, 2, 1, None, 1, 4, 4)
+    assert single_case(7, p=2, q=2) == (7, 2, 2, None, Fraction(2), 3, 2, 2)
+    assert single_case(11, p=4, q=4, l=4, lam="1/2")[4] == Fraction(1, 2)
+    with pytest.raises(SideConditionError, match="^p >= 1 required$"):
+        single_case(3, p=0, q=1, h=0)
     with pytest.raises(SideConditionError, match="^item 3 takes no lambda$"):
         single_case(3, p=2, q=1, lam="1/0")
     with pytest.raises(SideConditionError, match="^bad lambda '1/0'$"):
@@ -68,21 +74,43 @@ def test_single_case_defaults_and_rules():
 
 def test_single_case_rejects_l_where_the_item_takes_none():
     for item in range(1, 12):
-        q = 2 if item == 2 else 1
+        q = {1: 1, 2: 2}.get(item, 5)
         if item in (1, 2, 6, 10, 11):
-            assert single_case(item, p=5, q=q, l=3).l == 3
+            assert single_case(item, p=5, q=q, l=4)[3] == 4
         else:
             with pytest.raises(SideConditionError, match=f"^item {item} takes no l$"):
-                single_case(item, p=5, q=q, l=3)
+                single_case(item, p=5, q=q, l=4)
 
 
-def test_single_case_bounds_its_unknowns():
+def test_single_case_rejects_an_unknown_item():
+    """Both entry points refuse an unknown item as ``c_closed_form`` does,
+    before the item's rules are read."""
+    for call in (lambda: single_case(12), lambda: formula_sweep(items=[12]),
+                 lambda: c_closed_form(12)):
+        with pytest.raises(SideConditionError, match="^unknown item 12$"):
+            call()
+
+
+def _stub_rank(monkeypatch) -> list:
+    """The arguments of every ``assemble_system`` call that the formulas
+    module makes from now on, each assembling and ranking nothing: a
+    bound that admits 10^6 unknowns is tested without ranking them."""
+    calls = []
+    monkeypatch.setattr(formulas, "assemble_system", lambda *args: calls.append(args))
+    monkeypatch.setattr(formulas, "rank_exact", lambda system: -1)
+    return calls
+
+
+def test_single_case_bounds_its_unknowns(monkeypatch):
     # symbols*p*q unknowns in the one block-pair system, whatever h, since
     # it is assembled on the item's symbols arrows; the bound is 10^6
-    assert single_case(3, p=1000, q=1000, h=1).h == 1
-    assert single_case(3, p=1000, q=1000).h == 3
-    assert single_case(3, p=2, q=2, h=2 * 10 ** 6).h == 2 * 10 ** 6
-    assert single_case(8, p=577, q=577, h=1).p == 577   # 3 * 577^2 < 10^6
+    calls = _stub_rank(monkeypatch)
+    assert single_case(3, p=1000, q=1000, h=1) == (3, 1000, 1000, None, None, 1, 999000, -1)
+    assert single_case(3, p=1000, q=1000)[5] == 3
+    assert single_case(8, p=577, q=577)[1] == 577   # 3 * 577^2 < 10^6
+    assert [args[0] for args in calls] == [1, 1, 3]
+    monkeypatch.undo()
+    assert single_case(3, p=2, q=2, h=2 * 10 ** 6)[5:] == (2 * 10 ** 6, 2, 2)
     for item, kwargs in ((3, {"p": 1001, "q": 1000, "h": 1}), (3, {"p": 10 ** 8, "q": 1}),
                          (8, {"p": 578, "q": 578, "h": 3})):
         with pytest.raises(SideConditionError, match="exceed the single-case bound"):
@@ -90,7 +118,8 @@ def test_single_case_bounds_its_unknowns():
     with pytest.raises(SideConditionError, match="^symbols\\*p\\*q = 100000000 unknowns"):
         single_case(1, p=10 ** 8, l=1)
     # a side condition, not the bound, rejects nonpositive sizes
-    assert single_case(3, p=-2000, q=-2000, h=1).p == -2000
+    with pytest.raises(SideConditionError, match="^p >= 1 required$"):
+        single_case(3, p=-2000, q=-2000, h=1)
 
 
 @pytest.mark.parametrize("item, kwargs", [
@@ -100,41 +129,107 @@ def test_single_case_bounds_its_unknowns():
 def test_single_case_bounds_its_entries(item, kwargs, monkeypatch):
     """The bound counts the entries that the assembly puts in, before it
     runs: a case with exactly the bound passes and one above it does not."""
-    case = single_case(item, **kwargs)
-    _, terms = build_case(item, case.p, case.q, case.l, case.lam)
-    entries = sum(map(len, assemble_system(case.h, [terms], case.p, case.q).rows))
+    row = single_case(item, **kwargs)
+    item, p, q, l, lam, h = row[:6]
+    _, terms = build_case(item, p, q, l, lam)
+    entries = sum(map(len, assemble_system(h, [terms], p, q).rows))
     assert entries > 0
     monkeypatch.setattr(formulas, "_MAX_ENTRIES", entries)
-    assert single_case(item, **kwargs) == case
+    assert single_case(item, **kwargs) == row
     monkeypatch.setattr(formulas, "_MAX_ENTRIES", entries - 1)
     with pytest.raises(SideConditionError,
                        match=f"^the case assembles {entries} entries, more than"):
         single_case(item, **kwargs)
 
 
-def test_single_case_entry_bound_refuses_long_item_6():
+def test_single_case_entry_bound_refuses_long_item_6(monkeypatch):
     # 167,167,000 entries within 10^6 unknowns; the largest case of at most
     # three terms, item 3 at p = q = 1000, assembles 1,998,000
+    calls = _stub_rank(monkeypatch)
     with pytest.raises(SideConditionError, match="^the case assembles 167167000 entries"):
         single_case(6, p=1000, q=1000, l=1000, h=1)
-    assert single_case(3, p=1000, q=1000, h=1).p == 1000
+    assert calls == []
+    assert single_case(3, p=1000, q=1000, h=1)[1] == 1000
+    assert len(calls) == 1
     # a side condition, not the bound, rejects an inadmissible l
-    assert single_case(6, p=1000, q=1000, l=2000, h=1).l == 2000
+    with pytest.raises(SideConditionError, match="^item 6 needs 1 <= l <= min\\(p, q\\)$"):
+        single_case(6, p=1000, q=1000, l=2000, h=1)
 
 
 def test_build_case_requires_enough_arrows():
-    """A shape is built whatever its h; ``evaluate_case`` refuses a case
+    """A shape is built whatever its h; ``single_case`` refuses a case
     with fewer arrows 1 -> 0 than the item reads, but a broken side
     condition first."""
     assert build_case(4, 3, 2, None, None) == (5, ((1, 1, 0, 0), (1, 0, 1, 1)))
     with pytest.raises(SideConditionError, match="^item 4 needs 2 distinct arrows, h=1$"):
-        evaluate_case(FormulaCase(4, 3, 2, None, None, 1))
+        single_case(4, 3, 2, None, None, 1)
     with pytest.raises(SideConditionError, match="^item 9 needs 3 distinct arrows, h=2$"):
-        evaluate_case(FormulaCase(9, 3, 3, None, Fraction(2), 2))
+        single_case(9, 3, 3, None, Fraction(2), 2)
     with pytest.raises(SideConditionError, match="^q <= p required$"):
-        evaluate_case(FormulaCase(4, 2, 3, None, None, 1))
+        single_case(4, 2, 3, None, None, 1)
     with pytest.raises(SideConditionError, match="^item 9 needs lambda != 1$"):
-        evaluate_case(FormulaCase(9, 3, 3, None, Fraction(1), 0))
+        single_case(9, 3, 3, None, Fraction(1), 0)
+
+
+def test_single_case_builds_its_shape_once(monkeypatch):
+    """A single case goes through ``build_case`` once, as a traced run
+    counts it, where the replaced record and evaluator built it twice."""
+    build, built = formulas.build_case, []
+    monkeypatch.setattr(formulas, "build_case", lambda *key: built.append(key) or build(*key))
+    assert single_case(7, 2, 2, None, "1/2", 2) == (7, 2, 2, None, Fraction(1, 2), 2, 2, 2)
+    assert built == [(7, 2, 2, None, Fraction(1, 2))]
+    built.clear()
+    with pytest.raises(SideConditionError, match="^item 4 needs 2 distinct arrows, h=1$"):
+        single_case(4, 3, 2, None, None, 1)
+    assert len(built) == 1
+
+
+_GRID_LAMBDAS = (None, "2", "0", "1", "-1", "1/2", "-3/2", "1/0", "x", "1e4300", "1e-4300",
+                 "2e3", Fraction(5, 3))
+
+
+def _grid():
+    """Argument tuples of ``single_case``: valid cases, every refusal (the
+    lambda, l and q rules, both bounds, the side conditions, h too small),
+    and lambda texts that read, that do not, and that have too many digits."""
+    for item in range(1, 12):
+        lams = _GRID_LAMBDAS if item in (7, 9, 11) else (None, "1/2")
+        for p, q, l, lam, h in itertools.product((None, 0, 2, 4), (None, 0, 2, 4),
+                                                 (None, 0, 1, 4), lams, (None, 0, 2)):
+            if lam in (None, "2", "1/2") or (p, q, h) == (4, 4, None) and l in (None, 4):
+                yield item, p, q, l, lam, h
+    yield from [(3, 1001, 1000, None, None, 1), (3, 10 ** 8, 1, None, None, None),
+                (1, 10 ** 8, None, 1, None, None), (8, 578, 578, None, None, 3),
+                (6, 1000, 1000, 1000, None, 1), (10, 1000, 333, 300, None, 3),
+                (11, 1000, 900, 900, "1/0", 3), (3, -2000, -2000, None, None, 1),
+                (6, 1000, 1000, 2000, None, 1), (3, 2, 2, None, None, 2 * 10 ** 6)]
+
+
+def _reference_row(*args):
+    case = formulas_reference.single_case(*args)
+    return (*_args(case), *formulas_reference.evaluate_case(case))
+
+
+def test_single_case_matches_the_replaced_record_and_evaluator():
+    """On every tuple of the grid ``single_case`` gives the row that the
+    replaced ``single_case`` and ``evaluate_case`` gave, or raises the same
+    exception with the same message."""
+    def outcome(call, args):
+        try:
+            return call(*args)
+        except ValueError as exc:  # SideConditionError among them
+            return type(exc), str(exc)
+
+    grid = list(_grid())
+    outcomes = [outcome(single_case, args) for args in grid]
+    assert outcomes == [outcome(_reference_row, args) for args in grid]
+    assert sum(not isinstance(o[0], type) for o in outcomes) == 100  # rows, the rest refused
+    messages = [o[1] for o in outcomes if isinstance(o[0], type)]
+    for start in ("item 3 takes no lambda", "bad lambda '1/0'", "bad lambda '1e4300': more than",
+                  "item 7 takes no l", "this item needs an explicit --q", "symbols*p*q = ",
+                  "the case assembles ", "q <= p required", "item 11 needs lambda != 0",
+                  "item 8 needs 3 distinct arrows, h=2"):
+        assert any(m.startswith(start) for m in messages), start
 
 
 def _linear_form(terms):
@@ -164,7 +259,8 @@ def _assert_matches_reference(case, ref):
         ref_terms.append((coeff * scale, pre, int(name[1:]) - 1, post))
     assert _linear_form(terms) == _linear_form(ref_terms), case
     assert expected == ref_expected, case
-    assert evaluate_case(case) == (ref_expected, PartPairTable(ref_pres).codim(ref_ja)), case
+    assert formulas_reference.evaluate_case(case) == (
+        ref_expected, PartPairTable(ref_pres).codim(ref_ja)), case
 
 
 def test_build_case_matches_replaced_on_sweep():
@@ -187,7 +283,7 @@ def test_build_case_rejects_what_replaced_rejected():
     """On a grid of cases on and off the sweep, both versions accept the
     same cases and agree on them, or fail alike with the same message: the
     replaced build_case checked the side conditions before h, and
-    evaluate_case does too."""
+    evaluate_case on the package's build_case does too."""
     lams = (None, Fraction(0), Fraction(1), Fraction(2))
     for item, p, q, h in itertools.product(range(1, 12), range(1, 4), range(1, 4),
                                            range(1, 4)):
@@ -195,14 +291,14 @@ def test_build_case_rejects_what_replaced_rejected():
             case = FormulaCase(item, p, q, l, lam, h)
             want = _outcome(formulas_reference.build_case, case)
             if isinstance(want[0], type):
-                assert _outcome(evaluate_case, case) == want, case
+                assert _outcome(formulas_reference.evaluate_case, case) == want, case
             else:
                 _assert_matches_reference(case, want)
 
 
 def test_sweep_ranks_each_shape_once_as_per_h_did(monkeypatch):
     """On every case of the p <= 8 sweep, and its lambda cases at lambda =
-    0 (item 11 refuses it), evaluate_case equals the replaced per-h
+    0 (item 11 refuses it), single_case equals the replaced per-h
     assembly and rank, and the integer terms are ``integer_terms`` of the
     replaced rational ones.  formula_sweep gives every case its row with
     that rank, and assembles each (item, p, q, l, lambda) once, whatever
@@ -216,8 +312,8 @@ def test_sweep_ranks_each_shape_once_as_per_h_did(monkeypatch):
         rational = formulas_reference._term_shapes(case.item, case.p, case.q,
                                                    case.l, case.lam)
         assert list(terms) == integer_terms(rational), case
-        assert evaluate_case(case) == formulas_reference.evaluate_case_per_h(case), case
-    want = [(c.item, c.p, c.q, c.l, c.lam, c.h, *evaluate_case(c)) for c in cases]
+        assert single_case(*_args(case))[6:] == formulas_reference.evaluate_case_per_h(case), case
+    want = [single_case(*_args(c)) for c in cases]
     calls = _count_assemblies(monkeypatch)
     assert formula_sweep(8) == want
     shapes = {(c.item, c.p, c.q, c.l, c.lam) for c in cases}
@@ -271,10 +367,11 @@ def single_case_args(draw):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(single_case_args())
 def test_single_cases_match_reference(args):
-    """Any case ``single_case`` admits is accepted by the direct path and by
-    the reference alike, with the same closed form and the same rank."""
+    """Any case the replaced ``single_case`` admitted is accepted by the
+    direct path and by the reference alike, with the same closed form and
+    the same rank, or refused by both with the same message."""
     try:
-        case = single_case(*args)
+        case = formulas_reference.single_case(*args)
     except SideConditionError:
         return
 
@@ -282,7 +379,7 @@ def test_single_cases_match_reference(args):
         pres, ja, expected = formulas_reference.build_case(case)
         return expected, PartPairTable(pres).codim(ja)
 
-    assert _outcome(evaluate_case, case) == _outcome(reference, case)
+    assert _outcome(lambda case: single_case(*args)[6:], case) == _outcome(reference, case)
 
 
 @pytest.mark.parametrize("items", [None, [1], [2, 7], [11], [3, 6, 9]])
@@ -320,11 +417,10 @@ def test_case_sweep_is_deterministic_and_nonempty():
 
 @pytest.mark.parametrize("item", range(1, 12))
 def test_each_item_matches_engine_on_a_sample(item):
-    sample = [FormulaCase(*row[:6]) for row in formula_sweep(p_max=4, items=[item])][:12]
+    sample = formula_sweep(p_max=4, items=[item])[:12]
     assert sample
-    for case in sample:
-        expected, computed = evaluate_case(case)
-        assert expected == computed, case
+    for row in sample:
+        assert single_case(*row[:6]) == row and row[6] == row[7], row
 
 
 def test_unified_remark_formula_reported_not_relied_on(capsys):
