@@ -14,15 +14,18 @@ column of X^m at a time, forming powers only for the matrices that pass.
 
 The loop enumeration and the ranks over F_p keep their stacks batch-last,
 as (d, d, count) arrays, so every step is an elementwise operation over
-long rows.  numpy's batched ``matmul`` runs one small product per member:
-32,768 4 x 4 int16 products took 2-5 ms through it and 0.3-0.4 ms
-through ``einsum("ijn,jkn->ikn")`` on the batch-last layout (2-CPU x86
-host, numpy 2.4).  A boolean mask on the last axis lays a stack out
-batch-first: on a (4, 4, 8279) int16 stack cut so, the two einsums took
-0.41 and 4.4 ms, against 0.03 and 0.12 ms when ``np.compress`` gathers
-the same members in C order.  The point tally keeps ``matmul`` on
-(count, d, d) candidates: its chunks hold a few hundred points, and
-gathering them along a last axis costs more than the products do.
+long rows, in the narrowest of int8, int16 and int64 that holds their
+unreduced values.  numpy's batched ``matmul`` runs one small product per
+member: 32,768 4 x 4 products took 2.2 ms through it in int8 and 2.2-4.0
+ms in int16, and 0.23-0.24 ms (int8) and 0.33-0.43 ms (int16) through
+``einsum("ijn,jkn->ikn")`` on the batch-last layout (2-CPU x86 host,
+numpy 2.4).  A boolean mask on the last axis lays a stack out
+batch-first: on a (4, 4, 8205) int8 stack cut so, the matrix-vector and
+matrix products took 0.23 and 2.5-3.7 ms, against 0.02 and 0.06-0.09 ms
+when ``np.compress`` gathers the same members in C order.  The point
+tally keeps ``matmul`` on (count, d, d) candidates: its chunks hold a few
+hundred points, and gathering them along a last axis costs more than the
+products do.
 """
 from __future__ import annotations
 
@@ -96,6 +99,12 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return x - x // q * q
 
 
+def _narrowest(bound: int):
+    """int8 or int16 when it holds every integer of absolute value at
+    most ``bound``, else int64."""
+    return np.int8 if bound < 1 << 7 else np.int16 if bound < 1 << 15 else np.int64
+
+
 def ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of matrices of shape (m, n, count), the
     batch axis last, with entries in [0, p), by row reduction run on the
@@ -106,13 +115,14 @@ def ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     mod p in the columns to the right, which keeps the rank and clears
     ``col`` in every row but the pivot's.  Pivot rows are never read
     again, so they are neither swapped nor scaled.  Both products stay at
-    most (p - 1)^2, so the stack is int16 while that fits and int64, good
-    for any prime below 3 * 10^9, otherwise.  The input is not modified.
+    most (p - 1)^2, so the stack is int8 while that fits (p <= 11), int16
+    while it fits in that, and int64, good for any prime below 3 * 10^9,
+    otherwise.  The input is not modified.
     """
     m, n, count = stack.shape
     # a C-order copy: a stack cut out by a mask along its last axis is
     # laid out batch-first, which would make every step below strided
-    a = stack.astype(np.int16 if (p - 1) ** 2 < 1 << 15 else np.int64, order="C")
+    a = stack.astype(_narrowest((p - 1) ** 2), order="C")
     used = np.zeros((m, count), bool)
     for col in range(n):
         free = (a[:, col] != 0) & ~used
@@ -131,9 +141,28 @@ def ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
 # exhaustive enumeration of bounded nilpotent matrices over F_q
 # ---------------------------------------------------------------------------
 
+# digits from which a table is built from its two halves: at 8 digits the
+# two ways take the same time at q = 2 and the halves take 0.6 times as
+# long at q = 3; at 14 digits and q = 2 they take 0.2-0.5 times as long,
+# and at 4 digits 1.4 times (int8 and int64, 2-CPU host, numpy 2.4)
+_SPLIT_DIGITS = 8
+
+
 def digit_table(n: int, q: int, dtype=np.int64) -> np.ndarray:
-    """The q**n rows of n base-q digits, in the order of the codes they spell."""
-    return np.indices((q,) * n, dtype).reshape(n, q ** n).T
+    """The q**n rows of n base-q digits, in the order of the codes they spell.
+
+    The table is the transpose of a C-ordered (n, q**n) array.  From
+    ``_SPLIT_DIGITS`` digits on, its high and low halves are written from
+    two tables of half as many digits, which costs less than
+    ``np.indices`` over n axes."""
+    if n < _SPLIT_DIGITS:
+        return np.indices((q,) * n, dtype).reshape(n, q ** n).T
+    h = n // 2
+    high, low = digit_table(h, q, dtype), digit_table(n - h, q, dtype)
+    out = np.empty((n, len(high), len(low)), dtype)
+    out[:h] = high.T[:, :, None]
+    out[h:] = low.T[:, None]
+    return out.reshape(n, q ** n).T
 
 
 def enumerate_nilpotent(d: int, m: int, q: int):
@@ -153,11 +182,12 @@ def enumerate_nilpotent(d: int, m: int, q: int):
     matrix-vector products, (top - 1) d^2 multiply-adds a candidate where
     X^top takes (top - 1) d^3, column 0 on every candidate and each later
     column only on those that passed the earlier ones.  Products stay
-    unreduced in int16 while their bound fits and are reduced mod q after
-    each product otherwise.  Boolean masks keep code order.  X^k, 0 < k <
-    top, is formed only for the matrices that pass every column, and all
-    of them are ranked in one ``ranks_mod_p`` call on their concatenation
-    along the batch axis.  The caller bounds q**(d*d).
+    unreduced in int8 or int16, the narrower one their bound fits, and
+    are reduced mod q after each product in int64 otherwise.  Boolean
+    masks keep code order.  X^k, 0 < k < top, is formed only for the
+    matrices that pass every column, and all of them are ranked in one
+    ``ranks_mod_p`` call on their concatenation along the batch axis.
+    The caller bounds q**(d*d).
     """
     if d == 0:
         return np.zeros((1, 0, 0), np.int64), np.zeros((1, 0), np.int64)
@@ -165,8 +195,8 @@ def enumerate_nilpotent(d: int, m: int, q: int):
     # fewest high digits whose chunk of low digits fits in CHUNK
     split = next(s for s in range(free + 1) if q ** (free - s) <= CHUNK)
     # unreduced X^k has entries at most d^(k-1) (q-1)^k; a trace sum, d (q-1)
-    small = max(d * (q - 1), d ** (top - 1) * (q - 1) ** top) < 1 << 15
-    dtype = np.int16 if small else np.int64
+    dtype = _narrowest(max(d * (q - 1), d ** (top - 1) * (q - 1) ** top))
+    small = dtype is not np.int64
     lows, highs = digit_table(free - split, q, dtype).T, digit_table(split, q, dtype)
     diag = np.arange(0, free, d + 1)  # all but the last diagonal entry
     # rows of high digits packed into one chunk, each over all low digits

@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .linsys import PartPairTable
 from .partitions import (JordanAssignment, Partition, _is_prime, count_partitions_bounded,
-                         jordan_types, orbit_count, partition_from_ranks)
+                         jordan_types, orbit_count)
 from .quiver import BoundQuiverPresentation
 from .strata import _check_dims, ambient_arrow_dim, jordan_walk
 
@@ -77,6 +77,26 @@ class StratumCountTable:
 # 0.40 s at (200, 1999993); at 8 * 10^6 bits, (2000, 2), oracle-count took
 # 14.8 s, on a 2-CPU host
 _MAX_GL_BITS = 10 ** 6
+
+
+def _type_indices(ranks: np.ndarray, d: int, types) -> np.ndarray:
+    """The index in ``types``, (part, count) pairs of the types of weight d,
+    of the Jordan type of each rank row, row i holding rank(X^k) for
+    0 < k <= ranks.shape[1], past which every listed type has rank 0.
+
+    Rows and types are matched by their rank codes: rank(X^k) packed in
+    base d + 1, a type's rank(J^k) being the sum of count * max(part - k, 0).
+    A row that matches no listed type raises ``ValueError``."""
+    place = (d + 1) ** np.arange(ranks.shape[1])
+    powers = list(enumerate(place.tolist(), 1))
+    codes = np.array([sum(c * max(a - k, 0) * w for a, c in pairs for k, w in powers)
+                      for pairs in types])
+    order = np.argsort(codes)
+    keys = ranks @ place
+    at = order[np.minimum(np.searchsorted(codes[order], keys), len(codes) - 1)]
+    if (codes[at] != keys).any():
+        raise ValueError("rank sequence is not that of a nilpotent matrix")
+    return at
 
 
 def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
@@ -151,13 +171,7 @@ def enumerate_and_classify(pres: BoundQuiverPresentation, dims: Sequence[int],
             if (d, m) not in nilpotent:
                 nilpotent[d, m] = _kernels.enumerate_nilpotent(d, m, q)
             mats, ranks = nilpotent[d, m]
-            # rank rows packed in base d + 1: equal rows, and only they, share a key
-            keys = ranks @ (d + 1) ** np.arange(ranks.shape[1])
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            index = {pairs: k for k, pairs in enumerate(types_at[vi])}
-            types = [index[partition_from_ranks(d, ranks[k].tolist(), m).multiplicities]
-                     for k in first]
-            cand_keys.append(weights[vi] * np.array(types, np.int64)[inverse])
+            cand_keys.append(weights[vi] * _type_indices(ranks, d, types_at[vi]))
         else:
             cand_keys.append(np.zeros(q ** (d_t * d_s), np.int64))
         cand_mats.append(mats)

@@ -21,7 +21,6 @@ __all__ = [
     "orbit_dim",
     "orbit_count",
     "orbit_count_ff",
-    "partition_from_ranks",
     "rank_sequence",
 ]
 
@@ -135,23 +134,6 @@ def rank_sequence(p: Partition) -> list[int]:
     """rank(J^k) for k = 0, 1, ...: sum of max(p_i - k, 0)."""
     top = p.parts[0] if p.parts else 0
     return [sum(max(part - k, 0) for part in p.parts) for k in range(top + 1)]
-
-
-def partition_from_ranks(d: int, ranks: Iterable[int], bound: int) -> Partition:
-    """Jordan type of a nilpotent matrix from its power-rank sequence.
-
-    ``ranks[k]`` is rank(X^(k+1)); the count of blocks of size >= k is the
-    k-th difference of the padded sequence.
-    """
-    seq = [d, *ranks]
-    seq += [0] * (d + 2 - len(seq))
-    parts: list[int] = []
-    for size in range(d, 0, -1):
-        mult = seq[size - 1] - 2 * seq[size] + seq[size + 1]
-        parts.extend([size] * mult)
-    if sum(parts) != d:
-        raise ValueError("rank sequence is not that of a nilpotent matrix")
-    return Partition(tuple(parts), bound)
 
 
 def _is_prime(q: int) -> bool:

@@ -1,7 +1,11 @@
 """Test-only oracles for Jordan data: the explicit Jordan matrix, the Hom
 dimension between indecomposables, the commutant dimension by exact rank,
-an independent check of ``partitions.end_dim``, and the maximal Jordan
-type in closed form, which ``partitions_bounded`` must list first."""
+an independent check of ``partitions.end_dim``, the maximal Jordan
+type in closed form, which ``partitions_bounded`` must list first, and
+the Jordan type of a power-rank sequence by second differences, which
+the oracle classified its loops by before it matched rank codes."""
+from typing import Iterable
+
 import numpy as np
 
 from quiverstrata._kernels import exact_rank_int
@@ -56,3 +60,20 @@ def commutant_dim_oracle(p: Partition, max_weight: int = 12) -> int:
                 row[k * d + j] = row.get(k * d + j, 0) - int(J[i, k])
             rows.append(row)
     return d * d - exact_rank_int(rows)
+
+
+def partition_from_ranks(d: int, ranks: Iterable[int], bound: int) -> Partition:
+    """Jordan type of a nilpotent matrix from its power-rank sequence.
+
+    ``ranks[k]`` is rank(X^(k+1)); the count of blocks of size >= k is the
+    k-th difference of the padded sequence.
+    """
+    seq = [d, *ranks]
+    seq += [0] * (d + 2 - len(seq))
+    parts: list[int] = []
+    for size in range(d, 0, -1):
+        mult = seq[size - 1] - 2 * seq[size] + seq[size + 1]
+        parts.extend([size] * mult)
+    if sum(parts) != d:
+        raise ValueError("rank sequence is not that of a nilpotent matrix")
+    return Partition(tuple(parts), bound)

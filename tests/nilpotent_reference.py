@@ -10,12 +10,64 @@ with the batch-first ``rank_reference.ranks_mod_p``, not the kernel under
 test.  ``enumerate_nilpotent_full_powers`` is the batch-last kernel as it
 was before it screened candidates one column at a time: it forms every
 power of every trace-zero candidate and ranks each power in its own call
-of the batch-last ``_kernels.ranks_mod_p``."""
+of the batch-last int16/int64 ``batch_last_ranks_mod_p``.
+
+The references share no code with the kernels under test but ``CHUNK``:
+``digit_table`` (one ``np.indices`` call over n axes), ``_mod`` and
+``batch_last_ranks_mod_p`` are copies of the kernels' helpers as they
+were before the int8 tier and the digit table built from two halves.
+``REFERENCE_CASES`` lists the loops that the differential tests run."""
 import numpy as np
 
-from quiverstrata import _kernels
-from quiverstrata._kernels import CHUNK, _mod, digit_table
+from quiverstrata._kernels import CHUNK
 from rank_reference import ranks_mod_p
+
+# every (d, m, q) with q^(d^2) <= 2^16 and 1 <= m <= d + 1, d = 0 included
+REFERENCE_CASES = [(d, m, q) for q in (2, 3, 5, 7, 11, 13) for d in range(5)
+                   if q ** (d * d) <= 1 << 16 for m in range(1, d + 2)]
+
+
+def digit_table(n: int, q: int, dtype=np.int64) -> np.ndarray:
+    """The q**n rows of n base-q digits, in the order of the codes they spell."""
+    return np.indices((q,) * n, dtype).reshape(n, q ** n).T
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """``x % q`` for a positive int q.  numpy divides an integer array by
+    a scalar with vector instructions but takes remainders one entry at a
+    time, so on int16 stacks this is several times faster."""
+    return x - x // q * q
+
+
+def batch_last_ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of matrices of shape (m, n, count), the
+    batch axis last, with entries in [0, p), by row reduction run on the
+    whole stack at once.
+
+    Each column's pivot is the first nonzero entry in a row that holds no
+    pivot yet; every row becomes ``row * pivot[col] - pivot * row[col]``
+    mod p in the columns to the right, which keeps the rank and clears
+    ``col`` in every row but the pivot's.  Pivot rows are never read
+    again, so they are neither swapped nor scaled.  Both products stay at
+    most (p - 1)^2, so the stack is int16 while that fits and int64, good
+    for any prime below 3 * 10^9, otherwise.  The input is not modified.
+    """
+    m, n, count = stack.shape
+    # a C-order copy: a stack cut out by a mask along its last axis is
+    # laid out batch-first, which would make every step below strided
+    a = stack.astype(np.int16 if (p - 1) ** 2 < 1 << 15 else np.int64, order="C")
+    used = np.zeros((m, count), bool)
+    for col in range(n):
+        free = (a[:, col] != 0) & ~used
+        # the first free row of each member is its pivot row
+        first = free.copy()
+        first[1:] &= ~np.logical_or.accumulate(free[:-1], axis=0)
+        top = (a[:, col:] * first[:, None]).sum(axis=0, dtype=a.dtype)
+        lead = np.where(free.any(axis=0), top[0], 1)
+        f = np.where(first, 0, a[:, col])
+        a[:, col + 1:] = _mod(a[:, col + 1:] * lead - f[:, None] * top[1:], p)
+        used |= first
+    return used.sum(axis=0)
 
 
 def matrices_from_codes(codes: np.ndarray, rows: int, cols: int, q: int) -> np.ndarray:
@@ -145,6 +197,6 @@ def enumerate_nilpotent_full_powers(d: int, m: int, q: int):
             part.append(power[:, :, nil])
     ranks = np.empty((sum(part.shape[2] for part in kept[0]), top - 1), np.int64)
     for k in range(1, top):
-        ranks[:, k - 1] = _kernels.ranks_mod_p(_mod(np.concatenate(kept[k - 1], axis=2), q), q)
+        ranks[:, k - 1] = batch_last_ranks_mod_p(_mod(np.concatenate(kept[k - 1], axis=2), q), q)
     mats = np.moveaxis(np.concatenate(kept[0], axis=2), 2, 0)
     return mats.astype(np.int64, order="C"), ranks

@@ -3,20 +3,36 @@ odometer tally that ``fforacle.enumerate_and_classify`` and
 ``_kernels.tally_points`` replaced.  Kept verbatim apart from names, as
 the reference of the differential test in ``tests/test_fforacle.py``.
 It is slow (tens of microseconds per point); keep its inputs small.
+``type_indices`` is the mapping from rank rows to Jordan types that
+``fforacle._type_indices`` replaced: ``np.unique`` on the packed rows,
+then ``partition_from_ranks`` once per distinct row.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
+from jordan_reference import partition_from_ranks
 from path_reference import word_of
 
 from quiverstrata import _kernels
 from quiverstrata.fforacle import (BadPrimeError, EnumerationCapExceeded,
                                    StratumCountTable)
-from quiverstrata.partitions import JordanAssignment, _is_prime, partition_from_ranks
+from quiverstrata.partitions import JordanAssignment, _is_prime
 from quiverstrata.quiver import BoundQuiverPresentation
 from walk_reference import partitions_bounded
+
+
+def type_indices(ranks: np.ndarray, d: int, m: int, types) -> np.ndarray:
+    """The index in ``types``, the (part, count) pairs of the types of
+    weight d with parts at most m, of the Jordan type of each rank row."""
+    # rank rows packed in base d + 1: equal rows, and only they, share a key
+    keys = ranks @ (d + 1) ** np.arange(ranks.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    index = {pairs: k for k, pairs in enumerate(types)}
+    found = [index[partition_from_ranks(d, ranks[k].tolist(), m).multiplicities]
+             for k in first]
+    return np.array(found, np.int64)[inverse]
 
 
 def reference_enumerate_and_classify(pres: BoundQuiverPresentation,

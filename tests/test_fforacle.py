@@ -7,15 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle_reference
+from nilpotent_reference import REFERENCE_CASES
 from oracle_reference import reference_enumerate_and_classify
 from paper_checks import opposite
 from strategies import presentations
-from quiverstrata import fforacle
+from quiverstrata import _kernels, fforacle
 from quiverstrata.families import build_family, parse_family_spec
 from quiverstrata.fforacle import (EnumerationCapExceeded, enumerate_and_classify,
                                    verify_count_identity)
 from quiverstrata.fforacle import BadPrimeError
 from quiverstrata.linsys import PartPairTable
+from quiverstrata.partitions import jordan_types
 from quiverstrata.quiver import PresentationError, parse_presentation
 from quiverstrata.strata import dim_vectors_up_to
 
@@ -72,11 +75,35 @@ def test_no_relation_identity_is_pure_power(aprime122):
     assert row.ok
 
 
+@pytest.mark.parametrize("d,m,q", REFERENCE_CASES)
+def test_type_match_matches_reference(d, m, q):
+    """Matching rank codes gives every loop candidate the type index that
+    ``np.unique`` plus ``partition_from_ranks`` gave it, and doctored
+    rows raise the same ``ValueError`` in both."""
+    _, ranks = _kernels.enumerate_nilpotent(d, m, q)
+    types = list(jordan_types(d, m))
+    got = fforacle._type_indices(ranks, d, types)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle_reference.type_indices(ranks, d, m, types).tolist()
+    # rank(X) = d, or rank(X^2) = rank(X) > 0: no nilpotent type has either
+    k = ranks.shape[1]
+    rows = [[d] + [0] * (k - 1)] if k else []
+    if k > 1:
+        rows.append([1] * k)
+    for row in rows:
+        bad = ranks.copy()
+        bad[len(bad) // 2] = row
+        with pytest.raises(ValueError, match="not that of a nilpotent matrix"):
+            fforacle._type_indices(bad, d, types)
+        with pytest.raises(ValueError, match="not that of a nilpotent matrix"):
+            oracle_reference.type_indices(bad, d, m, types)
+
+
 def test_classification_invariant_under_conjugation():
     rng = np.random.default_rng(11)
     q = 3
     from quiverstrata._kernels import enumerate_nilpotent
-    from quiverstrata.partitions import partition_from_ranks
+    from jordan_reference import partition_from_ranks
     from rank_reference import rank_mod_p
 
     def jordan_type(X):

@@ -4,7 +4,8 @@ finite-field kernels against plain-python
 elimination over F_p, a brute-force nilpotency filter, the enumeration
 that the trace-zero kernel replaced, the batch-first kernels that the
 batch-last ones replaced, the full-power enumeration that the column
-screen replaced, and the transpose symmetry of the nilpotent set."""
+screen replaced, and the transpose symmetry of the nilpotent set; the
+digit table against the single ``np.indices`` call it replaced."""
 import copy
 import itertools
 import random
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 import nilpotent_reference
 import rank_reference
-from quiverstrata._kernels import enumerate_nilpotent, exact_rank_int, ranks_mod_p
+from nilpotent_reference import REFERENCE_CASES
+from quiverstrata._kernels import digit_table, enumerate_nilpotent, exact_rank_int, ranks_mod_p
 
 
 def sparse(rows):
@@ -162,7 +164,7 @@ def rank_stacks(draw):
     """A prime p and a (count, m, n) stack over F_p: all-zero and
     single-member stacks, sparse members, and members whose last row is a
     combination of the rows above it, so that ranks fall short."""
-    p = draw(st.sampled_from([2, 3, 101, 181, 251, 997]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 181, 251, 997]))
     count, m, n = draw(st.integers(1, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
     stack = np.array(draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
@@ -181,9 +183,14 @@ def rank_stacks(draw):
 @example((np.zeros((1, 1, 1), np.int64), 2))
 @example((np.zeros((4, 3, 5), np.int64), 997))
 @example((np.array([[[0, 2, 1], [0, 1, 2]]]), 3))
+@example((np.array([[[10, 7], [2, 10]], [[10, 1], [1, 10]]]), 11))
+@example((np.array([[[12, 7], [2, 12]], [[12, 1], [1, 12]]]), 13))
 def test_ranks_mod_p_matches_batch_first_reference(case):
     """The batch-last row reduction gives every member the rank that the
-    replaced (count, m, n) reduction gives it; the input stays as it was."""
+    replaced (count, m, n) reduction gives it; the input stays as it was.
+    The stack is int8 while (p - 1)^2 < 2^7: at p = 11 the products reach
+    100, and at p = 13, past the bound, 12 * 12 - 2 * 7 = 130 = 10 * 13
+    clears the first member's last entry, which int8 would wrap to -126."""
     stack, p = case
     batch_last = np.ascontiguousarray(np.moveaxis(stack, 0, 2))
     before = batch_last.copy()
@@ -212,6 +219,18 @@ def test_nilpotent_enumeration_variants_agree(d, m, q):
     assert ranks.tolist() == want_ranks
 
 
+@pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3, 5, 7) for n in range(17)
+                                 if q ** n <= 1 << 16])
+def test_digit_table_matches_indices_reference(n, q):
+    """The table, built from two halves from 8 digits on, equals the one
+    ``np.indices`` builds over n axes, in every dtype that holds q - 1."""
+    for dtype in (np.int8, np.uint8, np.int16, np.int32, np.int64):
+        got, want = digit_table(n, q, dtype), nilpotent_reference.digit_table(n, q, dtype)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape == (q ** n, n)
+        assert (got == want).all()
+
+
 def test_nilpotent_counts_match_theory():
     # nilpotent d x d matrices over F_q number q^(d^2 - d); at q = 131 a
     # chunk packs many rows of high digits
@@ -223,11 +242,6 @@ def test_nilpotent_counts_match_theory():
     ranks = [int(np.linalg.matrix_rank(x)) for x in mats]
     assert all((x @ x % 2 == 0).all() for x in mats)
     assert sorted(set(ranks)) == [0, 1]
-
-
-# every (d, m, q) with q^(d^2) <= 2^16 and 1 <= m <= d + 1, d = 0 included
-REFERENCE_CASES = [(d, m, q) for q in (2, 3, 5, 7, 11, 13) for d in range(5)
-                   if q ** (d * d) <= 1 << 16 for m in range(1, d + 2)]
 
 
 @pytest.mark.parametrize("d,m,q", REFERENCE_CASES)
@@ -279,15 +293,28 @@ def _codes(mats, q):
     return mats.reshape(-1, n) @ q ** np.arange(n - 1, -1, -1)
 
 
-@pytest.mark.parametrize("q", [127, 131])
+@pytest.mark.parametrize("q", [7, 11, 127, 131])
 def test_nilpotent_enumeration_at_int16_boundary(q):
     """2 x 2 with X^2 = 0: unreduced powers reach 2 (q - 1)^2, which fits
-    int16 at q = 127 and not at q = 131."""
+    int8 at q = 7 (72) and not at q = 11 (200), and fits int16 at q = 127
+    and not at q = 131."""
     mats, ranks = enumerate_nilpotent(2, 2, q)
     assert mats.dtype == np.int64 and mats.shape == (q * q, 2, 2)
     assert not (np.matmul(mats, mats) % q).any()
     assert (np.diff(_codes(mats, q)) > 0).all()
     assert ranks.tolist() == [[python_rank_mod_p(x.tolist(), q)] for x in mats]
+
+
+def test_nilpotent_enumeration_past_int8_overflow():
+    """At q = 11 the trace-zero X = [[10, 4], [8, 1]] has X^2 = 0 mod q,
+    and its unreduced X^2 = [[132, 44], [88, 33]] passes 2^7 - 1: int8
+    would wrap 132 to -124, which is 8 mod 11, and lose X."""
+    q = 11
+    mats, _ = enumerate_nilpotent(2, 2, q)
+    x = np.array([[10, 4], [8, 1]])
+    assert (x @ x).max() > 127 and not (x @ x % q).any()
+    assert mats.shape == (q * q, 2, 2)
+    assert (mats == x).all(axis=(1, 2)).any()
 
 
 def test_nilpotent_enumeration_past_int16_overflow():

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 import partitions_reference
 import scan_reference
 from jordan_reference import (commutant_dim_oracle, hom_dim, jordan_matrix,
-                              maximal_partition)
+                              maximal_partition, partition_from_ranks)
 from quiverstrata import partitions
 from quiverstrata.linsys import PartPairTable
 from quiverstrata.partitions import (JordanAssignment, Partition,
                                      count_partitions_bounded, end_dim,
                                      orbit_count, orbit_count_ff, orbit_dim,
-                                     partition_from_ranks, rank_sequence)
+                                     rank_sequence)
 from quiverstrata.quiver import parse_presentation
 from walk_reference import partitions_bounded
 
